@@ -3,10 +3,10 @@
 __version__ = "0.1.0"
 
 from .fields import Field, Grid
-from .params import (ConstantsReport, Params, RegimeTag, SpeedSpec, SIGMA,
-                     c_star, c_star_star, chi_star, classify_regime,
-                     constants_report, kappa_of_speed, M_chi, validate_params)
-from .cauchy import SimConfig, State, monitor_bounds, run, step
+from .params import (ConstantsReport, Params, RegimeTag, SIGMA, c_star,
+                     c_star_star, chi_star, classify_regime, constants_report,
+                     kappa_of_speed, M_chi, validate_params)
+from .cauchy import SimConfig, State, monitor_bounds, run
 from .barriers import BarrierSpec, certify, eval_sub, eval_super, residual_A
 from .elliptic import (Constant, Exponential, TailSpec, Zero, psi_derivative,
                        solve_fd, solve_psi)
@@ -18,10 +18,10 @@ from .stability import (PerturbSpec, apriori_checks, predicted_lambda,
 from .speed import FrontTrack, front_position, spreading_speed, sweep_speeds
 
 __all__ = [
-    "Field", "Grid", "Params", "RegimeTag", "SpeedSpec", "ConstantsReport",
+    "Field", "Grid", "Params", "RegimeTag", "ConstantsReport",
     "SIGMA", "c_star", "c_star_star", "chi_star", "classify_regime",
     "constants_report", "kappa_of_speed", "M_chi", "validate_params",
-    "SimConfig", "State", "monitor_bounds", "run", "step",
+    "SimConfig", "State", "monitor_bounds", "run",
     "BarrierSpec", "certify", "eval_sub", "eval_super", "residual_A",
     "Constant", "Exponential", "TailSpec", "Zero", "psi_derivative",
     "solve_fd", "solve_psi",

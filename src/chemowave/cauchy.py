@@ -13,8 +13,11 @@ handled in the expanded, non-conservative form
 One IMEX step treats diffusion implicitly (tridiagonal solve), the
 advective term w u_x explicitly with first-order upwinding on the sign
 of w (a centered variant exists for the wave-construction lane), and
-the reaction and chemotaxis source explicitly.  v is refreshed from u
-after every step.  The automatic time step obeys
+the reaction and chemotaxis source explicitly; negative nodes are then
+clamped to zero and counted.  Every time step in the package, lab-frame
+runs here and the wave lane's relaxations, goes through `_imex_step`;
+each caller keeps its own stop rule and its own refresh of v (`run`
+refreshes v from u after every step).  The automatic time step obeys
 
     dt <= min(0.5 h / Vmax, 0.1 / Rmax)
 
@@ -32,7 +35,7 @@ from scipy.linalg import solve_banded
 
 from .elliptic import TailSpec, solve_pair
 from .errors import BlowupDetected, DomainError, StiffnessError
-from .fields import Field, Grid
+from .fields import Field, Grid, level_crossings
 from .params import Params, RegimeTag, M_chi, classify_regime, kappa_of_speed
 
 DT_FLOOR = 1e-10
@@ -69,7 +72,6 @@ class SimConfig:
     bc_left: BoundaryCondition = NeumannZero()
     bc_right: BoundaryCondition | None = None   # None = frame-appropriate default
     output_every: float = 1.0
-    clamp_negative: bool = True
     front_level: float = 0.5
     scheme: str = "upwind"           # "upwind" | "centered"
 
@@ -113,24 +115,13 @@ class Monitors:
         self.times.append(t)
         self.sup_u.append(float(u.max()))
         self.inf_u.append(float(u.min()))
-        self.front_x.append(_rightmost_crossing(x, u, self.level))
+        crossings = level_crossings(x, u, self.level)
+        self.front_x.append(float(crossings[-1]) if crossings.size else math.nan)
 
     def finalize(self):
         if self.node_steps and self.clamp_count > 1e-3 * self.node_steps:
             self.warnings.append(
                 f"clamp_count {self.clamp_count} exceeds 0.1% of node-steps")
-
-
-def _rightmost_crossing(x: np.ndarray, u: np.ndarray, level: float) -> float:
-    d = u - level
-    sign_change = d[:-1] * d[1:] <= 0
-    idx = np.flatnonzero(sign_change & ((d[:-1] != 0) | (d[1:] != 0)))
-    if idx.size == 0:
-        return math.nan
-    i = idx[-1]
-    if d[i + 1] == d[i]:
-        return float(x[i])
-    return float(x[i] + (x[i + 1] - x[i]) * d[i] / (d[i] - d[i + 1]))
 
 
 def v_tails_for(p: Params, source: Field, frame_speed: float) -> TailSpec:
@@ -243,24 +234,27 @@ def advance_imex(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
     return solve_banded((1, 1), ab, rhs)
 
 
-def step(state: State, config: SimConfig) -> State:
-    """Advance a single IMEX step; v is recomputed from the new u."""
-    p = config.params
-    u = state.u.values
-    v, vx = solve_v(p, state.u, config.frame_speed)
-    dt = config.dt if config.dt is not None else auto_dt(
-        p, u, v.values, vx.values, config.frame_speed, config.grid.h)
+def _imex_step(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
+               c: float, grid: Grid, bc_left: BoundaryCondition,
+               bc_right: BoundaryCondition, scheme: str,
+               dt: float | None = None,
+               dt_max: float = math.inf) -> tuple[np.ndarray, float, int]:
+    """One clamped IMEX step with frozen (v, v_x): (u_new, dt, clamped nodes).
+
+    dt is automatic when None; it must clear DT_FLOOR before it is capped
+    at dt_max.
+    """
+    if dt is None:
+        dt = auto_dt(p, u, v, vx, c, grid.h)
     if dt < DT_FLOOR:
-        raise StiffnessError(f"dt underflow: {dt:.3e}")
-    un = advance_imex(p, u, v.values, vx.values, config.frame_speed, dt,
-                      config.grid, config.bc_left, config.resolved_bc_right(),
-                      config.scheme)
-    if config.clamp_negative:
+        raise StiffnessError(f"dt underflow: {dt:.3e} < {DT_FLOOR:g}")
+    dt = min(dt, dt_max)
+    un = advance_imex(p, u, v, vx, c, dt, grid, bc_left, bc_right, scheme)
+    clamped = 0
+    if un.min() < 0:
+        clamped = int((un < 0).sum())
         un = np.maximum(un, 0.0)
-    _check_finite(un, state.t + dt, config.grid)
-    uf = Field(config.grid, un)
-    vn, _ = solve_v(p, uf, config.frame_speed)
-    return State(state.t + dt, uf, vn)
+    return un, dt, clamped
 
 
 def _check_finite(u: np.ndarray, t: float, grid: Grid) -> None:
@@ -282,8 +276,7 @@ def run(config: SimConfig, u0: Field,
 
     bc_right = config.resolved_bc_right()
     x = config.grid.x
-    h = config.grid.h
-    u = u0.values.copy()
+    u = u0.values
     v, vx = solve_v(p, u0, config.frame_speed)
     monitors = Monitors(level=config.front_level)
     monitors.record(0.0, u, x)
@@ -292,19 +285,11 @@ def run(config: SimConfig, u0: Field,
     t = 0.0
     next_out = config.output_every
     while t < config.t_end - 1e-12:
-        dt = config.dt if config.dt is not None else auto_dt(
-            p, u, v.values, vx.values, config.frame_speed, h)
-        if dt < DT_FLOOR:
-            raise StiffnessError(f"dt underflow at t={t:.6g}: {dt:.3e}")
-        dt = min(dt, next_out - t, config.t_end - t)
-        u = advance_imex(p, u, v.values, vx.values, config.frame_speed, dt,
-                         config.grid, config.bc_left, bc_right, config.scheme)
-        if config.clamp_negative:
-            neg = u < 0
-            nneg = int(neg.sum())
-            if nneg:
-                monitors.clamp_count += nneg
-                u = np.maximum(u, 0.0)
+        u, dt, clamped = _imex_step(
+            p, u, v.values, vx.values, config.frame_speed, config.grid,
+            config.bc_left, bc_right, config.scheme, config.dt,
+            min(next_out - t, config.t_end - t))
+        monitors.clamp_count += clamped
         monitors.node_steps += config.grid.n
         t += dt
         _check_finite(u, t, config.grid)

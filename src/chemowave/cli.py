@@ -4,14 +4,15 @@ Subcommands: constants, simulate, wave, stability, speed, sweep, certify.
 Configuration is a flat key=value file (# comments) plus flags; flags
 override file values, and the CHEMOWAVE_OUT environment variable
 overrides out_dir.  Exit codes: 0 success, 1 error, 2 a PASS/FAIL
-experiment failed (including "speed below threshold" and
-non-convergence), 64 usage.
+experiment or a solve failed (including "speed below threshold",
+non-convergence, blow-up and time-step underflow), 64 usage.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import io as cw_io
 from .cauchy import SimConfig, monitor_bounds, run
-from .errors import (DomainError, NoConvergence, NoFront, RegimeError,
-                     SpeedError)
+from .errors import (BlowupDetected, DomainError, NoConvergence, NoFront,
+                     RegimeError, SpeedError, StiffnessError)
 from .fields import Field, Grid
 from .params import Params, constants_report
 from .speed import SWEEP_HEADER, spreading_speed, sweep_speeds
@@ -40,6 +41,17 @@ DEFAULTS = {
 }
 _NUMERIC = ("chi", "m", "alpha", "gamma", "c", "grid.left", "grid.right",
             "grid.h", "t_end")
+
+
+def _number(key: str, text: str) -> float:
+    """Finite float parsed from text; anything else is a DomainError."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise DomainError(f"malformed number for key {key!r}: {text!r}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"non-finite number for key {key!r}: {text!r}")
+    return value
 
 
 def parse_config(path: str | None, overrides: dict[str, str]) -> dict:
@@ -65,18 +77,10 @@ def parse_config(path: str | None, overrides: dict[str, str]) -> dict:
 
     cfg: dict = {}
     for key in _NUMERIC:
-        try:
-            cfg[key] = float(raw[key])
-        except ValueError:
-            raise DomainError(f"malformed number for key {key!r}: {raw[key]!r}")
+        cfg[key] = _number(key, raw[key])
     for key in ("dt", "eta"):
-        if raw[key] in ("auto", "", "none"):
-            cfg[key] = None
-        else:
-            try:
-                cfg[key] = float(raw[key])
-            except ValueError:
-                raise DomainError(f"malformed number for key {key!r}: {raw[key]!r}")
+        auto = raw[key] in ("auto", "", "none")
+        cfg[key] = None if auto else _number(key, raw[key])
     try:
         cfg["seed"] = int(raw["seed"])
     except ValueError:
@@ -361,11 +365,16 @@ def main(argv=None) -> int:
     for key in ("chi", "m", "alpha", "gamma"):
         raw = getattr(ns, f"{key}_values")
         if raw:
-            values[key] = [float(tok) for tok in raw.split(",") if tok.strip()]
+            try:
+                values[key] = [_number(f"{key}_values", tok)
+                               for tok in raw.split(",") if tok.strip()]
+            except DomainError as exc:
+                print(f"usage: --{key}-values: {exc}", file=sys.stderr)
+                return 64
     try:
         cfg = parse_config(ns.config, overrides)
         return dispatch(ns.subcommand, cfg, values, ns.jobs)
-    except (SpeedError, NoConvergence) as exc:
+    except (SpeedError, NoConvergence, BlowupDetected, StiffnessError) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 2
     except (DomainError, RegimeError, NoFront, OSError) as exc:

@@ -78,15 +78,14 @@ class Field:
         return Field(self.grid, values)
 
 
-def centered_derivative(f: Field) -> Field:
-    """Second-order centered d/dx on the interior grid."""
-    v = f.values
-    d = (v[2:] - v[:-2]) / (2.0 * f.grid.h)
-    return Field(f.grid.interior(), d)
+def level_crossings(x: np.ndarray, u: np.ndarray, level: float) -> np.ndarray:
+    """Every abscissa where u meets ``level``, ascending.
 
-
-def centered_second(f: Field) -> Field:
-    """Second-order centered d2/dx2 on the interior grid."""
-    v = f.values
-    d = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (f.grid.h ** 2)
-    return Field(f.grid.interior(), d)
+    A node where u equals the level counts as one crossing at that node;
+    a strict sign change of u - level between neighbours is located by
+    linear interpolation.
+    """
+    d = u - level
+    i = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0.0)
+    inner = x[i] + (x[i + 1] - x[i]) * d[i] / (d[i] - d[i + 1])
+    return np.sort(np.concatenate((x[d == 0.0], inner)))

@@ -24,10 +24,6 @@ def write_csv(path: str, header, rows) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def write_field_csv(path: str, field, name: str = "value") -> None:
-    write_csv(path, ("x", name), zip(field.x, field.values))
-
-
 def write_profile_csv(path: str, profile) -> None:
     write_csv(path, ("x", "U", "V"),
               zip(profile.U.x, profile.U.values, profile.V.values))

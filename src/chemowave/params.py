@@ -98,15 +98,6 @@ def chi_star(m: float, gamma: float) -> float:
     return min(1.0, (2.0 * m + 2.0 * gamma) / (m * m + m + 2.0 * gamma))
 
 
-def chi_star_alt(m: float, gamma: float) -> float:
-    """Alternative threshold min{1/2, (2g+2)/(2g+m+1)} quoted in overviews.
-
-    chi_star above is the one that governs the regime classification; both
-    agree at m = 1.
-    """
-    return min(0.5, (2.0 * gamma + 2.0) / (2.0 * gamma + m + 1.0))
-
-
 def M_chi(p: Params) -> float:
     """Asymptotic sup bound for u: 1 when chi <= 0, (1/(1-chi))^(1/alpha) otherwise."""
     if p.chi >= 1.0:
@@ -126,24 +117,6 @@ def kappa1_default(p: Params, kappa: float) -> float:
 
 def kappa1_max(p: Params, kappa: float) -> float:
     return min((1.0 + p.alpha) * kappa, p.m * kappa + 0.5, 1.0)
-
-
-@dataclass(frozen=True)
-class SpeedSpec:
-    """Wave speed with its decay exponent and a refined-decay exponent."""
-
-    c: float
-    kappa: float
-    kappa1: float
-
-
-def make_speed_spec(p: Params, c: float, kappa1: float | None = None) -> SpeedSpec:
-    kappa = kappa_of_speed(c)
-    if kappa1 is None:
-        kappa1 = kappa1_default(p, kappa)
-    if not (kappa < kappa1 < kappa1_max(p, kappa)):
-        raise DomainError("kappa1 outside (kappa, min{(1+alpha)k, mk+1/2, 1})")
-    return SpeedSpec(c=c, kappa=kappa, kappa1=kappa1)
 
 
 # ----------------------------------------------------------------------

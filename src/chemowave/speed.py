@@ -19,7 +19,7 @@ import numpy as np
 
 from .cauchy import SimConfig, run
 from .errors import DomainError, NoFront
-from .fields import Field, Grid
+from .fields import Field, Grid, level_crossings
 from .params import Params, c_star, constants_report
 
 BOUNDARY_MARGIN = 10.0
@@ -37,18 +37,10 @@ class FrontTrack:
 
 def front_position(u: Field, level: float) -> float:
     """Rightmost crossing abscissa of ``level`` by linear interpolation."""
-    d = u.values - level
-    idx = np.flatnonzero(d[:-1] * d[1:] <= 0)
-    idx = idx[(d[idx] != 0) | (d[idx + 1] != 0)]
-    if idx.size == 0 and not np.any(d == 0):
+    crossings = level_crossings(u.grid.x, u.values, level)
+    if crossings.size == 0:
         raise NoFront(f"field never crosses level {level}")
-    if idx.size == 0:
-        return float(u.grid.x[np.flatnonzero(d == 0)[-1]])
-    i = int(idx[-1])
-    x = u.grid.x
-    if d[i + 1] == d[i]:
-        return float(x[i])
-    return float(x[i] + (x[i + 1] - x[i]) * d[i] / (d[i] - d[i + 1]))
+    return float(crossings[-1])
 
 
 def _fit(times: np.ndarray, positions: np.ndarray) -> tuple[float, float]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import Robin, SimConfig, run
+from .cauchy import Robin, SimConfig, run, solve_v
 from .elliptic import Constant, TailSpec, psi_derivative, solve_psi
 from .errors import DomainError, TruncationWarning
 from .fields import Field
@@ -211,12 +211,8 @@ def apriori_checks(profile: WaveProfile, params: Params | None = None) -> list[C
                       "not_applicable")]
 
     x = profile.U.grid.x
-    V = profile.V.values
-    Vx = psi_derivative(profile.U.with_values(np.power(profile.U.values, p.gamma)),
-                        1.0, 1.0,
-                        TailSpec(Constant(float(profile.U.values[0] ** p.gamma)),
-                                 Constant(float(profile.U.values[-1] ** p.gamma)))
-                        ).values
+    # v and v_x from one solve, closed by the profile's own wave tails
+    V, Vx = (f.values for f in solve_v(p, profile.U, c))
 
     def sup_check(name, vals, bound):
         excess = np.abs(vals) - bound      # bound scalar or per-node array

@@ -30,10 +30,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .barriers import BarrierSpec, default_barrier_spec, eval_sub, eval_super
-from .cauchy import NeumannZero, Robin, advance_imex, auto_dt, solve_v
+from .cauchy import NeumannZero, Robin, _imex_step, solve_v
 from .errors import (DomainError, NoConvergence, NormalizationError,
                      RegimeError, WindowTooShort)
-from .fields import Field, Grid
+from .fields import Field, Grid, level_crossings
 from .params import (Params, RegimeTag, classify_regime, kappa_of_speed,
                      kappa1_default, M_chi, require_speed_above)
 
@@ -130,42 +130,59 @@ def _monotonicity_violation(U: Field) -> float:
     return float(max(0.0, d.max()))
 
 
-def _inner_steady(p: Params, u0: np.ndarray, V: np.ndarray, Vx: np.ndarray,
-                  c_eff: float, robin_kappa: float, grid: Grid, scheme: str,
-                  tol_inner: float, max_steps: int) -> np.ndarray:
-    """Relax the frozen-V equation from u0 until ||u_t|| < tol_inner."""
+def _prepare(problem: WaveProblem):
+    """Shared setup of both constructions.
+
+    Checks regime and speed, and returns the barrier sandwich spec, its
+    upper and lower barriers on the grid, the fitted frame speed and the
+    fitted Robin coefficient.
+    """
+    p = problem.params
+    tag = classify_regime(p)
+    if tag not in (RegimeTag.NEG_CHI_ALPHA_LE, RegimeTag.POS_CHI_ALPHA_EQ):
+        raise RegimeError(f"wave construction unsupported in regime {tag.value}")
+    require_speed_above(p, problem.c)
+    grid = problem.grid
+    spec = default_barrier_spec(p, problem.c, M=1.0 if p.chi <= 0 else M_chi(p))
+    # keep the sub-barrier's zero comfortably inside the grid
+    d_min = math.exp((spec.kappa_tilde - spec.kappa) * (grid.x0 + 5.0))
+    if spec.D < d_min:
+        spec = replace(spec, D=d_min)
+    return (spec, eval_super(spec, grid).values,
+            eval_sub(spec, grid, clipped=True).values,
+            fitted_frame_speed(problem.c, grid.h),
+            fitted_robin_kappa(problem.c, grid.h))
+
+
+def _relax(problem: WaveProblem, u: np.ndarray, V: Field, Vx: Field,
+           c_eff: float, robin_kappa: float, coupled: bool) -> np.ndarray:
+    """Step from u until ||u_t||_inf < tol_inner.
+
+    V is frozen, or with `coupled` refreshed from u after every step.
+    """
+    p, grid = problem.params, problem.grid
     bc_l, bc_r = NeumannZero(), Robin(robin_kappa)
-    u = u0.copy()
-    for _ in range(max_steps):
-        dt = auto_dt(p, u, V, Vx, c_eff, grid.h)
-        un = advance_imex(p, u, V, Vx, c_eff, dt, grid, bc_l, bc_r, scheme)
-        un = np.maximum(un, 0.0)
+    resid = math.inf
+    for _ in range(problem.max_inner_steps):
+        un, dt, _ = _imex_step(p, u, V.values, Vx.values, c_eff, grid,
+                               bc_l, bc_r, problem.scheme)
         resid = float(np.abs(un - u).max()) / dt
         u = un
-        if resid < tol_inner:
+        if coupled:
+            V, Vx = solve_v(p, Field(grid, u), problem.c)
+        if resid < problem.tol_inner:
             return u
-    raise NoConvergence("inner relaxation failed to reach steady state",
+    kind = "coupled" if coupled else "inner"
+    raise NoConvergence(f"{kind} relaxation failed to reach steady state",
                         residual=resid)
 
 
 def construct_fixed_point(problem: WaveProblem) -> WaveProfile:
     """Outer Picard iteration on the frozen-v steady-state map."""
     p = problem.params
-    tag = classify_regime(p)
-    if tag not in (RegimeTag.NEG_CHI_ALPHA_LE, RegimeTag.POS_CHI_ALPHA_EQ):
-        raise RegimeError(f"wave construction unsupported in regime {tag.value}")
-    require_speed_above(p, problem.c)
-
     grid = problem.grid
-    M = 1.0 if p.chi <= 0 else M_chi(p)
-    spec = _sandwich_spec(p, problem.c, M, grid)
-    upper = eval_super(spec, grid).values
-    lower = eval_sub(spec, grid, clipped=True).values
-
-    c_eff = fitted_frame_speed(problem.c, grid.h)
-    rk = fitted_robin_kappa(problem.c, grid.h)
-    u_plus = upper.copy()
-    u_prev = u_plus.copy()
+    spec, upper, lower, c_eff, rk = _prepare(problem)
+    u_prev = upper
     damping = problem.damping
     prev_diff = math.inf
     increases = 0
@@ -173,9 +190,7 @@ def construct_fixed_point(problem: WaveProblem) -> WaveProfile:
     outer = 0
     for outer in range(1, problem.max_outer + 1):
         V, Vx = solve_v(p, Field(grid, u_prev), problem.c)
-        u_new = _inner_steady(p, u_plus, V.values, Vx.values, c_eff, rk, grid,
-                              problem.scheme, problem.tol_inner,
-                              problem.max_inner_steps)
+        u_new = _relax(problem, upper, V, Vx, c_eff, rk, coupled=False)
         if damping < 1.0:
             u_new = (1.0 - damping) * u_prev + damping * u_new
         diff = float(np.abs(u_new - u_prev).max())
@@ -203,38 +218,9 @@ def construct_fixed_point(problem: WaveProblem) -> WaveProfile:
 
 def construct_relax(problem: WaveProblem) -> WaveProfile:
     """Steady state of the coupled moving-frame system from the super-solution."""
-    p = problem.params
-    tag = classify_regime(p)
-    if tag not in (RegimeTag.NEG_CHI_ALPHA_LE, RegimeTag.POS_CHI_ALPHA_EQ):
-        raise RegimeError(f"wave construction unsupported in regime {tag.value}")
-    require_speed_above(p, problem.c)
-
-    grid = problem.grid
-    M = 1.0 if p.chi <= 0 else M_chi(p)
-    spec = _sandwich_spec(p, problem.c, M, grid)
-    upper = eval_super(spec, grid).values
-    lower = eval_sub(spec, grid, clipped=True).values
-
-    c_eff = fitted_frame_speed(problem.c, grid.h)
-    rk = fitted_robin_kappa(problem.c, grid.h)
-    bc_l, bc_r = NeumannZero(), Robin(rk)
-    u = upper.copy()
-    V, Vx = solve_v(p, Field(grid, u), problem.c)
-    sandwich = 0.0
-    resid = math.inf
-    for _ in range(problem.max_inner_steps):
-        dt = auto_dt(p, u, V.values, Vx.values, c_eff, grid.h)
-        un = advance_imex(p, u, V.values, Vx.values, c_eff, dt, grid,
-                          bc_l, bc_r, problem.scheme)
-        un = np.maximum(un, 0.0)
-        resid = float(np.abs(un - u).max()) / dt
-        u = un
-        V, Vx = solve_v(p, Field(grid, u), problem.c)
-        if resid < problem.tol_inner:
-            break
-    else:
-        raise NoConvergence("coupled relaxation failed to reach steady state",
-                            residual=resid)
+    spec, upper, lower, c_eff, rk = _prepare(problem)
+    V, Vx = solve_v(problem.params, Field(problem.grid, upper), problem.c)
+    u = _relax(problem, upper, V, Vx, c_eff, rk, coupled=True)
     sandwich = max(float((lower - u).max()), float((u - upper).max()))
     return _finish(problem, u, 0, sandwich, spec, "CoupledRelax", c_eff, rk)
 
@@ -263,7 +249,7 @@ def settle(profile: WaveProfile, t_settle: float = 10.0, trim_rounds: int = 10,
     rk = (profile.robin_kappa if math.isfinite(profile.robin_kappa)
           else fitted_robin_kappa(profile.c, grid.h))
     bc_l, bc_r = NeumannZero(), Robin(rk)
-    u = profile.U.values.copy()
+    u = profile.U.values
     V, Vx = solve_v(p, profile.U, profile.c)
     c_eff = (profile.c_eff if math.isfinite(profile.c_eff)
              else fitted_frame_speed(profile.c, grid.h))
@@ -273,10 +259,8 @@ def settle(profile: WaveProfile, t_settle: float = 10.0, trim_rounds: int = 10,
         x_start = _single_crossing(grid.x, u, level)
         t = 0.0
         while t < t_settle:
-            dt = auto_dt(p, u, V.values, Vx.values, c_eff, grid.h)
-            u = advance_imex(p, u, V.values, Vx.values, c_eff, dt, grid,
-                             bc_l, bc_r, profile.scheme)
-            u = np.maximum(u, 0.0)
+            u, dt, _ = _imex_step(p, u, V.values, Vx.values, c_eff, grid,
+                                  bc_l, bc_r, profile.scheme)
             V, Vx = solve_v(p, Field(grid, u), profile.c)
             t += dt
         drift = (_single_crossing(grid.x, u, level) - x_start) / t
@@ -288,15 +272,6 @@ def settle(profile: WaveProfile, t_settle: float = 10.0, trim_rounds: int = 10,
     return replace(profile, U=U, V=V, left_limit=left, right_limit=right,
                    monotonicity_violation=_monotonicity_violation(U),
                    c_eff=c_eff, robin_kappa=rk)
-
-
-def _sandwich_spec(p: Params, c: float, M: float, grid: Grid) -> BarrierSpec:
-    spec = default_barrier_spec(p, c, M=M)
-    # keep the sub-barrier's zero comfortably inside the grid
-    d_min = math.exp((spec.kappa_tilde - spec.kappa) * (grid.x0 + 5.0))
-    if spec.D < d_min:
-        spec = replace(spec, D=d_min)
-    return spec
 
 
 def _finish(problem: WaveProblem, u: np.ndarray, outer: int, sandwich: float,
@@ -356,14 +331,9 @@ def diagnose_profile_field(U: Field, kappa: float, kappa1: float) -> WaveDiagnos
 
 
 def _single_crossing(x: np.ndarray, u: np.ndarray, level: float) -> float:
-    d = u - level
-    exact = np.flatnonzero(d == 0.0)
-    changes = np.flatnonzero(d[:-1] * d[1:] < 0.0)
-    crossings: list[float] = [float(x[i]) for i in exact]
-    crossings += [float(x[i] + (x[i + 1] - x[i]) * d[i] / (d[i] - d[i + 1]))
-                  for i in changes]
-    # collapse exact-node hits that also trigger the neighbouring interval
-    crossings = sorted(set(round(cx, 12) for cx in crossings))
+    # crossings within 2h of each other (round-off wiggles) count once
+    crossings = sorted(set(round(float(cx), 12)
+                           for cx in level_crossings(x, u, level)))
     merged = []
     for cx in crossings:
         if not merged or cx - merged[-1] > 2 * (x[1] - x[0]):

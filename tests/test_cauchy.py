@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from chemowave.cauchy import (Dirichlet, Monitors, NeumannZero, Robin,
-                              SimConfig, State, monitor_bounds, run, solve_v,
-                              step)
+                              SimConfig, State, monitor_bounds, run, solve_v)
 from chemowave.errors import BlowupDetected, DomainError, StiffnessError
 from chemowave.fields import Field, Grid
 from chemowave.params import Params
@@ -34,14 +33,16 @@ def test_zero_stays_zero():
 
 
 def test_single_step_refreshes_v():
+    # a fixed dt equal to output_every makes every snapshot one step apart
     g = Grid.from_bounds(-20, 20, 0.1)
     p = Params(-1.0)
-    s0 = make_state(p, g, np.exp(-g.x ** 2))
-    cfg = SimConfig(params=p, grid=g, t_end=1.0, output_every=1.0)
-    s1 = step(s0, cfg)
-    assert s1.t > 0
-    v_expected, _ = solve_v(p, s1.u, 0.0)
-    assert np.abs(s1.v.values - v_expected.values).max() == 0.0
+    cfg = SimConfig(params=p, grid=g, t_end=0.03, dt=0.01, output_every=0.01)
+    _, _, snaps = run(cfg, Field(g, np.exp(-g.x ** 2)))
+    assert len(snaps) == 4
+    for s in snaps[1:]:
+        assert s.t > 0
+        v_expected, _ = solve_v(p, s.u, 0.0)
+        assert np.abs(s.v.values - v_expected.values).max() == 0.0
 
 
 def test_self_convergence_fisher():
@@ -165,14 +166,13 @@ def test_stiffness_error():
 
 
 def test_blowup_detected():
-    p = Params(0.0, 1, 1.5, 1)
+    p = Params(0.0)
     g = Grid.from_bounds(-10, 10, 0.1)
-    # large fixed step drives the explicit reaction negative; with
-    # clamping off the fractional power then produces NaN
-    cfg = SimConfig(params=p, grid=g, t_end=10.0, dt=1.0, output_every=1.0,
-                    clamp_negative=False)
+    # the explicit logistic term u^2 of a huge state overflows; a fixed
+    # dt skips the automatic step's stiffness floor
+    cfg = SimConfig(params=p, grid=g, t_end=1.0, dt=0.01, output_every=1.0)
     with pytest.raises(BlowupDetected):
-        run(cfg, Field(g, np.full(g.n, 2.0)))
+        run(cfg, Field(g, np.full(g.n, 1e200)))
 
 
 def test_run_validates_inputs():

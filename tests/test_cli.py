@@ -40,6 +40,12 @@ def test_parse_config_errors(tmp_path):
         parse_config(str(bad_num), {})
     with pytest.raises(DomainError, match="unknown method"):
         parse_config(None, {"method": "Sorcery"})
+    # non-finite values would make a run spin forever or blow up later
+    for key, val in (("t_end", "inf"), ("chi", "nan"), ("grid.h", "-inf"),
+                     ("c", "1e400"), ("dt", "nan"), ("eta", "inf")):
+        match = f"non-finite number for key '{key}'"
+        with pytest.raises(DomainError, match=match):
+            parse_config(None, {key: val})
 
 
 def test_env_overrides_out_dir(tmp_path, monkeypatch):
@@ -74,6 +80,23 @@ def test_unknown_subcommand_exits_64(capsys):
 
 def test_unknown_flag_exits_64(capsys):
     assert main(["constants", "--warp", "9"]) == 64
+
+
+def test_malformed_values_list_exits_64(tmp_path, capsys):
+    code = main(["sweep", "--chi-values", "0,abc", "--out-dir",
+                 str(tmp_path / "sw")])
+    assert code == 64
+    assert "--chi-values" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
+def test_dt_underflow_exits_2(tmp_path, capsys):
+    # a fixed dt below the stepper's floor fails on the first step
+    code = main(["simulate", "--dt", "1e-12", "--grid-left", "-10",
+                 "--grid-right", "10", "--grid-h", "0.1", "--t-end", "1",
+                 "--out-dir", str(tmp_path / "sim")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("FAIL: dt underflow")
 
 
 def test_certify_subcommand(tmp_path, capsys):

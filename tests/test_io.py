@@ -20,7 +20,7 @@ def test_field_csv_roundtrip(tmp_path):
     g = Grid.from_bounds(-1.0, 1.0, 0.25)
     f = Field(g, np.linspace(0.0, 1.0, g.n))
     path = tmp_path / "field.csv"
-    cw_io.write_field_csv(str(path), f)
+    cw_io.write_csv(str(path), ("x", "value"), zip(f.x, f.values))
     raw = path.read_bytes()
     assert b"\r" not in raw
     lines = raw.decode().splitlines()

@@ -7,9 +7,9 @@ import pytest
 
 from chemowave.errors import DomainError, RegimeError, SpeedError
 from chemowave.params import (Params, RegimeTag, SIGMA, barrier_constants,
-                              c_star, chi_star, chi_star_alt, classify_regime,
+                              c_star, chi_star, classify_regime,
                               constants_report, default_kappa_tilde,
-                              kappa_of_speed, kappa1_default, make_speed_spec,
+                              kappa_of_speed, kappa1_default,
                               M_barrier, M_chi, require_speed_above,
                               validate_params)
 
@@ -79,9 +79,6 @@ def test_chi_star():
     assert chi_star(1, 1) == 1.0
     assert chi_star(2, 1) == 0.75
     assert chi_star(3, 2) == 0.625
-    # overview variant agrees at m=1 and differs beyond
-    assert chi_star_alt(1, 1) == 0.5
-    assert chi_star_alt(2, 1) == 0.5
 
 
 def test_M_chi():
@@ -181,15 +178,6 @@ def test_c_star_star_at_zero_equals_gamma_rate():
     for g in (1.0, 1.5, 2.0, 3.0):
         cc = constants_report(Params(0.0, 1.0, g, g)).c_star_star
         assert cc == pytest.approx(g + 1.0 / g, abs=1e-14)
-
-
-def test_speed_spec():
-    p = Params(0.0)
-    s = make_speed_spec(p, 3.0)
-    assert s.kappa == pytest.approx(kappa_of_speed(3.0))
-    assert s.kappa < s.kappa1 < min(2 * s.kappa, s.kappa + 0.5, 1.0)
-    with pytest.raises(DomainError):
-        make_speed_spec(p, 3.0, kappa1=0.9)   # above (1+alpha) kappa
 
 
 def test_kappa1_default_midpoint():

@@ -7,7 +7,7 @@ import pytest
 
 from chemowave.cauchy import SimConfig
 from chemowave.errors import DomainError, NoFront
-from chemowave.fields import Field, Grid
+from chemowave.fields import Field, Grid, level_crossings
 from chemowave.params import Params
 from chemowave.speed import (SWEEP_HEADER, front_position, spreading_speed,
                              sweep_speeds)
@@ -31,6 +31,21 @@ def test_front_position_rightmost():
               + 0.8 * np.exp(-((g.x - 5) / 1.5) ** 2))
     pos = front_position(u, 0.5)
     assert 5.0 < pos < 7.0
+
+
+def test_level_crossings_match_scalar_loop():
+    # exact node hits count once at the node; strict sign changes are
+    # interpolated with the same arithmetic as a per-interval loop
+    x = np.linspace(-2.0, 2.0, 41)
+    u = np.array([0.5 if k in (3, 4, 20) else 0.5 + math.sin(3.0 * xi)
+                  for k, xi in enumerate(x)])
+    d = u - 0.5
+    ref = [float(x[i]) for i in range(x.size) if d[i] == 0.0]
+    ref += [float(x[i] + (x[i + 1] - x[i]) * d[i] / (d[i] - d[i + 1]))
+            for i in range(x.size - 1) if d[i] * d[i + 1] < 0.0]
+    got = level_crossings(x, u, 0.5)
+    assert got.tolist() == sorted(ref)
+    assert level_crossings(x, np.zeros(x.size), 0.5).size == 0
 
 
 def test_spreading_speed_preconditions():

@@ -13,7 +13,7 @@ from chemowave.stability import (Check, PerturbSpec, apriori_checks,
                                  default_eta, eta_window, predicted_lambda,
                                  run_stability, uniqueness_check,
                                  weighted_elliptic_check, weighted_norm)
-from chemowave.waves import normalize_translation
+from chemowave.waves import WaveProfile, normalize_translation
 
 # frozen from an independent high-precision evaluation of the constant chain
 LAMBDA_CHI_M0001 = -0.8501688607606180
@@ -156,6 +156,28 @@ def test_apriori_checks_detect_spike(fisher_profile):
     bracket = [c for c in checks if "bracket" in c.name][0]
     assert bracket.status == "fail"
     assert abs(bracket.location - 5.0) < 0.2
+
+
+def test_apriori_checks_close_v_with_wave_tails():
+    # Profile cut off where U is still 1e-2.  On the whole line the tail
+    # U = e^{-kx} gives v_x = -k e^{-kx}/(1-k^2), so at the cut the refined
+    # bound e^{-kx}/(1-k^2) on |v_x| leaves the margin -U/(1+k); closing v
+    # with constant tails instead would flatten v_x there.
+    p, c = Params(0.0), 3.0
+    k = kappa_of_speed(c)
+    g = Grid.from_bounds(-30.0, math.log(100.0) / k, 0.05)
+    U = Field(g, np.minimum(1.0, np.exp(-k * g.x)))
+    V = Field(g, np.zeros(g.n))          # must not be read
+    prof = WaveProfile(U=U, V=V, c=c, kappa=k, kappa_fit=math.nan,
+                       left_limit=1.0, right_limit=float(U.values[-1]),
+                       monotonicity_violation=0.0, outer_iters=0, params=p,
+                       method="FixedPoint", scheme="centered")
+    checks = {ch.name: ch for ch in apriori_checks(prof)}
+    vx = checks["abs(v_x) refined exponential bound"]
+    assert vx.location == pytest.approx(g.x1)
+    assert vx.margin == pytest.approx(-U.values[-1] / (1.0 + k), rel=1e-3)
+    v = checks["abs(v) <= M_chi^gamma"]
+    assert v.margin == pytest.approx(0.0, abs=1e-12)     # v = 1 on the plateau
 
 
 def test_uniqueness_check_basics(neg_profile):
