@@ -4,11 +4,11 @@ __version__ = "0.1.0"
 
 from .fields import Field, Grid
 from .params import (ConstantsReport, Params, RegimeTag, SIGMA, c_star,
-                     c_star_star, chi_star, classify_regime, constants_report,
-                     kappa_of_speed, M_chi, validate_params)
+                     chi_star, classify_regime, constants_report,
+                     kappa_of_speed, M_chi)
 from .cauchy import SimConfig, State, monitor_bounds, run
 from .barriers import BarrierSpec, certify, eval_sub, eval_super, residual_A
-from .elliptic import (Constant, Exponential, TailSpec, Zero, psi_derivative,
+from .elliptic import (Constant, Exponential, TailSpec, psi_derivative,
                        solve_fd, solve_psi)
 from .waves import (WaveProblem, WaveProfile, construct, construct_fixed_point,
                     construct_relax, diagnose, normalize_translation, settle)
@@ -19,11 +19,11 @@ from .speed import FrontTrack, front_position, spreading_speed, sweep_speeds
 
 __all__ = [
     "Field", "Grid", "Params", "RegimeTag", "ConstantsReport",
-    "SIGMA", "c_star", "c_star_star", "chi_star", "classify_regime",
-    "constants_report", "kappa_of_speed", "M_chi", "validate_params",
+    "SIGMA", "c_star", "chi_star", "classify_regime",
+    "constants_report", "kappa_of_speed", "M_chi",
     "SimConfig", "State", "monitor_bounds", "run",
     "BarrierSpec", "certify", "eval_sub", "eval_super", "residual_A",
-    "Constant", "Exponential", "TailSpec", "Zero", "psi_derivative",
+    "Constant", "Exponential", "TailSpec", "psi_derivative",
     "solve_fd", "solve_psi",
     "WaveProblem", "WaveProfile", "construct", "construct_fixed_point",
     "construct_relax", "diagnose", "normalize_translation", "settle",

@@ -31,9 +31,12 @@ from scipy.ndimage import gaussian_filter1d
 from .elliptic import TailSpec, solve_pair
 from .errors import DomainError
 from .fields import Field, Grid
-from .params import (BarrierConstants, Params, RegimeTag, barrier_constants,
+from .params import (Params, RegimeTag, barrier_constants,
                      classify_regime, default_kappa_tilde, kappa_of_speed,
                      M_barrier, M_chi)
+
+
+CERTIFY_GRID = (-30.0, 30.0, 0.02)      # (left, right, h)
 
 
 def eps_disc(h: float, w_scale: float) -> float:
@@ -70,14 +73,6 @@ class BarrierSpec:
     def kink(self) -> float:
         """Abscissa where the super-solution leaves its plateau."""
         return -math.log(self.M) / self.kappa
-
-
-def spec_from_constants(bc: BarrierConstants, M: float | None = None,
-                        D: float | None = None, d: float | None = None) -> BarrierSpec:
-    return BarrierSpec(kappa=bc.kappa, kappa_tilde=bc.kappa_tilde,
-                       M=bc.M if M is None else M,
-                       D=bc.D_sub if D is None else D,
-                       d=bc.d_sub if d is None else d)
 
 
 def eval_super(spec: BarrierSpec, grid: Grid) -> Field:
@@ -163,7 +158,7 @@ def default_barrier_spec(params: Params, c: float, M: float | None = None) -> Ba
             M = max(1.0, M_chi(params))
     kt = default_kappa_tilde(params, kappa)
     bc = barrier_constants(params, kappa, kt, M=M)
-    return spec_from_constants(bc, M=M)
+    return BarrierSpec(kappa=kappa, kappa_tilde=kt, M=M, D=bc.D_sub, d=bc.d_sub)
 
 
 @dataclass
@@ -186,8 +181,7 @@ def _sign_excess(res: Field, mask: np.ndarray, eps: float, sign: int):
     return float(vals[i] - eps), float(xs[i])
 
 
-def certify(params: Params, c: float, grid: Grid | None = None,
-            M: float | None = None, n_draws: int = 200,
+def certify(params: Params, c: float, n_draws: int = 200,
             seed: int = 0) -> CertifyReport:
     """Randomized residual-sign certificates for the explicit barriers.
 
@@ -195,12 +189,11 @@ def certify(params: Params, c: float, grid: Grid | None = None,
     residual must be <= eps_disc right of the plateau kink, the constant
     M residual <= eps_disc everywhere, the sub-solution residual
     >= -eps_disc right of x_minus, and the constant d residual
-    >= -eps_disc everywhere.
+    >= -eps_disc everywhere, all on CERTIFY_GRID.
     """
     p = params
-    if grid is None:
-        grid = Grid.from_bounds(-30.0, 30.0, 0.02)
-    spec = default_barrier_spec(p, c, M=M)
+    grid = Grid.from_bounds(*CERTIFY_GRID)
+    spec = default_barrier_spec(p, c)
 
     Wsup = eval_super(spec, grid)
     Wsub_raw = eval_sub(spec, grid)

@@ -40,42 +40,33 @@ from .params import Params, RegimeTag, M_chi, classify_regime, kappa_of_speed
 
 DT_FLOOR = 1e-10
 MONITOR_SLACK = 1e-6
-
-
-@dataclass(frozen=True)
-class NeumannZero:
-    pass
-
-
-@dataclass(frozen=True)
-class Dirichlet:
-    value: float
-
-
-@dataclass(frozen=True)
-class Robin:
-    """Decay condition u_x = -kappa u at the right boundary."""
-
-    kappa: float
-
-
-BoundaryCondition = NeumannZero | Dirichlet | Robin
+FRONT_LEVEL = 0.5                # level whose rightmost crossing is the front
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One run's settings.
+
+    The left edge is always zero flux; the right edge obeys
+    u_x = -robin_kappa u.  robin_kappa None means kappa_of_speed(frame_speed)
+    in a moving frame (frame_speed >= 2) and 0 (zero flux) otherwise.
+    """
+
     params: Params
     grid: Grid
     t_end: float
     frame_speed: float = 0.0
     dt: float | None = None          # None = automatic
-    bc_left: BoundaryCondition = NeumannZero()
-    bc_right: BoundaryCondition | None = None   # None = frame-appropriate default
+    robin_kappa: float | None = None
     output_every: float = 1.0
-    front_level: float = 0.5
     scheme: str = "upwind"           # "upwind" | "centered"
 
     def __post_init__(self):
+        for name in ("t_end", "output_every", "frame_speed", "dt",
+                     "robin_kappa"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if self.t_end <= 0:
             raise DomainError("t_end must be > 0")
         if self.output_every <= 0:
@@ -85,12 +76,12 @@ class SimConfig:
         if self.scheme not in ("upwind", "centered"):
             raise DomainError(f"unknown advection scheme {self.scheme!r}")
 
-    def resolved_bc_right(self) -> BoundaryCondition:
-        if self.bc_right is not None:
-            return self.bc_right
+    def resolved_robin_kappa(self) -> float:
+        if self.robin_kappa is not None:
+            return self.robin_kappa
         if self.frame_speed >= 2.0:
-            return Robin(kappa_of_speed(self.frame_speed))
-        return NeumannZero()
+            return kappa_of_speed(self.frame_speed)
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -102,7 +93,6 @@ class State:
 
 @dataclass
 class Monitors:
-    level: float = 0.5
     times: list = dc_field(default_factory=list)
     sup_u: list = dc_field(default_factory=list)
     inf_u: list = dc_field(default_factory=list)
@@ -115,7 +105,7 @@ class Monitors:
         self.times.append(t)
         self.sup_u.append(float(u.max()))
         self.inf_u.append(float(u.min()))
-        crossings = level_crossings(x, u, self.level)
+        crossings = level_crossings(x, u, FRONT_LEVEL)
         self.front_x.append(float(crossings[-1]) if crossings.size else math.nan)
 
     def finalize(self):
@@ -136,25 +126,6 @@ def solve_v(p: Params, u: Field, frame_speed: float = 0.0) -> tuple[Field, Field
     src = u.with_values(np.power(u.values, p.gamma))
     tails = v_tails_for(p, src, frame_speed)
     return solve_pair(src, 1.0, 1.0, tails)
-
-
-def _ghosts(u: np.ndarray, h: float, bc_left: BoundaryCondition,
-            bc_right: BoundaryCondition) -> tuple[float, float]:
-    if isinstance(bc_left, NeumannZero):
-        gl = u[1]
-    elif isinstance(bc_left, Dirichlet):
-        gl = u[0]
-    else:
-        raise DomainError("left boundary must be NeumannZero or Dirichlet")
-    if isinstance(bc_right, NeumannZero):
-        gr = u[-2]
-    elif isinstance(bc_right, Robin):
-        gr = u[-2] - 2.0 * h * bc_right.kappa * u[-1]
-    elif isinstance(bc_right, Dirichlet):
-        gr = u[-1]
-    else:
-        raise DomainError("unsupported right boundary condition")
-    return gl, gr
 
 
 def advective_velocity(p: Params, u: np.ndarray, vx: np.ndarray, c: float) -> np.ndarray:
@@ -187,14 +158,16 @@ def auto_dt(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
 
 
 def advance_imex(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
-                 c: float, dt: float, grid: Grid,
-                 bc_left: BoundaryCondition, bc_right: BoundaryCondition,
+                 c: float, dt: float, grid: Grid, robin_kappa: float,
                  scheme: str = "upwind") -> np.ndarray:
-    """One IMEX step of the expanded equation with frozen (v, v_x)."""
+    """One IMEX step of the expanded equation with frozen (v, v_x).
+
+    Ghost nodes close the left edge with zero flux and the right edge
+    with u_x = -robin_kappa u.
+    """
     h = grid.h
     n = grid.n
-    gl, gr = _ghosts(u, h, bc_left, bc_right)
-    ue = np.concatenate(([gl], u, [gr]))
+    ue = np.concatenate(([u[1]], u, [u[-2] - 2.0 * h * robin_kappa * u[-1]]))
     # non-finite intermediates are caught below and reported as blow-up
     with np.errstate(invalid="ignore", over="ignore"):
         w = advective_velocity(p, u, vx, c)
@@ -216,27 +189,14 @@ def advance_imex(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
     ab[0, 1:] = -r          # superdiagonal
     ab[1, :] = 1.0 + 2.0 * r
     ab[2, :-1] = -r         # subdiagonal
-    if isinstance(bc_left, NeumannZero):
-        ab[0, 1] = -2.0 * r
-    else:  # Dirichlet
-        ab[0, 1] = 0.0
-        ab[1, 0] = 1.0
-        rhs[0] = bc_left.value
-    if isinstance(bc_right, NeumannZero):
-        ab[2, -2] = -2.0 * r
-    elif isinstance(bc_right, Robin):
-        ab[2, -2] = -2.0 * r
-        ab[1, -1] = 1.0 + 2.0 * r * (1.0 + h * bc_right.kappa)
-    else:  # Dirichlet
-        ab[2, -2] = 0.0
-        ab[1, -1] = 1.0
-        rhs[-1] = bc_right.value
+    ab[0, 1] = -2.0 * r     # ghost rows: zero flux left, Robin right
+    ab[2, -2] = -2.0 * r
+    ab[1, -1] = 1.0 + 2.0 * r * (1.0 + h * robin_kappa)
     return solve_banded((1, 1), ab, rhs)
 
 
 def _imex_step(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
-               c: float, grid: Grid, bc_left: BoundaryCondition,
-               bc_right: BoundaryCondition, scheme: str,
+               c: float, grid: Grid, robin_kappa: float, scheme: str,
                dt: float | None = None,
                dt_max: float = math.inf) -> tuple[np.ndarray, float, int]:
     """One clamped IMEX step with frozen (v, v_x): (u_new, dt, clamped nodes).
@@ -249,7 +209,7 @@ def _imex_step(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
     if dt < DT_FLOOR:
         raise StiffnessError(f"dt underflow: {dt:.3e} < {DT_FLOOR:g}")
     dt = min(dt, dt_max)
-    un = advance_imex(p, u, v, vx, c, dt, grid, bc_left, bc_right, scheme)
+    un = advance_imex(p, u, v, vx, c, dt, grid, robin_kappa, scheme)
     clamped = 0
     if un.min() < 0:
         clamped = int((un < 0).sum())
@@ -274,11 +234,11 @@ def run(config: SimConfig, u0: Field,
     if u0.min() < 0:
         raise DomainError("u0 must be nonnegative")
 
-    bc_right = config.resolved_bc_right()
+    robin_kappa = config.resolved_robin_kappa()
     x = config.grid.x
     u = u0.values
     v, vx = solve_v(p, u0, config.frame_speed)
-    monitors = Monitors(level=config.front_level)
+    monitors = Monitors()
     monitors.record(0.0, u, x)
     snapshots = [State(0.0, u0, v)]
 
@@ -287,7 +247,7 @@ def run(config: SimConfig, u0: Field,
     while t < config.t_end - 1e-12:
         u, dt, clamped = _imex_step(
             p, u, v.values, vx.values, config.frame_speed, config.grid,
-            config.bc_left, bc_right, config.scheme, config.dt,
+            robin_kappa, config.scheme, config.dt,
             min(next_out - t, config.t_end - t))
         monitors.clamp_count += clamped
         monitors.node_steps += config.grid.n

@@ -102,7 +102,10 @@ def _grid(cfg: dict) -> Grid:
 
 
 def _manifest(cfg: dict, extra: dict | None = None) -> None:
-    payload = {k: cfg[k] for k in sorted(cfg) if not k.startswith("_")}
+    # out_dir is where the manifest lives; echoing it would tie the bytes
+    # to the checkout
+    payload = {k: cfg[k] for k in sorted(cfg)
+               if not k.startswith("_") and k != "out_dir"}
     cw_io.write_manifest(cfg["out_dir"], payload, extra)
 
 

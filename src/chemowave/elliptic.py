@@ -49,12 +49,7 @@ class Exponential:
     rate: float
 
 
-@dataclass(frozen=True)
-class Zero:
-    pass
-
-
-Tail = Constant | Exponential | Zero
+Tail = Constant | Exponential
 
 
 @dataclass(frozen=True)
@@ -80,8 +75,6 @@ def _check_tail_consistency(s: Field, tails: TailSpec) -> None:
         raise DomainError("left tail level inconsistent with s at the left endpoint")
     if isinstance(tails.right, Constant) and abs(tails.right.level - s.values[-1]) > tol:
         raise DomainError("right tail level inconsistent with s at the right endpoint")
-    if isinstance(tails.right, Zero) and abs(s.values[-1]) > tol:
-        raise DomainError("Zero right tail but s does not vanish at the right endpoint")
 
 
 def _sweeps(s: Field, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -124,20 +117,16 @@ def _tail_integrals(s: Field, r: float, tails: TailSpec) -> tuple[float, float]:
     """
     if isinstance(tails.left, Constant):
         TL = tails.left.level / r
-    elif isinstance(tails.left, Exponential):
+    else:
         if tails.left.rate >= r:
             raise DomainError("left Exponential rate >= sqrt(lambda): divergent tail")
         TL = s.values[0] / (r - tails.left.rate)
-    else:
-        TL = 0.0
     if isinstance(tails.right, Constant):
         TR = tails.right.level / r
-    elif isinstance(tails.right, Exponential):
+    else:
         if tails.right.rate <= -r:
             raise DomainError("right Exponential rate <= -sqrt(lambda): divergent tail")
         TR = s.values[-1] / (r + tails.right.rate)
-    else:
-        TR = 0.0
     return TL, TR
 
 

@@ -8,10 +8,14 @@ import numpy as np
 
 from .errors import DomainError
 
+#: Largest grid accepted (8 MB per field); far above the 4,001-node grids
+#: of the command line, and refused before any array is allocated.
+MAX_NODES = 1_000_000
+
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid x_i = x0 + i*h, i = 0..n-1."""
+    """Uniform grid x_i = x0 + i*h, i = 0..n-1, with 8 <= n <= MAX_NODES."""
 
     x0: float
     h: float
@@ -24,14 +28,22 @@ class Grid:
             raise DomainError("h must be > 0 and finite")
         if self.n < 8:
             raise DomainError("n must be >= 8")
+        if self.n > MAX_NODES:
+            raise DomainError(f"grid of {self.n} nodes exceeds the cap of "
+                              f"{MAX_NODES}")
 
     @classmethod
     def from_bounds(cls, left: float, right: float, h: float) -> "Grid":
         """Grid covering [left, right]; right endpoint snapped to the lattice."""
         if right <= left:
             raise DomainError("right must exceed left")
-        n = int(round((right - left) / h)) + 1
-        return cls(left, h, n)
+        if not h > 0:
+            raise DomainError("h must be > 0 and finite")
+        cells = (right - left) / h
+        if not np.isfinite(cells):
+            raise DomainError(f"non-finite node count: (right - left) / h "
+                              f"= {cells}")
+        return cls(left, h, int(round(cells)) + 1)
 
     @property
     def x(self) -> np.ndarray:

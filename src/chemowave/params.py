@@ -25,9 +25,9 @@ from .errors import DomainError, SpeedError
 #: Exponent used throughout the stability constant chain; fixed, read-only.
 SIGMA = 1.0 / 6.0
 
-#: Default multiplicative gap between M and the slightly enlarged bound used
-#: when predicting weighted-norm decay rates (any factor > 1 works; this one
-#: is fixed for reproducibility).
+#: Multiplicative gap between M and the slightly enlarged bound used when
+#: predicting weighted-norm decay rates (any factor > 1 works; this one is
+#: fixed for reproducibility).
 TILDE_FACTOR = 1.01
 
 
@@ -41,23 +41,14 @@ class Params:
     gamma: float = 1.0
 
     def __post_init__(self):
-        validate_raw(self.chi, self.m, self.alpha, self.gamma)
-
-
-def validate_raw(chi: float, m: float, alpha: float, gamma: float) -> None:
-    if not math.isfinite(chi):
-        raise DomainError("chi non-finite")
-    for name, v in (("m", m), ("alpha", alpha), ("gamma", gamma)):
-        if not math.isfinite(v):
-            raise DomainError(f"{name} non-finite")
-        if v < 1.0:
-            raise DomainError(f"{name} must be >= 1")
-
-
-def validate_params(p: Params) -> Params:
-    """Return p unchanged, raising with the violated constraint named."""
-    validate_raw(p.chi, p.m, p.alpha, p.gamma)
-    return p
+        if not math.isfinite(self.chi):
+            raise DomainError("chi non-finite")
+        for name in ("m", "alpha", "gamma"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise DomainError(f"{name} non-finite")
+            if v < 1.0:
+                raise DomainError(f"{name} must be >= 1")
 
 
 class RegimeTag(Enum):
@@ -293,14 +284,7 @@ class ConstantsReport:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
 
-def c_star_star(p: Params, tilde_factor: float = TILDE_FACTOR) -> ConstantsReport:
-    """Evaluate the full speed-independent constant chain."""
-    return constants_report(p, c=None, tilde_factor=tilde_factor)
-
-
-def constants_report(p: Params, c: float | None = None,
-                     kappa_tilde: float | None = None,
-                     tilde_factor: float = TILDE_FACTOR) -> ConstantsReport:
+def constants_report(p: Params, c: float | None = None) -> ConstantsReport:
     a = abs(p.chi)
     M = M_chi(p)
     c1 = p.gamma + a ** SIGMA + 1.0 / (p.gamma + a ** SIGMA)
@@ -319,8 +303,7 @@ def constants_report(p: Params, c: float | None = None,
 
     kappa = kappa_of_speed(c)
     try:
-        if kappa_tilde is None:
-            kappa_tilde = default_kappa_tilde(p, kappa)
+        kappa_tilde = default_kappa_tilde(p, kappa)
         bc = barrier_constants(p, kappa, kappa_tilde, M=max(M, 1.0))
     except DomainError:
         # c at (or too near) the minimal speed: no admissible kappa_tilde,

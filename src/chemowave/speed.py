@@ -1,7 +1,7 @@
 """Spreading-speed measurement from compactly supported initial data.
 
-A lab-frame run is tracked through the rightmost crossing of a level
-(default 1/2); the asymptotic spreading speed is the slope of a linear
+A lab-frame run is tracked through the rightmost crossing of the level
+1/2; the asymptotic spreading speed is the slope of a linear
 fit of front position against time over the last half of the run.  The
 domain auto-extends once (with a warning) if the front comes within 10
 length units of the right boundary.
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cauchy import SimConfig, run
+from .cauchy import FRONT_LEVEL, SimConfig, run
 from .errors import DomainError, NoFront
 from .fields import Field, Grid, level_crossings
 from .params import Params, c_star, constants_report
@@ -107,7 +107,7 @@ def spreading_speed(config: SimConfig, u0: Field) -> FrontTrack:
     t_arr = np.array(times)
     p_arr = np.array(positions)
     speed, r2 = _fit(t_arr, p_arr)
-    return FrontTrack(level=cfg.front_level, times=t_arr, positions=p_arr,
+    return FrontTrack(level=FRONT_LEVEL, times=t_arr, positions=p_arr,
                       fitted_speed=speed, fit_r2=r2, extended=extended)
 
 

@@ -24,16 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import Robin, SimConfig, run, solve_v
-from .elliptic import Constant, TailSpec, psi_derivative, solve_psi
+from .cauchy import SimConfig, run, solve_v
+from .elliptic import Constant, TailSpec, solve_pair
 from .errors import DomainError, TruncationWarning
 from .fields import Field
 from .params import (Params, SIGMA, TILDE_FACTOR, _bD_chain, M_chi,
                      constants_report, kappa_of_speed)
-from .waves import WaveProfile
+from .waves import SCHEME, WaveProfile
 
 REL_DROP = 1e-4          # required relative decay of W at t_end
 ENVELOPE_SLACK = 10.0    # transient allowance on the exp(2 lambda t) envelope
+OUTPUT_EVERY = 0.25      # sampling interval of W(t)
 
 
 @dataclass(frozen=True)
@@ -81,12 +82,11 @@ def weighted_norm(u: Field, Ustar: Field, eta: float) -> float:
     return float(np.trapezoid(integrand, dx=u.grid.h))
 
 
-def eta_window(params: Params, c: float,
-               tilde_factor: float = 1.0) -> tuple[float, float]:
+def eta_window(params: Params, c: float) -> tuple[float, float]:
     """Roots (kappa-, kappa+) of the decay quadratic; empty window raises."""
     a = abs(params.chi)
-    M = M_chi(params) * tilde_factor
-    _, _, _, _, Dp, Dpp = _bD_chain(params, M, M_chi(params))
+    M = M_chi(params)
+    _, _, _, _, Dp, Dpp = _bD_chain(params, M, M)
     lin = c - a ** (1 - 3 * SIGMA) * Dp
     disc = lin * lin - 4.0 * (1.0 + a ** (1 - 3 * SIGMA) * Dpp)
     if disc <= 0:
@@ -96,15 +96,17 @@ def eta_window(params: Params, c: float,
     return (lin - s) / 2.0, (lin + s) / 2.0
 
 
-def predicted_lambda(params: Params, c: float, eta: float,
-                     tilde_factor: float = TILDE_FACTOR) -> float:
-    """Value of the decay quadratic at eta (negative inside the window)."""
-    km, kp = eta_window(params, c, tilde_factor=1.0)
+def predicted_lambda(params: Params, c: float, eta: float) -> float:
+    """Value of the decay quadratic at eta (negative inside the window).
+
+    The chain is evaluated at the sup bound TILDE_FACTOR * M_chi.
+    """
+    km, kp = eta_window(params, c)
     if not (km < eta < kp):
         raise DomainError(
             f"eta={eta:.6g} outside the admissible window ({km:.6g}, {kp:.6g})")
     a = abs(params.chi)
-    M_hat = tilde_factor * M_chi(params)
+    M_hat = TILDE_FACTOR * M_chi(params)
     _, _, _, _, Dp, Dpp = _bD_chain(params, M_hat, M_chi(params))
     s = a ** (1 - 3 * SIGMA)
     return eta * eta - (c - s * Dp) * eta + (1.0 + s * Dpp)
@@ -126,54 +128,39 @@ def perturbed_initial(profile: WaveProfile, spec: PerturbSpec) -> Field:
     return Field(profile.U.grid, u0)
 
 
-def run_stability(profile: WaveProfile, spec: PerturbSpec, t_end: float,
-                  output_every: float = 0.25,
-                  rel_drop: float = REL_DROP,
-                  envelope_slack: float = ENVELOPE_SLACK,
-                  enforce_window: bool = True) -> DecayRecord:
+def run_stability(profile: WaveProfile, spec: PerturbSpec,
+                  t_end: float) -> DecayRecord:
     """Evolve U* + bump in the moving frame and record the weighted decay.
 
-    PASS requires W(t_end) <= rel_drop * W(0) and
-    W(t) <= envelope_slack * W(0) * exp(2 lambda t) for all t >= 1.
-    With enforce_window=False (exploratory runs below the stability
-    threshold) lambda is NaN and no PASS/FAIL verdict is assigned.
+    PASS requires W(t_end) <= REL_DROP * W(0) and
+    W(t) <= ENVELOPE_SLACK * W(0) * exp(2 lambda t) for all t >= 1.
     """
     p = profile.params
     kappa = profile.kappa
     eta = spec.eta
     hi = 1.0 / (1.0 + abs(p.chi) ** SIGMA)
-    if enforce_window and not (kappa < eta < hi):
+    if not (kappa < eta < hi):
         raise DomainError(f"eta={eta:.6g} outside (kappa, 1/(1+|chi|^sigma)) "
                           f"= ({kappa:.6g}, {hi:.6g})")
-    try:
-        lam = predicted_lambda(p, profile.c, eta)
-    except DomainError:
-        if enforce_window:
-            raise
-        lam = math.nan
+    lam = predicted_lambda(p, profile.c, eta)
 
     u0 = perturbed_initial(profile, spec)
     # step with exactly the discrete operator the profile is a fixed point of
-    c_eff = profile.c_eff if math.isfinite(profile.c_eff) else profile.c
-    rk = profile.robin_kappa if math.isfinite(profile.robin_kappa) else kappa
     config = SimConfig(params=p, grid=profile.U.grid, t_end=t_end,
-                       frame_speed=c_eff, bc_right=Robin(rk),
-                       output_every=output_every, scheme=profile.scheme)
+                       frame_speed=profile.c_eff,
+                       robin_kappa=profile.robin_kappa,
+                       output_every=OUTPUT_EVERY, scheme=SCHEME)
     _, _, snapshots = run(config, u0)
     times = np.array([s.t for s in snapshots])
     W = np.array([weighted_norm(s.u, profile.U, eta) for s in snapshots])
     supdiff = np.array([float(np.abs(s.u.values - profile.U.values).max())
                         for s in snapshots])
 
-    if math.isnan(lam):
-        passed = False
-    else:
-        env_ok = all(W[i] <= envelope_slack * W[0] * math.exp(2.0 * lam * times[i])
-                     for i in range(len(times)) if times[i] >= 1.0)
-        passed = bool(env_ok and W[-1] <= rel_drop * W[0])
+    env_ok = all(W[i] <= ENVELOPE_SLACK * W[0] * math.exp(2.0 * lam * times[i])
+                 for i in range(len(times)) if times[i] >= 1.0)
+    passed = bool(env_ok and W[-1] <= REL_DROP * W[0])
     return DecayRecord(times=times, W=W, supdiff=supdiff, lambda_pred=lam,
-                       eta=eta, passed=passed, rel_drop=rel_drop,
-                       envelope_slack=envelope_slack)
+                       eta=eta, passed=passed)
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +175,7 @@ class Check:
     location: float = math.nan
 
 
-def apriori_checks(profile: WaveProfile, params: Params | None = None) -> list[Check]:
+def apriori_checks(profile: WaveProfile) -> list[Check]:
     """Evaluate the explicit profile estimates with slack 1e-6 + h.
 
     Checks: sup bounds on |v| and |v_x| (with the refined exponential
@@ -197,7 +184,7 @@ def apriori_checks(profile: WaveProfile, params: Params | None = None) -> list[C
     |U'/U| <= M_tilde.  Each check reports pass/fail with its worst
     margin, or not_applicable when its hypothesis fails.
     """
-    p = profile.params if params is None else params
+    p = profile.params
     c = profile.c
     kappa = profile.kappa
     M = M_chi(p)
@@ -301,9 +288,7 @@ def weighted_elliptic_check(u1: Field, u2: Field, eta: float, gamma: float,
         if u.min() < 0 or u.max() > M:
             raise DomainError(f"{name} must satisfy 0 <= {name} <= M")
     src = u1.with_values(np.power(u2.values, gamma) - np.power(u1.values, gamma))
-    tails = TailSpec(Constant(0.0), Constant(0.0))
-    v = solve_psi(src, 1.0, 1.0, tails)
-    vx = psi_derivative(src, 1.0, 1.0, tails)
+    v, vx = solve_pair(src, 1.0, 1.0, TailSpec(Constant(0.0), Constant(0.0)))
 
     x = u1.grid.x
     h = u1.grid.h

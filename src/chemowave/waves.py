@@ -9,8 +9,8 @@ Two routes to a stationary profile of the moving-frame system:
             + chi u^(m+gamma) + u (1 - u^alpha),      V = Psi(u^gamma),
 
   integrated from the super-solution min{M, e^{-kx}} until
-  ||u_t||_inf < tol_inner; Picard-iterated until successive outer
-  iterates agree to tol_outer.
+  ||u_t||_inf < TOL_INNER; Picard-iterated until successive outer
+  iterates agree to TOL_OUTER.
 
 * CoupledRelax: direct relaxation of the fully coupled moving-frame
   system from the same initial condition, as an independent cross-check.
@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .barriers import BarrierSpec, default_barrier_spec, eval_sub, eval_super
-from .cauchy import NeumannZero, Robin, _imex_step, solve_v
+from .cauchy import _imex_step, solve_v
 from .errors import (DomainError, NoConvergence, NormalizationError,
                      RegimeError, WindowTooShort)
 from .fields import Field, Grid, level_crossings
@@ -39,6 +39,14 @@ from .params import (Params, RegimeTag, classify_regime, kappa_of_speed,
 
 FIT_WINDOW = (1e-6, 1e-2)
 MIN_WINDOW_LENGTH = 5.0
+SCHEME = "centered"          # advection scheme of every wave-lane step
+TOL_INNER = 1e-8             # steady state: ||u_t||_inf below this
+TOL_OUTER = 1e-7             # outer Picard iterates agree to this
+MAX_OUTER = 200
+MAX_INNER_STEPS = 400_000
+SETTLE_WINDOW = 10.0         # settle measures the front drift over this time
+SETTLE_ROUNDS = 10
+DRIFT_TOL = 2e-13
 
 
 def fitted_frame_speed(c: float, h: float) -> float:
@@ -49,7 +57,7 @@ def fitted_frame_speed(c: float, h: float) -> float:
     3-point Laplacian and centered advection the discrete symbol at
     kappa misses zero by O(h^2), which leaves a near-neutral transient
     that relaxes at that same O(h^2) rate and stalls steady-state
-    detection far above tol_inner.  Fitting the advection coefficient,
+    detection far above TOL_INNER.  Fitting the advection coefficient,
 
         c_fit = h * (2 (cosh(kappa h) - 1) / h^2 + 1) / sinh(kappa h),
 
@@ -72,18 +80,10 @@ class WaveProblem:
     c: float
     grid: Grid
     method: str = "FixedPoint"        # "FixedPoint" | "CoupledRelax"
-    tol_inner: float = 1e-8
-    tol_outer: float = 1e-7
-    max_outer: int = 200
-    damping: float = 1.0
-    scheme: str = "centered"
-    max_inner_steps: int = 400_000
 
     def __post_init__(self):
         if self.method not in ("FixedPoint", "CoupledRelax"):
             raise DomainError(f"unknown method {self.method!r}")
-        if not (0 < self.damping <= 1):
-            raise DomainError("damping must lie in (0, 1]")
 
 
 @dataclass
@@ -99,11 +99,10 @@ class WaveProfile:
     outer_iters: int
     params: Params
     method: str
-    scheme: str
+    c_eff: float                     # fitted frame speed actually stepped
+    robin_kappa: float               # fitted Robin coefficient actually used
     sandwich_violation: float = math.nan
     barrier: BarrierSpec | None = None
-    c_eff: float = math.nan          # fitted frame speed actually stepped
-    robin_kappa: float = math.nan    # fitted Robin coefficient actually used
 
 
 @dataclass
@@ -156,21 +155,20 @@ def _prepare(problem: WaveProblem):
 
 def _relax(problem: WaveProblem, u: np.ndarray, V: Field, Vx: Field,
            c_eff: float, robin_kappa: float, coupled: bool) -> np.ndarray:
-    """Step from u until ||u_t||_inf < tol_inner.
+    """Step from u until ||u_t||_inf < TOL_INNER.
 
     V is frozen, or with `coupled` refreshed from u after every step.
     """
     p, grid = problem.params, problem.grid
-    bc_l, bc_r = NeumannZero(), Robin(robin_kappa)
     resid = math.inf
-    for _ in range(problem.max_inner_steps):
+    for _ in range(MAX_INNER_STEPS):
         un, dt, _ = _imex_step(p, u, V.values, Vx.values, c_eff, grid,
-                               bc_l, bc_r, problem.scheme)
+                               robin_kappa, SCHEME)
         resid = float(np.abs(un - u).max()) / dt
         u = un
         if coupled:
             V, Vx = solve_v(p, Field(grid, u), problem.c)
-        if resid < problem.tol_inner:
+        if resid < TOL_INNER:
             return u
     kind = "coupled" if coupled else "inner"
     raise NoConvergence(f"{kind} relaxation failed to reach steady state",
@@ -183,12 +181,12 @@ def construct_fixed_point(problem: WaveProblem) -> WaveProfile:
     grid = problem.grid
     spec, upper, lower, c_eff, rk = _prepare(problem)
     u_prev = upper
-    damping = problem.damping
+    damping = 1.0               # halved once the outer differences keep growing
     prev_diff = math.inf
     increases = 0
     sandwich = 0.0
     outer = 0
-    for outer in range(1, problem.max_outer + 1):
+    for outer in range(1, MAX_OUTER + 1):
         V, Vx = solve_v(p, Field(grid, u_prev), problem.c)
         u_new = _relax(problem, upper, V, Vx, c_eff, rk, coupled=False)
         if damping < 1.0:
@@ -205,11 +203,11 @@ def construct_fixed_point(problem: WaveProblem) -> WaveProfile:
             increases = 0
         prev_diff = diff
         u_prev = u_new
-        if diff < problem.tol_outer:
+        if diff < TOL_OUTER:
             break
     else:
         raise NoConvergence(
-            f"outer iteration not converged after {problem.max_outer} steps",
+            f"outer iteration not converged after {MAX_OUTER} steps",
             residual=prev_diff)
 
     return _finish(problem, u_prev, outer, sandwich, spec, "FixedPoint",
@@ -231,8 +229,7 @@ def construct(problem: WaveProblem) -> WaveProfile:
     return construct_relax(problem)
 
 
-def settle(profile: WaveProfile, t_settle: float = 10.0, trim_rounds: int = 10,
-           drift_tol: float = 2e-13) -> WaveProfile:
+def settle(profile: WaveProfile) -> WaveProfile:
     """Polish the profile into a machine-exact fixed point of the stepper.
 
     On a truncated grid the moving-frame system has no exact steady
@@ -240,38 +237,33 @@ def settle(profile: WaveProfile, t_settle: float = 10.0, trim_rounds: int = 10,
     O(u(x_right)), so the front drifts at a constant (tiny) rate and the
     sup-norm residual plateaus.  Experiments that weight the far tail by
     e^{2 eta x} (the stability lab) amplify that drift catastrophically.
-    This routine measures the drift over windows of length t_settle and
-    trims the effective frame speed until the front is stationary to
-    drift_tol, leaving a genuine fixed point up to round-off.
+    This routine measures the drift over windows of length SETTLE_WINDOW
+    and trims the effective frame speed until the front is stationary to
+    DRIFT_TOL, leaving a genuine fixed point up to round-off.
     """
     p = profile.params
     grid = profile.U.grid
-    rk = (profile.robin_kappa if math.isfinite(profile.robin_kappa)
-          else fitted_robin_kappa(profile.c, grid.h))
-    bc_l, bc_r = NeumannZero(), Robin(rk)
     u = profile.U.values
     V, Vx = solve_v(p, profile.U, profile.c)
-    c_eff = (profile.c_eff if math.isfinite(profile.c_eff)
-             else fitted_frame_speed(profile.c, grid.h))
+    c_eff = profile.c_eff
     level = 0.5 * (u.max() + u.min())
-    drift = math.inf
-    for _ in range(trim_rounds):
+    for _ in range(SETTLE_ROUNDS):
         x_start = _single_crossing(grid.x, u, level)
         t = 0.0
-        while t < t_settle:
+        while t < SETTLE_WINDOW:
             u, dt, _ = _imex_step(p, u, V.values, Vx.values, c_eff, grid,
-                                  bc_l, bc_r, profile.scheme)
+                                  profile.robin_kappa, SCHEME)
             V, Vx = solve_v(p, Field(grid, u), profile.c)
             t += dt
         drift = (_single_crossing(grid.x, u, level) - x_start) / t
-        if abs(drift) < drift_tol:
+        if abs(drift) < DRIFT_TOL:
             break
         c_eff += drift
     U = Field(grid, u)
     left, right = _limits(u)
     return replace(profile, U=U, V=V, left_limit=left, right_limit=right,
                    monotonicity_violation=_monotonicity_violation(U),
-                   c_eff=c_eff, robin_kappa=rk)
+                   c_eff=c_eff)
 
 
 def _finish(problem: WaveProblem, u: np.ndarray, outer: int, sandwich: float,
@@ -292,8 +284,8 @@ def _finish(problem: WaveProblem, u: np.ndarray, outer: int, sandwich: float,
                        left_limit=left, right_limit=right,
                        monotonicity_violation=_monotonicity_violation(U),
                        outer_iters=outer, params=p, method=method,
-                       scheme=problem.scheme, sandwich_violation=sandwich,
-                       barrier=spec, c_eff=c_eff, robin_kappa=robin_kappa)
+                       c_eff=c_eff, robin_kappa=robin_kappa,
+                       sandwich_violation=sandwich, barrier=spec)
 
 
 def diagnose(profile: WaveProfile, kappa1: float | None = None) -> WaveDiagnostics:
@@ -346,10 +338,10 @@ def _single_crossing(x: np.ndarray, u: np.ndarray, level: float) -> float:
     return merged[0]
 
 
-def normalize_translation(profile: WaveProfile, level: float = 0.5) -> WaveProfile:
-    """Shift (by linear interpolation) so that U(0) = level."""
+def normalize_translation(profile: WaveProfile) -> WaveProfile:
+    """Shift (by linear interpolation) so that U(0) = 1/2."""
     x = profile.U.grid.x
-    shift = _single_crossing(x, profile.U.values, level)
+    shift = _single_crossing(x, profile.U.values, 0.5)
     if shift == 0.0:
         return profile
     Un = Field(profile.U.grid, np.interp(x + shift, x, profile.U.values))

@@ -1,13 +1,15 @@
 """Time integrator: constant solutions, bounds, monotone structure, orders."""
 
+import math
+
 import numpy as np
 import pytest
 
-from chemowave.cauchy import (Dirichlet, Monitors, NeumannZero, Robin,
-                              SimConfig, State, monitor_bounds, run, solve_v)
+from chemowave.cauchy import (Monitors, SimConfig, State, monitor_bounds, run,
+                              solve_v)
 from chemowave.errors import BlowupDetected, DomainError, StiffnessError
 from chemowave.fields import Field, Grid
-from chemowave.params import Params
+from chemowave.params import Params, kappa_of_speed
 
 
 def make_state(p, grid, values, frame_speed=0.0):
@@ -137,24 +139,14 @@ def test_bound_chi_negative_short():
 
 
 def test_moving_frame_default_bc_is_robin():
-    cfg = SimConfig(params=Params(0.0), grid=Grid.from_bounds(-10, 10, 0.1),
-                    t_end=1.0, frame_speed=3.0)
-    bc = cfg.resolved_bc_right()
-    assert isinstance(bc, Robin)
-    cfg_lab = SimConfig(params=Params(0.0), grid=Grid.from_bounds(-10, 10, 0.1),
-                        t_end=1.0)
-    assert isinstance(cfg_lab.resolved_bc_right(), NeumannZero)
-
-
-def test_dirichlet_boundaries_hold():
-    p = Params(0.0)
     g = Grid.from_bounds(-10, 10, 0.1)
-    cfg = SimConfig(params=p, grid=g, t_end=1.0, output_every=1.0,
-                    bc_left=Dirichlet(1.0), bc_right=Dirichlet(0.25))
-    u0 = Field(g, np.linspace(1.0, 0.25, g.n))
-    final, _, _ = run(cfg, u0)
-    assert final.u.values[0] == pytest.approx(1.0, abs=1e-12)
-    assert final.u.values[-1] == pytest.approx(0.25, abs=1e-12)
+    cfg = SimConfig(params=Params(0.0), grid=g, t_end=1.0, frame_speed=3.0)
+    assert cfg.resolved_robin_kappa() == kappa_of_speed(3.0)
+    cfg_lab = SimConfig(params=Params(0.0), grid=g, t_end=1.0)
+    assert cfg_lab.resolved_robin_kappa() == 0.0        # zero flux
+    cfg_set = SimConfig(params=Params(0.0), grid=g, t_end=1.0, frame_speed=3.0,
+                        robin_kappa=0.25)
+    assert cfg_set.resolved_robin_kappa() == 0.25
 
 
 def test_stiffness_error():
@@ -183,6 +175,11 @@ def test_run_validates_inputs():
         run(SimConfig(params=p, grid=g, t_end=1.0), Field(other, np.zeros(other.n)))
     with pytest.raises(DomainError):
         run(SimConfig(params=p, grid=g, t_end=1.0), Field(g, -np.ones(g.n)))
+    # non-finite settings are refused on construction; none is run
+    for bad in ({"t_end": math.inf}, {"t_end": math.nan}, {"dt": math.nan},
+                {"output_every": math.nan}, {"robin_kappa": math.inf}):
+        with pytest.raises(DomainError, match="must be finite"):
+            SimConfig(**{"params": p, "grid": g, "t_end": 1.0, **bad})
 
 
 def test_clamp_counting_and_warning():

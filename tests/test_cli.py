@@ -1,11 +1,13 @@
 """CLI: config parsing, dispatch, exit codes, deterministic outputs."""
 
 import json
+import math
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chemowave.cli import main, parse_config, emit_plot
+from chemowave.cli import _NUMERIC, main, parse_config, emit_plot
 from chemowave.errors import DomainError
 
 
@@ -48,6 +50,27 @@ def test_parse_config_errors(tmp_path):
             parse_config(None, {key: val})
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(key=st.sampled_from(_NUMERIC + ("dt", "eta")), text=st.text())
+def test_parse_config_numeric_key_is_finite_or_refused(key, text):
+    try:
+        value = parse_config(None, {key: text})[key]
+    except DomainError:
+        return
+    if value is None:                    # "auto" for dt and eta
+        assert key in ("dt", "eta")
+    else:
+        assert isinstance(value, float) and math.isfinite(value)
+
+
+def test_oversized_grid_exits_1(tmp_path, capsys):
+    # (right - left) / h overflows to inf: refused before any array exists
+    out = tmp_path / "sim"
+    assert main(["simulate", "--grid-h", "5e-324", "--out-dir", str(out)]) == 1
+    assert "non-finite node count" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_env_overrides_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("CHEMOWAVE_OUT", str(tmp_path / "envout"))
     cfg = parse_config(None, {"out_dir": "flagout"})
@@ -65,6 +88,16 @@ def test_constants_subcommand(tmp_path, capsys):
     assert (out / "manifest.json").exists()
     printed = json.loads(capsys.readouterr().out)
     assert printed["c_star"] == 2.0
+
+
+def test_manifest_does_not_depend_on_out_dir(tmp_path):
+    blobs = []
+    for name in ("a", os.path.join("deeper", "b")):
+        out = tmp_path / name
+        assert main(["constants", "--chi", "-1", "--out-dir", str(out)]) == 0
+        blobs.append((out / "manifest.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert b"out_dir" not in blobs[0]
 
 
 def test_wave_below_speed_exits_2(tmp_path, capsys):

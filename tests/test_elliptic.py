@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chemowave.elliptic import (Constant, Exponential, TailSpec, Zero,
+from chemowave.elliptic import (Constant, Exponential, TailSpec,
                                 psi_derivative, solve_fd, solve_pair,
                                 solve_psi)
 from chemowave.errors import DomainError
@@ -49,7 +49,7 @@ def test_triangular_bump_green_function():
     g = Grid.from_bounds(-30, 30, h)
     vals = np.maximum(0.0, 1.0 - np.abs(g.x) / h) / h
     s = Field(g, vals)
-    psi = solve_psi(s, 1.0, 1.0, TailSpec(Constant(0.0), Zero()))
+    psi = solve_psi(s, 1.0, 1.0, TailSpec(Constant(0.0), Constant(0.0)))
     for xq in (-5.0, -3.0, -1.5, 1.5, 3.0, 5.0):
         i = int(round((xq - g.x0) / h))
         expected = 0.5 * np.exp(-abs(g.x[i]))
@@ -137,8 +137,8 @@ def test_domain_errors():
         solve_psi(s, 1.0, 1.0, TailSpec(Exponential(1.5), Exponential(0.5)))
     with pytest.raises(DomainError, match="inconsistent"):
         solve_psi(s, 1.0, 1.0, TailSpec(Constant(0.0), Exponential(0.5)))
-    with pytest.raises(DomainError, match="Zero right tail"):
-        solve_psi(s, 1.0, 1.0, TailSpec(Exponential(0.5), Zero()))
+    with pytest.raises(DomainError, match="right tail level inconsistent"):
+        solve_psi(s, 1.0, 1.0, TailSpec(Exponential(0.5), Constant(0.0)))
     with pytest.raises(DomainError, match="finite"):
         Constant(float("nan"))
 

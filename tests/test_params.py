@@ -10,16 +10,14 @@ from chemowave.params import (Params, RegimeTag, SIGMA, barrier_constants,
                               c_star, chi_star, classify_regime,
                               constants_report, default_kappa_tilde,
                               kappa_of_speed, kappa1_default,
-                              M_barrier, M_chi, require_speed_above,
-                              validate_params)
+                              M_barrier, M_chi, require_speed_above)
 
 # frozen from an independent high-precision evaluation of the constant chain
 CC_CHI_M001 = 2.2145442750487412
 
 
-def test_validate_params():
-    p = Params(0.0, 1.0, 1.0, 1.0)
-    assert validate_params(p) is p
+def test_params_reject_invalid_values():
+    Params(0.0, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError, match="m must be >= 1"):
         Params(0.0, 0.5, 1.0, 1.0)
     with pytest.raises(DomainError, match="chi non-finite"):

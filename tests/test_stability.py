@@ -124,20 +124,6 @@ def test_run_stability_eta_out_of_window(stab_fisher_profile):
         run_stability(stab_fisher_profile, PerturbSpec(eta=0.2), t_end=1.0)
 
 
-def test_run_stability_exploratory_no_verdict(stab_fisher_profile):
-    # outside the guaranteed window the record is produced without a
-    # verdict: lambda is NaN and no PASS is claimed
-    prof = stab_fisher_profile
-    spec = PerturbSpec(eta=0.2, amplitude=0.01)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rec = run_stability(prof, spec, t_end=1.0, enforce_window=False)
-    assert math.isnan(rec.lambda_pred)
-    assert rec.passed is False
-    assert rec.times[-1] == pytest.approx(1.0)
-    assert np.all(np.isfinite(rec.W))
-
-
 def test_apriori_checks_pass(fisher_profile, neg_profile):
     for prof in (fisher_profile, neg_profile):
         checks = apriori_checks(prof)
@@ -171,7 +157,7 @@ def test_apriori_checks_close_v_with_wave_tails():
     prof = WaveProfile(U=U, V=V, c=c, kappa=k, kappa_fit=math.nan,
                        left_limit=1.0, right_limit=float(U.values[-1]),
                        monotonicity_violation=0.0, outer_iters=0, params=p,
-                       method="FixedPoint", scheme="centered")
+                       method="FixedPoint", c_eff=c, robin_kappa=k)
     checks = {ch.name: ch for ch in apriori_checks(prof)}
     vx = checks["abs(v_x) refined exponential bound"]
     assert vx.location == pytest.approx(g.x1)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chemowave.cauchy import NeumannZero, Robin, advance_imex, auto_dt, solve_v
+from chemowave.cauchy import advance_imex, auto_dt, solve_v
 from chemowave.errors import (NormalizationError, RegimeError, SpeedError,
                               WindowTooShort)
 from chemowave.fields import Field, Grid
@@ -25,7 +25,8 @@ def synthetic_profile(grid, fn, kappa, c, params=Params(0.0)):
                        left_limit=float(U.values[0]),
                        right_limit=float(U.values[-1]),
                        monotonicity_violation=0.0, outer_iters=0,
-                       params=params, method="FixedPoint", scheme="centered")
+                       params=params, method="FixedPoint", c_eff=c,
+                       robin_kappa=kappa)
 
 
 def test_diagnose_exact_exponential():
@@ -60,11 +61,11 @@ def test_normalize_translation_exact():
     kappa = 0.4
     prof = synthetic_profile(g, lambda x: np.minimum(1.0, np.exp(-kappa * x)),
                              kappa=kappa, c=kappa + 1 / kappa)
-    n1 = normalize_translation(prof, level=0.5)
+    n1 = normalize_translation(prof)
     # crossing of e^{-kx} = 1/2 sits at ln 2 / k, so the shift moves it to 0
     i0 = int(round((0.0 - g.x0) / g.h))
     assert n1.U.values[i0] == pytest.approx(0.5, abs=1e-4)
-    n2 = normalize_translation(n1, level=0.5)
+    n2 = normalize_translation(n1)
     assert np.abs(n2.U.values - n1.U.values).max() < 1e-12
 
 
@@ -73,11 +74,11 @@ def test_normalize_translation_errors():
     flat = synthetic_profile(g, lambda x: np.full(x.size, 0.1),
                              kappa=0.4, c=2.9)
     with pytest.raises(NormalizationError):
-        normalize_translation(flat, level=0.5)
+        normalize_translation(flat)
     wiggly = synthetic_profile(
         g, lambda x: 0.5 + 0.4 * np.sin(0.5 * x), kappa=0.4, c=2.9)
     with pytest.raises(NormalizationError):
-        normalize_translation(wiggly, level=0.5)
+        normalize_translation(wiggly)
 
 
 def test_construct_speed_and_regime_errors():
@@ -101,12 +102,11 @@ def test_inner_relaxation_monotone_neg_chi():
     u = eval_super(spec, g).values.copy()
     V, Vx = solve_v(p, Field(g, u), c)
     c_eff = fitted_frame_speed(c, g.h)
-    bc_l, bc_r = NeumannZero(), Robin(spec.kappa)
     t = 0.0
     while t < 5.0:
         dt = auto_dt(p, u, V.values, Vx.values, c_eff, g.h)
         un = advance_imex(p, u, V.values, Vx.values, c_eff, dt, g,
-                          bc_l, bc_r, "centered")
+                          spec.kappa, "centered")
         un = np.maximum(un, 0.0)
         assert float((un - u).max()) <= 1e-8          # decreasing in t
         ux = (un[2:] - un[:-2]) / (2 * g.h)
