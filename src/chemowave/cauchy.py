@@ -17,7 +17,10 @@ the reaction and chemotaxis source explicitly; negative nodes are then
 clamped to zero and counted.  Every time step in the package, lab-frame
 runs here and the wave lane's relaxations, goes through `_imex_step`;
 each caller keeps its own stop rule and its own refresh of v (`run`
-refreshes v from u after every step).  The automatic time step obeys
+refreshes v from u after every step).  `steady_residual` and
+`steady_jacobian` are the steady form of the centered step and its
+frozen-v Jacobian, which the wave lane's Newton solve drives to zero.
+The automatic time step obeys
 
     dt <= min(0.5 h / Vmax, 0.1 / Rmax)
 
@@ -137,11 +140,15 @@ def reaction_source(p: Params, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             + u * (1.0 - np.power(u, p.alpha)))
 
 
+def reaction_derivative(p: Params, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """d/du of reaction_source with v frozen."""
+    return (1.0 - (p.alpha + 1.0) * np.power(u, p.alpha)
+            - p.chi * (p.m * np.power(u, p.m - 1.0) * (v - np.power(u, p.gamma))
+                       - p.gamma * np.power(u, p.m + p.gamma - 1.0)))
+
+
 def reaction_jacobian_bound(p: Params, u: np.ndarray, v: np.ndarray) -> float:
-    du = (1.0 - (p.alpha + 1.0) * np.power(u, p.alpha)
-          - p.chi * (p.m * np.power(u, p.m - 1.0) * (v - np.power(u, p.gamma))
-                     - p.gamma * np.power(u, p.m + p.gamma - 1.0)))
-    return float(np.abs(du).max())
+    return float(np.abs(reaction_derivative(p, u, v)).max())
 
 
 def auto_dt(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
@@ -157,6 +164,11 @@ def auto_dt(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
     return min(dt, 0.1)
 
 
+def _ghosted(u: np.ndarray, h: float, robin_kappa: float) -> np.ndarray:
+    """u with one ghost node per side: zero flux left, u_x = -robin_kappa u right."""
+    return np.concatenate(([u[1]], u, [u[-2] - 2.0 * h * robin_kappa * u[-1]]))
+
+
 def advance_imex(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
                  c: float, dt: float, grid: Grid, robin_kappa: float,
                  scheme: str = "upwind") -> np.ndarray:
@@ -167,7 +179,7 @@ def advance_imex(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
     """
     h = grid.h
     n = grid.n
-    ue = np.concatenate(([u[1]], u, [u[-2] - 2.0 * h * robin_kappa * u[-1]]))
+    ue = _ghosted(u, h, robin_kappa)
     # non-finite intermediates are caught below and reported as blow-up
     with np.errstate(invalid="ignore", over="ignore"):
         w = advective_velocity(p, u, vx, c)
@@ -193,6 +205,45 @@ def advance_imex(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
     ab[2, -2] = -2.0 * r
     ab[1, -1] = 1.0 + 2.0 * r * (1.0 + h * robin_kappa)
     return solve_banded((1, 1), ab, rhs)
+
+
+def steady_residual(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
+                    c: float, grid: Grid,
+                    robin_kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """(u_t, u_x) of the centered advance_imex operator at u, (v, v_x) frozen.
+
+    A zero u_t is a fixed point of the centered step with the same (v, v_x),
+    c and robin_kappa: u_xx from the implicit part, w u_x and the source
+    from the explicit part, the same ghost nodes for both.
+    """
+    h = grid.h
+    ue = _ghosted(u, h, robin_kappa)
+    ux = (ue[2:] - ue[:-2]) / (2.0 * h)
+    uxx = (ue[2:] - 2.0 * u + ue[:-2]) / h**2
+    return (uxx + advective_velocity(p, u, vx, c) * ux
+            + reaction_source(p, u, v)), ux
+
+
+def steady_jacobian(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
+                    ux: np.ndarray, c: float, grid: Grid, robin_kappa: float
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sub, diag, super) bands of d steady_residual / du with (v, v_x) frozen.
+
+    Row i couples to u[i-1] through sub[i-1] and to u[i+1] through
+    super[i]; the ghost nodes fold into the edge rows.
+    """
+    h = grid.h
+    w = advective_velocity(p, u, vx, c)
+    right = 1.0 / h**2 + w / (2.0 * h)       # weight of ue[i+2]
+    left = 1.0 / h**2 - w / (2.0 * h)        # weight of ue[i]
+    dw = -p.chi * p.m * (p.m - 1.0) * np.power(u, p.m - 2.0) * vx
+    diag = -2.0 / h**2 + dw * ux + reaction_derivative(p, u, v)
+    diag[-1] -= 2.0 * h * robin_kappa * right[-1]
+    sup = right[:-1].copy()
+    sup[0] += left[0]
+    sub = left[1:].copy()
+    sub[-1] += right[-1]
+    return sub, diag, sup
 
 
 def _imex_step(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,

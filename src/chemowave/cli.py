@@ -155,6 +155,9 @@ def cmd_wave(cfg: dict) -> int:
         "sandwich_violation": profile.sandwich_violation,
         "outer_iters": profile.outer_iters, "method": profile.method,
         "refined_trend_slope": diag.refined_trend_slope,
+        "residual_history": profile.residual_history,
+        "c_eff": profile.c_eff,
+        "c_eff_shift": profile.c_eff_shift,
     }
     cw_io.write_json(os.path.join(out, "diagnostics.json"), payload)
     _manifest(cfg)
@@ -186,7 +189,8 @@ def cmd_stability(cfg: dict) -> int:
                "passed": record.passed, "rel_drop": record.rel_drop,
                "envelope_slack": record.envelope_slack,
                "W0": float(record.W[0]), "W_end": float(record.W[-1]),
-               "supdiff_end": float(record.supdiff[-1])}
+               "supdiff_end": float(record.supdiff[-1]),
+               "truncated_from_t": record.truncated_from_t}
     cw_io.write_json(os.path.join(out, "stability.json"), payload)
     _manifest(cfg, {"tolerances": {"rel_drop": record.rel_drop,
                                    "envelope_slack": record.envelope_slack}})

@@ -16,9 +16,10 @@ class SpeedError(DomainError):
 class NoConvergence(RuntimeError):
     """Iteration failed to reach its tolerance within the step budget."""
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, history=None):
         super().__init__(message)
         self.residual = residual
+        self.history = list(history or [])       # per-iteration residuals
 
 
 class BlowupDetected(RuntimeError):

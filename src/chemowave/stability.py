@@ -67,18 +67,31 @@ class DecayRecord:
     passed: bool
     rel_drop: float = REL_DROP
     envelope_slack: float = ENVELOPE_SLACK
+    truncated_from_t: float | None = None    # first sample weighted_norm flags
+
+
+def _weighted_integrand(u: Field, Ustar: Field, eta: float) -> np.ndarray:
+    if u.grid != Ustar.grid:
+        raise DomainError("u and Ustar must share a grid")
+    return np.exp(2.0 * eta * u.grid.x) * (u.values - Ustar.values) ** 2
+
+
+def _truncated(integrand: np.ndarray) -> bool:
+    """The integrand at the right edge is not negligible against its peak."""
+    peak = integrand.max()
+    return bool(peak > 0 and integrand[-1] >= 1e-12 * peak)
+
+
+def _warn_truncated() -> None:
+    warnings.warn("weighted integrand not negligible at the right boundary",
+                  TruncationWarning, stacklevel=3)
 
 
 def weighted_norm(u: Field, Ustar: Field, eta: float) -> float:
     """Trapezoid integral of exp(2 eta x) (u - Ustar)^2."""
-    if u.grid != Ustar.grid:
-        raise DomainError("u and Ustar must share a grid")
-    x = u.grid.x
-    integrand = np.exp(2.0 * eta * x) * (u.values - Ustar.values) ** 2
-    peak = integrand.max()
-    if peak > 0 and integrand[-1] >= 1e-12 * peak:
-        warnings.warn("weighted integrand not negligible at the right boundary",
-                      TruncationWarning, stacklevel=2)
+    integrand = _weighted_integrand(u, Ustar, eta)
+    if _truncated(integrand):
+        _warn_truncated()
     return float(np.trapezoid(integrand, dx=u.grid.h))
 
 
@@ -134,6 +147,9 @@ def run_stability(profile: WaveProfile, spec: PerturbSpec,
 
     PASS requires W(t_end) <= REL_DROP * W(0) and
     W(t) <= ENVELOPE_SLACK * W(0) * exp(2 lambda t) for all t >= 1.
+    truncated_from_t records the first sample whose weighted integrand is
+    not negligible at the right edge (weighted_norm's TruncationWarning);
+    it does not enter the verdict.
     """
     p = profile.params
     kappa = profile.kappa
@@ -152,7 +168,15 @@ def run_stability(profile: WaveProfile, spec: PerturbSpec,
                        output_every=OUTPUT_EVERY, scheme=SCHEME)
     _, _, snapshots = run(config, u0)
     times = np.array([s.t for s in snapshots])
-    W = np.array([weighted_norm(s.u, profile.U, eta) for s in snapshots])
+    W = np.empty(len(snapshots))
+    truncated = []                 # sample times weighted_norm would flag
+    for i, s in enumerate(snapshots):
+        integrand = _weighted_integrand(s.u, profile.U, eta)
+        W[i] = np.trapezoid(integrand, dx=profile.U.grid.h)
+        if _truncated(integrand):
+            truncated.append(s.t)
+    if truncated:
+        _warn_truncated()
     supdiff = np.array([float(np.abs(s.u.values - profile.U.values).max())
                         for s in snapshots])
 
@@ -160,7 +184,8 @@ def run_stability(profile: WaveProfile, spec: PerturbSpec,
                  for i in range(len(times)) if times[i] >= 1.0)
     passed = bool(env_ok and W[-1] <= REL_DROP * W[0])
     return DecayRecord(times=times, W=W, supdiff=supdiff, lambda_pred=lam,
-                       eta=eta, passed=passed)
+                       eta=eta, passed=passed,
+                       truncated_from_t=truncated[0] if truncated else None)
 
 
 # ----------------------------------------------------------------------

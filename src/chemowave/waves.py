@@ -1,19 +1,21 @@
 """Traveling-wave profile construction and diagnostics.
 
-Two routes to a stationary profile of the moving-frame system:
+Two routes to a stationary profile of the moving-frame system
 
-* FixedPoint: the outer map u -> U(.; u), where U(.; u) is the steady
-  state of the frozen-v equation
+    u_t = u_xx + c u_x - chi m u^(m-1) u_x V_x - chi u^m V
+          + chi u^(m+gamma) + u (1 - u^alpha),      V = Psi(u^gamma):
 
-      u_t = u_xx + c u_x - chi m u^(m-1) u_x V_x - chi u^m V
-            + chi u^(m+gamma) + u (1 - u^alpha),      V = Psi(u^gamma),
-
-  integrated from the super-solution min{M, e^{-kx}} until
-  ||u_t||_inf < TOL_INNER; Picard-iterated until successive outer
-  iterates agree to TOL_OUTER.
+* FixedPoint: the fixed point of the map u -> U(.; u) solved directly
+  by a damped Newton-Krylov iteration on the steady form of the
+  centered IMEX step (`cauchy.steady_residual`), started from the
+  super-solution min{M, e^{-kx}}.  The frame speed c_eff is an unknown
+  (the freezing method of Beyn & Thuemmler) and the tail node is pinned
+  to e^{-kappa x_R}, the amplitude the barriers fix.  The result is a
+  fixed point of the stepper to round-off.
 
 * CoupledRelax: direct relaxation of the fully coupled moving-frame
-  system from the same initial condition, as an independent cross-check.
+  system from the same initial condition until ||u_t||_inf < TOL_INNER,
+  an independent cross-check.
 
 Profiles built here use centered advection: the wave targets (decay-rate
 fits, barrier sandwiches at 1e-8) need the O(h^2) spatial accuracy, and
@@ -25,12 +27,16 @@ first-order upwinding independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import solve_banded
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .barriers import BarrierSpec, default_barrier_spec, eval_sub, eval_super
-from .cauchy import _imex_step, solve_v
+from .cauchy import (_imex_step, solve_v, steady_jacobian, steady_residual,
+                     v_tails_for)
+from .elliptic import solve_pair
 from .errors import (DomainError, NoConvergence, NormalizationError,
                      RegimeError, WindowTooShort)
 from .fields import Field, Grid, level_crossings
@@ -40,10 +46,14 @@ from .params import (Params, RegimeTag, classify_regime, kappa_of_speed,
 FIT_WINDOW = (1e-6, 1e-2)
 MIN_WINDOW_LENGTH = 5.0
 SCHEME = "centered"          # advection scheme of every wave-lane step
-TOL_INNER = 1e-8             # steady state: ||u_t||_inf below this
-TOL_OUTER = 1e-7             # outer Picard iterates agree to this
-MAX_OUTER = 200
+TOL_INNER = 1e-8             # CoupledRelax steady state: ||u_t||_inf below this
 MAX_INNER_STEPS = 400_000
+NEWTON_TOL = 1e-12           # FixedPoint: sup of the steady residual below this
+ROUNDOFF_FACTOR = 10.0       # ... or below this many times its round-off floor
+MAX_NEWTON = 50
+MIN_DAMPING = 2.0**-30       # Newton line search gives up below this step
+GMRES_RTOL = 1e-10           # relative residual of each linear solve
+GMRES_MAX_ITERS = 50         # Krylov vectors kept per linear solve (no restart)
 SETTLE_WINDOW = 10.0         # settle measures the front drift over this time
 SETTLE_ROUNDS = 10
 DRIFT_TOL = 2e-13
@@ -66,6 +76,18 @@ def fitted_frame_speed(c: float, h: float) -> float:
     kappa = kappa_of_speed(c)
     kh = kappa * h
     return ((2.0 * (math.cosh(kh) - 1.0)) / h**2 + 1.0) * h / math.sinh(kh)
+
+
+def newton_tolerance(h: float, u_max: float) -> float:
+    """Sup residual at which the FixedPoint Newton solve stops.
+
+    The residual carries the 3-point u_xx, so one ulp of a node of size
+    u_max moves it by about eps u_max / h^2 (2e-12 at h = 0.01, u = 1).
+    The stop rule is NEWTON_TOL, raised to ROUNDOFF_FACTOR times that
+    floor on grids fine enough for the floor to come near NEWTON_TOL.
+    """
+    floor = np.finfo(float).eps * u_max / h**2
+    return max(NEWTON_TOL, ROUNDOFF_FACTOR * floor)
 
 
 def fitted_robin_kappa(c: float, h: float) -> float:
@@ -103,6 +125,12 @@ class WaveProfile:
     robin_kappa: float               # fitted Robin coefficient actually used
     sandwich_violation: float = math.nan
     barrier: BarrierSpec | None = None
+    residual_history: list[float] = field(default_factory=list)
+
+    @property
+    def c_eff_shift(self) -> float:
+        """c_eff less the fitted frame speed it started from."""
+        return self.c_eff - fitted_frame_speed(self.c, self.U.grid.h)
 
 
 @dataclass
@@ -154,11 +182,8 @@ def _prepare(problem: WaveProblem):
 
 
 def _relax(problem: WaveProblem, u: np.ndarray, V: Field, Vx: Field,
-           c_eff: float, robin_kappa: float, coupled: bool) -> np.ndarray:
-    """Step from u until ||u_t||_inf < TOL_INNER.
-
-    V is frozen, or with `coupled` refreshed from u after every step.
-    """
+           c_eff: float, robin_kappa: float) -> np.ndarray:
+    """Step from u, refreshing V after every step, until ||u_t||_inf < TOL_INNER."""
     p, grid = problem.params, problem.grid
     resid = math.inf
     for _ in range(MAX_INNER_STEPS):
@@ -166,61 +191,125 @@ def _relax(problem: WaveProblem, u: np.ndarray, V: Field, Vx: Field,
                                robin_kappa, SCHEME)
         resid = float(np.abs(un - u).max()) / dt
         u = un
-        if coupled:
-            V, Vx = solve_v(p, Field(grid, u), problem.c)
+        V, Vx = solve_v(p, Field(grid, u), problem.c)
         if resid < TOL_INNER:
             return u
-    kind = "coupled" if coupled else "inner"
-    raise NoConvergence(f"{kind} relaxation failed to reach steady state",
+    raise NoConvergence("coupled relaxation failed to reach steady state",
                         residual=resid)
 
 
-def construct_fixed_point(problem: WaveProblem) -> WaveProfile:
-    """Outer Picard iteration on the frozen-v steady-state map."""
-    p = problem.params
-    grid = problem.grid
-    spec, upper, lower, c_eff, rk = _prepare(problem)
-    u_prev = upper
-    damping = 1.0               # halved once the outer differences keep growing
-    prev_diff = math.inf
-    increases = 0
-    sandwich = 0.0
-    outer = 0
-    for outer in range(1, MAX_OUTER + 1):
-        V, Vx = solve_v(p, Field(grid, u_prev), problem.c)
-        u_new = _relax(problem, upper, V, Vx, c_eff, rk, coupled=False)
-        if damping < 1.0:
-            u_new = (1.0 - damping) * u_prev + damping * u_new
-        diff = float(np.abs(u_new - u_prev).max())
-        sandwich = max(sandwich,
-                       float((lower - u_new).max()),
-                       float((u_new - upper).max()))
-        if diff > prev_diff:
-            increases += 1
-            if increases >= 2 and damping == 1.0:
-                damping = 0.5
-        else:
-            increases = 0
-        prev_diff = diff
-        u_prev = u_new
-        if diff < TOL_OUTER:
-            break
-    else:
-        raise NoConvergence(
-            f"outer iteration not converged after {MAX_OUTER} steps",
-            residual=prev_diff)
+def _sandwich(u: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
+    return max(float((lower - u).max()), float((u - upper).max()))
 
-    return _finish(problem, u_prev, outer, sandwich, spec, "FixedPoint",
-                   c_eff, rk)
+
+def _newton_step(problem: WaveProblem, rk: float, u: np.ndarray,
+                 v: np.ndarray, vx: np.ndarray, ux: np.ndarray,
+                 F: np.ndarray, c_eff: float) -> np.ndarray:
+    """(dU[0..n-2], dc_eff) solving J step = -F with U[n-1] held fixed."""
+    p, grid, c = problem.params, problem.grid, problem.c
+    n = grid.n
+    sub, diag, sup = steady_jacobian(p, u, v, vx, ux, c_eff, grid, rk)
+    # preconditioner: the frozen-v Jacobian, tridiagonal in U[0..n-2] and
+    # bordered by the pinned node's row and the dF/dc_eff = U_x column,
+    # solved by eliminating the border
+    ab = np.zeros((3, n - 1))
+    ab[0, 1:] = sup[:-1]
+    ab[1] = diag[:-1]
+    ab[2, :-1] = sub[:-1]
+    z = solve_banded((1, 1), ab, ux[:-1])
+    corner = ux[-1] - sub[-1] * z[-1]
+
+    def precond(f):
+        y = solve_banded((1, 1), ab, f[:-1])
+        dc = (f[-1] - sub[-1] * y[-1]) / corner
+        return np.append(y - dc * z, dc)
+
+    dsrc = p.gamma * np.power(u, p.gamma - 1.0)          # d(u^gamma)/du
+    dF_dv = -p.chi * np.power(u, p.m)
+    dF_dvx = -p.chi * p.m * np.power(u, p.m - 1.0) * ux
+
+    def jvp(d):
+        du = d.copy()
+        du[-1] = 0.0
+        out = diag * du + ux * d[-1]
+        out[:-1] += sup * du[1:]
+        out[1:] += sub * du[:-1]
+        src = Field(grid, dsrc * du)
+        dV, dVx = solve_pair(src, 1.0, 1.0, v_tails_for(p, src, c))
+        return out + dF_dv * dV.values + dF_dvx * dVx.values
+
+    op = LinearOperator((n, n), matvec=lambda y: jvp(precond(y)), dtype=float)
+    # an unconverged solve still lowers the linearized residual; the
+    # caller's line search decides whether its step is taken
+    y, _ = gmres(op, -F, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_MAX_ITERS,
+                 maxiter=1)
+    return precond(y)
+
+
+def construct_fixed_point(problem: WaveProblem) -> WaveProfile:
+    """Damped Newton-Krylov solve of the steady centered stepper.
+
+    Unknowns are (U[0..n-2], c_eff); the tail U[n-1] = e^{-kappa x_R}
+    is pinned, which fixes the translation and the barriers' tail
+    amplitude.  Each linear system is solved by GMRES, right
+    preconditioned by the frozen-v tridiagonal Jacobian whose pinned
+    column is replaced by dF/dc_eff = U_x; the products with the exact
+    Jacobian add the linear v response, one solve_pair of
+    gamma U^(gamma-1) dU.  The line search halves a step until the
+    iterate stays positive and the sup residual falls; the solve stops
+    once that residual is below newton_tolerance(h, M).
+    """
+    p, grid, c = problem.params, problem.grid, problem.c
+    spec, upper, lower, c_eff, rk = _prepare(problem)
+    u = upper.copy()
+    u[-1] = math.exp(-kappa_of_speed(c) * grid.x[-1])
+
+    def residual(u, c_eff):
+        V, Vx = solve_v(p, Field(grid, u), c)
+        F, ux = steady_residual(p, u, V.values, Vx.values, c_eff, grid, rk)
+        return F, ux, V.values, Vx.values
+
+    F, ux, v, vx = residual(u, c_eff)
+    history = [float(np.abs(F).max())]
+    tol = newton_tolerance(grid.h, float(upper.max()))
+    sandwich = _sandwich(u, lower, upper)
+    it = 0
+    while history[-1] >= tol:
+        if it == MAX_NEWTON:
+            raise NoConvergence(
+                f"Newton not converged after {MAX_NEWTON} iterations",
+                residual=history[-1], history=history)
+        it += 1
+        step = _newton_step(problem, rk, u, v, vx, ux, F, c_eff)
+        du = np.append(step[:-1], 0.0)
+        lam = 1.0
+        while True:
+            u_try = u + lam * du
+            if u_try.min() > 0.0:
+                trial = residual(u_try, c_eff + lam * step[-1])
+                res = float(np.abs(trial[0]).max())
+                if res < history[-1]:
+                    break
+            lam *= 0.5
+            if lam < MIN_DAMPING:
+                raise NoConvergence("Newton line search failed",
+                                    residual=history[-1], history=history)
+        u, c_eff = u_try, c_eff + lam * step[-1]
+        F, ux, v, vx = trial
+        history.append(res)
+        sandwich = max(sandwich, _sandwich(u, lower, upper))
+
+    return _finish(problem, u, it, sandwich, spec, "FixedPoint", c_eff, rk,
+                   history)
 
 
 def construct_relax(problem: WaveProblem) -> WaveProfile:
     """Steady state of the coupled moving-frame system from the super-solution."""
     spec, upper, lower, c_eff, rk = _prepare(problem)
     V, Vx = solve_v(problem.params, Field(problem.grid, upper), problem.c)
-    u = _relax(problem, upper, V, Vx, c_eff, rk, coupled=True)
-    sandwich = max(float((lower - u).max()), float((u - upper).max()))
-    return _finish(problem, u, 0, sandwich, spec, "CoupledRelax", c_eff, rk)
+    u = _relax(problem, upper, V, Vx, c_eff, rk)
+    return _finish(problem, u, 0, _sandwich(u, lower, upper), spec,
+                   "CoupledRelax", c_eff, rk)
 
 
 def construct(problem: WaveProblem) -> WaveProfile:
@@ -230,16 +319,17 @@ def construct(problem: WaveProblem) -> WaveProfile:
 
 
 def settle(profile: WaveProfile) -> WaveProfile:
-    """Polish the profile into a machine-exact fixed point of the stepper.
+    """Check, and if needed trim, that the front of the profile is stationary.
 
-    On a truncated grid the moving-frame system has no exact steady
-    state: the boundary closure shifts the discrete front speed by
-    O(u(x_right)), so the front drifts at a constant (tiny) rate and the
-    sup-norm residual plateaus.  Experiments that weight the far tail by
-    e^{2 eta x} (the stability lab) amplify that drift catastrophically.
-    This routine measures the drift over windows of length SETTLE_WINDOW
-    and trims the effective frame speed until the front is stationary to
-    DRIFT_TOL, leaving a genuine fixed point up to round-off.
+    On a truncated grid the boundary closure shifts the discrete front
+    speed by O(u(x_right)); experiments that weight the far tail by
+    e^{2 eta x} (the stability lab) amplify any drift catastrophically.
+    This routine steps the coupled system over windows of length
+    SETTLE_WINDOW, measures the front drift, and trims c_eff until the
+    front is stationary to DRIFT_TOL.  A FixedPoint profile already
+    carries that shift in its Newton-solved c_eff, so the first window
+    passes; a CoupledRelax profile, stepped at the fitted speed, may
+    need trimming.
     """
     p = profile.params
     grid = profile.U.grid
@@ -268,7 +358,8 @@ def settle(profile: WaveProfile) -> WaveProfile:
 
 def _finish(problem: WaveProblem, u: np.ndarray, outer: int, sandwich: float,
             spec: BarrierSpec, method: str, c_eff: float,
-            robin_kappa: float) -> WaveProfile:
+            robin_kappa: float,
+            history: tuple[float, ...] | list[float] = ()) -> WaveProfile:
     p = problem.params
     grid = problem.grid
     U = Field(grid, u)
@@ -285,7 +376,8 @@ def _finish(problem: WaveProblem, u: np.ndarray, outer: int, sandwich: float,
                        monotonicity_violation=_monotonicity_violation(U),
                        outer_iters=outer, params=p, method=method,
                        c_eff=c_eff, robin_kappa=robin_kappa,
-                       sandwich_violation=sandwich, barrier=spec)
+                       sandwich_violation=sandwich, barrier=spec,
+                       residual_history=list(history))
 
 
 def diagnose(profile: WaveProfile, kappa1: float | None = None) -> WaveDiagnostics:

@@ -7,8 +7,10 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chemowave import waves
 from chemowave.cli import _NUMERIC, main, parse_config, emit_plot
 from chemowave.errors import DomainError
+from chemowave.waves import NEWTON_TOL, fitted_frame_speed
 
 
 def run_cli(args, monkeypatch=None, env=None):
@@ -105,6 +107,15 @@ def test_wave_below_speed_exits_2(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "w")])
     assert code == 2
     assert "c below c_star" in capsys.readouterr().err
+
+
+def test_wave_newton_budget_exhausted_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(waves, "MAX_NEWTON", 1)
+    code = main(["wave", "--chi", "-1", "--c", "4", "--grid-left", "-40",
+                 "--grid-right", "40", "--grid-h", "0.1",
+                 "--out-dir", str(tmp_path / "w")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("FAIL: Newton not converged")
 
 
 def test_unknown_subcommand_exits_64(capsys):
@@ -204,6 +215,11 @@ def test_wave_subcommand_end_to_end(tmp_path):
     diag = json.loads((out / "diagnostics.json").read_text())
     assert abs(diag["kappa_fit"] - diag["kappa"]) / diag["kappa"] < 0.02
     assert diag["monotonicity_violation"] < 1e-6
+    history = diag["residual_history"]
+    assert len(history) == diag["outer_iters"] + 1
+    assert history[-1] < NEWTON_TOL
+    assert diag["c_eff_shift"] == pytest.approx(
+        diag["c_eff"] - fitted_frame_speed(3.0, 0.05), abs=1e-15)
     assert (out / "profile.csv").exists()
     assert (out / "plot_profile.py").exists()
     assert (out / "plot_log_decay.py").exists()
@@ -217,6 +233,7 @@ def test_stability_subcommand_end_to_end(tmp_path):
     assert code == 0
     payload = json.loads((out / "stability.json").read_text())
     assert payload["passed"] is True
+    assert 0.0 < payload["truncated_from_t"] <= 6.0
     assert payload["lambda_pred"] == pytest.approx(-0.89, abs=1e-12)
     assert (out / "decay.csv").exists()
     assert (out / "plot_stability.py").exists()

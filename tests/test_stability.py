@@ -119,6 +119,19 @@ def test_run_stability_fisher(stab_fisher_profile):
     assert np.all(np.isfinite(rec.W))
 
 
+def test_run_stability_records_truncation(stab_fisher_profile):
+    # the first sample whose weighted integrand weighted_norm flags, if any
+    eta = default_eta(Params(0.0), 3.0)
+    early = run_stability(stab_fisher_profile, PerturbSpec(eta=eta),
+                          t_end=0.5)
+    assert early.truncated_from_t is None
+    with pytest.warns(TruncationWarning):
+        rec = run_stability(stab_fisher_profile, PerturbSpec(eta=0.9),
+                            t_end=2.0)
+    assert rec.truncated_from_t in rec.times
+    assert rec.truncated_from_t > 0.0
+
+
 def test_run_stability_eta_out_of_window(stab_fisher_profile):
     with pytest.raises(DomainError):
         run_stability(stab_fisher_profile, PerturbSpec(eta=0.2), t_end=1.0)

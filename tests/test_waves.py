@@ -4,16 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chemowave.cauchy import advance_imex, auto_dt, solve_v
-from chemowave.errors import (NormalizationError, RegimeError, SpeedError,
-                              WindowTooShort)
+from chemowave import waves
+from chemowave.cauchy import _imex_step, advance_imex, auto_dt, solve_v
+from chemowave.errors import (NoConvergence, NormalizationError, RegimeError,
+                              SpeedError, WindowTooShort)
 from chemowave.fields import Field, Grid
-from chemowave.params import Params
-from chemowave.waves import (WaveProblem, construct_fixed_point,
-                             construct_relax, diagnose,
+from chemowave.params import Params, c_star
+from chemowave.waves import (NEWTON_TOL, SCHEME, WaveProblem,
+                             construct_fixed_point, construct_relax, diagnose,
                              diagnose_profile_field, fitted_frame_speed,
-                             normalize_translation, settle)
+                             newton_tolerance, normalize_translation, settle)
 from chemowave.barriers import default_barrier_spec, eval_sub, eval_super
 
 
@@ -121,11 +123,86 @@ def test_sandwich_during_construction(neg_profile):
 
 def test_fixed_point_profile_fisher(fisher_profile):
     prof = fisher_profile
-    assert prof.outer_iters <= 3         # chi = 0 decouples the outer map
+    assert prof.outer_iters <= 5         # Newton from the super-solution
+    assert prof.residual_history[-1] < NEWTON_TOL
     assert abs(prof.kappa_fit / prof.kappa - 1.0) < 0.02
     assert 0.98 <= prof.left_limit <= 1.02
     assert prof.right_limit < 1e-6
     assert prof.monotonicity_violation < 1e-6
+
+
+@pytest.mark.parametrize("fixture", ["neg_profile", "pos_profile",
+                                     "fisher_profile"])
+def test_profile_is_stepper_fixed_point(fixture, request):
+    # one centered step with the profile's own V, c_eff and Robin rate
+    prof = request.getfixturevalue(fixture)
+    u = prof.U.values
+    V, Vx = solve_v(prof.params, prof.U, prof.c)
+    un, dt, clamped = _imex_step(prof.params, u, V.values, Vx.values,
+                                 prof.c_eff, prof.U.grid, prof.robin_kappa,
+                                 SCHEME)
+    assert clamped == 0
+    assert float(np.abs(un - u).max()) <= 1e-11 * dt
+
+
+@pytest.mark.parametrize("chi, c", [(-1.0, 4.0), (0.25, 2.5)])
+def test_fixed_point_fine_grid(chi, c):
+    # at h = 0.01 the residual's round-off floor eps M / h^2 is about
+    # 2e-12, above NEWTON_TOL: the stop rule scales with it, and one step
+    # moves the profile by the same multiple of the stop rule as the
+    # 1e-11 dt bound above on the h = 0.05 fixtures
+    g = Grid.from_bounds(-20, 30, 0.01)
+    prof = construct_fixed_point(WaveProblem(params=Params(chi), c=c, grid=g))
+    tol = newton_tolerance(g.h, prof.barrier.M)
+    assert tol > NEWTON_TOL
+    assert prof.residual_history[-1] < tol
+    u = prof.U.values
+    V, Vx = solve_v(prof.params, prof.U, prof.c)
+    un, dt, _ = _imex_step(prof.params, u, V.values, Vx.values, prof.c_eff,
+                           g, prof.robin_kappa, SCHEME)
+    assert float(np.abs(un - u).max()) <= 10.0 * tol * dt
+
+
+def test_newton_tolerance_is_nominal_on_default_grids():
+    assert newton_tolerance(0.05, 1.0) == NEWTON_TOL
+    assert newton_tolerance(0.1, 2.0) == NEWTON_TOL
+    assert newton_tolerance(0.01, 1.0) == pytest.approx(
+        10.0 * np.finfo(float).eps / 1e-4)
+
+
+def test_c_eff_shift(neg_profile, neg_relax_profile):
+    assert neg_profile.c_eff_shift == (
+        neg_profile.c_eff - fitted_frame_speed(4.0, 0.05))
+    assert neg_relax_profile.c_eff_shift == 0.0
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(chi=st.one_of(st.floats(-2.0, 0.0),
+                     st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)),
+       dc=st.floats(0.02, 0.5))
+def test_newton_wave_inside_barriers(chi, dc):
+    p = Params(chi)
+    c = (c_star(p) if chi <= 0 else 2.0) + dc
+    g = Grid.from_bounds(-40, 40, 0.1)
+    prof = construct_fixed_point(WaveProblem(params=p, c=c, grid=g))
+    u = prof.U.values
+    assert prof.residual_history[-1] < NEWTON_TOL
+    assert u.min() > 0.0
+    assert float((u - eval_super(prof.barrier, g).values).max()) <= 1e-8
+    assert u[-1] * math.exp(prof.kappa * g.x[-1]) == pytest.approx(1.0,
+                                                                   abs=1e-12)
+    if chi <= 0:
+        assert np.diff(u).max() <= 1e-12
+
+
+def test_newton_budget_reports_history(monkeypatch):
+    monkeypatch.setattr(waves, "MAX_NEWTON", 2)
+    g = Grid.from_bounds(-40, 40, 0.1)
+    with pytest.raises(NoConvergence) as info:
+        construct_fixed_point(WaveProblem(params=Params(-1.0), c=4.0, grid=g))
+    history = info.value.history
+    assert len(history) == 3
+    assert history[0] > history[1] > history[2] == info.value.residual
 
 
 def test_relax_agrees_with_fixed_point(neg_profile, neg_relax_profile):
