@@ -12,8 +12,8 @@ from .elliptic import (Constant, Exponential, TailSpec, psi_derivative,
                        solve_fd, solve_psi)
 from .waves import (WaveProblem, WaveProfile, construct, construct_fixed_point,
                     construct_relax, diagnose, normalize_translation, settle)
-from .stability import (PerturbSpec, apriori_checks, predicted_lambda,
-                        run_stability, uniqueness_check, weighted_norm,
+from .stability import (apriori_checks, predicted_lambda, run_stability,
+                        uniqueness_check, weighted_norm,
                         weighted_elliptic_check)
 from .speed import FrontTrack, front_position, spreading_speed, sweep_speeds
 
@@ -27,7 +27,7 @@ __all__ = [
     "solve_fd", "solve_psi",
     "WaveProblem", "WaveProfile", "construct", "construct_fixed_point",
     "construct_relax", "diagnose", "normalize_translation", "settle",
-    "PerturbSpec", "apriori_checks", "predicted_lambda", "run_stability",
+    "apriori_checks", "predicted_lambda", "run_stability",
     "uniqueness_check", "weighted_norm", "weighted_elliptic_check",
     "FrontTrack", "front_position", "spreading_speed", "sweep_speeds",
     "__version__",

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
 
-from .elliptic import TailSpec, solve_pair
+from .cauchy import solve_v
 from .errors import DomainError
 from .fields import Field, Grid
 from .params import (Params, RegimeTag, barrier_constants,
@@ -99,11 +99,8 @@ def _pow_guard(W: np.ndarray, p: Params) -> None:
 
 
 def solve_V(u: Field, params: Params, c: float) -> tuple[Field, Field]:
-    """(V, V') of v'' - v + u^gamma = 0 with wave-consistent tail closure."""
-    kappa = kappa_of_speed(c)
-    src = u.with_values(np.power(u.values, params.gamma))
-    tails = TailSpec.wave_ends(src, params.gamma * kappa)
-    return solve_pair(src, 1.0, 1.0, tails)
+    """(V, V') of v'' - v + u^gamma = 0, closed by the wave tails at c >= 2."""
+    return solve_v(params, u, c)
 
 
 def _residual_given_V(W: Field, V: Field, Vx: Field, p: Params, c: float) -> Field:

@@ -25,7 +25,7 @@ from .errors import (BlowupDetected, DomainError, NoConvergence, NoFront,
 from .fields import Field, Grid
 from .params import Params, constants_report
 from .speed import SWEEP_HEADER, spreading_speed, sweep_speeds
-from .stability import PerturbSpec, default_eta, eta_window, run_stability
+from .stability import default_eta, eta_window, run_stability
 from .waves import (WaveProblem, construct, diagnose, normalize_translation,
                     settle)
 from .barriers import certify
@@ -177,9 +177,8 @@ def cmd_stability(cfg: dict) -> int:
     p = _params(cfg)
     profile = settle(_build_wave(cfg))
     eta = cfg["eta"] if cfg["eta"] is not None else default_eta(p, cfg["c"])
-    spec = PerturbSpec(eta=eta)
     t_end = cfg["t_end"] if "t_end" in cfg["_explicit"] else 20.0
-    record = run_stability(profile, spec, t_end=t_end)
+    record = run_stability(profile, eta, t_end=t_end)
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
     cw_io.write_decay_csv(os.path.join(out, "decay.csv"), record)

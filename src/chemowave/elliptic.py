@@ -146,16 +146,12 @@ def _halves(s: Field, lam: float, mu: float,
 
 def solve_psi(s: Field, lam: float, mu: float, tails: TailSpec) -> Field:
     """Exact-kernel solution of v'' - lam v + mu s = 0 for the given closure."""
-    left, right = _halves(s, lam, mu, tails)
-    psi = (mu / (2.0 * np.sqrt(lam))) * (left + right)
-    return Field(s.grid, psi)
+    return solve_pair(s, lam, mu, tails)[0]
 
 
 def psi_derivative(s: Field, lam: float, mu: float, tails: TailSpec) -> Field:
     """d/dx of solve_psi via the same sweeps with the one-sided sign split."""
-    left, right = _halves(s, lam, mu, tails)
-    dpsi = (mu / 2.0) * (right - left)
-    return Field(s.grid, dpsi)
+    return solve_pair(s, lam, mu, tails)[1]
 
 
 def solve_pair(s: Field, lam: float, mu: float,

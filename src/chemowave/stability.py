@@ -35,26 +35,18 @@ from .waves import SCHEME, WaveProfile
 REL_DROP = 1e-4          # required relative decay of W at t_end
 ENVELOPE_SLACK = 10.0    # transient allowance on the exp(2 lambda t) envelope
 OUTPUT_EVERY = 0.25      # sampling interval of W(t)
+BUMP_AMPLITUDE = 0.05    # Gaussian bump added to the profile ...
+BUMP_CENTER = 0.0
+BUMP_WIDTH = 1.0
+BUMP_CUTOFF = 8.0        # ... zeroed beyond center +- this many widths
 
 
-@dataclass(frozen=True)
-class PerturbSpec:
-    """Gaussian bump added to the profile; zeroed beyond center +- 8 width."""
-
-    eta: float
-    amplitude: float = 0.05
-    center: float = 0.0
-    width: float = 1.0
-
-    def __post_init__(self):
-        if self.width <= 0:
-            raise DomainError("width must be > 0")
-
-    def bump(self, x: np.ndarray) -> np.ndarray:
-        z = (x - self.center) / self.width
-        b = self.amplitude * np.exp(-0.5 * z * z)
-        b[np.abs(z) > 8.0] = 0.0
-        return b
+def bump(x: np.ndarray) -> np.ndarray:
+    """The stability lab's perturbation, sampled at x."""
+    z = (x - BUMP_CENTER) / BUMP_WIDTH
+    b = BUMP_AMPLITUDE * np.exp(-0.5 * z * z)
+    b[np.abs(z) > BUMP_CUTOFF] = 0.0
+    return b
 
 
 @dataclass
@@ -134,14 +126,14 @@ def default_eta(params: Params, c: float) -> float:
     return 0.5 * (kappa + hi)
 
 
-def perturbed_initial(profile: WaveProfile, spec: PerturbSpec) -> Field:
-    u0 = profile.U.values + spec.bump(profile.U.grid.x)
+def perturbed_initial(profile: WaveProfile) -> Field:
+    u0 = profile.U.values + bump(profile.U.grid.x)
     if u0.min() < 0:
         raise DomainError("perturbed initial datum is negative")
     return Field(profile.U.grid, u0)
 
 
-def run_stability(profile: WaveProfile, spec: PerturbSpec,
+def run_stability(profile: WaveProfile, eta: float,
                   t_end: float) -> DecayRecord:
     """Evolve U* + bump in the moving frame and record the weighted decay.
 
@@ -153,14 +145,13 @@ def run_stability(profile: WaveProfile, spec: PerturbSpec,
     """
     p = profile.params
     kappa = profile.kappa
-    eta = spec.eta
     hi = 1.0 / (1.0 + abs(p.chi) ** SIGMA)
     if not (kappa < eta < hi):
         raise DomainError(f"eta={eta:.6g} outside (kappa, 1/(1+|chi|^sigma)) "
                           f"= ({kappa:.6g}, {hi:.6g})")
     lam = predicted_lambda(p, profile.c, eta)
 
-    u0 = perturbed_initial(profile, spec)
+    u0 = perturbed_initial(profile)
     # step with exactly the discrete operator the profile is a fixed point of
     config = SimConfig(params=p, grid=profile.U.grid, t_end=t_end,
                        frame_speed=profile.c_eff,

@@ -27,6 +27,7 @@ first-order upwinding independently.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,9 +55,6 @@ MAX_NEWTON = 50
 MIN_DAMPING = 2.0**-30       # Newton line search gives up below this step
 GMRES_RTOL = 1e-10           # relative residual of each linear solve
 GMRES_MAX_ITERS = 50         # Krylov vectors kept per linear solve (no restart)
-SETTLE_WINDOW = 10.0         # settle measures the front drift over this time
-SETTLE_ROUNDS = 10
-DRIFT_TOL = 2e-13
 
 
 def fitted_frame_speed(c: float, h: float) -> float:
@@ -182,8 +180,11 @@ def _prepare(problem: WaveProblem):
 
 
 def _relax(problem: WaveProblem, u: np.ndarray, V: Field, Vx: Field,
-           c_eff: float, robin_kappa: float) -> np.ndarray:
-    """Step from u, refreshing V after every step, until ||u_t||_inf < TOL_INNER."""
+           c_eff: float, robin_kappa: float) -> tuple[np.ndarray, float]:
+    """Step from u, refreshing V after every step, until ||u_t||_inf < TOL_INNER.
+
+    Returns the final state and its ||u_t||_inf.
+    """
     p, grid = problem.params, problem.grid
     resid = math.inf
     for _ in range(MAX_INNER_STEPS):
@@ -193,7 +194,7 @@ def _relax(problem: WaveProblem, u: np.ndarray, V: Field, Vx: Field,
         u = un
         V, Vx = solve_v(p, Field(grid, u), problem.c)
         if resid < TOL_INNER:
-            return u
+            return u, resid
     raise NoConvergence("coupled relaxation failed to reach steady state",
                         residual=resid)
 
@@ -246,23 +247,19 @@ def _newton_step(problem: WaveProblem, rk: float, u: np.ndarray,
     return precond(y)
 
 
-def construct_fixed_point(problem: WaveProblem) -> WaveProfile:
-    """Damped Newton-Krylov solve of the steady centered stepper.
+def _newton(problem: WaveProblem, u: np.ndarray, c_eff: float, rk: float,
+            tol: float, visit: Callable[[np.ndarray], None] | None = None
+            ) -> tuple[np.ndarray, float, list[float]]:
+    """Damped Newton-Krylov solve of the steady centered stepper from (u, c_eff).
 
-    Unknowns are (U[0..n-2], c_eff); the tail U[n-1] = e^{-kappa x_R}
-    is pinned, which fixes the translation and the barriers' tail
-    amplitude.  Each linear system is solved by GMRES, right
-    preconditioned by the frozen-v tridiagonal Jacobian whose pinned
-    column is replaced by dF/dc_eff = U_x; the products with the exact
-    Jacobian add the linear v response, one solve_pair of
-    gamma U^(gamma-1) dU.  The line search halves a step until the
-    iterate stays positive and the sup residual falls; the solve stops
-    once that residual is below newton_tolerance(h, M).
+    Unknowns are (u[0..n-2], c_eff); u[n-1] stays where the caller put
+    it.  The line search halves a step until the iterate stays positive
+    and the sup residual falls; the solve stops once that residual is
+    below tol.  visit(u) sees every accepted iterate.  Returns the
+    solution, its c_eff and the sup residual of each iterate, the start
+    included.
     """
     p, grid, c = problem.params, problem.grid, problem.c
-    spec, upper, lower, c_eff, rk = _prepare(problem)
-    u = upper.copy()
-    u[-1] = math.exp(-kappa_of_speed(c) * grid.x[-1])
 
     def residual(u, c_eff):
         V, Vx = solve_v(p, Field(grid, u), c)
@@ -271,15 +268,11 @@ def construct_fixed_point(problem: WaveProblem) -> WaveProfile:
 
     F, ux, v, vx = residual(u, c_eff)
     history = [float(np.abs(F).max())]
-    tol = newton_tolerance(grid.h, float(upper.max()))
-    sandwich = _sandwich(u, lower, upper)
-    it = 0
     while history[-1] >= tol:
-        if it == MAX_NEWTON:
+        if len(history) > MAX_NEWTON:
             raise NoConvergence(
                 f"Newton not converged after {MAX_NEWTON} iterations",
                 residual=history[-1], history=history)
-        it += 1
         step = _newton_step(problem, rk, u, v, vx, ux, F, c_eff)
         du = np.append(step[:-1], 0.0)
         lam = 1.0
@@ -297,19 +290,43 @@ def construct_fixed_point(problem: WaveProblem) -> WaveProfile:
         u, c_eff = u_try, c_eff + lam * step[-1]
         F, ux, v, vx = trial
         history.append(res)
-        sandwich = max(sandwich, _sandwich(u, lower, upper))
+        if visit is not None:
+            visit(u)
+    return u, c_eff, history
 
-    return _finish(problem, u, it, sandwich, spec, "FixedPoint", c_eff, rk,
-                   history)
+
+def construct_fixed_point(problem: WaveProblem) -> WaveProfile:
+    """Damped Newton-Krylov solve of the steady centered stepper.
+
+    Unknowns are (U[0..n-2], c_eff); the tail U[n-1] = e^{-kappa x_R}
+    is pinned, which fixes the translation and the barriers' tail
+    amplitude.  Each linear system is solved by GMRES, right
+    preconditioned by the frozen-v tridiagonal Jacobian whose pinned
+    column is replaced by dF/dc_eff = U_x; the products with the exact
+    Jacobian add the linear v response, one solve_pair of
+    gamma U^(gamma-1) dU.  The solve starts from the super-solution at
+    the fitted frame speed and stops once the sup residual is below
+    newton_tolerance(h, M).
+    """
+    grid = problem.grid
+    spec, upper, lower, c_eff, rk = _prepare(problem)
+    u = upper.copy()
+    u[-1] = math.exp(-kappa_of_speed(problem.c) * grid.x[-1])
+    sandwich = [_sandwich(u, lower, upper)]
+    u, c_eff, history = _newton(
+        problem, u, c_eff, rk, newton_tolerance(grid.h, float(upper.max())),
+        lambda w: sandwich.append(_sandwich(w, lower, upper)))
+    return _finish(problem, u, len(history) - 1, max(sandwich), spec,
+                   "FixedPoint", c_eff, rk, history)
 
 
 def construct_relax(problem: WaveProblem) -> WaveProfile:
     """Steady state of the coupled moving-frame system from the super-solution."""
     spec, upper, lower, c_eff, rk = _prepare(problem)
     V, Vx = solve_v(problem.params, Field(problem.grid, upper), problem.c)
-    u = _relax(problem, upper, V, Vx, c_eff, rk)
+    u, resid = _relax(problem, upper, V, Vx, c_eff, rk)
     return _finish(problem, u, 0, _sandwich(u, lower, upper), spec,
-                   "CoupledRelax", c_eff, rk)
+                   "CoupledRelax", c_eff, rk, [resid])
 
 
 def construct(problem: WaveProblem) -> WaveProfile:
@@ -319,47 +336,43 @@ def construct(problem: WaveProblem) -> WaveProfile:
 
 
 def settle(profile: WaveProfile) -> WaveProfile:
-    """Check, and if needed trim, that the front of the profile is stationary.
+    """Polish a profile into a fixed point of the stepper it is run with.
 
     On a truncated grid the boundary closure shifts the discrete front
-    speed by O(u(x_right)); experiments that weight the far tail by
-    e^{2 eta x} (the stability lab) amplify any drift catastrophically.
-    This routine steps the coupled system over windows of length
-    SETTLE_WINDOW, measures the front drift, and trims c_eff until the
-    front is stationary to DRIFT_TOL.  A FixedPoint profile already
-    carries that shift in its Newton-solved c_eff, so the first window
-    passes; a CoupledRelax profile, stepped at the fitted speed, may
-    need trimming.
+    speed by O(u(x_right)), and the e^{2 eta x} weight of the stability
+    lab amplifies any drift.  settle runs the FixedPoint Newton solve
+    from the profile's own U and c_eff, tail pinned to e^{-kappa x_R}
+    as in the construction.  A profile already below the stop rule
+    (every FixedPoint profile) comes back unchanged; any other (a
+    CoupledRelax one) is solved one step past the stop rule, its polish
+    residuals added to residual_history and its iterations to outer_iters.
     """
-    p = profile.params
     grid = profile.U.grid
-    u = profile.U.values
-    V, Vx = solve_v(p, profile.U, profile.c)
-    c_eff = profile.c_eff
-    level = 0.5 * (u.max() + u.min())
-    for _ in range(SETTLE_ROUNDS):
-        x_start = _single_crossing(grid.x, u, level)
-        t = 0.0
-        while t < SETTLE_WINDOW:
-            u, dt, _ = _imex_step(p, u, V.values, Vx.values, c_eff, grid,
-                                  profile.robin_kappa, SCHEME)
-            V, Vx = solve_v(p, Field(grid, u), profile.c)
-            t += dt
-        drift = (_single_crossing(grid.x, u, level) - x_start) / t
-        if abs(drift) < DRIFT_TOL:
-            break
-        c_eff += drift
-    U = Field(grid, u)
-    left, right = _limits(u)
-    return replace(profile, U=U, V=V, left_limit=left, right_limit=right,
-                   monotonicity_violation=_monotonicity_violation(U),
-                   c_eff=c_eff)
+    problem = WaveProblem(profile.params, profile.c, grid, profile.method)
+    u = profile.U.values.copy()
+    u[-1] = math.exp(-profile.kappa * grid.x[-1])
+    rk = profile.robin_kappa
+    u, c_eff, history = _newton(problem, u, profile.c_eff, rk,
+                                newton_tolerance(grid.h, profile.barrier.M))
+    if len(history) == 1:
+        return profile
+    # the step that met the stop rule can leave c_eff 4e-13 off, a drift
+    # the weight makes visible; one more lands on the round-off floor,
+    # unless the line search finds the floor already reached
+    try:
+        u, c_eff, last = _newton(problem, u, c_eff, rk, history[-1])
+        history += last[1:]
+    except NoConvergence:
+        pass
+    return _finish(problem, u, profile.outer_iters + len(history) - 1,
+                   profile.sandwich_violation, profile.barrier,
+                   profile.method, c_eff, rk,
+                   profile.residual_history + history)
 
 
 def _finish(problem: WaveProblem, u: np.ndarray, outer: int, sandwich: float,
             spec: BarrierSpec, method: str, c_eff: float,
-            robin_kappa: float,
-            history: tuple[float, ...] | list[float] = ()) -> WaveProfile:
+            robin_kappa: float, history: list[float]) -> WaveProfile:
     p = problem.params
     grid = problem.grid
     U = Field(grid, u)

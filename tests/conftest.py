@@ -5,7 +5,6 @@ tests can charge themselves the full cost of the profiles they use.
 """
 
 import time
-import warnings
 
 import pytest
 
@@ -62,10 +61,8 @@ def stability_grid():
 
 
 def _settled(params, grid):
-    prof = construct_fixed_point(WaveProblem(params=params, c=3.0, grid=grid))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return settle(prof)
+    return settle(construct_fixed_point(
+        WaveProblem(params=params, c=3.0, grid=grid)))
 
 
 @pytest.fixture(scope="session")

@@ -20,8 +20,7 @@ from chemowave.elliptic import Exponential, TailSpec, solve_pair
 from chemowave.fields import Field, Grid
 from chemowave.params import Params, SIGMA, c_star, constants_report
 from chemowave.speed import spreading_speed
-from chemowave.stability import (PerturbSpec, run_stability, uniqueness_check,
-                                 weighted_norm)
+from chemowave.stability import run_stability, uniqueness_check, weighted_norm
 from chemowave.waves import normalize_translation
 
 from conftest import BUILD_TIMES
@@ -209,8 +208,7 @@ def test_criterion_6_stability(stab_fisher_profile, stab_small_chi_profile):
                        ("stab_fisher_profile", "stab_small_chi_profile"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rec = run_stability(stab_fisher_profile,
-                            PerturbSpec(eta=0.9, amplitude=0.05), t_end=6.0)
+        rec = run_stability(stab_fisher_profile, 0.9, t_end=6.0)
     assert rec.lambda_pred == pytest.approx(0.81 - 2.7 + 1.0, abs=1e-12)
     W0 = rec.W[0]
     i5 = int(np.argmin(np.abs(rec.times - 5.0)))
@@ -226,8 +224,7 @@ def test_criterion_6_stability(stab_fisher_profile, stab_small_chi_profile):
     assert 3.0 > cc                      # derived threshold 2.2145...
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rec2 = run_stability(stab_small_chi_profile,
-                             PerturbSpec(eta=0.65, amplitude=0.05), t_end=20.0)
+        rec2 = run_stability(stab_small_chi_profile, 0.65, t_end=20.0)
     assert rec2.passed
     assert rec2.supdiff[-1] < 1e-3
     elapsed = time.perf_counter() - t0 + fixture_cost

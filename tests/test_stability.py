@@ -9,8 +9,8 @@ import pytest
 from chemowave.errors import DomainError, TruncationWarning
 from chemowave.fields import Field, Grid
 from chemowave.params import Params, kappa_of_speed, SIGMA, constants_report
-from chemowave.stability import (Check, PerturbSpec, apriori_checks,
-                                 default_eta, eta_window, predicted_lambda,
+from chemowave.stability import (Check, apriori_checks, bump, default_eta,
+                                 eta_window, predicted_lambda,
                                  run_stability, uniqueness_check,
                                  weighted_elliptic_check, weighted_norm)
 from chemowave.waves import WaveProfile, normalize_translation
@@ -68,7 +68,7 @@ def test_predicted_lambda_window_error():
 
 def test_eta_window_ordering():
     # the quadratic's roots bracket the admissible weights: kappa sits at
-    # or левее kappa-, and for speeds comfortably above c** the interval
+    # or left of kappa-, and for speeds comfortably above c** the interval
     # reaches past 1/(1+|chi|^sigma)
     for chi in (0.0, -0.01, -0.2, 0.1, 0.3):
         for margin in (0.5, 1.5):
@@ -93,20 +93,16 @@ def test_default_eta_midpoint():
 
 
 def test_perturb_spec_compact_support():
-    spec = PerturbSpec(eta=0.9, amplitude=0.05, center=0.0, width=1.0)
     x = np.linspace(-20, 20, 4001)
-    b = spec.bump(x)
+    b = bump(x)
     assert b.max() == pytest.approx(0.05)
     assert np.all(b[np.abs(x) > 8.0] == 0.0)
-    with pytest.raises(DomainError):
-        PerturbSpec(eta=0.9, width=0.0)
 
 
 def test_run_stability_fisher(stab_fisher_profile):
-    spec = PerturbSpec(eta=0.9, amplitude=0.05, center=0.0, width=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        rec = run_stability(stab_fisher_profile, spec, t_end=6.0)
+        rec = run_stability(stab_fisher_profile, 0.9, t_end=6.0)
     assert rec.lambda_pred == pytest.approx(-0.89, abs=1e-12)
     assert rec.passed
     W0 = rec.W[0]
@@ -122,19 +118,17 @@ def test_run_stability_fisher(stab_fisher_profile):
 def test_run_stability_records_truncation(stab_fisher_profile):
     # the first sample whose weighted integrand weighted_norm flags, if any
     eta = default_eta(Params(0.0), 3.0)
-    early = run_stability(stab_fisher_profile, PerturbSpec(eta=eta),
-                          t_end=0.5)
+    early = run_stability(stab_fisher_profile, eta, t_end=0.5)
     assert early.truncated_from_t is None
     with pytest.warns(TruncationWarning):
-        rec = run_stability(stab_fisher_profile, PerturbSpec(eta=0.9),
-                            t_end=2.0)
+        rec = run_stability(stab_fisher_profile, 0.9, t_end=2.0)
     assert rec.truncated_from_t in rec.times
     assert rec.truncated_from_t > 0.0
 
 
 def test_run_stability_eta_out_of_window(stab_fisher_profile):
     with pytest.raises(DomainError):
-        run_stability(stab_fisher_profile, PerturbSpec(eta=0.2), t_end=1.0)
+        run_stability(stab_fisher_profile, 0.2, t_end=1.0)
 
 
 def test_apriori_checks_pass(fisher_profile, neg_profile):

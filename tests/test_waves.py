@@ -1,6 +1,7 @@
 """Wave construction machinery: diagnostics, normalization, inner dynamics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from chemowave import waves
 from chemowave.cauchy import _imex_step, advance_imex, auto_dt, solve_v
 from chemowave.errors import (NoConvergence, NormalizationError, RegimeError,
-                              SpeedError, WindowTooShort)
+                              SpeedError, TruncationWarning, WindowTooShort)
 from chemowave.fields import Field, Grid
 from chemowave.params import Params, c_star
 from chemowave.waves import (NEWTON_TOL, SCHEME, WaveProblem,
@@ -17,6 +18,7 @@ from chemowave.waves import (NEWTON_TOL, SCHEME, WaveProblem,
                              diagnose_profile_field, fitted_frame_speed,
                              newton_tolerance, normalize_translation, settle)
 from chemowave.barriers import default_barrier_spec, eval_sub, eval_super
+from chemowave.stability import default_eta, run_stability
 
 
 def synthetic_profile(grid, fn, kappa, c, params=Params(0.0)):
@@ -223,9 +225,37 @@ def test_profile_bounded_by_envelope(pos_profile):
 
 def test_settle_preserves_profile(stab_fisher_profile):
     prof = stab_fisher_profile
+    assert settle(prof) is prof          # already below the stop rule
     assert abs(prof.c_eff - fitted_frame_speed(3.0, prof.U.grid.h)) < 1e-5
     assert prof.monotonicity_violation < 1e-6
     assert 0.98 <= prof.left_limit <= 1.02
+
+
+def test_settle_makes_relax_profile_stationary(stability_grid,
+                                              stab_fisher_profile):
+    # a CoupledRelax profile stops at ||u_t|| < TOL_INNER and still drifts
+    # at its fitted speed; settle's Newton polish makes it the stepper's
+    # fixed point, the one the FixedPoint construction finds, and the
+    # stability lab passes on it at the `stability` subcommand's defaults
+    relax = construct_relax(WaveProblem(params=Params(0.0), c=3.0,
+                                        grid=stability_grid,
+                                        method="CoupledRelax"))
+    assert len(relax.residual_history) == 1      # the stop ||u_t||_inf
+    assert relax.residual_history[0] < waves.TOL_INNER
+    prof = settle(relax)
+    assert prof.residual_history[0] == relax.residual_history[0]
+    assert prof.residual_history[-1] < NEWTON_TOL
+    u = prof.U.values
+    V, Vx = solve_v(prof.params, prof.U, prof.c)
+    un, dt, _ = _imex_step(prof.params, u, V.values, Vx.values, prof.c_eff,
+                           stability_grid, prof.robin_kappa, SCHEME)
+    assert float(np.abs(un - u).max()) <= 1e-11 * dt
+    assert abs(prof.c_eff - stab_fisher_profile.c_eff) <= 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        rec = run_stability(prof, default_eta(Params(0.0), 3.0), t_end=20.0)
+    assert rec.passed
+    assert rec.supdiff[-1] < 1e-3
 
 
 def test_general_exponent_wave_and_uniqueness():
