@@ -99,8 +99,8 @@ def _pow_guard(W: np.ndarray, p: Params) -> None:
 
 
 def solve_V(u: Field, params: Params, c: float) -> tuple[Field, Field]:
-    """(V, V') of v'' - v + u^gamma = 0, closed by the wave tails at c >= 2."""
-    return solve_v(params, u, c)
+    """(V, V') of v'' - v + u^gamma = 0, closed at the wave's tail rate kappa(c)."""
+    return solve_v(params, u, tail_kappa=kappa_of_speed(c))
 
 
 def _residual_given_V(W: Field, V: Field, Vx: Field, p: Params, c: float) -> Field:

@@ -20,6 +20,8 @@ each caller keeps its own stop rule and its own refresh of v (`run`
 refreshes v from u after every step).  `steady_residual` and
 `steady_jacobian` are the steady form of the centered step and its
 frozen-v Jacobian, which the wave lane's Newton solve drives to zero.
+One right-edge decay rate kappa (SimConfig.tail_kappa) closes u and v;
+it is 0 in the lab frame and kappa(c) in the wave lane.
 The automatic time step obeys
 
     dt <= min(0.5 h / Vmax, 0.1 / Rmax)
@@ -39,7 +41,7 @@ from scipy.linalg import solve_banded
 from .elliptic import TailSpec, solve_pair
 from .errors import BlowupDetected, DomainError, StiffnessError
 from .fields import Field, Grid, level_crossings
-from .params import Params, RegimeTag, M_chi, classify_regime, kappa_of_speed
+from .params import Params, RegimeTag, M_chi, classify_regime
 
 DT_FLOOR = 1e-10
 MONITOR_SLACK = 1e-6
@@ -50,9 +52,9 @@ FRONT_LEVEL = 0.5                # level whose rightmost crossing is the front
 class SimConfig:
     """One run's settings.
 
-    The left edge is always zero flux; the right edge obeys
-    u_x = -robin_kappa u.  robin_kappa None means kappa_of_speed(frame_speed)
-    in a moving frame (frame_speed >= 2) and 0 (zero flux) otherwise.
+    The left edge is always zero flux.  u leaves the right edge as
+    e^{-tail_kappa x} (Robin ghost node, robin_rate) and v as
+    e^{-gamma tail_kappa x}; the lab's 0 means zero flux and a plateau.
     """
 
     params: Params
@@ -60,13 +62,13 @@ class SimConfig:
     t_end: float
     frame_speed: float = 0.0
     dt: float | None = None          # None = automatic
-    robin_kappa: float | None = None
+    tail_kappa: float = 0.0
     output_every: float = 1.0
     scheme: str = "upwind"           # "upwind" | "centered"
 
     def __post_init__(self):
         for name in ("t_end", "output_every", "frame_speed", "dt",
-                     "robin_kappa"):
+                     "tail_kappa"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
@@ -76,15 +78,10 @@ class SimConfig:
             raise DomainError("output_every must be > 0")
         if self.dt is not None and self.dt <= 0:
             raise DomainError("dt must be > 0 or None for automatic")
+        if self.tail_kappa < 0:
+            raise DomainError("tail_kappa must be >= 0")
         if self.scheme not in ("upwind", "centered"):
             raise DomainError(f"unknown advection scheme {self.scheme!r}")
-
-    def resolved_robin_kappa(self) -> float:
-        if self.robin_kappa is not None:
-            return self.robin_kappa
-        if self.frame_speed >= 2.0:
-            return kappa_of_speed(self.frame_speed)
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -117,18 +114,20 @@ class Monitors:
                 f"clamp_count {self.clamp_count} exceeds 0.1% of node-steps")
 
 
-def v_tails_for(p: Params, source: Field, frame_speed: float) -> TailSpec:
-    """Closure for the v-solve: plateau left; exponential right in a moving frame."""
-    if frame_speed >= 2.0:
-        return TailSpec.wave_ends(source, p.gamma * kappa_of_speed(frame_speed))
-    return TailSpec.constant_ends(source)
+def v_tails_for(p: Params, source: Field, tail_kappa: float) -> TailSpec:
+    """v-solve closure: plateau left, e^{-gamma tail_kappa x} right (0: plateau)."""
+    return TailSpec.wave_ends(source, p.gamma * tail_kappa)
 
 
-def solve_v(p: Params, u: Field, frame_speed: float = 0.0) -> tuple[Field, Field]:
+def solve_v(p: Params, u: Field, *, tail_kappa: float) -> tuple[Field, Field]:
     """(v, v_x) for the current density u."""
     src = u.with_values(np.power(u.values, p.gamma))
-    tails = v_tails_for(p, src, frame_speed)
-    return solve_pair(src, 1.0, 1.0, tails)
+    return solve_pair(src, 1.0, 1.0, v_tails_for(p, src, tail_kappa))
+
+
+def robin_rate(kappa: float, h: float) -> float:
+    """Robin coefficient r of u_x = -r u whose ghost node is exact for e^{-kappa x}."""
+    return math.sinh(kappa * h) / h
 
 
 def advective_velocity(p: Params, u: np.ndarray, vx: np.ndarray, c: float) -> np.ndarray:
@@ -285,10 +284,10 @@ def run(config: SimConfig, u0: Field,
     if u0.min() < 0:
         raise DomainError("u0 must be nonnegative")
 
-    robin_kappa = config.resolved_robin_kappa()
+    robin_kappa = robin_rate(config.tail_kappa, config.grid.h)
     x = config.grid.x
     u = u0.values
-    v, vx = solve_v(p, u0, config.frame_speed)
+    v, vx = solve_v(p, u0, tail_kappa=config.tail_kappa)
     monitors = Monitors()
     monitors.record(0.0, u, x)
     snapshots = [State(0.0, u0, v)]
@@ -305,7 +304,7 @@ def run(config: SimConfig, u0: Field,
         t += dt
         _check_finite(u, t, config.grid)
         uf = Field(config.grid, u)
-        v, vx = solve_v(p, uf, config.frame_speed)
+        v, vx = solve_v(p, uf, tail_kappa=config.tail_kappa)
         if t >= next_out - 1e-12:
             monitors.record(t, u, x)
             snapshots.append(State(t, uf, v))

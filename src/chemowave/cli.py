@@ -200,15 +200,22 @@ def cmd_stability(cfg: dict) -> int:
     return 0 if record.passed else 2
 
 
+def _speed_settings(cfg: dict) -> tuple[Grid, float, float]:
+    """Grid, t_end and dt of a speed or sweep run, also written into cfg.
+
+    A front at speed ~2 from x = 0 nears x = 120 by the default t_end 60.
+    """
+    for key, value in (("grid.left", -40.0), ("grid.right", 150.0),
+                       ("t_end", 60.0)):
+        if key not in cfg["_explicit"]:
+            cfg[key] = value
+    cfg["dt"] = cfg["dt"] or 0.02
+    return _grid(cfg), cfg["t_end"], cfg["dt"]
+
+
 def cmd_speed(cfg: dict) -> int:
-    if "grid.left" not in cfg["_explicit"]:
-        cfg["grid.left"] = -40.0
-    if "grid.right" not in cfg["_explicit"]:
-        cfg["grid.right"] = 150.0
-    p = _params(cfg)
-    grid = _grid(cfg)
-    t_end = cfg["t_end"] if "t_end" in cfg["_explicit"] else 60.0
-    sim = SimConfig(params=p, grid=grid, t_end=t_end, dt=cfg["dt"] or 0.02,
+    grid, t_end, dt = _speed_settings(cfg)
+    sim = SimConfig(params=_params(cfg), grid=grid, t_end=t_end, dt=dt,
                     output_every=1.0)
     u0 = Field(grid, np.where(np.abs(grid.x) <= 1.0, 0.5, 0.0))
     track = spreading_speed(sim, u0)
@@ -229,7 +236,8 @@ def cmd_sweep(cfg: dict, values: dict[str, list[float]], jobs: int) -> int:
     ms = values.get("m") or [cfg["m"]]
     alphas = values.get("alpha") or [cfg["alpha"]]
     gammas = values.get("gamma") or [cfg["gamma"]]
-    rows = sweep_speeds(chis, ms, alphas, gammas, jobs=jobs)
+    grid, t_end, dt = _speed_settings(cfg)
+    rows = sweep_speeds(chis, ms, alphas, gammas, grid, t_end, dt, jobs=jobs)
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
     cw_io.write_csv(os.path.join(out, "speeds.csv"), SWEEP_HEADER, rows)

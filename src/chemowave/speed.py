@@ -137,12 +137,9 @@ def _sweep_one(args) -> tuple:
         return (chi, m, alpha, gamma, math.nan, math.nan, cs, css)
 
 
-def sweep_speeds(chis, ms, alphas, gammas, grid: Grid | None = None,
-                 t_end: float = 60.0, dt: float | None = 0.02,
-                 jobs: int = 1) -> list[tuple]:
+def sweep_speeds(chis, ms, alphas, gammas, grid: Grid, t_end: float,
+                 dt: float | None, jobs: int = 1) -> list[tuple]:
     """One row per (chi, m, alpha, gamma) in lexicographic order."""
-    if grid is None:
-        grid = Grid.from_bounds(-40.0, 150.0, 0.05)
     combos = [(chi, m, a, g, (grid.x0, grid.h, grid.n), t_end, dt)
               for chi, m, a, g in itertools.product(chis, ms, alphas, gammas)]
     if jobs > 1 and len(combos) > 1:

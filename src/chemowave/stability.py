@@ -154,8 +154,7 @@ def run_stability(profile: WaveProfile, eta: float,
     u0 = perturbed_initial(profile)
     # step with exactly the discrete operator the profile is a fixed point of
     config = SimConfig(params=p, grid=profile.U.grid, t_end=t_end,
-                       frame_speed=profile.c_eff,
-                       robin_kappa=profile.robin_kappa,
+                       frame_speed=profile.c_eff, tail_kappa=kappa,
                        output_every=OUTPUT_EVERY, scheme=SCHEME)
     _, _, snapshots = run(config, u0)
     times = np.array([s.t for s in snapshots])
@@ -215,7 +214,7 @@ def apriori_checks(profile: WaveProfile) -> list[Check]:
 
     x = profile.U.grid.x
     # v and v_x from one solve, closed by the profile's own wave tails
-    V, Vx = (f.values for f in solve_v(p, profile.U, c))
+    V, Vx = (f.values for f in solve_v(p, profile.U, tail_kappa=kappa))
 
     def sup_check(name, vals, bound):
         excess = np.abs(vals) - bound      # bound scalar or per-node array

@@ -35,8 +35,8 @@ from scipy.linalg import solve_banded
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .barriers import BarrierSpec, default_barrier_spec, eval_sub, eval_super
-from .cauchy import (_imex_step, solve_v, steady_jacobian, steady_residual,
-                     v_tails_for)
+from .cauchy import (_imex_step, robin_rate, solve_v, steady_jacobian,
+                     steady_residual, v_tails_for)
 from .elliptic import solve_pair
 from .errors import (DomainError, NoConvergence, NormalizationError,
                      RegimeError, WindowTooShort)
@@ -88,12 +88,6 @@ def newton_tolerance(h: float, u_max: float) -> float:
     return max(NEWTON_TOL, ROUNDOFF_FACTOR * floor)
 
 
-def fitted_robin_kappa(c: float, h: float) -> float:
-    """Robin coefficient making the centered ghost exact for e^{-kappa x}."""
-    kappa = kappa_of_speed(c)
-    return math.sinh(kappa * h) / h
-
-
 @dataclass(frozen=True)
 class WaveProblem:
     params: Params
@@ -104,6 +98,11 @@ class WaveProblem:
     def __post_init__(self):
         if self.method not in ("FixedPoint", "CoupledRelax"):
             raise DomainError(f"unknown method {self.method!r}")
+
+    @property
+    def kappa(self) -> float:
+        """Decay rate of the wave's right tail, kappa(c)."""
+        return kappa_of_speed(self.c)
 
 
 @dataclass
@@ -120,7 +119,6 @@ class WaveProfile:
     params: Params
     method: str
     c_eff: float                     # fitted frame speed actually stepped
-    robin_kappa: float               # fitted Robin coefficient actually used
     sandwich_violation: float = math.nan
     barrier: BarrierSpec | None = None
     residual_history: list[float] = field(default_factory=list)
@@ -159,8 +157,7 @@ def _prepare(problem: WaveProblem):
     """Shared setup of both constructions.
 
     Checks regime and speed, and returns the barrier sandwich spec, its
-    upper and lower barriers on the grid, the fitted frame speed and the
-    fitted Robin coefficient.
+    upper and lower barriers on the grid and the fitted frame speed.
     """
     p = problem.params
     tag = classify_regime(p)
@@ -175,24 +172,25 @@ def _prepare(problem: WaveProblem):
         spec = replace(spec, D=d_min)
     return (spec, eval_super(spec, grid).values,
             eval_sub(spec, grid, clipped=True).values,
-            fitted_frame_speed(problem.c, grid.h),
-            fitted_robin_kappa(problem.c, grid.h))
+            fitted_frame_speed(problem.c, grid.h))
 
 
-def _relax(problem: WaveProblem, u: np.ndarray, V: Field, Vx: Field,
-           c_eff: float, robin_kappa: float) -> tuple[np.ndarray, float]:
+def _relax(problem: WaveProblem, u: np.ndarray,
+           c_eff: float) -> tuple[np.ndarray, float]:
     """Step from u, refreshing V after every step, until ||u_t||_inf < TOL_INNER.
 
     Returns the final state and its ||u_t||_inf.
     """
-    p, grid = problem.params, problem.grid
+    p, grid, kappa = problem.params, problem.grid, problem.kappa
+    rk = robin_rate(kappa, grid.h)
+    V, Vx = solve_v(p, Field(grid, u), tail_kappa=kappa)
     resid = math.inf
     for _ in range(MAX_INNER_STEPS):
-        un, dt, _ = _imex_step(p, u, V.values, Vx.values, c_eff, grid,
-                               robin_kappa, SCHEME)
+        un, dt, _ = _imex_step(p, u, V.values, Vx.values, c_eff, grid, rk,
+                               SCHEME)
         resid = float(np.abs(un - u).max()) / dt
         u = un
-        V, Vx = solve_v(p, Field(grid, u), problem.c)
+        V, Vx = solve_v(p, Field(grid, u), tail_kappa=kappa)
         if resid < TOL_INNER:
             return u, resid
     raise NoConvergence("coupled relaxation failed to reach steady state",
@@ -203,13 +201,14 @@ def _sandwich(u: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
     return max(float((lower - u).max()), float((u - upper).max()))
 
 
-def _newton_step(problem: WaveProblem, rk: float, u: np.ndarray,
-                 v: np.ndarray, vx: np.ndarray, ux: np.ndarray,
-                 F: np.ndarray, c_eff: float) -> np.ndarray:
+def _newton_step(problem: WaveProblem, u: np.ndarray, v: np.ndarray,
+                 vx: np.ndarray, ux: np.ndarray, F: np.ndarray,
+                 c_eff: float) -> np.ndarray:
     """(dU[0..n-2], dc_eff) solving J step = -F with U[n-1] held fixed."""
-    p, grid, c = problem.params, problem.grid, problem.c
+    p, grid, kappa = problem.params, problem.grid, problem.kappa
     n = grid.n
-    sub, diag, sup = steady_jacobian(p, u, v, vx, ux, c_eff, grid, rk)
+    sub, diag, sup = steady_jacobian(p, u, v, vx, ux, c_eff, grid,
+                                     robin_rate(kappa, grid.h))
     # preconditioner: the frozen-v Jacobian, tridiagonal in U[0..n-2] and
     # bordered by the pinned node's row and the dF/dc_eff = U_x column,
     # solved by eliminating the border
@@ -236,7 +235,7 @@ def _newton_step(problem: WaveProblem, rk: float, u: np.ndarray,
         out[:-1] += sup * du[1:]
         out[1:] += sub * du[:-1]
         src = Field(grid, dsrc * du)
-        dV, dVx = solve_pair(src, 1.0, 1.0, v_tails_for(p, src, c))
+        dV, dVx = solve_pair(src, 1.0, 1.0, v_tails_for(p, src, kappa))
         return out + dF_dv * dV.values + dF_dvx * dVx.values
 
     op = LinearOperator((n, n), matvec=lambda y: jvp(precond(y)), dtype=float)
@@ -247,25 +246,31 @@ def _newton_step(problem: WaveProblem, rk: float, u: np.ndarray,
     return precond(y)
 
 
-def _newton(problem: WaveProblem, u: np.ndarray, c_eff: float, rk: float,
-            tol: float, visit: Callable[[np.ndarray], None] | None = None
+def _newton(problem: WaveProblem, u: np.ndarray, c_eff: float, tol: float,
+            visit: Callable[[np.ndarray], None] | None = None
             ) -> tuple[np.ndarray, float, list[float]]:
     """Damped Newton-Krylov solve of the steady centered stepper from (u, c_eff).
 
-    Unknowns are (u[0..n-2], c_eff); u[n-1] stays where the caller put
-    it.  The line search halves a step until the iterate stays positive
-    and the sup residual falls; the solve stops once that residual is
-    below tol.  visit(u) sees every accepted iterate.  Returns the
-    solution, its c_eff and the sup residual of each iterate, the start
-    included.
+    Unknowns are (u[0..n-2], c_eff); the tail u[n-1] is pinned to
+    e^{-kappa x_R}, which fixes the translation and the barriers' tail
+    amplitude.  The line search halves a step until the iterate stays
+    positive and the sup residual falls; the solve stops once that
+    residual is below tol.  visit(u) sees the pinned start and every
+    accepted iterate.  Returns the solution, its c_eff and the sup
+    residual of each iterate, the start included.
     """
-    p, grid, c = problem.params, problem.grid, problem.c
+    p, grid, kappa = problem.params, problem.grid, problem.kappa
+    rk = robin_rate(kappa, grid.h)
 
     def residual(u, c_eff):
-        V, Vx = solve_v(p, Field(grid, u), c)
+        V, Vx = solve_v(p, Field(grid, u), tail_kappa=kappa)
         F, ux = steady_residual(p, u, V.values, Vx.values, c_eff, grid, rk)
         return F, ux, V.values, Vx.values
 
+    u = u.copy()
+    u[-1] = math.exp(-kappa * grid.x[-1])
+    if visit is not None:
+        visit(u)
     F, ux, v, vx = residual(u, c_eff)
     history = [float(np.abs(F).max())]
     while history[-1] >= tol:
@@ -273,7 +278,7 @@ def _newton(problem: WaveProblem, u: np.ndarray, c_eff: float, rk: float,
             raise NoConvergence(
                 f"Newton not converged after {MAX_NEWTON} iterations",
                 residual=history[-1], history=history)
-        step = _newton_step(problem, rk, u, v, vx, ux, F, c_eff)
+        step = _newton_step(problem, u, v, vx, ux, F, c_eff)
         du = np.append(step[:-1], 0.0)
         lam = 1.0
         while True:
@@ -298,9 +303,8 @@ def _newton(problem: WaveProblem, u: np.ndarray, c_eff: float, rk: float,
 def construct_fixed_point(problem: WaveProblem) -> WaveProfile:
     """Damped Newton-Krylov solve of the steady centered stepper.
 
-    Unknowns are (U[0..n-2], c_eff); the tail U[n-1] = e^{-kappa x_R}
-    is pinned, which fixes the translation and the barriers' tail
-    amplitude.  Each linear system is solved by GMRES, right
+    Unknowns are (U[0..n-2], c_eff) with the tail U[n-1] pinned (see
+    _newton).  Each linear system is solved by GMRES, right
     preconditioned by the frozen-v tridiagonal Jacobian whose pinned
     column is replaced by dF/dc_eff = U_x; the products with the exact
     Jacobian add the linear v response, one solve_pair of
@@ -308,25 +312,22 @@ def construct_fixed_point(problem: WaveProblem) -> WaveProfile:
     the fitted frame speed and stops once the sup residual is below
     newton_tolerance(h, M).
     """
-    grid = problem.grid
-    spec, upper, lower, c_eff, rk = _prepare(problem)
-    u = upper.copy()
-    u[-1] = math.exp(-kappa_of_speed(problem.c) * grid.x[-1])
-    sandwich = [_sandwich(u, lower, upper)]
+    spec, upper, lower, c_eff = _prepare(problem)
+    sandwich = []
     u, c_eff, history = _newton(
-        problem, u, c_eff, rk, newton_tolerance(grid.h, float(upper.max())),
+        problem, upper, c_eff,
+        newton_tolerance(problem.grid.h, float(upper.max())),
         lambda w: sandwich.append(_sandwich(w, lower, upper)))
     return _finish(problem, u, len(history) - 1, max(sandwich), spec,
-                   "FixedPoint", c_eff, rk, history)
+                   "FixedPoint", c_eff, history)
 
 
 def construct_relax(problem: WaveProblem) -> WaveProfile:
     """Steady state of the coupled moving-frame system from the super-solution."""
-    spec, upper, lower, c_eff, rk = _prepare(problem)
-    V, Vx = solve_v(problem.params, Field(problem.grid, upper), problem.c)
-    u, resid = _relax(problem, upper, V, Vx, c_eff, rk)
+    spec, upper, lower, c_eff = _prepare(problem)
+    u, resid = _relax(problem, upper, c_eff)
     return _finish(problem, u, 0, _sandwich(u, lower, upper), spec,
-                   "CoupledRelax", c_eff, rk, [resid])
+                   "CoupledRelax", c_eff, [resid])
 
 
 def construct(problem: WaveProblem) -> WaveProfile:
@@ -349,10 +350,7 @@ def settle(profile: WaveProfile) -> WaveProfile:
     """
     grid = profile.U.grid
     problem = WaveProblem(profile.params, profile.c, grid, profile.method)
-    u = profile.U.values.copy()
-    u[-1] = math.exp(-profile.kappa * grid.x[-1])
-    rk = profile.robin_kappa
-    u, c_eff, history = _newton(problem, u, profile.c_eff, rk,
+    u, c_eff, history = _newton(problem, profile.U.values, profile.c_eff,
                                 newton_tolerance(grid.h, profile.barrier.M))
     if len(history) == 1:
         return profile
@@ -360,24 +358,22 @@ def settle(profile: WaveProfile) -> WaveProfile:
     # the weight makes visible; one more lands on the round-off floor,
     # unless the line search finds the floor already reached
     try:
-        u, c_eff, last = _newton(problem, u, c_eff, rk, history[-1])
+        u, c_eff, last = _newton(problem, u, c_eff, history[-1])
         history += last[1:]
     except NoConvergence:
         pass
     return _finish(problem, u, profile.outer_iters + len(history) - 1,
                    profile.sandwich_violation, profile.barrier,
-                   profile.method, c_eff, rk,
-                   profile.residual_history + history)
+                   profile.method, c_eff, profile.residual_history + history)
 
 
 def _finish(problem: WaveProblem, u: np.ndarray, outer: int, sandwich: float,
             spec: BarrierSpec, method: str, c_eff: float,
-            robin_kappa: float, history: list[float]) -> WaveProfile:
+            history: list[float]) -> WaveProfile:
     p = problem.params
-    grid = problem.grid
-    U = Field(grid, u)
-    V, _ = solve_v(p, U, problem.c)
-    kappa = kappa_of_speed(problem.c)
+    kappa = problem.kappa
+    U = Field(problem.grid, u)
+    V, _ = solve_v(p, U, tail_kappa=kappa)
     left, right = _limits(u)
     try:
         diag = diagnose_profile_field(U, kappa, kappa1_default(p, kappa))
@@ -388,8 +384,7 @@ def _finish(problem: WaveProblem, u: np.ndarray, outer: int, sandwich: float,
                        left_limit=left, right_limit=right,
                        monotonicity_violation=_monotonicity_violation(U),
                        outer_iters=outer, params=p, method=method,
-                       c_eff=c_eff, robin_kappa=robin_kappa,
-                       sandwich_violation=sandwich, barrier=spec,
+                       c_eff=c_eff, sandwich_violation=sandwich, barrier=spec,
                        residual_history=list(history))
 
 

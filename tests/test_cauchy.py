@@ -4,17 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chemowave.cauchy import (Monitors, SimConfig, State, monitor_bounds, run,
-                              solve_v)
+from chemowave.cauchy import (Monitors, SimConfig, State, _ghosted,
+                              monitor_bounds, robin_rate, run, solve_v)
+from chemowave.elliptic import TailSpec, solve_pair
 from chemowave.errors import BlowupDetected, DomainError, StiffnessError
 from chemowave.fields import Field, Grid
-from chemowave.params import Params, kappa_of_speed
+from chemowave.params import Params
 
 
-def make_state(p, grid, values, frame_speed=0.0):
+def make_state(p, grid, values):
     u = Field(grid, values)
-    v, _ = solve_v(p, u, frame_speed)
+    v, _ = solve_v(p, u, tail_kappa=0.0)
     return State(0.0, u, v)
 
 
@@ -43,7 +45,7 @@ def test_single_step_refreshes_v():
     assert len(snaps) == 4
     for s in snaps[1:]:
         assert s.t > 0
-        v_expected, _ = solve_v(p, s.u, 0.0)
+        v_expected, _ = solve_v(p, s.u, tail_kappa=0.0)
         assert np.abs(s.v.values - v_expected.values).max() == 0.0
 
 
@@ -138,15 +140,34 @@ def test_bound_chi_negative_short():
     assert monitor_bounds(final, p, u0_sup=2.0) == []
 
 
-def test_moving_frame_default_bc_is_robin():
-    g = Grid.from_bounds(-10, 10, 0.1)
-    cfg = SimConfig(params=Params(0.0), grid=g, t_end=1.0, frame_speed=3.0)
-    assert cfg.resolved_robin_kappa() == kappa_of_speed(3.0)
-    cfg_lab = SimConfig(params=Params(0.0), grid=g, t_end=1.0)
-    assert cfg_lab.resolved_robin_kappa() == 0.0        # zero flux
-    cfg_set = SimConfig(params=Params(0.0), grid=g, t_end=1.0, frame_speed=3.0,
-                        robin_kappa=0.25)
-    assert cfg_set.resolved_robin_kappa() == 0.25
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(k=st.floats(0.0, 1.0), h=st.floats(0.01, 0.1))
+def test_robin_ghost_continues_the_exponential_tail(k, h):
+    g = Grid(-1.0, h, 64)
+    ghost = _ghosted(np.exp(-k * g.x), h, robin_rate(k, h))[-1]
+    assert ghost == pytest.approx(math.exp(-k * (g.x[-1] + h)), rel=1e-13)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(h=st.floats(0.01, 0.1), right=st.floats(0.0, 1.0),
+       gamma=st.floats(1.0, 3.0))
+def test_zero_tail_rate_is_the_plateau_closure(h, right, gamma):
+    g = Grid(-5.0, h, 256)
+    p = Params(0.0, gamma=gamma)
+    u = Field(g, 1.0 - (1.0 - right) * 0.5 * (1.0 + np.tanh(g.x)))
+    src = u.with_values(np.power(u.values, gamma))
+    expected = solve_pair(src, 1.0, 1.0, TailSpec.constant_ends(src))
+    for got, want in zip(solve_v(p, u, tail_kappa=0.0), expected):
+        assert np.array_equal(got.values, want.values)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(bad=st.one_of(st.floats(max_value=-5e-324),
+                     st.sampled_from([math.inf, math.nan])))
+def test_config_refuses_bad_tail_rate(bad):
+    with pytest.raises(DomainError, match="tail_kappa"):
+        SimConfig(params=Params(0.0), grid=Grid(-1.0, 0.1, 16), t_end=1.0,
+                  tail_kappa=bad)
 
 
 def test_stiffness_error():
@@ -177,7 +198,7 @@ def test_run_validates_inputs():
         run(SimConfig(params=p, grid=g, t_end=1.0), Field(g, -np.ones(g.n)))
     # non-finite settings are refused on construction; none is run
     for bad in ({"t_end": math.inf}, {"t_end": math.nan}, {"dt": math.nan},
-                {"output_every": math.nan}, {"robin_kappa": math.inf}):
+                {"output_every": math.nan}, {"tail_kappa": math.inf}):
         with pytest.raises(DomainError, match="must be finite"):
             SimConfig(**{"params": p, "grid": g, "t_end": 1.0, **bad})
 
@@ -199,7 +220,7 @@ def test_auto_dt_obeys_both_bounds():
         p = Params(chi, 1.5, 1.5, 2.0)
         u = Field(g, 2.0 * np.convolve(rng.uniform(size=g.n),
                                        np.ones(31) / 31, mode="same"))
-        v, vx = solve_v(p, u, 0.0)
+        v, vx = solve_v(p, u, tail_kappa=0.0)
         dt = auto_dt(p, u.values, v.values, vx.values, 3.0, g.h)
         w = advective_velocity(p, u.values, vx.values, 3.0)
         assert dt <= 0.5 * g.h / np.abs(w).max() + 1e-15

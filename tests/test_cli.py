@@ -10,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 from chemowave import waves
 from chemowave.cli import _NUMERIC, main, parse_config, emit_plot
 from chemowave.errors import DomainError
+from chemowave.fields import Grid
+from chemowave.io import fmt
+from chemowave.speed import sweep_speeds
 from chemowave.waves import NEWTON_TOL, fitted_frame_speed
 
 
@@ -191,6 +194,22 @@ def test_sweep_subcommand(tmp_path):
     rows = (out / "speeds.csv").read_text().splitlines()
     assert rows[0] == "chi,m,alpha,gamma,c_fit,r2,c_star,c_star_star"
     assert len(rows) == 2 and rows[1].startswith("0,1,1,1,")
+
+
+def test_sweep_runs_the_flagged_grid_and_times(tmp_path):
+    out = tmp_path / "sw"
+    code = main(["sweep", "--chi-values", "0", "--grid-left", "-30",
+                 "--grid-right", "120", "--grid-h", "0.1", "--t-end", "40",
+                 "--dt", "0.05", "--out-dir", str(out)])
+    assert code == 0
+    row = sweep_speeds([0.0], [1.0], [1.0], [1.0],
+                       grid=Grid.from_bounds(-30, 120, 0.1), t_end=40.0,
+                       dt=0.05)[0]
+    written = (out / "speeds.csv").read_text().splitlines()[1]
+    assert written == ",".join(fmt(v) for v in row)
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["grid.left"], config["grid.right"], config["grid.h"],
+            config["t_end"], config["dt"]) == (-30.0, 120.0, 0.1, 40.0, 0.05)
 
 
 def test_emit_plot_errors(tmp_path):

@@ -112,7 +112,8 @@ def test_sweep_rows_lexicographic():
 
 
 def test_sweep_empty():
-    assert sweep_speeds([], [1.0], [1.0], [1.0]) == []
+    assert sweep_speeds([], [1.0], [1.0], [1.0],
+                        Grid.from_bounds(-30, 120, 0.1), 40.0, 0.05) == []
 
 
 def test_sweep_failed_row_logged():

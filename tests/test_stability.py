@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+from chemowave import stability
+from chemowave.cauchy import run, solve_v
 from chemowave.errors import DomainError, TruncationWarning
 from chemowave.fields import Field, Grid
 from chemowave.params import Params, kappa_of_speed, SIGMA, constants_report
@@ -126,6 +128,25 @@ def test_run_stability_records_truncation(stab_fisher_profile):
     assert rec.truncated_from_t > 0.0
 
 
+def test_run_stability_closes_v_at_the_profile_rate(stab_small_chi_profile,
+                                                    monkeypatch):
+    # the run steps at c_eff, but v leaves the grid at gamma kappa(c), the
+    # rate the profile's own Newton residual closes it with
+    prof = stab_small_chi_profile
+    starts = []
+
+    def spy(config, u0, out_dir=None):
+        result = run(config, u0, out_dir)
+        starts.append((u0, result[2][0].v))
+        return result
+
+    monkeypatch.setattr(stability, "run", spy)
+    run_stability(prof, 0.65, t_end=0.25)
+    u0, v = starts[0]
+    expected, _ = solve_v(prof.params, u0, tail_kappa=prof.kappa)
+    assert np.array_equal(v.values, expected.values)
+
+
 def test_run_stability_eta_out_of_window(stab_fisher_profile):
     with pytest.raises(DomainError):
         run_stability(stab_fisher_profile, 0.2, t_end=1.0)
@@ -164,7 +185,7 @@ def test_apriori_checks_close_v_with_wave_tails():
     prof = WaveProfile(U=U, V=V, c=c, kappa=k, kappa_fit=math.nan,
                        left_limit=1.0, right_limit=float(U.values[-1]),
                        monotonicity_violation=0.0, outer_iters=0, params=p,
-                       method="FixedPoint", c_eff=c, robin_kappa=k)
+                       method="FixedPoint", c_eff=c)
     checks = {ch.name: ch for ch in apriori_checks(prof)}
     vx = checks["abs(v_x) refined exponential bound"]
     assert vx.location == pytest.approx(g.x1)

@@ -24,3 +24,27 @@ def test_every_probe_resolves():
                                        attr, None))]
     assert missing == []
     assert callable(chemowave.fields.Field.__post_init__)
+
+
+def test_tracer_counts_a_small_wave_and_simulate(tmp_path):
+    # a renamed function or a changed signature breaks here, not in a
+    # benchmark run
+    import chemowave.cli
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        codes = [chemowave.cli.main(argv + ["--out-dir", str(tmp_path / name)])
+                 for name, argv in (
+                     ("wave", ["wave", "--chi", "-1", "--c", "4",
+                               "--grid-left", "-20", "--grid-right", "30"]),
+                     ("sim", ["simulate", "--grid-left", "-10",
+                              "--grid-right", "10", "--grid-h", "0.1",
+                              "--t-end", "1"]))]
+    finally:
+        restored = tracer.restore()
+    assert codes == [0, 0]
+    assert restored
+    layers = tracer.summarize(1.0)
+    for key in ("cauchy.steps", "waves.outer_iters",
+                "elliptic.solve_pair_calls"):
+        assert layers[key] > 0, key

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chemowave import waves
-from chemowave.cauchy import _imex_step, advance_imex, auto_dt, solve_v
+from chemowave.cauchy import (_imex_step, advance_imex, auto_dt, robin_rate,
+                              solve_v)
 from chemowave.errors import (NoConvergence, NormalizationError, RegimeError,
                               SpeedError, TruncationWarning, WindowTooShort)
 from chemowave.fields import Field, Grid
@@ -24,13 +25,20 @@ from chemowave.stability import default_eta, run_stability
 def synthetic_profile(grid, fn, kappa, c, params=Params(0.0)):
     from chemowave.waves import WaveProfile
     U = Field(grid, fn(grid.x))
-    v, _ = solve_v(params, U, c)
+    v, _ = solve_v(params, U, tail_kappa=kappa)
     return WaveProfile(U=U, V=v, c=c, kappa=kappa, kappa_fit=math.nan,
                        left_limit=float(U.values[0]),
                        right_limit=float(U.values[-1]),
                        monotonicity_violation=0.0, outer_iters=0,
-                       params=params, method="FixedPoint", c_eff=c,
-                       robin_kappa=kappa)
+                       params=params, method="FixedPoint", c_eff=c)
+
+
+def stepped(prof):
+    """One centered step of prof with its own V, c_eff and tail rate."""
+    V, Vx = solve_v(prof.params, prof.U, tail_kappa=prof.kappa)
+    return _imex_step(prof.params, prof.U.values, V.values, Vx.values,
+                      prof.c_eff, prof.U.grid,
+                      robin_rate(prof.kappa, prof.U.grid.h), SCHEME)
 
 
 def test_diagnose_exact_exponential():
@@ -104,7 +112,7 @@ def test_inner_relaxation_monotone_neg_chi():
     g = Grid.from_bounds(-40, 40, 0.05)
     spec = default_barrier_spec(p, c, M=1.0)
     u = eval_super(spec, g).values.copy()
-    V, Vx = solve_v(p, Field(g, u), c)
+    V, Vx = solve_v(p, Field(g, u), tail_kappa=spec.kappa)
     c_eff = fitted_frame_speed(c, g.h)
     t = 0.0
     while t < 5.0:
@@ -136,15 +144,10 @@ def test_fixed_point_profile_fisher(fisher_profile):
 @pytest.mark.parametrize("fixture", ["neg_profile", "pos_profile",
                                      "fisher_profile"])
 def test_profile_is_stepper_fixed_point(fixture, request):
-    # one centered step with the profile's own V, c_eff and Robin rate
     prof = request.getfixturevalue(fixture)
-    u = prof.U.values
-    V, Vx = solve_v(prof.params, prof.U, prof.c)
-    un, dt, clamped = _imex_step(prof.params, u, V.values, Vx.values,
-                                 prof.c_eff, prof.U.grid, prof.robin_kappa,
-                                 SCHEME)
+    un, dt, clamped = stepped(prof)
     assert clamped == 0
-    assert float(np.abs(un - u).max()) <= 1e-11 * dt
+    assert float(np.abs(un - prof.U.values).max()) <= 1e-11 * dt
 
 
 @pytest.mark.parametrize("chi, c", [(-1.0, 4.0), (0.25, 2.5)])
@@ -158,11 +161,8 @@ def test_fixed_point_fine_grid(chi, c):
     tol = newton_tolerance(g.h, prof.barrier.M)
     assert tol > NEWTON_TOL
     assert prof.residual_history[-1] < tol
-    u = prof.U.values
-    V, Vx = solve_v(prof.params, prof.U, prof.c)
-    un, dt, _ = _imex_step(prof.params, u, V.values, Vx.values, prof.c_eff,
-                           g, prof.robin_kappa, SCHEME)
-    assert float(np.abs(un - u).max()) <= 10.0 * tol * dt
+    un, dt, _ = stepped(prof)
+    assert float(np.abs(un - prof.U.values).max()) <= 10.0 * tol * dt
 
 
 def test_newton_tolerance_is_nominal_on_default_grids():
@@ -245,11 +245,8 @@ def test_settle_makes_relax_profile_stationary(stability_grid,
     prof = settle(relax)
     assert prof.residual_history[0] == relax.residual_history[0]
     assert prof.residual_history[-1] < NEWTON_TOL
-    u = prof.U.values
-    V, Vx = solve_v(prof.params, prof.U, prof.c)
-    un, dt, _ = _imex_step(prof.params, u, V.values, Vx.values, prof.c_eff,
-                           stability_grid, prof.robin_kappa, SCHEME)
-    assert float(np.abs(un - u).max()) <= 1e-11 * dt
+    un, dt, _ = stepped(prof)
+    assert float(np.abs(un - prof.U.values).max()) <= 1e-11 * dt
     assert abs(prof.c_eff - stab_fisher_profile.c_eff) <= 1e-12
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
