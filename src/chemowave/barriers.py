@@ -12,6 +12,8 @@ plateau kink), the sub-solution is e^{-kx} - D e^{-kt x} for D large
 enough (nonnegative residual right of its zero x_minus), and small
 constants d <= d_sub are sub-solutions everywhere.
 
+A(W; u) is the moving-frame operator of the centered stepper: the
+interior rows of `cauchy.steady_residual` at W with V frozen.
 Residuals use centered second-order differences, so a continuum sign
 statement is certified only up to the discrete slack
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
 
-from .cauchy import solve_v
+from .cauchy import solve_v, steady_residual
 from .errors import DomainError
 from .fields import Field, Grid
 from .params import (Params, RegimeTag, barrier_constants,
@@ -105,18 +107,8 @@ def solve_V(u: Field, params: Params, c: float) -> tuple[Field, Field]:
 
 def _residual_given_V(W: Field, V: Field, Vx: Field, p: Params, c: float) -> Field:
     _pow_guard(W.values, p)
-    h = W.grid.h
-    w = W.values
-    wx = (w[2:] - w[:-2]) / (2.0 * h)
-    wxx = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / (h * h)
-    wi = w[1:-1]
-    vi = V.values[1:-1]
-    vxi = Vx.values[1:-1]
-    wm1 = np.power(wi, p.m - 1.0)
-    res = (wxx + c * wx - p.chi * p.m * wm1 * vxi * wx
-           + wi * (1.0 - p.chi * wm1 * vi
-                   - (np.power(wi, p.alpha) - p.chi * np.power(wi, p.m + p.gamma - 1.0))))
-    return Field(W.grid.interior(), res)
+    res, _ = steady_residual(p, W.values, V.values, Vx.values, c, W.grid, 0.0)
+    return Field(W.grid.interior(), res[1:-1])
 
 
 def residual_A(W: Field, u: Field, params: Params, c: float) -> Field:

@@ -14,12 +14,14 @@ One IMEX step treats diffusion implicitly (tridiagonal solve), the
 advective term w u_x explicitly with first-order upwinding on the sign
 of w (a centered variant exists for the wave-construction lane), and
 the reaction and chemotaxis source explicitly; negative nodes are then
-clamped to zero and counted.  Every time step in the package, lab-frame
-runs here and the wave lane's relaxations, goes through `_imex_step`;
-each caller keeps its own stop rule and its own refresh of v (`run`
-refreshes v from u after every step).  `steady_residual` and
-`steady_jacobian` are the steady form of the centered step and its
-frozen-v Jacobian, which the wave lane's Newton solve drives to zero.
+clamped to zero and counted.  `march` is the package's one stepping
+loop: it checks u0, takes each clamped step, checks it is finite,
+refreshes v from the new u and caps dt at output times and t_end.
+Callers only consume what it yields: `run` records samples, and the
+wave lane's CoupledRelax stops it at a steady state.
+`steady_residual` and `steady_jacobian` are the steady form of the
+centered step and its frozen-v Jacobian, which the wave lane's Newton
+solve drives to zero; the barrier residual reads its interior rows.
 One right-edge decay rate kappa (SimConfig.tail_kappa) closes u and v;
 it is 0 in the lab frame and kappa(c) in the wave lane.
 The automatic time step obeys
@@ -33,6 +35,7 @@ Jacobian magnitude, recomputed every step.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -44,6 +47,7 @@ from .fields import Field, Grid, level_crossings
 from .params import Params, RegimeTag, M_chi, classify_regime
 
 DT_FLOOR = 1e-10
+DT_MAX = 0.1                     # cap on the automatic time step
 MONITOR_SLACK = 1e-6
 FRONT_LEVEL = 0.5                # level whose rightmost crossing is the front
 
@@ -160,7 +164,7 @@ def auto_dt(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
         dt = min(dt, 0.5 * h / vmax)
     if rmax > 0:
         dt = min(dt, 0.1 / rmax)
-    return min(dt, 0.1)
+    return min(dt, DT_MAX)
 
 
 def _ghosted(u: np.ndarray, h: float, robin_kappa: float) -> np.ndarray:
@@ -245,28 +249,6 @@ def steady_jacobian(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
     return sub, diag, sup
 
 
-def _imex_step(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
-               c: float, grid: Grid, robin_kappa: float, scheme: str,
-               dt: float | None = None,
-               dt_max: float = math.inf) -> tuple[np.ndarray, float, int]:
-    """One clamped IMEX step with frozen (v, v_x): (u_new, dt, clamped nodes).
-
-    dt is automatic when None; it must clear DT_FLOOR before it is capped
-    at dt_max.
-    """
-    if dt is None:
-        dt = auto_dt(p, u, v, vx, c, grid.h)
-    if dt < DT_FLOOR:
-        raise StiffnessError(f"dt underflow: {dt:.3e} < {DT_FLOOR:g}")
-    dt = min(dt, dt_max)
-    un = advance_imex(p, u, v, vx, c, dt, grid, robin_kappa, scheme)
-    clamped = 0
-    if un.min() < 0:
-        clamped = int((un < 0).sum())
-        un = np.maximum(un, 0.0)
-    return un, dt, clamped
-
-
 def _check_finite(u: np.ndarray, t: float, grid: Grid) -> None:
     if not np.all(np.isfinite(u)):
         i = int(np.flatnonzero(~np.isfinite(u))[0])
@@ -275,43 +257,65 @@ def _check_finite(u: np.ndarray, t: float, grid: Grid) -> None:
             t=t, x=grid.x0 + i * grid.h)
 
 
-def run(config: SimConfig, u0: Field,
-        out_dir: str | None = None) -> tuple[State, Monitors, list[State]]:
-    """Integrate to t_end, recording monitors and snapshots every output_every."""
-    p = config.params
-    if u0.grid != config.grid:
+def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
+    """Step u0 to t_end: yields (t, u, v, v_x, dt, clamped, sample).
+
+    The first yield is the initial state (dt 0); then one per clamped
+    IMEX step, v refreshed from the new u.  dt is config.dt or automatic;
+    it must clear DT_FLOOR before it is capped so that a step lands on
+    every multiple of output_every and on t_end.  sample marks those
+    landings and the final state.
+    """
+    p, grid = config.params, config.grid
+    if u0.grid != grid:
         raise DomainError("u0 grid does not match config.grid")
     if u0.min() < 0:
         raise DomainError("u0 must be nonnegative")
 
-    robin_kappa = robin_rate(config.tail_kappa, config.grid.h)
-    x = config.grid.x
-    u = u0.values
+    robin_kappa = robin_rate(config.tail_kappa, grid.h)
     v, vx = solve_v(p, u0, tail_kappa=config.tail_kappa)
-    monitors = Monitors()
-    monitors.record(0.0, u, x)
-    snapshots = [State(0.0, u0, v)]
-
     t = 0.0
+    yield t, u0, v, vx, 0.0, 0, True
+
+    u = u0.values
     next_out = config.output_every
     while t < config.t_end - 1e-12:
-        u, dt, clamped = _imex_step(
-            p, u, v.values, vx.values, config.frame_speed, config.grid,
-            robin_kappa, config.scheme, config.dt,
-            min(next_out - t, config.t_end - t))
-        monitors.clamp_count += clamped
-        monitors.node_steps += config.grid.n
+        dt = config.dt
+        if dt is None:
+            dt = auto_dt(p, u, v.values, vx.values, config.frame_speed, grid.h)
+        if dt < DT_FLOOR:
+            raise StiffnessError(f"dt underflow: {dt:.3e} < {DT_FLOOR:g}")
+        dt = min(dt, next_out - t, config.t_end - t)
+        u = advance_imex(p, u, v.values, vx.values, config.frame_speed, dt,
+                         grid, robin_kappa, config.scheme)
+        clamped = 0
+        if u.min() < 0:
+            clamped = int((u < 0).sum())
+            u = np.maximum(u, 0.0)
         t += dt
-        _check_finite(u, t, config.grid)
-        uf = Field(config.grid, u)
+        _check_finite(u, t, grid)
+        uf = Field(grid, u)
         v, vx = solve_v(p, uf, tail_kappa=config.tail_kappa)
-        if t >= next_out - 1e-12:
-            monitors.record(t, u, x)
-            snapshots.append(State(t, uf, v))
+        sample = t >= next_out - 1e-12
+        if sample:
             next_out = round(next_out / config.output_every + 1) * config.output_every
-    if t - snapshots[-1].t > 1e-12:
-        monitors.record(t, u, x)
-        snapshots.append(State(t, Field(config.grid, u), v))
+        yield (t, uf, v, vx, dt, clamped,
+               sample or t >= config.t_end - 1e-12)
+
+
+def run(config: SimConfig, u0: Field,
+        out_dir: str | None = None) -> tuple[State, Monitors, list[State]]:
+    """Integrate to t_end, recording monitors and snapshots at march's samples."""
+    x = config.grid.x
+    monitors = Monitors()
+    snapshots = []
+    for t, u, v, _, dt, clamped, sample in march(config, u0):
+        monitors.clamp_count += clamped
+        if dt:
+            monitors.node_steps += config.grid.n
+        if sample:
+            monitors.record(t, u.values, x)
+            snapshots.append(State(t, u, v))
     monitors.finalize()
     final = snapshots[-1]
 

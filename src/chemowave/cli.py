@@ -21,7 +21,8 @@ import numpy as np
 from . import io as cw_io
 from .cauchy import SimConfig, monitor_bounds, run
 from .errors import (BlowupDetected, DomainError, NoConvergence, NoFront,
-                     RegimeError, SpeedError, StiffnessError)
+                     NormalizationError, RegimeError, SpeedError,
+                     StiffnessError, WindowTooShort)
 from .fields import Field, Grid
 from .params import Params, constants_report
 from .speed import SWEEP_HEADER, spreading_speed, sweep_speeds
@@ -200,23 +201,23 @@ def cmd_stability(cfg: dict) -> int:
     return 0 if record.passed else 2
 
 
-def _speed_settings(cfg: dict) -> tuple[Grid, float, float]:
-    """Grid, t_end and dt of a speed or sweep run, also written into cfg.
+def _speed_settings(cfg: dict) -> SimConfig:
+    """Run settings of a speed or sweep run; the defaults are written into cfg.
 
     A front at speed ~2 from x = 0 nears x = 120 by the default t_end 60.
+    dt defaults to 0.02; an explicit auto selects the automatic step.
     """
     for key, value in (("grid.left", -40.0), ("grid.right", 150.0),
-                       ("t_end", 60.0)):
+                       ("t_end", 60.0), ("dt", 0.02)):
         if key not in cfg["_explicit"]:
             cfg[key] = value
-    cfg["dt"] = cfg["dt"] or 0.02
-    return _grid(cfg), cfg["t_end"], cfg["dt"]
+    return SimConfig(params=_params(cfg), grid=_grid(cfg), t_end=cfg["t_end"],
+                     dt=cfg["dt"], output_every=1.0)
 
 
 def cmd_speed(cfg: dict) -> int:
-    grid, t_end, dt = _speed_settings(cfg)
-    sim = SimConfig(params=_params(cfg), grid=grid, t_end=t_end, dt=dt,
-                    output_every=1.0)
+    sim = _speed_settings(cfg)
+    grid = sim.grid
     u0 = Field(grid, np.where(np.abs(grid.x) <= 1.0, 0.5, 0.0))
     track = spreading_speed(sim, u0)
     out = cfg["out_dir"]
@@ -236,8 +237,9 @@ def cmd_sweep(cfg: dict, values: dict[str, list[float]], jobs: int) -> int:
     ms = values.get("m") or [cfg["m"]]
     alphas = values.get("alpha") or [cfg["alpha"]]
     gammas = values.get("gamma") or [cfg["gamma"]]
-    grid, t_end, dt = _speed_settings(cfg)
-    rows = sweep_speeds(chis, ms, alphas, gammas, grid, t_end, dt, jobs=jobs)
+    sim = _speed_settings(cfg)
+    rows = sweep_speeds(chis, ms, alphas, gammas, sim.grid, sim.t_end, sim.dt,
+                        jobs=jobs)
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
     cw_io.write_csv(os.path.join(out, "speeds.csv"), SWEEP_HEADER, rows)
@@ -391,7 +393,8 @@ def main(argv=None) -> int:
     except (SpeedError, NoConvergence, BlowupDetected, StiffnessError) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, RegimeError, NoFront, OSError) as exc:
+    except (DomainError, RegimeError, NoFront, NormalizationError,
+            WindowTooShort, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,8 +14,10 @@ Two routes to a stationary profile of the moving-frame system
   fixed point of the stepper to round-off.
 
 * CoupledRelax: direct relaxation of the fully coupled moving-frame
-  system from the same initial condition until ||u_t||_inf < TOL_INNER,
-  an independent cross-check.
+  system from the same initial condition, an independent cross-check.
+  It runs `cauchy.march`, the package's one stepping loop, at the
+  fitted frame speed and stops it once ||u_t||_inf < TOL_INNER; at most
+  MAX_INNER_STEPS steps are taken.
 
 Profiles built here use centered advection: the wave targets (decay-rate
 fits, barrier sandwiches at 1e-8) need the O(h^2) spatial accuracy, and
@@ -26,6 +28,7 @@ first-order upwinding independently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -35,8 +38,8 @@ from scipy.linalg import solve_banded
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .barriers import BarrierSpec, default_barrier_spec, eval_sub, eval_super
-from .cauchy import (_imex_step, robin_rate, solve_v, steady_jacobian,
-                     steady_residual, v_tails_for)
+from .cauchy import (DT_MAX, SimConfig, march, robin_rate, solve_v,
+                     steady_jacobian, steady_residual, v_tails_for)
 from .elliptic import solve_pair
 from .errors import (DomainError, NoConvergence, NormalizationError,
                      RegimeError, WindowTooShort)
@@ -48,7 +51,7 @@ FIT_WINDOW = (1e-6, 1e-2)
 MIN_WINDOW_LENGTH = 5.0
 SCHEME = "centered"          # advection scheme of every wave-lane step
 TOL_INNER = 1e-8             # CoupledRelax steady state: ||u_t||_inf below this
-MAX_INNER_STEPS = 400_000
+MAX_INNER_STEPS = 400_000    # CoupledRelax step budget
 NEWTON_TOL = 1e-12           # FixedPoint: sup of the steady residual below this
 ROUNDOFF_FACTOR = 10.0       # ... or below this many times its round-off floor
 MAX_NEWTON = 50
@@ -111,10 +114,6 @@ class WaveProfile:
     V: Field
     c: float
     kappa: float
-    kappa_fit: float
-    left_limit: float
-    right_limit: float
-    monotonicity_violation: float
     outer_iters: int
     params: Params
     method: str
@@ -143,16 +142,6 @@ class WaveDiagnostics:
     right_limit: float
 
 
-def _limits(u: np.ndarray) -> tuple[float, float]:
-    k = max(3, u.size // 20)
-    return float(u[:k].mean()), float(u[-k:].mean())
-
-
-def _monotonicity_violation(U: Field) -> float:
-    d = (U.values[2:] - U.values[:-2]) / (2.0 * U.grid.h)
-    return float(max(0.0, d.max()))
-
-
 def _prepare(problem: WaveProblem):
     """Shared setup of both constructions.
 
@@ -173,28 +162,6 @@ def _prepare(problem: WaveProblem):
     return (spec, eval_super(spec, grid).values,
             eval_sub(spec, grid, clipped=True).values,
             fitted_frame_speed(problem.c, grid.h))
-
-
-def _relax(problem: WaveProblem, u: np.ndarray,
-           c_eff: float) -> tuple[np.ndarray, float]:
-    """Step from u, refreshing V after every step, until ||u_t||_inf < TOL_INNER.
-
-    Returns the final state and its ||u_t||_inf.
-    """
-    p, grid, kappa = problem.params, problem.grid, problem.kappa
-    rk = robin_rate(kappa, grid.h)
-    V, Vx = solve_v(p, Field(grid, u), tail_kappa=kappa)
-    resid = math.inf
-    for _ in range(MAX_INNER_STEPS):
-        un, dt, _ = _imex_step(p, u, V.values, Vx.values, c_eff, grid, rk,
-                               SCHEME)
-        resid = float(np.abs(un - u).max()) / dt
-        u = un
-        V, Vx = solve_v(p, Field(grid, u), tail_kappa=kappa)
-        if resid < TOL_INNER:
-            return u, resid
-    raise NoConvergence("coupled relaxation failed to reach steady state",
-                        residual=resid)
 
 
 def _sandwich(u: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
@@ -323,11 +290,26 @@ def construct_fixed_point(problem: WaveProblem) -> WaveProfile:
 
 
 def construct_relax(problem: WaveProblem) -> WaveProfile:
-    """Steady state of the coupled moving-frame system from the super-solution."""
+    """Steady state of the coupled moving-frame system from the super-solution.
+
+    march runs to t_end = MAX_INNER_STEPS * DT_MAX, so neither its
+    output times nor its end cap a step before the step budget runs out.
+    """
     spec, upper, lower, c_eff = _prepare(problem)
-    u, resid = _relax(problem, upper, c_eff)
-    return _finish(problem, u, 0, _sandwich(u, lower, upper), spec,
-                   "CoupledRelax", c_eff, [resid])
+    horizon = MAX_INNER_STEPS * DT_MAX
+    config = SimConfig(problem.params, problem.grid, t_end=horizon,
+                       frame_speed=c_eff, tail_kappa=problem.kappa,
+                       output_every=horizon, scheme=SCHEME)
+    u, resid = upper, math.inf
+    for _, un, _, _, dt, _, _ in itertools.islice(
+            march(config, Field(problem.grid, upper)), 1, MAX_INNER_STEPS + 1):
+        resid = float(np.abs(un.values - u).max()) / dt
+        u = un.values
+        if resid < TOL_INNER:
+            return _finish(problem, u, 0, _sandwich(u, lower, upper), spec,
+                           "CoupledRelax", c_eff, [resid])
+    raise NoConvergence("coupled relaxation failed to reach steady state",
+                        residual=resid)
 
 
 def construct(problem: WaveProblem) -> WaveProfile:
@@ -374,15 +356,7 @@ def _finish(problem: WaveProblem, u: np.ndarray, outer: int, sandwich: float,
     kappa = problem.kappa
     U = Field(problem.grid, u)
     V, _ = solve_v(p, U, tail_kappa=kappa)
-    left, right = _limits(u)
-    try:
-        diag = diagnose_profile_field(U, kappa, kappa1_default(p, kappa))
-        kappa_fit = diag.kappa_fit
-    except WindowTooShort:
-        kappa_fit = math.nan
-    return WaveProfile(U=U, V=V, c=problem.c, kappa=kappa, kappa_fit=kappa_fit,
-                       left_limit=left, right_limit=right,
-                       monotonicity_violation=_monotonicity_violation(U),
+    return WaveProfile(U=U, V=V, c=problem.c, kappa=kappa,
                        outer_iters=outer, params=p, method=method,
                        c_eff=c_eff, sandwich_violation=sandwich, barrier=spec,
                        residual_history=list(history))
@@ -413,13 +387,15 @@ def diagnose_profile_field(U: Field, kappa: float, kappa1: float) -> WaveDiagnos
         trend = float(np.polyfit(xr[pos], np.log(score[pos]), 1)[0])
     else:
         trend = -math.inf
-    left, right = _limits(u)
+    k = max(3, u.size // 20)
+    du = (u[2:] - u[:-2]) / (2.0 * U.grid.h)
     return WaveDiagnostics(kappa=kappa, kappa_fit=slope, kappa1=kappa1,
                            window=(float(xw.min()), float(xw.max())),
                            refined_x=xr, refined_score=score,
                            refined_trend_slope=trend,
-                           monotonicity_violation=_monotonicity_violation(U),
-                           left_limit=left, right_limit=right)
+                           monotonicity_violation=float(max(0.0, du.max())),
+                           left_limit=float(u[:k].mean()),
+                           right_limit=float(u[-k:].mean()))
 
 
 def _single_crossing(x: np.ndarray, u: np.ndarray, level: float) -> float:
@@ -446,6 +422,4 @@ def normalize_translation(profile: WaveProfile) -> WaveProfile:
         return profile
     Un = Field(profile.U.grid, np.interp(x + shift, x, profile.U.values))
     Vn = Field(profile.V.grid, np.interp(x + shift, x, profile.V.values))
-    left, right = _limits(Un.values)
-    return replace(profile, U=Un, V=Vn, left_limit=left, right_limit=right,
-                   monotonicity_violation=_monotonicity_violation(Un))
+    return replace(profile, U=Un, V=Vn)

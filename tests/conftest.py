@@ -16,6 +16,17 @@ from chemowave.waves import (WaveProblem, construct_fixed_point,
 BUILD_TIMES: dict[str, float] = {}
 
 
+def pytest_configure(config):
+    # every property test draws the same examples on every run.
+    # hypothesis is imported here, not at module level: perfbench imports
+    # this module (through test_acceptance) for TOLERANCES, and the
+    # import would add to the benchmark's peak RSS
+    from hypothesis import settings
+    settings.register_profile("chemowave", derandomize=True, deadline=None,
+                              database=None)
+    settings.load_profile("chemowave")
+
+
 def _timed(name, builder):
     t0 = time.perf_counter()
     out = builder()

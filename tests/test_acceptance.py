@@ -21,7 +21,7 @@ from chemowave.fields import Field, Grid
 from chemowave.params import Params, SIGMA, c_star, constants_report
 from chemowave.speed import spreading_speed
 from chemowave.stability import run_stability, uniqueness_check, weighted_norm
-from chemowave.waves import normalize_translation
+from chemowave.waves import diagnose, normalize_translation
 
 from conftest import BUILD_TIMES
 
@@ -174,12 +174,14 @@ def test_criterion_5_wave_existence_decay(fisher_profile, neg_profile,
     fixture_cost = sum(BUILD_TIMES.get(k, 0.0) for k in
                        ("fisher_profile", "neg_profile", "pos_profile"))
     fp = fisher_profile
-    assert abs(fp.kappa_fit - fp.kappa) / fp.kappa < 0.02
-    assert abs(fp.left_limit - 1.0) < 0.02
-    assert fp.right_limit < 0.02
+    fpd = diagnose(fp)
+    assert abs(fpd.kappa_fit - fp.kappa) / fp.kappa < 0.02
+    assert abs(fpd.left_limit - 1.0) < 0.02
+    assert fpd.right_limit < 0.02
 
     npf = neg_profile
-    assert npf.monotonicity_violation < 1e-6
+    npd = diagnose(npf)
+    assert npd.monotonicity_violation < 1e-6
     grid = npf.U.grid
     spec = npf.barrier
     upper = eval_super(spec, grid).values
@@ -187,18 +189,18 @@ def test_criterion_5_wave_existence_decay(fisher_profile, neg_profile,
     assert float((lower - npf.U.values).max()) <= 1e-8
     assert float((npf.U.values - upper).max()) <= 1e-8
     assert npf.sandwich_violation <= 1e-8
-    assert abs(npf.left_limit - 1.0) < 0.02
-    assert npf.right_limit < 0.02
+    assert abs(npd.left_limit - 1.0) < 0.02
+    assert npd.right_limit < 0.02
 
     pp = pos_profile
     bound = np.minimum((1.0 / 0.75) ** 1.0, np.exp(-pp.kappa * pp.U.grid.x))
     assert float((pp.U.values - bound).max()) <= 1e-8
-    assert abs(pp.left_limit - 1.0) < 0.02
+    assert abs(diagnose(pp).left_limit - 1.0) < 0.02
     elapsed = time.perf_counter() - t0 + fixture_cost
     assert elapsed < 600.0
     report(5, elapsed, 600.0,
-           f"kappa_fit rel {abs(fp.kappa_fit / fp.kappa - 1):.2e}; "
-           f"monotonicity {npf.monotonicity_violation:.1e}; "
+           f"kappa_fit rel {abs(fpd.kappa_fit / fp.kappa - 1):.2e}; "
+           f"monotonicity {npd.monotonicity_violation:.1e}; "
            f"sandwich {npf.sandwich_violation:.1e}")
 
 

@@ -4,15 +4,18 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chemowave import waves
+from chemowave.cauchy import SimConfig
 from chemowave.cli import _NUMERIC, main, parse_config, emit_plot
 from chemowave.errors import DomainError
-from chemowave.fields import Grid
+from chemowave.fields import Field, Grid
 from chemowave.io import fmt
-from chemowave.speed import sweep_speeds
+from chemowave.params import Params
+from chemowave.speed import spreading_speed, sweep_speeds
 from chemowave.waves import NEWTON_TOL, fitted_frame_speed
 
 
@@ -55,7 +58,7 @@ def test_parse_config_errors(tmp_path):
             parse_config(None, {key: val})
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(key=st.sampled_from(_NUMERIC + ("dt", "eta")), text=st.text())
 def test_parse_config_numeric_key_is_finite_or_refused(key, text):
     try:
@@ -119,6 +122,28 @@ def test_wave_newton_budget_exhausted_exits_2(tmp_path, capsys, monkeypatch):
                  "--out-dir", str(tmp_path / "w")])
     assert code == 2
     assert capsys.readouterr().err.startswith("FAIL: Newton not converged")
+
+
+def test_wave_relax_budget_exhausted_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(waves, "MAX_INNER_STEPS", 10)
+    code = main(["wave", "--chi", "-1", "--c", "4", "--grid-left", "-40",
+                 "--grid-right", "40", "--grid-h", "0.1",
+                 "--method", "CoupledRelax", "--out-dir", str(tmp_path / "w")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "FAIL: coupled relaxation failed")
+
+
+@pytest.mark.parametrize("left, right, message", [
+    ("-20", "8", "decay window shorter"),      # tail cut above 1e-2
+    ("5", "60", "never crosses level 0.5"),    # front left of the grid
+])
+def test_wave_unusable_grid_exits_1(tmp_path, capsys, left, right, message):
+    code = main(["wave", "--chi", "0", "--c", "3", "--grid-left", left,
+                 "--grid-right", right, "--out-dir", str(tmp_path / "w")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_unknown_subcommand_exits_64(capsys):
@@ -210,6 +235,30 @@ def test_sweep_runs_the_flagged_grid_and_times(tmp_path):
     config = json.loads((out / "manifest.json").read_text())["config"]
     assert (config["grid.left"], config["grid.right"], config["grid.h"],
             config["t_end"], config["dt"]) == (-30.0, 120.0, 0.1, 40.0, 0.05)
+
+
+def test_speed_explicit_auto_dt_runs_automatic_step(tmp_path):
+    out = tmp_path / "sp"
+    code = main(["speed", "--dt", "auto", "--grid-left", "-30",
+                 "--grid-right", "120", "--grid-h", "0.1", "--t-end", "40",
+                 "--out-dir", str(out)])
+    assert code == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["dt"] is None
+    grid = Grid.from_bounds(-30, 120, 0.1)
+    track = spreading_speed(
+        SimConfig(params=Params(0.0), grid=grid, t_end=40.0, output_every=1.0),
+        Field(grid, np.where(np.abs(grid.x) <= 1.0, 0.5, 0.0)))
+    written = json.loads((out / "speed.json").read_text())
+    assert written["fitted_speed"] == track.fitted_speed
+    assert written["r2"] == track.fit_r2
+
+
+@pytest.mark.parametrize("subcommand", ["speed", "sweep"])
+def test_speed_and_sweep_refuse_dt_zero(tmp_path, capsys, subcommand):
+    code = main([subcommand, "--dt", "0", "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    assert "dt must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_emit_plot_errors(tmp_path):

@@ -20,7 +20,7 @@ def test_grid_node_cap():
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
+@settings(max_examples=500)
 @given(left=finite, right=finite, h=finite)
 def test_from_bounds_is_capped_grid_or_domain_error(left, right, h):
     try:

@@ -182,9 +182,7 @@ def test_apriori_checks_close_v_with_wave_tails():
     g = Grid.from_bounds(-30.0, math.log(100.0) / k, 0.05)
     U = Field(g, np.minimum(1.0, np.exp(-k * g.x)))
     V = Field(g, np.zeros(g.n))          # must not be read
-    prof = WaveProfile(U=U, V=V, c=c, kappa=k, kappa_fit=math.nan,
-                       left_limit=1.0, right_limit=float(U.values[-1]),
-                       monotonicity_violation=0.0, outer_iters=0, params=p,
+    prof = WaveProfile(U=U, V=V, c=c, kappa=k, outer_iters=0, params=p,
                        method="FixedPoint", c_eff=c)
     checks = {ch.name: ch for ch in apriori_checks(prof)}
     vx = checks["abs(v_x) refined exponential bound"]
