@@ -16,9 +16,21 @@ of w (a centered variant exists for the wave-construction lane), and
 the reaction and chemotaxis source explicitly; negative nodes are then
 clamped to zero and counted.  `march` is the package's one stepping
 loop: it checks u0, takes each clamped step, checks it is finite,
-refreshes v from the new u and caps dt at output times and t_end.
-Callers only consume what it yields: `run` records samples, and the
-wave lane's CoupledRelax stops it at a steady state.
+refreshes v from the new u and caps dt at output times and t_end.  It
+steps plain arrays and builds no Field.  Callers only consume what it
+yields: `run` builds Fields at samples only, and the wave lane's
+CoupledRelax stops it at a steady state.
+
+Two rules keep a step's work to what it reads, and change no bit of
+the result.  The implicit diffusion matrix depends only on (n, h, dt,
+robin_kappa); its LAPACK gttrf factor is cached for the last four such
+keys and each step solves with gttrs, so a fixed-dt run factors its dt
+once, plus each shorter step capped at an output time (an automatic-dt
+step factors afresh, at the cost of a one-off tridiagonal solve).  At
+chi = 0 the step reads v only through terms multiplied by chi, so
+march solves v only at samples (output times and the end) and reuses
+the last v in between.
+
 `steady_residual` and `steady_jacobian` are the steady form of the
 centered step and its frozen-v Jacobian, which the wave lane's Newton
 solve drives to zero; the barrier residual reads its interior rows.
@@ -37,12 +49,15 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
+# not called here; kept bound for perfbench's cauchy.tridiag probe
+from scipy.linalg import solve_banded  # noqa: F401
 
-from .elliptic import TailSpec, solve_pair
-from .errors import BlowupDetected, DomainError, StiffnessError
+from .elliptic import Constant, Exponential, TailSpec, solve_pair_values
+from .errors import BlowupDetected, DomainError, InternalError, StiffnessError
 from .fields import Field, Grid, level_crossings
 from .params import Params, RegimeTag, M_chi, classify_regime
 
@@ -118,15 +133,32 @@ class Monitors:
                 f"clamp_count {self.clamp_count} exceeds 0.1% of node-steps")
 
 
-def v_tails_for(p: Params, source: Field, tail_kappa: float) -> TailSpec:
+def v_tails_for(p: Params, source: np.ndarray, tail_kappa: float) -> TailSpec:
     """v-solve closure: plateau left, e^{-gamma tail_kappa x} right (0: plateau)."""
-    return TailSpec.wave_ends(source, p.gamma * tail_kappa)
+    return TailSpec(Constant(float(source[0])), Exponential(p.gamma * tail_kappa))
+
+
+def _require_finite(values: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{name} values must be finite")
+
+
+def _v_values(p: Params, u: np.ndarray, grid: Grid,
+              tail_kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """(v, v_x) arrays for density values u; DomainError unless all finite."""
+    src = np.power(u, p.gamma)
+    _require_finite(src, "u^gamma")
+    v, vx = solve_pair_values(src, grid, 1.0, 1.0,
+                              v_tails_for(p, src, tail_kappa))
+    _require_finite(v, "v")
+    _require_finite(vx, "v_x")
+    return v, vx
 
 
 def solve_v(p: Params, u: Field, *, tail_kappa: float) -> tuple[Field, Field]:
     """(v, v_x) for the current density u."""
-    src = u.with_values(np.power(u.values, p.gamma))
-    return solve_pair(src, 1.0, 1.0, v_tails_for(p, src, tail_kappa))
+    v, vx = _v_values(p, u.values, u.grid, tail_kappa)
+    return Field(u.grid, v), Field(u.grid, vx)
 
 
 def robin_rate(kappa: float, h: float) -> float:
@@ -172,13 +204,39 @@ def _ghosted(u: np.ndarray, h: float, robin_kappa: float) -> np.ndarray:
     return np.concatenate(([u[1]], u, [u[-2] - 2.0 * h * robin_kappa * u[-1]]))
 
 
+@lru_cache(maxsize=4)
+def _diffusion_factor(n: int, h: float, dt: float,
+                      robin_kappa: float) -> tuple[np.ndarray, ...]:
+    """LAPACK gttrf factor of the implicit diffusion matrix I - dt D_xx.
+
+    Its ghost rows are zero flux on the left and Robin on the right.  The
+    matrix is diagonally dominant, so no row is pivoted and gttrs on this
+    factor does solve_banded's (gtsv's) elimination bit for bit.  Keyed
+    on all the matrix depends on: a fixed-dt run factors it once.
+    """
+    r = dt / h**2
+    sub = np.full(n - 1, -r)
+    sup = np.full(n - 1, -r)
+    diag = np.full(n, 1.0 + 2.0 * r)
+    sup[0] = -2.0 * r        # ghost rows: zero flux left, Robin right
+    sub[-1] = -2.0 * r
+    diag[-1] = 1.0 + 2.0 * r * (1.0 + h * robin_kappa)
+    *factor, info = lapack.dgttrf(sub, diag, sup)
+    if info != 0:
+        raise InternalError(f"diffusion matrix factorization failed (info={info})")
+    for a in factor:
+        a.flags.writeable = False
+    return tuple(factor)
+
+
 def advance_imex(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
                  c: float, dt: float, grid: Grid, robin_kappa: float,
                  scheme: str = "upwind") -> np.ndarray:
     """One IMEX step of the expanded equation with frozen (v, v_x).
 
     Ghost nodes close the left edge with zero flux and the right edge
-    with u_x = -robin_kappa u.
+    with u_x = -robin_kappa u.  The implicit solve reuses the cached
+    factor of its (n, h, dt, robin_kappa).
     """
     h = grid.h
     n = grid.n
@@ -199,15 +257,9 @@ def advance_imex(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
             f"non-finite update at x={grid.x0 + i * h:.6g}",
             x=grid.x0 + i * h)
 
-    r = dt / h**2
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -r          # superdiagonal
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-1] = -r         # subdiagonal
-    ab[0, 1] = -2.0 * r     # ghost rows: zero flux left, Robin right
-    ab[2, -2] = -2.0 * r
-    ab[1, -1] = 1.0 + 2.0 * r * (1.0 + h * robin_kappa)
-    return solve_banded((1, 1), ab, rhs)
+    u_new, _ = lapack.dgttrs(*_diffusion_factor(n, h, dt, robin_kappa), rhs,
+                             overwrite_b=True)
+    return u_new
 
 
 def steady_residual(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
@@ -261,10 +313,13 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
     """Step u0 to t_end: yields (t, u, v, v_x, dt, clamped, sample).
 
     The first yield is the initial state (dt 0); then one per clamped
-    IMEX step, v refreshed from the new u.  dt is config.dt or automatic;
-    it must clear DT_FLOOR before it is capped so that a step lands on
-    every multiple of output_every and on t_end.  sample marks those
-    landings and the final state.
+    IMEX step.  u, v and v_x are read-only arrays.  dt is config.dt or
+    automatic; it must clear DT_FLOOR before it is capped so that a step
+    lands on every multiple of output_every and on t_end.  sample marks
+    those landings and the final state.  v is refreshed from the new u
+    after every step, except at chi = 0: a step then reads v only
+    through terms multiplied by chi, so v is solved at samples only and
+    yielded as None (v_x too) in between; u^gamma is still checked.
     """
     p, grid = config.params, config.grid
     if u0.grid != grid:
@@ -273,49 +328,58 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
         raise DomainError("u0 must be nonnegative")
 
     robin_kappa = robin_rate(config.tail_kappa, grid.h)
-    v, vx = solve_v(p, u0, tail_kappa=config.tail_kappa)
-    t = 0.0
-    yield t, u0, v, vx, 0.0, 0, True
-
     u = u0.values
+    v, vx = _v_values(p, u, grid, config.tail_kappa)
+    v.flags.writeable = vx.flags.writeable = False
+    t = 0.0
+    yield t, u, v, vx, 0.0, 0, True
+
+    refresh_every_step = p.chi != 0.0
     next_out = config.output_every
     while t < config.t_end - 1e-12:
         dt = config.dt
         if dt is None:
-            dt = auto_dt(p, u, v.values, vx.values, config.frame_speed, grid.h)
+            dt = auto_dt(p, u, v, vx, config.frame_speed, grid.h)
         if dt < DT_FLOOR:
             raise StiffnessError(f"dt underflow: {dt:.3e} < {DT_FLOOR:g}")
         dt = min(dt, next_out - t, config.t_end - t)
-        u = advance_imex(p, u, v.values, vx.values, config.frame_speed, dt,
-                         grid, robin_kappa, config.scheme)
+        u = advance_imex(p, u, v, vx, config.frame_speed, dt, grid,
+                         robin_kappa, config.scheme)
         clamped = 0
         if u.min() < 0:
             clamped = int((u < 0).sum())
             u = np.maximum(u, 0.0)
         t += dt
         _check_finite(u, t, grid)
-        uf = Field(grid, u)
-        v, vx = solve_v(p, uf, tail_kappa=config.tail_kappa)
+        u.flags.writeable = False
         sample = t >= next_out - 1e-12
         if sample:
             next_out = round(next_out / config.output_every + 1) * config.output_every
-        yield (t, uf, v, vx, dt, clamped,
-               sample or t >= config.t_end - 1e-12)
+        sample = sample or t >= config.t_end - 1e-12
+        if refresh_every_step or sample:
+            v, vx = _v_values(p, u, grid, config.tail_kappa)
+            v.flags.writeable = vx.flags.writeable = False
+            yield t, u, v, vx, dt, clamped, sample
+        else:
+            # u >= 0, so u^gamma is finite exactly when max(u)^gamma is
+            _require_finite(np.power(u.max(), p.gamma), "u^gamma")
+            yield t, u, None, None, dt, clamped, sample
 
 
 def run(config: SimConfig, u0: Field,
         out_dir: str | None = None) -> tuple[State, Monitors, list[State]]:
     """Integrate to t_end, recording monitors and snapshots at march's samples."""
-    x = config.grid.x
+    grid = config.grid
+    x = grid.x
     monitors = Monitors()
     snapshots = []
     for t, u, v, _, dt, clamped, sample in march(config, u0):
         monitors.clamp_count += clamped
         if dt:
-            monitors.node_steps += config.grid.n
+            monitors.node_steps += grid.n
         if sample:
-            monitors.record(t, u.values, x)
-            snapshots.append(State(t, u, v))
+            monitors.record(t, u, x)
+            snapshots.append(State(t, Field(grid, u), Field(grid, v)))
     monitors.finalize()
     final = snapshots[-1]
 

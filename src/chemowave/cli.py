@@ -177,6 +177,8 @@ def cmd_stability(cfg: dict) -> int:
         cfg["grid.right"] = 45.0
     p = _params(cfg)
     profile = settle(_build_wave(cfg))
+    # NormalizationError unless the profile is a front (one crossing of 1/2)
+    normalize_translation(profile)
     eta = cfg["eta"] if cfg["eta"] is not None else default_eta(p, cfg["c"])
     t_end = cfg["t_end"] if "t_end" in cfg["_explicit"] else 20.0
     record = run_stability(profile, eta, t_end=t_end)

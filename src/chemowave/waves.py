@@ -202,7 +202,7 @@ def _newton_step(problem: WaveProblem, u: np.ndarray, v: np.ndarray,
         out[:-1] += sup * du[1:]
         out[1:] += sub * du[:-1]
         src = Field(grid, dsrc * du)
-        dV, dVx = solve_pair(src, 1.0, 1.0, v_tails_for(p, src, kappa))
+        dV, dVx = solve_pair(src, 1.0, 1.0, v_tails_for(p, src.values, kappa))
         return out + dF_dv * dV.values + dF_dvx * dVx.values
 
     op = LinearOperator((n, n), matvec=lambda y: jvp(precond(y)), dtype=float)
@@ -303,8 +303,8 @@ def construct_relax(problem: WaveProblem) -> WaveProfile:
     u, resid = upper, math.inf
     for _, un, _, _, dt, _, _ in itertools.islice(
             march(config, Field(problem.grid, upper)), 1, MAX_INNER_STEPS + 1):
-        resid = float(np.abs(un.values - u).max()) / dt
-        u = un.values
+        resid = float(np.abs(un - u).max()) / dt
+        u = un
         if resid < TOL_INNER:
             return _finish(problem, u, 0, _sandwich(u, lower, upper), spec,
                            "CoupledRelax", c_eff, [resid])

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.linalg import solve_banded
+
+from chemowave import cauchy
 from chemowave.cauchy import (Monitors, SimConfig, State, _ghosted,
-                              monitor_bounds, robin_rate, run, solve_v)
+                              advance_imex, advective_velocity, auto_dt,
+                              march, monitor_bounds, reaction_source,
+                              robin_rate, run, solve_v)
 from chemowave.elliptic import TailSpec, solve_pair
 from chemowave.errors import BlowupDetected, DomainError, StiffnessError
 from chemowave.fields import Field, Grid
@@ -225,8 +230,7 @@ def test_clamp_counting_and_warning():
 
 
 def test_auto_dt_obeys_both_bounds():
-    from chemowave.cauchy import auto_dt, solve_v, advective_velocity, \
-        reaction_jacobian_bound
+    from chemowave.cauchy import reaction_jacobian_bound
     rng = np.random.default_rng(12)
     g = Grid.from_bounds(-20, 20, 0.05)
     for chi in (-3.0, -0.5, 0.4):
@@ -238,3 +242,109 @@ def test_auto_dt_obeys_both_bounds():
         w = advective_velocity(p, u.values, vx.values, 3.0)
         assert dt <= 0.5 * g.h / np.abs(w).max() + 1e-15
         assert dt <= 0.1 / reaction_jacobian_bound(p, u.values, v.values) + 1e-15
+
+
+def banded_reference_step(p, u, v, vx, c, dt, grid, robin_kappa, scheme):
+    """advance_imex as a fresh solve_banded of the assembled (3, n) bands."""
+    h, n = grid.h, grid.n
+    ue = _ghosted(u, h, robin_kappa)
+    w = advective_velocity(p, u, vx, c)
+    if scheme == "upwind":
+        ux = np.where(w > 0, (ue[2:] - ue[1:-1]) / h, (ue[1:-1] - ue[:-2]) / h)
+    else:
+        ux = (ue[2:] - ue[:-2]) / (2.0 * h)
+    rhs = u + dt * (w * ux + reaction_source(p, u, v))
+    r = dt / h**2
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -r
+    ab[1, :] = 1.0 + 2.0 * r
+    ab[2, :-1] = -r
+    ab[0, 1] = -2.0 * r
+    ab[2, -2] = -2.0 * r
+    ab[1, -1] = 1.0 + 2.0 * r * (1.0 + h * robin_kappa)
+    return solve_banded((1, 1), ab, rhs)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(8, 300), h=st.floats(0.01, 0.5),
+       dts=st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=3),
+       pattern=st.lists(st.integers(0, 2), min_size=2, max_size=8),
+       robin_kappa=st.floats(0.0, 3.0), chi=st.sampled_from([-1.0, 0.0, 0.5]),
+       scheme=st.sampled_from(["upwind", "centered"]), seed=st.integers(0, 99))
+def test_cached_factor_step_matches_banded_solve(n, h, dts, pattern,
+                                                 robin_kappa, chi, scheme,
+                                                 seed):
+    # dts[i % len(dts)] repeats and alternates step sizes, so the factor
+    # cache both misses and hits
+    g = Grid(-1.0, h, n)
+    p = Params(chi)
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 1.5, n)
+    v, vx = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    cauchy._diffusion_factor.cache_clear()
+    for i in pattern:
+        dt = dts[i % len(dts)]
+        got = advance_imex(p, u, v, vx, 0.7, dt, g, robin_kappa, scheme)
+        want = banded_reference_step(p, u, v, vx, 0.7, dt, g, robin_kappa,
+                                     scheme)
+        assert np.array_equal(got, want)
+        u = np.maximum(got, 0.0)
+    info = cauchy._diffusion_factor.cache_info()
+    assert info.misses == len({dts[i % len(dts)] for i in pattern})
+    assert info.hits == len(pattern) - info.misses
+
+
+def test_chi_zero_solves_v_once_per_sample(monkeypatch):
+    p = Params(0.0)
+    g = Grid.from_bounds(-10, 10, 0.1)
+    u0 = Field(g, np.exp(-g.x ** 2))
+    cfg = SimConfig(params=p, grid=g, t_end=1.03, output_every=0.25)
+    calls = []
+    core = cauchy.solve_pair_values
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(cauchy, "solve_pair_values", counted)
+    final, mon, snaps = run(cfg, u0)
+    assert len(calls) == len(snaps) == 6
+    steps = sum(1 for _ in march(cfg, u0)) - 1
+    assert steps > len(snaps)
+    monkeypatch.undo()
+
+    # the same run with v refreshed after every step
+    u = u0.values
+    v, vx = (f.values for f in solve_v(p, u0, tail_kappa=0.0))
+    t, next_out = 0.0, cfg.output_every
+    while t < cfg.t_end - 1e-12:
+        dt = min(auto_dt(p, u, v, vx, 0.0, g.h), next_out - t, cfg.t_end - t)
+        u = np.maximum(advance_imex(p, u, v, vx, 0.0, dt, g, 0.0), 0.0)
+        t += dt
+        if t >= next_out - 1e-12:
+            next_out += cfg.output_every
+        v, vx = (f.values for f in solve_v(p, Field(g, u), tail_kappa=0.0))
+    assert final.t == t
+    assert final.u.values.tobytes() == u.tobytes()
+    assert final.v.values.tobytes() == v.tobytes()
+
+
+def test_chi_zero_march_yields_no_stale_v():
+    g = Grid.from_bounds(-10, 10, 0.1)
+    cfg = SimConfig(params=Params(0.0), grid=g, t_end=0.5, output_every=0.25)
+    for t, u, v, vx, dt, _, sample in march(cfg, Field(g, np.exp(-g.x ** 2))):
+        assert (v is None) == (vx is None) == (not sample)
+        assert not u.flags.writeable
+
+
+@pytest.mark.parametrize("chi", [0.0, -0.5])
+def test_overflowing_u_gamma_is_a_domain_error(chi):
+    # one huge fixed step lifts the constant state 1e-3 to about 1e6, whose
+    # 60th power overflows; the step is no sample, so at chi = 0 v is not
+    # solved there, and u^gamma is still checked
+    g = Grid.from_bounds(-5, 5, 0.5)
+    cfg = SimConfig(params=Params(chi, gamma=60.0), grid=g, t_end=1e10,
+                    dt=1e9, output_every=1e10)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(DomainError, match="u\\^gamma"):
+            run(cfg, Field(g, np.full(g.n, 1e-3)))

@@ -146,6 +146,17 @@ def test_wave_unusable_grid_exits_1(tmp_path, capsys, left, right, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_stability_without_front_exits_1(tmp_path, capsys):
+    # the same grid as wave's "never crosses" case: the profile is no front
+    code = main(["stability", "--chi", "0", "--c", "3", "--grid-left", "5",
+                 "--grid-right", "60", "--t-end", "1",
+                 "--out-dir", str(tmp_path / "s")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "never crosses level 0.5" in err
+    assert not (tmp_path / "s" / "decay.csv").exists()
+
+
 def test_unknown_subcommand_exits_64(capsys):
     assert main(["transmogrify"]) == 64
 

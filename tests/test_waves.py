@@ -36,7 +36,7 @@ def stepped(prof):
                        frame_speed=prof.c_eff, tail_kappa=prof.kappa,
                        scheme=SCHEME)
     _, (_, un, _, _, dt, clamped, _) = itertools.islice(march(config, prof.U), 2)
-    return un.values, dt, clamped
+    return un, dt, clamped
 
 
 def test_diagnose_exact_exponential():
