@@ -10,38 +10,45 @@ handled in the expanded, non-conservative form
     u_t = u_xx + w u_x - chi u^m (v - u^gamma) + u (1 - u^alpha),
     w   = c - chi m u^(m-1) v_x.
 
-One IMEX step treats diffusion implicitly (tridiagonal solve), the
-advective term w u_x explicitly with first-order upwinding on the sign
-of w (a centered variant exists for the wave-construction lane), and
-the reaction and chemotaxis source explicitly; negative nodes are then
-clamped to zero and counted.  `march` is the package's one stepping
-loop: it checks u0, takes each clamped step, checks it is finite,
-refreshes v from the new u and caps dt at output times and t_end.  It
-steps plain arrays and builds no Field.  Callers only consume what it
-yields: `run` builds Fields at samples only, and the wave lane's
-CoupledRelax stops it at a steady state.
+One IMEX step treats diffusion and the frame advection c u_x implicitly
+(one tridiagonal solve of I - dt (D_xx + c D_x), D_x centered), the
+chemotactic drift (w - c) u_x = -chi m u^(m-1) v_x u_x explicitly with
+first-order upwinding on the sign of w - c (a centered variant exists
+for the wave-construction lane), and the reaction and chemotaxis source
+explicitly; negative nodes are then clamped to zero and counted.  In
+the lab frame (c = 0) the matrix is I - dt D_xx and the explicit drift
+is all of w.  `march` is the package's one stepping loop: it checks u0,
+takes each clamped step, checks it is finite, refreshes v from the new
+u and caps dt at output times and t_end.  It steps plain arrays and
+builds no Field.  Callers only consume what it yields: `run` builds
+Fields at samples only, and the wave lane's CoupledRelax stops it at a
+steady state.
 
 Two rules keep a step's work to what it reads, and change no bit of
-the result.  The implicit diffusion matrix depends only on (n, h, dt,
-robin_kappa); its LAPACK gttrf factor is cached for the last four such
-keys and each step solves with gttrs, so a fixed-dt run factors its dt
-once, plus each shorter step capped at an output time (an automatic-dt
-step factors afresh, at the cost of a one-off tridiagonal solve).  At
-chi = 0 the step reads v only through terms multiplied by chi, so
-march solves v only at samples (output times and the end) and reuses
-the last v in between.
+the result.  The implicit matrix depends only on (n, h, dt,
+robin_kappa, c); its LAPACK gttrf factor is cached for the last four
+such keys and each step solves with gttrs, so a fixed-dt run factors
+its dt once, plus each shorter step capped at an output time (an
+automatic-dt step factors afresh, at the cost of a one-off tridiagonal
+solve).  At chi = 0 the step reads v only through terms multiplied by
+chi, so march solves v only at samples (output times and the end) and
+reuses the last v in between.
 
 `steady_residual` and `steady_jacobian` are the steady form of the
 centered step and its frozen-v Jacobian, which the wave lane's Newton
 solve drives to zero; the barrier residual reads its interior rows.
+Moving c u_x between the implicit and the explicit part does not move
+that steady form, so a profile is a fixed point of the step at any dt.
 One right-edge decay rate kappa (SimConfig.tail_kappa) closes u and v;
 it is 0 in the lab frame and kappa(c) in the wave lane.
 The automatic time step obeys
 
-    dt <= min(0.5 h / Vmax, 0.1 / Rmax)
+    dt <= min(0.5 h / max|w - c|, 0.1 / Rmax)
 
-with Vmax the largest advective speed and Rmax the largest reaction
-Jacobian magnitude, recomputed every step.
+with w - c the explicit chemotactic drift and Rmax the largest reaction
+Jacobian magnitude, recomputed every step; the frame speed c, being
+implicit, does not bound it.  It is bounded instead by |c| h < 2 (cell
+Peclet number below 1), which keeps the implicit matrix an M-matrix.
 """
 
 from __future__ import annotations
@@ -74,6 +81,7 @@ class SimConfig:
     The left edge is always zero flux.  u leaves the right edge as
     e^{-tail_kappa x} (Robin ghost node, robin_rate) and v as
     e^{-gamma tail_kappa x}; the lab's 0 means zero flux and a plateau.
+    The implicit frame advection needs |frame_speed| h < 2.
     """
 
     params: Params
@@ -101,6 +109,12 @@ class SimConfig:
             raise DomainError("tail_kappa must be >= 0")
         if self.scheme not in ("upwind", "centered"):
             raise DomainError(f"unknown advection scheme {self.scheme!r}")
+        if abs(self.frame_speed) * self.grid.h >= 2.0:
+            # beyond cell Peclet 1 the implicit matrix's off-diagonals
+            # change sign: it is no longer an M-matrix
+            raise DomainError(
+                f"|frame_speed| * h = {abs(self.frame_speed) * self.grid.h:.6g}"
+                " must be < 2 (cell Peclet number below 1)")
 
 
 @dataclass(frozen=True)
@@ -117,6 +131,7 @@ class Monitors:
     inf_u: list = dc_field(default_factory=list)
     front_x: list = dc_field(default_factory=list)
     clamp_count: int = 0
+    steps: int = 0
     node_steps: int = 0
     warnings: list = dc_field(default_factory=list)
 
@@ -188,8 +203,12 @@ def reaction_jacobian_bound(p: Params, u: np.ndarray, v: np.ndarray) -> float:
 
 def auto_dt(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
             c: float, h: float) -> float:
-    w = advective_velocity(p, u, vx, c)
-    vmax = float(np.abs(w).max())
+    """Automatic step: CFL on the explicit drift w - c, and the reaction bound.
+
+    The frame speed c is advected implicitly, so it does not bound dt.
+    """
+    drift = advective_velocity(p, u, vx, 0.0)       # w - c
+    vmax = float(np.abs(drift).max())
     rmax = reaction_jacobian_bound(p, u, v)
     dt = math.inf
     if vmax > 0:
@@ -205,22 +224,25 @@ def _ghosted(u: np.ndarray, h: float, robin_kappa: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _diffusion_factor(n: int, h: float, dt: float,
-                      robin_kappa: float) -> tuple[np.ndarray, ...]:
-    """LAPACK gttrf factor of the implicit diffusion matrix I - dt D_xx.
+def _diffusion_factor(n: int, h: float, dt: float, robin_kappa: float,
+                      c: float) -> tuple[np.ndarray, ...]:
+    """LAPACK gttrf factor of the implicit matrix I - dt (D_xx + c D_x).
 
-    Its ghost rows are zero flux on the left and Robin on the right.  The
-    matrix is diagonally dominant, so no row is pivoted and gttrs on this
-    factor does solve_banded's (gtsv's) elimination bit for bit.  Keyed
-    on all the matrix depends on: a fixed-dt run factors it once.
+    D_x is centered.  Its ghost rows are zero flux on the left, where
+    the frame term vanishes, and Robin on the right, where it adds
+    c dt robin_kappa to the diagonal.  gttrs on this factor does
+    solve_banded's (gtsv's) elimination, pivots included, bit for bit.
+    Keyed on all the matrix depends on: a fixed-dt run factors it once,
+    and at c = 0 the matrix is I - dt D_xx to the bit.
     """
     r = dt / h**2
-    sub = np.full(n - 1, -r)
-    sup = np.full(n - 1, -r)
+    a = c * dt / (2.0 * h)
+    sub = np.full(n - 1, -r + a)
+    sup = np.full(n - 1, -r - a)
     diag = np.full(n, 1.0 + 2.0 * r)
     sup[0] = -2.0 * r        # ghost rows: zero flux left, Robin right
     sub[-1] = -2.0 * r
-    diag[-1] = 1.0 + 2.0 * r * (1.0 + h * robin_kappa)
+    diag[-1] = 1.0 + 2.0 * r * (1.0 + h * robin_kappa) + c * dt * robin_kappa
     *factor, info = lapack.dgttrf(sub, diag, sup)
     if info != 0:
         raise InternalError(f"diffusion matrix factorization failed (info={info})")
@@ -234,16 +256,18 @@ def advance_imex(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
                  scheme: str = "upwind") -> np.ndarray:
     """One IMEX step of the expanded equation with frozen (v, v_x).
 
-    Ghost nodes close the left edge with zero flux and the right edge
-    with u_x = -robin_kappa u.  The implicit solve reuses the cached
-    factor of its (n, h, dt, robin_kappa).
+    Solves (I - dt (D_xx + c D_x)) u_new = u + dt ((w - c) u_x + source):
+    the frame advection is implicit and centered, the chemotactic drift
+    w - c explicit.  Ghost nodes close the left edge with zero flux and
+    the right edge with u_x = -robin_kappa u.  The implicit solve reuses
+    the cached factor of its (n, h, dt, robin_kappa, c).
     """
     h = grid.h
     n = grid.n
     ue = _ghosted(u, h, robin_kappa)
     # non-finite intermediates are caught below and reported as blow-up
     with np.errstate(invalid="ignore", over="ignore"):
-        w = advective_velocity(p, u, vx, c)
+        w = advective_velocity(p, u, vx, 0.0)       # w - c
         if scheme == "upwind":
             fwd = (ue[2:] - ue[1:-1]) / h
             bwd = (ue[1:-1] - ue[:-2]) / h
@@ -257,8 +281,8 @@ def advance_imex(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
             f"non-finite update at x={grid.x0 + i * h:.6g}",
             x=grid.x0 + i * h)
 
-    u_new, _ = lapack.dgttrs(*_diffusion_factor(n, h, dt, robin_kappa), rhs,
-                             overwrite_b=True)
+    u_new, _ = lapack.dgttrs(*_diffusion_factor(n, h, dt, robin_kappa, c),
+                             rhs, overwrite_b=True)
     return u_new
 
 
@@ -268,8 +292,9 @@ def steady_residual(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
     """(u_t, u_x) of the centered advance_imex operator at u, (v, v_x) frozen.
 
     A zero u_t is a fixed point of the centered step with the same (v, v_x),
-    c and robin_kappa: u_xx from the implicit part, w u_x and the source
-    from the explicit part, the same ghost nodes for both.
+    c and robin_kappa, at any dt: u_xx + c u_x from the implicit part,
+    (w - c) u_x and the source from the explicit part, the same ghost
+    nodes for both.
     """
     h = grid.h
     ue = _ghosted(u, h, robin_kappa)
@@ -376,6 +401,7 @@ def run(config: SimConfig, u0: Field,
     for t, u, v, _, dt, clamped, sample in march(config, u0):
         monitors.clamp_count += clamped
         if dt:
+            monitors.steps += 1
             monitors.node_steps += grid.n
         if sample:
             monitors.record(t, u, x)

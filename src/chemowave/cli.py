@@ -159,6 +159,8 @@ def cmd_wave(cfg: dict) -> int:
         "residual_history": profile.residual_history,
         "c_eff": profile.c_eff,
         "c_eff_shift": profile.c_eff_shift,
+        "steps": profile.steps, "dt_min": profile.dt_min,
+        "dt_max": profile.dt_max,
     }
     cw_io.write_json(os.path.join(out, "diagnostics.json"), payload)
     _manifest(cfg)
@@ -192,7 +194,8 @@ def cmd_stability(cfg: dict) -> int:
                "envelope_slack": record.envelope_slack,
                "W0": float(record.W[0]), "W_end": float(record.W[-1]),
                "supdiff_end": float(record.supdiff[-1]),
-               "truncated_from_t": record.truncated_from_t}
+               "truncated_from_t": record.truncated_from_t,
+               "steps": record.steps}
     cw_io.write_json(os.path.join(out, "stability.json"), payload)
     _manifest(cfg, {"tolerances": {"rel_drop": record.rel_drop,
                                    "envelope_slack": record.envelope_slack}})

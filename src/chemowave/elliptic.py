@@ -61,11 +61,6 @@ class TailSpec:
     left: Tail
     right: Tail
 
-    @classmethod
-    def constant_ends(cls, s: Field) -> "TailSpec":
-        """Plateau continuation at both endpoint values (plain Cauchy runs)."""
-        return cls(Constant(float(s.values[0])), Constant(float(s.values[-1])))
-
 
 def _check_tail_consistency(s: np.ndarray, tails: TailSpec) -> None:
     scale = max(abs(s).max(), 1.0)

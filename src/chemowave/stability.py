@@ -60,6 +60,7 @@ class DecayRecord:
     rel_drop: float = REL_DROP
     envelope_slack: float = ENVELOPE_SLACK
     truncated_from_t: float | None = None    # first sample weighted_norm flags
+    steps: int = 0                           # time steps taken
 
 
 def _weighted_integrand(u: Field, Ustar: Field, eta: float) -> np.ndarray:
@@ -156,7 +157,7 @@ def run_stability(profile: WaveProfile, eta: float,
     config = SimConfig(params=p, grid=profile.U.grid, t_end=t_end,
                        frame_speed=profile.c_eff, tail_kappa=kappa,
                        output_every=OUTPUT_EVERY, scheme=SCHEME)
-    _, _, snapshots = run(config, u0)
+    _, monitors, snapshots = run(config, u0)
     times = np.array([s.t for s in snapshots])
     W = np.empty(len(snapshots))
     truncated = []                 # sample times weighted_norm would flag
@@ -175,7 +176,8 @@ def run_stability(profile: WaveProfile, eta: float,
     passed = bool(env_ok and W[-1] <= REL_DROP * W[0])
     return DecayRecord(times=times, W=W, supdiff=supdiff, lambda_pred=lam,
                        eta=eta, passed=passed,
-                       truncated_from_t=truncated[0] if truncated else None)
+                       truncated_from_t=truncated[0] if truncated else None,
+                       steps=monitors.steps)
 
 
 # ----------------------------------------------------------------------

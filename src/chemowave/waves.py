@@ -17,7 +17,11 @@ Two routes to a stationary profile of the moving-frame system
   system from the same initial condition, an independent cross-check.
   It runs `cauchy.march`, the package's one stepping loop, at the
   fitted frame speed and stops it once ||u_t||_inf < TOL_INNER; at most
-  MAX_INNER_STEPS steps are taken.
+  MAX_INNER_STEPS steps are taken.  The step advects with the frame
+  speed implicitly, so only the chemotactic drift and the reaction
+  bound its dt, and it converges to the same discrete steady state
+  `cauchy.steady_residual` = 0 that FixedPoint solves for.  The profile
+  records its step count and dt range.
 
 Profiles built here use centered advection: the wave targets (decay-rate
 fits, barrier sandwiches at 1e-8) need the O(h^2) spatial accuracy, and
@@ -121,6 +125,9 @@ class WaveProfile:
     sandwich_violation: float = math.nan
     barrier: BarrierSpec | None = None
     residual_history: list[float] = field(default_factory=list)
+    steps: int = 0                   # time steps taken (CoupledRelax only)
+    dt_min: float = math.nan         # their dt range
+    dt_max: float = math.nan
 
     @property
     def c_eff_shift(self) -> float:
@@ -300,14 +307,17 @@ def construct_relax(problem: WaveProblem) -> WaveProfile:
     config = SimConfig(problem.params, problem.grid, t_end=horizon,
                        frame_speed=c_eff, tail_kappa=problem.kappa,
                        output_every=horizon, scheme=SCHEME)
-    u, resid = upper, math.inf
+    u, resid, dts = upper, math.inf, []
     for _, un, _, _, dt, _, _ in itertools.islice(
             march(config, Field(problem.grid, upper)), 1, MAX_INNER_STEPS + 1):
         resid = float(np.abs(un - u).max()) / dt
         u = un
+        dts.append(dt)
         if resid < TOL_INNER:
-            return _finish(problem, u, 0, _sandwich(u, lower, upper), spec,
-                           "CoupledRelax", c_eff, [resid])
+            profile = _finish(problem, u, 0, _sandwich(u, lower, upper), spec,
+                              "CoupledRelax", c_eff, [resid])
+            return replace(profile, steps=len(dts), dt_min=min(dts),
+                           dt_max=max(dts))
     raise NoConvergence("coupled relaxation failed to reach steady state",
                         residual=resid)
 
@@ -329,6 +339,7 @@ def settle(profile: WaveProfile) -> WaveProfile:
     (every FixedPoint profile) comes back unchanged; any other (a
     CoupledRelax one) is solved one step past the stop rule, its polish
     residuals added to residual_history and its iterations to outer_iters.
+    Its step count and dt range are kept: the polish takes no time step.
     """
     grid = profile.U.grid
     problem = WaveProblem(profile.params, profile.c, grid, profile.method)
@@ -344,9 +355,11 @@ def settle(profile: WaveProfile) -> WaveProfile:
         history += last[1:]
     except NoConvergence:
         pass
-    return _finish(problem, u, profile.outer_iters + len(history) - 1,
-                   profile.sandwich_violation, profile.barrier,
-                   profile.method, c_eff, profile.residual_history + history)
+    polished = _finish(problem, u, profile.outer_iters + len(history) - 1,
+                       profile.sandwich_violation, profile.barrier,
+                       profile.method, c_eff, profile.residual_history + history)
+    return replace(polished, steps=profile.steps, dt_min=profile.dt_min,
+                   dt_max=profile.dt_max)
 
 
 def _finish(problem: WaveProblem, u: np.ndarray, outer: int, sandwich: float,

@@ -16,7 +16,7 @@ import pytest
 from chemowave.barriers import (certify, default_barrier_spec, eval_sub,
                                 eval_super, residual_A)
 from chemowave.cauchy import SimConfig, monitor_bounds, run
-from chemowave.elliptic import Exponential, TailSpec, solve_pair
+from chemowave.elliptic import Constant, Exponential, TailSpec, solve_pair
 from chemowave.fields import Field, Grid
 from chemowave.params import Params, SIGMA, c_star, constants_report
 from chemowave.speed import spreading_speed
@@ -96,7 +96,7 @@ def test_criterion_2_elliptic_exactness():
         rng = np.random.default_rng(seed)
         vals = np.convolve(rng.uniform(size=g2.n), rng_k, mode="same")
         src = Field(g2, (1.0 + seed % 4) * vals)
-        tails = TailSpec.constant_ends(src)
+        tails = TailSpec(Constant(src.values[0]), Constant(src.values[-1]))
         lam = 1.0 + 0.25 * (seed % 5)
         p2, d2 = solve_pair(src, lam, 1.0, tails)
         assert np.all(np.abs(d2.values) <= math.sqrt(lam) * p2.values + 1e-10)

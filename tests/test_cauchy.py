@@ -13,7 +13,7 @@ from chemowave.cauchy import (Monitors, SimConfig, State, _ghosted,
                               advance_imex, advective_velocity, auto_dt,
                               march, monitor_bounds, reaction_source,
                               robin_rate, run, solve_v)
-from chemowave.elliptic import TailSpec, solve_pair
+from chemowave.elliptic import Constant, TailSpec, solve_pair
 from chemowave.errors import BlowupDetected, DomainError, StiffnessError
 from chemowave.fields import Field, Grid
 from chemowave.params import Params
@@ -174,7 +174,8 @@ def test_zero_tail_rate_is_the_plateau_closure(h, right, gamma):
     p = Params(0.0, gamma=gamma)
     u = Field(g, 1.0 - (1.0 - right) * 0.5 * (1.0 + np.tanh(g.x)))
     src = u.with_values(np.power(u.values, gamma))
-    expected = solve_pair(src, 1.0, 1.0, TailSpec.constant_ends(src))
+    tails = TailSpec(Constant(src.values[0]), Constant(src.values[-1]))
+    expected = solve_pair(src, 1.0, 1.0, tails)
     for got, want in zip(solve_v(p, u, tail_kappa=0.0), expected):
         assert np.array_equal(got.values, want.values)
 
@@ -221,6 +222,20 @@ def test_run_validates_inputs():
             SimConfig(**{"params": p, "grid": g, "t_end": 1.0, **bad})
 
 
+@settings(max_examples=50)
+@given(h=st.floats(0.01, 1.0), peclet=st.floats(0.0, 3.0),
+       sign=st.sampled_from([-1.0, 1.0]))
+def test_config_refuses_cell_peclet_of_one(h, peclet, sign):
+    # |c| h < 2 keeps the implicit frame advection's matrix an M-matrix
+    c = sign * 2.0 * peclet / h
+    g = Grid(-1.0, h, 16)
+    if abs(c) * h < 2.0:
+        SimConfig(params=Params(0.0), grid=g, t_end=1.0, frame_speed=c)
+    else:
+        with pytest.raises(DomainError, match="cell Peclet"):
+            SimConfig(params=Params(0.0), grid=g, t_end=1.0, frame_speed=c)
+
+
 def test_clamp_counting_and_warning():
     m = Monitors()
     m.node_steps = 1000
@@ -239,43 +254,55 @@ def test_auto_dt_obeys_both_bounds():
                                        np.ones(31) / 31, mode="same"))
         v, vx = solve_v(p, u, tail_kappa=0.0)
         dt = auto_dt(p, u.values, v.values, vx.values, 3.0, g.h)
-        w = advective_velocity(p, u.values, vx.values, 3.0)
-        assert dt <= 0.5 * g.h / np.abs(w).max() + 1e-15
+        # the frame speed is advected implicitly: only the drift w - c
+        # enters the CFL bound
+        drift = advective_velocity(p, u.values, vx.values, 3.0) - 3.0
+        assert dt <= 0.5 * g.h / np.abs(drift).max() + 1e-15
         assert dt <= 0.1 / reaction_jacobian_bound(p, u.values, v.values) + 1e-15
+        assert auto_dt(p, u.values, v.values, vx.values, 0.0, g.h) == dt
+        assert auto_dt(p, u.values, v.values, vx.values, 8.0, g.h) == dt
 
 
 def banded_reference_step(p, u, v, vx, c, dt, grid, robin_kappa, scheme):
-    """advance_imex as a fresh solve_banded of the assembled (3, n) bands."""
+    """advance_imex as a fresh solve_banded of I - dt (D_xx + c D_x).
+
+    The (3, n) bands hold the centered frame advection; the explicit
+    part upwinds or centers the drift w - c.
+    """
     h, n = grid.h, grid.n
     ue = _ghosted(u, h, robin_kappa)
-    w = advective_velocity(p, u, vx, c)
+    w = advective_velocity(p, u, vx, 0.0)
     if scheme == "upwind":
         ux = np.where(w > 0, (ue[2:] - ue[1:-1]) / h, (ue[1:-1] - ue[:-2]) / h)
     else:
         ux = (ue[2:] - ue[:-2]) / (2.0 * h)
     rhs = u + dt * (w * ux + reaction_source(p, u, v))
     r = dt / h**2
+    a = c * dt / (2.0 * h)
     ab = np.zeros((3, n))
-    ab[0, 1:] = -r
+    ab[0, 1:] = -r - a
     ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-1] = -r
+    ab[2, :-1] = -r + a
     ab[0, 1] = -2.0 * r
     ab[2, -2] = -2.0 * r
-    ab[1, -1] = 1.0 + 2.0 * r * (1.0 + h * robin_kappa)
+    ab[1, -1] = 1.0 + 2.0 * r * (1.0 + h * robin_kappa) + c * dt * robin_kappa
     return solve_banded((1, 1), ab, rhs)
 
 
 @settings(max_examples=60)
 @given(n=st.integers(8, 300), h=st.floats(0.01, 0.5),
        dts=st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=3),
+       peclet=st.floats(-0.99, 0.99),
        pattern=st.lists(st.integers(0, 2), min_size=2, max_size=8),
        robin_kappa=st.floats(0.0, 3.0), chi=st.sampled_from([-1.0, 0.0, 0.5]),
        scheme=st.sampled_from(["upwind", "centered"]), seed=st.integers(0, 99))
-def test_cached_factor_step_matches_banded_solve(n, h, dts, pattern,
+def test_cached_factor_step_matches_banded_solve(n, h, dts, peclet, pattern,
                                                  robin_kappa, chi, scheme,
                                                  seed):
-    # dts[i % len(dts)] repeats and alternates step sizes, so the factor
-    # cache both misses and hits
+    # step i takes dt = dts[i % len(dts)] and frame speed c = cs[i % 2],
+    # lab frame (c = 0) on even i: keys repeat and alternate, so the
+    # factor cache both misses and hits.  |c| h = 2 |peclet| < 2.
+    cs = (0.0, 2.0 * peclet / h)
     g = Grid(-1.0, h, n)
     p = Params(chi)
     rng = np.random.default_rng(seed)
@@ -283,14 +310,14 @@ def test_cached_factor_step_matches_banded_solve(n, h, dts, pattern,
     v, vx = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
     cauchy._diffusion_factor.cache_clear()
     for i in pattern:
-        dt = dts[i % len(dts)]
-        got = advance_imex(p, u, v, vx, 0.7, dt, g, robin_kappa, scheme)
-        want = banded_reference_step(p, u, v, vx, 0.7, dt, g, robin_kappa,
+        dt, c = dts[i % len(dts)], cs[i % 2]
+        got = advance_imex(p, u, v, vx, c, dt, g, robin_kappa, scheme)
+        want = banded_reference_step(p, u, v, vx, c, dt, g, robin_kappa,
                                      scheme)
         assert np.array_equal(got, want)
         u = np.maximum(got, 0.0)
     info = cauchy._diffusion_factor.cache_info()
-    assert info.misses == len({dts[i % len(dts)] for i in pattern})
+    assert info.misses == len({(dts[i % len(dts)], cs[i % 2]) for i in pattern})
     assert info.hits == len(pattern) - info.misses
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chemowave import waves
-from chemowave.cauchy import SimConfig
+from chemowave.cauchy import DT_MAX, SimConfig
 from chemowave.cli import _NUMERIC, main, parse_config, emit_plot
 from chemowave.errors import DomainError
 from chemowave.fields import Field, Grid
@@ -144,6 +144,18 @@ def test_wave_unusable_grid_exits_1(tmp_path, capsys, left, right, message):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_wave_relax_above_cell_peclet_limit_exits_1(tmp_path, capsys):
+    # c = 3 on h = 0.8 steps at the fitted frame speed 2.96: c h >= 2,
+    # where the implicit frame advection's matrix is no M-matrix
+    code = main(["wave", "--chi", "0", "--c", "3", "--grid-h", "0.8",
+                 "--method", "CoupledRelax", "--out-dir", str(tmp_path / "w")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cell Peclet" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "w" / "profile.csv").exists()
 
 
 def test_stability_without_front_exits_1(tmp_path, capsys):
@@ -299,6 +311,9 @@ def test_wave_subcommand_end_to_end(tmp_path):
     assert history[-1] < NEWTON_TOL
     assert diag["c_eff_shift"] == pytest.approx(
         diag["c_eff"] - fitted_frame_speed(3.0, 0.05), abs=1e-15)
+    # FixedPoint takes no time step
+    assert diag["steps"] == 0
+    assert diag["dt_min"] is None and diag["dt_max"] is None
     assert (out / "profile.csv").exists()
     assert (out / "plot_profile.py").exists()
     assert (out / "plot_log_decay.py").exists()
@@ -314,6 +329,7 @@ def test_stability_subcommand_end_to_end(tmp_path):
     assert payload["passed"] is True
     assert 0.0 < payload["truncated_from_t"] <= 6.0
     assert payload["lambda_pred"] == pytest.approx(-0.89, abs=1e-12)
+    assert payload["steps"] > 0
     assert (out / "decay.csv").exists()
     assert (out / "plot_stability.py").exists()
 
@@ -327,3 +343,5 @@ def test_wave_subcommand_coupled_relax(tmp_path):
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["method"] == "CoupledRelax"
     assert diag["monotonicity_violation"] < 1e-6
+    assert diag["steps"] > 0
+    assert 0.0 < diag["dt_min"] <= diag["dt_max"] <= DT_MAX

@@ -117,6 +117,18 @@ def test_run_stability_fisher(stab_fisher_profile):
     assert np.all(np.isfinite(rec.W))
 
 
+def test_run_stability_step_count(stab_fisher_profile):
+    # the `stability` subcommand's defaults: chi = 0, c = 3, eta midpoint,
+    # t_end 20; the implicit frame advection lets dt reach DT_MAX
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        rec = run_stability(stab_fisher_profile,
+                            default_eta(Params(0.0), 3.0), t_end=20.0)
+    assert rec.passed
+    assert 0 < rec.steps <= 300
+    assert rec.supdiff[-1] < 1e-3
+
+
 def test_run_stability_records_truncation(stab_fisher_profile):
     # the first sample whose weighted integrand weighted_norm flags, if any
     eta = default_eta(Params(0.0), 3.0)

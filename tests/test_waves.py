@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chemowave import waves
-from chemowave.cauchy import SimConfig, advance_imex, auto_dt, march, solve_v
+from chemowave.cauchy import (DT_MAX, SimConfig, advance_imex, auto_dt, march,
+                              solve_v)
 from chemowave.errors import (NoConvergence, NormalizationError, RegimeError,
                               SpeedError, TruncationWarning, WindowTooShort)
 from chemowave.fields import Field, Grid
@@ -132,6 +133,7 @@ def test_sandwich_during_construction(neg_profile):
 def test_fixed_point_profile_fisher(fisher_profile):
     prof = fisher_profile
     assert prof.outer_iters <= 5         # Newton from the super-solution
+    assert prof.steps == 0
     assert prof.residual_history[-1] < NEWTON_TOL
     d = diagnose(prof)
     assert abs(d.kappa_fit / prof.kappa - 1.0) < 0.02
@@ -214,6 +216,16 @@ def test_relax_budget_reports_residual(monkeypatch):
                                     method="CoupledRelax"))
     assert math.isfinite(info.value.residual)
     assert info.value.residual > waves.TOL_INNER
+
+
+def test_relax_steps_are_not_capped_by_the_frame_speed(neg_relax_profile):
+    # the frame advection is implicit: an explicit c u_x would cap dt at
+    # 0.5 h / c_eff = 0.00625
+    prof = neg_relax_profile
+    assert 0 < prof.steps <= 500
+    assert prof.dt_max > 0.5 * prof.U.grid.h / prof.c_eff
+    assert 0.0 < prof.dt_min <= prof.dt_max <= DT_MAX
+    assert settle(prof).steps == prof.steps
 
 
 def test_relax_agrees_with_fixed_point(neg_profile, neg_relax_profile):
