@@ -8,8 +8,7 @@ from .params import (ConstantsReport, Params, RegimeTag, SIGMA, c_star,
                      kappa_of_speed, M_chi)
 from .cauchy import SimConfig, State, monitor_bounds, run
 from .barriers import BarrierSpec, certify, eval_sub, eval_super, residual_A
-from .elliptic import (Constant, Exponential, TailSpec, psi_derivative,
-                       solve_fd, solve_psi)
+from .elliptic import psi_derivative, solve_fd, solve_psi
 from .waves import (WaveProblem, WaveProfile, construct, construct_fixed_point,
                     construct_relax, diagnose, normalize_translation, settle)
 from .stability import (apriori_checks, predicted_lambda, run_stability,
@@ -23,8 +22,7 @@ __all__ = [
     "constants_report", "kappa_of_speed", "M_chi",
     "SimConfig", "State", "monitor_bounds", "run",
     "BarrierSpec", "certify", "eval_sub", "eval_super", "residual_A",
-    "Constant", "Exponential", "TailSpec", "psi_derivative",
-    "solve_fd", "solve_psi",
+    "psi_derivative", "solve_fd", "solve_psi",
     "WaveProblem", "WaveProfile", "construct", "construct_fixed_point",
     "construct_relax", "diagnose", "normalize_translation", "settle",
     "apriori_checks", "predicted_lambda", "run_stability",

@@ -63,7 +63,7 @@ from scipy.linalg import lapack
 # not called here; kept bound for perfbench's cauchy.tridiag probe
 from scipy.linalg import solve_banded  # noqa: F401
 
-from .elliptic import Constant, Exponential, TailSpec, solve_pair_values
+from .elliptic import solve_pair_values
 from .errors import BlowupDetected, DomainError, InternalError, StiffnessError
 from .fields import Field, Grid, level_crossings
 from .params import Params, RegimeTag, M_chi, classify_regime
@@ -148,11 +148,6 @@ class Monitors:
                 f"clamp_count {self.clamp_count} exceeds 0.1% of node-steps")
 
 
-def v_tails_for(p: Params, source: np.ndarray, tail_kappa: float) -> TailSpec:
-    """v-solve closure: plateau left, e^{-gamma tail_kappa x} right (0: plateau)."""
-    return TailSpec(Constant(float(source[0])), Exponential(p.gamma * tail_kappa))
-
-
 def _require_finite(values: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(values)):
         raise DomainError(f"{name} values must be finite")
@@ -160,11 +155,14 @@ def _require_finite(values: np.ndarray, name: str) -> None:
 
 def _v_values(p: Params, u: np.ndarray, grid: Grid,
               tail_kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    """(v, v_x) arrays for density values u; DomainError unless all finite."""
+    """(v, v_x) arrays for density values u; DomainError unless all finite.
+
+    u^gamma plateaus on the left and decays as e^{-gamma tail_kappa x}
+    on the right (a plateau too at tail_kappa = 0).
+    """
     src = np.power(u, p.gamma)
     _require_finite(src, "u^gamma")
-    v, vx = solve_pair_values(src, grid, 1.0, 1.0,
-                              v_tails_for(p, src, tail_kappa))
+    v, vx = solve_pair_values(src, grid, 1.0, 1.0, 0.0, p.gamma * tail_kappa)
     _require_finite(v, "v")
     _require_finite(vx, "v_x")
     return v, vx
@@ -202,7 +200,7 @@ def reaction_jacobian_bound(p: Params, u: np.ndarray, v: np.ndarray) -> float:
 
 
 def auto_dt(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
-            c: float, h: float) -> float:
+            h: float) -> float:
     """Automatic step: CFL on the explicit drift w - c, and the reaction bound.
 
     The frame speed c is advected implicitly, so it does not bound dt.
@@ -364,7 +362,7 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
     while t < config.t_end - 1e-12:
         dt = config.dt
         if dt is None:
-            dt = auto_dt(p, u, v, vx, config.frame_speed, grid.h)
+            dt = auto_dt(p, u, v, vx, grid.h)
         if dt < DT_FLOOR:
             raise StiffnessError(f"dt underflow: {dt:.3e} < {DT_FLOOR:g}")
         dt = min(dt, next_out - t, config.t_end - t)
@@ -391,8 +389,7 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
             yield t, u, None, None, dt, clamped, sample
 
 
-def run(config: SimConfig, u0: Field,
-        out_dir: str | None = None) -> tuple[State, Monitors, list[State]]:
+def run(config: SimConfig, u0: Field) -> tuple[State, Monitors, list[State]]:
     """Integrate to t_end, recording monitors and snapshots at march's samples."""
     grid = config.grid
     x = grid.x
@@ -407,12 +404,7 @@ def run(config: SimConfig, u0: Field,
             monitors.record(t, u, x)
             snapshots.append(State(t, Field(grid, u), Field(grid, v)))
     monitors.finalize()
-    final = snapshots[-1]
-
-    if out_dir is not None:
-        from . import io as cw_io
-        cw_io.write_run_outputs(out_dir, snapshots, monitors)
-    return final, monitors, snapshots
+    return snapshots[-1], monitors, snapshots
 
 
 def monitor_bounds(state: State, params: Params,

@@ -127,7 +127,8 @@ def cmd_simulate(cfg: dict) -> int:
     sim = SimConfig(params=p, grid=grid, t_end=cfg["t_end"], dt=cfg["dt"],
                     output_every=max(cfg["t_end"] / 50.0, 1.0))
     u0 = Field(grid, 2.0 * np.exp(-grid.x ** 2))
-    final, monitors, snapshots = run(sim, u0, out_dir=cfg["out_dir"])
+    final, monitors, snapshots = run(sim, u0)
+    cw_io.write_run_outputs(cfg["out_dir"], snapshots, monitors)
     violations = monitor_bounds(final, p, u0_sup=u0.max())
     _manifest(cfg, {"violations": violations, "warnings": monitors.warnings})
     for v in violations:
@@ -182,8 +183,9 @@ def cmd_stability(cfg: dict) -> int:
     # NormalizationError unless the profile is a front (one crossing of 1/2)
     normalize_translation(profile)
     eta = cfg["eta"] if cfg["eta"] is not None else default_eta(p, cfg["c"])
-    t_end = cfg["t_end"] if "t_end" in cfg["_explicit"] else 20.0
-    record = run_stability(profile, eta, t_end=t_end)
+    if "t_end" not in cfg["_explicit"]:
+        cfg["t_end"] = 20.0
+    record = run_stability(profile, eta, t_end=cfg["t_end"])
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
     cw_io.write_decay_csv(os.path.join(out, "decay.csv"), record)

@@ -8,15 +8,15 @@ and its derivative splits into a left and a right one-sided integral.
 Here the grid part of the integral is evaluated exactly for a
 piecewise-linear reconstruction of s via two O(n) exponential prefix
 sweeps (one lfilter call), and the two half-line tails are closed
-analytically from a TailSpec describing how s continues beyond the
-grid; their edge-decay profiles are computed once per (grid, lambda).
-`solve_pair_values` is the array-level core; `solve_pair` wraps it in
-Fields.
+analytically from one decay rate per side; their edge-decay profiles
+are computed once per (grid, lambda).  `solve_pair_values` is the
+array-level core; `solve_pair` wraps it in Fields.
 
-Tail convention: ``Exponential(rate)`` continues the field as
-C * exp(-rate * x) matched to the boundary value, so rate > 0 decays
-to the right (and grows to the left).  The left tail integral converges
-for rate < sqrt(lambda), the right one for rate > -sqrt(lambda).
+Tail convention: beyond a grid end x_e, s continues as
+s(x_e) * exp(-rate * (x - x_e)), so a rate > 0 decays to the right (and
+grows to the left) and a rate of 0 is the plateau at the boundary value.
+The left tail integral converges for left_rate < sqrt(lambda), the
+right one for right_rate > -sqrt(lambda).
 
 A second-order finite-difference solve with Dirichlet data is provided
 purely as an independent cross-check.
@@ -24,7 +24,6 @@ purely as an independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,42 +32,6 @@ from scipy.signal import lfilter
 
 from .errors import DomainError, InternalError
 from .fields import Field, Grid
-
-
-@dataclass(frozen=True)
-class Constant:
-    """Plateau continuation.  Density closures use levels >= 0, but the
-    solver accepts any finite level so that unclamped (sign-changing)
-    states can still be diagnosed downstream."""
-
-    level: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.level):
-            raise DomainError("tail level must be finite")
-
-
-@dataclass(frozen=True)
-class Exponential:
-    rate: float
-
-
-Tail = Constant | Exponential
-
-
-@dataclass(frozen=True)
-class TailSpec:
-    left: Tail
-    right: Tail
-
-
-def _check_tail_consistency(s: np.ndarray, tails: TailSpec) -> None:
-    scale = max(abs(s).max(), 1.0)
-    tol = 1e-8 * scale
-    if isinstance(tails.left, Constant) and abs(tails.left.level - s[0]) > tol:
-        raise DomainError("left tail level inconsistent with s at the left endpoint")
-    if isinstance(tails.right, Constant) and abs(tails.right.level - s[-1]) > tol:
-        raise DomainError("right tail level inconsistent with s at the right endpoint")
 
 
 def _sweeps(s: np.ndarray, h: float, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -105,24 +68,18 @@ def _sweeps(s: np.ndarray, h: float, r: float) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def _tail_integrals(s: np.ndarray, r: float, tails: TailSpec) -> tuple[float, float]:
+def _tail_integrals(s: np.ndarray, r: float, left_rate: float,
+                    right_rate: float) -> tuple[float, float]:
     """(T_L, T_R): half-line integrals anchored at the grid endpoints.
 
     T_L = int_{-inf}^{x0} exp(-r (x0 - y)) s(y) dy and symmetrically T_R.
+    The negated comparisons refuse a NaN rate as well.
     """
-    if isinstance(tails.left, Constant):
-        TL = tails.left.level / r
-    else:
-        if tails.left.rate >= r:
-            raise DomainError("left Exponential rate >= sqrt(lambda): divergent tail")
-        TL = s[0] / (r - tails.left.rate)
-    if isinstance(tails.right, Constant):
-        TR = tails.right.level / r
-    else:
-        if tails.right.rate <= -r:
-            raise DomainError("right Exponential rate <= -sqrt(lambda): divergent tail")
-        TR = s[-1] / (r + tails.right.rate)
-    return TL, TR
+    if not left_rate < r:
+        raise DomainError("left tail rate must be < sqrt(lambda): divergent tail")
+    if not right_rate > -r:
+        raise DomainError("right tail rate must be > -sqrt(lambda): divergent tail")
+    return s[0] / (r - left_rate), s[-1] / (r + right_rate)
 
 
 @lru_cache(maxsize=8)
@@ -135,41 +92,44 @@ def _edge_decay(grid: Grid, r: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_pair_values(s: np.ndarray, grid: Grid, lam: float, mu: float,
-                      tails: TailSpec) -> tuple[np.ndarray, np.ndarray]:
+                      left_rate: float, right_rate: float
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """(Psi, Psi') as arrays for source values s on grid; solve_pair's core."""
-    if lam <= 0 or mu <= 0:
+    if not (lam > 0 and mu > 0):
         raise DomainError("lambda and mu must be positive")
-    _check_tail_consistency(s, tails)
     r = np.sqrt(lam)
     A, B = _sweeps(s, grid.h, r)
-    TL, TR = _tail_integrals(s, r, tails)
+    TL, TR = _tail_integrals(s, r, left_rate, right_rate)
     decay_left, decay_right = _edge_decay(grid, r)
     left = A + TL * decay_left
     right = B + TR * decay_right
     return (mu / (2.0 * r)) * (left + right), (mu / 2.0) * (right - left)
 
 
-def solve_psi(s: Field, lam: float, mu: float, tails: TailSpec) -> Field:
-    """Exact-kernel solution of v'' - lam v + mu s = 0 for the given closure."""
-    return solve_pair(s, lam, mu, tails)[0]
+def solve_psi(s: Field, lam: float, mu: float, left_rate: float,
+              right_rate: float) -> Field:
+    """Exact-kernel solution of v'' - lam v + mu s = 0 for the given tail rates."""
+    return solve_pair(s, lam, mu, left_rate, right_rate)[0]
 
 
-def psi_derivative(s: Field, lam: float, mu: float, tails: TailSpec) -> Field:
+def psi_derivative(s: Field, lam: float, mu: float, left_rate: float,
+                   right_rate: float) -> Field:
     """d/dx of solve_psi via the same sweeps with the one-sided sign split."""
-    return solve_pair(s, lam, mu, tails)[1]
+    return solve_pair(s, lam, mu, left_rate, right_rate)[1]
 
 
-def solve_pair(s: Field, lam: float, mu: float,
-               tails: TailSpec) -> tuple[Field, Field]:
+def solve_pair(s: Field, lam: float, mu: float, left_rate: float,
+               right_rate: float) -> tuple[Field, Field]:
     """(Psi, Psi') from a single pair of sweeps."""
-    psi, dpsi = solve_pair_values(s.values, s.grid, lam, mu, tails)
+    psi, dpsi = solve_pair_values(s.values, s.grid, lam, mu, left_rate,
+                                  right_rate)
     return Field(s.grid, psi), Field(s.grid, dpsi)
 
 
 def solve_fd(s: Field, lam: float, mu: float,
              bc_left: float, bc_right: float) -> Field:
     """Second-order tridiagonal solve with Dirichlet data; cross-check only."""
-    if lam <= 0 or mu <= 0:
+    if not (lam > 0 and mu > 0):
         raise DomainError("lambda and mu must be positive")
     n = s.grid.n
     h = s.grid.h

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import SimConfig, run, solve_v
-from .elliptic import Constant, TailSpec, solve_pair
+from .elliptic import solve_pair
 from .errors import DomainError, TruncationWarning
 from .fields import Field
 from .params import (Params, SIGMA, TILDE_FACTOR, _bD_chain, M_chi,
@@ -295,7 +295,8 @@ def weighted_elliptic_check(u1: Field, u2: Field, eta: float, gamma: float,
 
     Verifies int V^2 <= g^2 M^(2(g-1))/(1-eta)^2 int U^2 and
     int V_x^2 <= g^2 M^(2(g-1))/(1-eta^2) int U^2, with V = e^(eta x) v,
-    U = e^(eta x)(u2 - u1), up to 1e-6 relative slack.
+    U = e^(eta x)(u2 - u1), up to 1e-6 relative slack.  v's source is
+    continued beyond the grid as a plateau, so it must vanish at both ends.
     """
     if eta >= 1.0:
         raise DomainError("eta must be < 1")
@@ -304,8 +305,10 @@ def weighted_elliptic_check(u1: Field, u2: Field, eta: float, gamma: float,
     for name, u in (("u1", u1), ("u2", u2)):
         if u.min() < 0 or u.max() > M:
             raise DomainError(f"{name} must satisfy 0 <= {name} <= M")
-    src = u1.with_values(np.power(u2.values, gamma) - np.power(u1.values, gamma))
-    v, vx = solve_pair(src, 1.0, 1.0, TailSpec(Constant(0.0), Constant(0.0)))
+    src = np.power(u2.values, gamma) - np.power(u1.values, gamma)
+    if max(abs(src[0]), abs(src[-1])) > 1e-8 * max(1.0, abs(src).max()):
+        raise DomainError("u2^gamma - u1^gamma must vanish at both grid ends")
+    v, vx = solve_pair(u1.with_values(src), 1.0, 1.0, 0.0, 0.0)
 
     x = u1.grid.x
     h = u1.grid.h

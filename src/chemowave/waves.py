@@ -43,7 +43,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .barriers import BarrierSpec, default_barrier_spec, eval_sub, eval_super
 from .cauchy import (DT_MAX, SimConfig, march, robin_rate, solve_v,
-                     steady_jacobian, steady_residual, v_tails_for)
+                     steady_jacobian, steady_residual)
 from .elliptic import solve_pair
 from .errors import (DomainError, NoConvergence, NormalizationError,
                      RegimeError, WindowTooShort)
@@ -209,7 +209,7 @@ def _newton_step(problem: WaveProblem, u: np.ndarray, v: np.ndarray,
         out[:-1] += sup * du[1:]
         out[1:] += sub * du[:-1]
         src = Field(grid, dsrc * du)
-        dV, dVx = solve_pair(src, 1.0, 1.0, v_tails_for(p, src.values, kappa))
+        dV, dVx = solve_pair(src, 1.0, 1.0, 0.0, p.gamma * kappa)
         return out + dF_dv * dV.values + dF_dvx * dVx.values
 
     op = LinearOperator((n, n), matvec=lambda y: jvp(precond(y)), dtype=float)

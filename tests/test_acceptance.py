@@ -16,7 +16,7 @@ import pytest
 from chemowave.barriers import (certify, default_barrier_spec, eval_sub,
                                 eval_super, residual_A)
 from chemowave.cauchy import SimConfig, monitor_bounds, run
-from chemowave.elliptic import Constant, Exponential, TailSpec, solve_pair
+from chemowave.elliptic import solve_pair
 from chemowave.fields import Field, Grid
 from chemowave.params import Params, SIGMA, c_star, constants_report
 from chemowave.speed import spreading_speed
@@ -84,7 +84,7 @@ def test_criterion_2_elliptic_exactness():
     t0 = time.perf_counter()
     g = Grid.from_bounds(-40.0, 40.0, 0.00025)
     s = Field(g, np.exp(-0.5 * g.x))
-    psi, _ = solve_pair(s, 1.0, 1.0, TailSpec(Exponential(0.5), Exponential(0.5)))
+    psi, _ = solve_pair(s, 1.0, 1.0, 0.5, 0.5)
     exact = (4.0 / 3.0) * np.exp(-0.5 * g.x)
     win = (g.x >= -20.0) & (g.x <= 20.0)
     rel = np.abs(psi.values[win] / exact[win] - 1.0).max()
@@ -96,9 +96,8 @@ def test_criterion_2_elliptic_exactness():
         rng = np.random.default_rng(seed)
         vals = np.convolve(rng.uniform(size=g2.n), rng_k, mode="same")
         src = Field(g2, (1.0 + seed % 4) * vals)
-        tails = TailSpec(Constant(src.values[0]), Constant(src.values[-1]))
         lam = 1.0 + 0.25 * (seed % 5)
-        p2, d2 = solve_pair(src, lam, 1.0, tails)
+        p2, d2 = solve_pair(src, lam, 1.0, 0.0, 0.0)
         assert np.all(np.abs(d2.values) <= math.sqrt(lam) * p2.values + 1e-10)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

@@ -334,6 +334,17 @@ def test_stability_subcommand_end_to_end(tmp_path):
     assert (out / "plot_stability.py").exists()
 
 
+@pytest.mark.filterwarnings("ignore::chemowave.errors.TruncationWarning")
+def test_stability_manifest_records_the_default_t_end(tmp_path):
+    out = tmp_path / "stab"
+    code = main(["stability", "--chi", "0", "--c", "3", "--grid-h", "0.1",
+                 "--out-dir", str(out)])
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())["config"]
+    last_t = (out / "decay.csv").read_text().splitlines()[-1].split(",")[0]
+    assert manifest["t_end"] == float(last_t) == 20.0
+
+
 def test_wave_subcommand_coupled_relax(tmp_path):
     out = tmp_path / "relax"
     code = main(["wave", "--chi", "0", "--c", "3", "--method", "CoupledRelax",

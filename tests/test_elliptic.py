@@ -2,10 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chemowave.elliptic import (Constant, Exponential, TailSpec,
-                                psi_derivative, solve_fd, solve_pair,
-                                solve_psi)
+from chemowave.elliptic import psi_derivative, solve_fd, solve_pair, solve_psi
 from chemowave.errors import DomainError
 from chemowave.fields import Field, Grid
 
@@ -20,10 +19,9 @@ def smooth_nonneg(grid, seed, scale=1.0):
 def test_constant_source_unit_mass():
     g = Grid.from_bounds(-50, 50, 0.05)
     s = Field(g, np.ones(g.n))
-    tails = TailSpec(Constant(1.0), Constant(1.0))
-    psi = solve_psi(s, 1.0, 1.0, tails)
+    psi = solve_psi(s, 1.0, 1.0, 0.0, 0.0)
     assert np.abs(psi.values - 1.0).max() < 1e-10
-    dpsi = psi_derivative(s, 1.0, 1.0, tails)
+    dpsi = psi_derivative(s, 1.0, 1.0, 0.0, 0.0)
     assert np.abs(dpsi.values).max() < 1e-10
 
 
@@ -32,14 +30,27 @@ def test_exponential_source_exact():
     # follows the piecewise-linear reconstruction bound (kappa h)^2 / 12
     g = Grid.from_bounds(-40, 40, 0.0025)
     s = Field(g, np.exp(-0.5 * g.x))
-    tails = TailSpec(Exponential(0.5), Exponential(0.5))
-    psi, dpsi = solve_pair(s, 1.0, 1.0, tails)
+    psi, dpsi = solve_pair(s, 1.0, 1.0, 0.5, 0.5)
     exact = (4.0 / 3.0) * np.exp(-0.5 * g.x)
     win = (g.x >= -20) & (g.x <= 20)
     rel = np.abs(psi.values[win] / exact[win] - 1.0).max()
     assert rel < 2e-7
     relp = np.abs(dpsi.values[win] / (-0.5 * psi.values[win]) - 1.0).max()
     assert relp < 1e-7
+
+
+@settings(max_examples=60)
+@given(a=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+       C=st.floats(1e-3, 1e3), x0=st.floats(-5.0, 3.0))
+def test_matching_tail_rates_are_exact_for_exponential_sources(a, C, x0):
+    # s = C e^{-a x} continued at its own rate on both sides solves to
+    # Psi = s / (1 - a^2), Psi' = -a Psi; h keeps (a h)^2 / 8 below 1e-8
+    g = Grid(x0, 1e-4, 20001)
+    s = Field(g, C * np.exp(-a * g.x))
+    psi, dpsi = solve_pair(s, 1.0, 1.0, a, a)
+    exact = s.values / (1.0 - a * a)
+    assert np.abs(psi.values / exact - 1.0).max() < 1e-8
+    assert np.abs(dpsi.values / psi.values + a).max() < 1e-8
 
 
 def test_triangular_bump_green_function():
@@ -49,7 +60,7 @@ def test_triangular_bump_green_function():
     g = Grid.from_bounds(-30, 30, h)
     vals = np.maximum(0.0, 1.0 - np.abs(g.x) / h) / h
     s = Field(g, vals)
-    psi = solve_psi(s, 1.0, 1.0, TailSpec(Constant(0.0), Constant(0.0)))
+    psi = solve_psi(s, 1.0, 1.0, 0.0, 0.0)
     for xq in (-5.0, -3.0, -1.5, 1.5, 3.0, 5.0):
         i = int(round((xq - g.x0) / h))
         expected = 0.5 * np.exp(-abs(g.x[i]))
@@ -64,17 +75,15 @@ def test_derivative_bound_every_node():
     g = Grid.from_bounds(-40, 40, 0.05)
     for seed in range(200):
         s = smooth_nonneg(g, seed, scale=1.0 + (seed % 5))
-        tails = TailSpec(Constant(float(s.values[0])), Constant(float(s.values[-1])))
         lam = 1.0 + 0.5 * (seed % 3)
-        psi, dpsi = solve_pair(s, lam, 1.0, tails)
+        psi, dpsi = solve_pair(s, lam, 1.0, 0.0, 0.0)
         assert np.all(np.abs(dpsi.values) <= np.sqrt(lam) * psi.values + 1e-10)
 
 
 def test_derivative_matches_centered_difference():
     g = Grid.from_bounds(-30, 30, 0.02)
     s = Field(g, np.exp(-0.1 * g.x ** 2))
-    tails = TailSpec(Constant(float(s.values[0])), Constant(float(s.values[-1])))
-    psi, dpsi = solve_pair(s, 1.0, 1.0, tails)
+    psi, dpsi = solve_pair(s, 1.0, 1.0, 0.0, 0.0)
     cd = (psi.values[2:] - psi.values[:-2]) / (2 * g.h)
     assert np.abs(cd - dpsi.values[1:-1]).max() < 5 * g.h ** 2
 
@@ -85,10 +94,8 @@ def test_positivity_and_comparison():
         s1 = smooth_nonneg(g, seed)
         bump = 0.3 * (1 + np.sin(0.2 * g.x) ** 2)
         s2 = Field(g, s1.values + bump)
-        t1 = TailSpec(Constant(float(s1.values[0])), Constant(float(s1.values[-1])))
-        t2 = TailSpec(Constant(float(s2.values[0])), Constant(float(s2.values[-1])))
-        p1 = solve_psi(s1, 1.0, 1.0, t1)
-        p2 = solve_psi(s2, 1.0, 1.0, t2)
+        p1 = solve_psi(s1, 1.0, 1.0, 0.0, 0.0)
+        p2 = solve_psi(s2, 1.0, 1.0, 0.0, 0.0)
         assert p1.min() >= 0.0
         assert np.all(p1.values <= p2.values + 1e-12)
 
@@ -104,8 +111,7 @@ def test_decay_envelope_bound():
             raw = rng.uniform(size=g.n)
             r = np.convolve(raw, np.ones(81) / 81.0, mode="same")
             s = Field(g, env * np.clip(r, 0.0, 0.9))
-            tails = TailSpec(Constant(float(s.values[0])), Exponential(kappa))
-            psi = solve_psi(s, 1.0, 1.0, tails)
+            psi = solve_psi(s, 1.0, 1.0, 0.0, kappa)
             bound = np.minimum(M, np.exp(-kappa * g.x) / (1.0 - kappa ** 2))
             assert np.all(psi.values <= bound + 1e-8)
 
@@ -115,12 +121,10 @@ def test_linearity():
     s1 = smooth_nonneg(g, 1)
     s2 = smooth_nonneg(g, 2)
     a, b = 0.7, 2.3
-    t1 = TailSpec(Constant(float(s1.values[0])), Constant(float(s1.values[-1])))
-    t2 = TailSpec(Constant(float(s2.values[0])), Constant(float(s2.values[-1])))
     s3 = Field(g, a * s1.values + b * s2.values)
-    t3 = TailSpec(Constant(float(s3.values[0])), Constant(float(s3.values[-1])))
-    p = solve_psi(s3, 1.0, 1.0, t3)
-    q = a * solve_psi(s1, 1.0, 1.0, t1).values + b * solve_psi(s2, 1.0, 1.0, t2).values
+    p = solve_psi(s3, 1.0, 1.0, 0.0, 0.0)
+    q = (a * solve_psi(s1, 1.0, 1.0, 0.0, 0.0).values
+         + b * solve_psi(s2, 1.0, 1.0, 0.0, 0.0).values)
     assert np.abs(p.values - q).max() < 1e-12 * max(1.0, np.abs(q).max())
 
 
@@ -128,19 +132,21 @@ def test_domain_errors():
     g = Grid.from_bounds(-10, 10, 0.1)
     s = Field(g, np.exp(-0.5 * g.x))
     with pytest.raises(DomainError):
-        solve_psi(s, 0.0, 1.0, TailSpec(Exponential(0.5), Exponential(0.5)))
+        solve_psi(s, 0.0, 1.0, 0.5, 0.5)
     with pytest.raises(DomainError):
-        solve_psi(s, 1.0, -1.0, TailSpec(Exponential(0.5), Exponential(0.5)))
-    with pytest.raises(DomainError, match="right Exponential"):
-        solve_psi(s, 1.0, 1.0, TailSpec(Exponential(0.5), Exponential(-1.0)))
-    with pytest.raises(DomainError, match="left Exponential"):
-        solve_psi(s, 1.0, 1.0, TailSpec(Exponential(1.5), Exponential(0.5)))
-    with pytest.raises(DomainError, match="inconsistent"):
-        solve_psi(s, 1.0, 1.0, TailSpec(Constant(0.0), Exponential(0.5)))
-    with pytest.raises(DomainError, match="right tail level inconsistent"):
-        solve_psi(s, 1.0, 1.0, TailSpec(Exponential(0.5), Constant(0.0)))
-    with pytest.raises(DomainError, match="finite"):
-        Constant(float("nan"))
+        solve_psi(s, 1.0, -1.0, 0.5, 0.5)
+    with pytest.raises(DomainError, match="lambda and mu"):
+        solve_psi(s, float("nan"), 1.0, 0.5, 0.5)
+    with pytest.raises(DomainError, match="lambda and mu"):
+        solve_fd(s, float("nan"), 1.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match="right tail rate"):
+        solve_psi(s, 1.0, 1.0, 0.5, -1.0)
+    with pytest.raises(DomainError, match="left tail rate"):
+        solve_psi(s, 1.0, 1.0, 1.5, 0.5)
+    with pytest.raises(DomainError, match="left tail rate"):
+        solve_psi(s, 1.0, 1.0, float("nan"), 0.5)
+    with pytest.raises(DomainError, match="right tail rate"):
+        solve_psi(s, 1.0, 1.0, 0.5, float("nan"))
 
 
 def test_solve_fd_constant():
@@ -165,8 +171,7 @@ def test_solve_fd_convergence_order():
 def test_fd_kernel_mutual_oracle():
     g = Grid.from_bounds(-25, 25, 0.02)
     s = smooth_nonneg(g, 42)
-    tails = TailSpec(Constant(float(s.values[0])), Constant(float(s.values[-1])))
-    psi = solve_psi(s, 1.0, 1.0, tails)
+    psi = solve_psi(s, 1.0, 1.0, 0.0, 0.0)
     v = solve_fd(s, 1.0, 1.0, float(psi.values[0]), float(psi.values[-1]))
     inner = (g.x > -20) & (g.x < 20)
     rel = (np.abs(v.values - psi.values)[inner]

@@ -147,8 +147,8 @@ def test_run_stability_closes_v_at_the_profile_rate(stab_small_chi_profile,
     prof = stab_small_chi_profile
     starts = []
 
-    def spy(config, u0, out_dir=None):
-        result = run(config, u0, out_dir)
+    def spy(config, u0):
+        result = run(config, u0)
         starts.append((u0, result[2][0].v))
         return result
 
@@ -250,3 +250,7 @@ def test_weighted_elliptic_errors():
         weighted_elliptic_check(u, u, eta=1.0, gamma=1.0, M=1.0)
     with pytest.raises(DomainError):
         weighted_elliptic_check(u, u, eta=0.5, gamma=1.0, M=0.5)
+    # the difference is continued as a plateau, so it must vanish at the ends
+    with pytest.raises(DomainError, match="vanish"):
+        weighted_elliptic_check(Field(g, np.zeros(g.n)), Field(g, np.full(g.n, 0.5)),
+                                eta=0.5, gamma=1.0, M=1.0)

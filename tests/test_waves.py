@@ -115,7 +115,7 @@ def test_inner_relaxation_monotone_neg_chi():
     c_eff = fitted_frame_speed(c, g.h)
     t = 0.0
     while t < 5.0:
-        dt = auto_dt(p, u, V.values, Vx.values, c_eff, g.h)
+        dt = auto_dt(p, u, V.values, Vx.values, g.h)
         un = advance_imex(p, u, V.values, Vx.values, c_eff, dt, g,
                           spec.kappa, "centered")
         un = np.maximum(un, 0.0)
