@@ -211,10 +211,12 @@ def cmd_stability(cfg: dict) -> int:
 def _speed_settings(cfg: dict) -> SimConfig:
     """Run settings of a speed or sweep run; the defaults are written into cfg.
 
-    A front at speed ~2 from x = 0 nears x = 120 by the default t_end 60.
-    dt defaults to 0.02; an explicit auto selects the automatic step.
+    The grid is the window of the frame moving at speed 2, where the
+    front lags the frame by about (3/2) ln t: [-40, 40] holds it up to
+    the default t_end 60.  dt defaults to 0.02; an explicit auto selects
+    the automatic step.
     """
-    for key, value in (("grid.left", -40.0), ("grid.right", 150.0),
+    for key, value in (("grid.left", -40.0), ("grid.right", 40.0),
                        ("t_end", 60.0), ("dt", 0.02)):
         if key not in cfg["_explicit"]:
             cfg[key] = value
@@ -233,7 +235,7 @@ def cmd_speed(cfg: dict) -> int:
                     zip(track.times, track.positions))
     cw_io.write_json(os.path.join(out, "speed.json"),
                      {"fitted_speed": track.fitted_speed, "r2": track.fit_r2,
-                      "level": track.level, "extended": track.extended})
+                      "level": track.level})
     _manifest(cfg)
     print(f"fitted_speed = {track.fitted_speed:.4f} (r2 = {track.fit_r2:.6f})")
     return 0

@@ -44,7 +44,7 @@ class WindowTooShort(ValueError):
 
 
 class NoFront(ValueError):
-    """Field never crosses the requested level."""
+    """Field never crosses the requested level, or its front leaves the window."""
 
 
 class InternalError(RuntimeError):

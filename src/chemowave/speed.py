@@ -1,10 +1,15 @@
 """Spreading-speed measurement from compactly supported initial data.
 
-A lab-frame run is tracked through the rightmost crossing of the level
-1/2; the asymptotic spreading speed is the slope of a linear
-fit of front position against time over the last half of the run.  The
-domain auto-extends once (with a warning) if the front comes within 10
-length units of the right boundary.
+The run is one `cauchy.run` in the frame moving at FRAME_SPEED = 2, the
+spreading speed at chi = 0.  A pulled front lags 2t by (3/2) ln t
+(Bramson), so in that frame it barely moves and a fixed window holds
+it: the front is the rightmost crossing of the level 1/2, tracked in
+the frame and reported in the lab frame as front_x + 2 t.  The
+asymptotic spreading speed is the slope of a linear fit of front
+position against time over the last half of the run (t >= t_end / 2).
+Every sample in that half must have a front at least BOUNDARY_MARGIN
+inside both edges of the window; otherwise NoFront names the grid
+flag to widen.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .errors import DomainError, NoFront
 from .fields import Field, Grid, level_crossings
 from .params import Params, c_star, constants_report
 
+FRAME_SPEED = 2.0
 BOUNDARY_MARGIN = 10.0
 
 
@@ -29,10 +35,9 @@ BOUNDARY_MARGIN = 10.0
 class FrontTrack:
     level: float
     times: np.ndarray
-    positions: np.ndarray
+    positions: np.ndarray            # lab frame
     fitted_speed: float
     fit_r2: float
-    extended: bool = False
 
 
 def front_position(u: Field, level: float) -> float:
@@ -44,31 +49,19 @@ def front_position(u: Field, level: float) -> float:
 
 
 def _fit(times: np.ndarray, positions: np.ndarray) -> tuple[float, float]:
-    ok = np.isfinite(positions)
-    t, pos = times[ok], positions[ok]
-    if t.size < 3:
-        raise NoFront("not enough tracked front positions for a fit")
-    cut = t >= t.max() / 2.0
-    t, pos = t[cut], pos[cut]
-    slope, icept = np.polyfit(t, pos, 1)
-    resid = pos - (slope * t + icept)
-    ss_tot = float(((pos - pos.mean()) ** 2).sum())
+    slope, icept = np.polyfit(times, positions, 1)
+    resid = positions - (slope * times + icept)
+    ss_tot = float(((positions - positions.mean()) ** 2).sum())
     r2 = 1.0 - float((resid ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
     return float(slope), r2
 
 
-def _extend_right(grid: Grid, u: np.ndarray, extra: float) -> tuple[Grid, np.ndarray]:
-    n_add = int(math.ceil(extra / grid.h))
-    g2 = Grid(grid.x0, grid.h, grid.n + n_add)
-    return g2, np.concatenate([u, np.zeros(n_add)])
-
-
 def spreading_speed(config: SimConfig, u0: Field) -> FrontTrack:
-    """Track the front of a lab-frame run and fit its asymptotic speed.
+    """Track the front of a lab-frame problem and fit its asymptotic speed.
 
-    The run proceeds in chunks; whenever the front first comes within 10
-    length units of the right boundary the grid is extended once, with a
-    warning, by enough room for the remaining time.
+    config is a lab-frame configuration; it is run in the frame moving
+    at FRAME_SPEED.  NoFront if a sample of the fit half has no front
+    or one within BOUNDARY_MARGIN of an edge of the window.
     """
     if config.frame_speed != 0.0:
         raise DomainError("spreading speed is measured in the lab frame")
@@ -77,38 +70,24 @@ def spreading_speed(config: SimConfig, u0: Field) -> FrontTrack:
     if u0.min() < 0 or u0.max() == 0.0:
         raise DomainError("u0 must be nonnegative and not identically zero")
 
-    cfg = config
-    u = u0
-    times: list[float] = []
-    positions: list[float] = []
-    t0 = 0.0
-    extended = False
-    chunk = 2.0 * cfg.output_every
-    while t0 < cfg.t_end - 1e-9:
-        span = min(chunk, cfg.t_end - t0)
-        final, monitors, _ = run(replace(cfg, t_end=span), u)
-        skip = 1 if t0 > 0 else 0
-        times.extend(t0 + t for t in monitors.times[skip:])
-        positions.extend(monitors.front_x[skip:])
-        t0 += final.t
-        u = final.u
-        last = positions[-1]
-        if (not extended and np.isfinite(last)
-                and last > cfg.grid.x1 - BOUNDARY_MARGIN
-                and t0 < cfg.t_end - 1e-9):
-            warnings.warn("front within 10 units of the right boundary; "
-                          "extending the grid once")
-            extra = 2.5 * (cfg.t_end - t0) + 2 * BOUNDARY_MARGIN
-            g2, uv = _extend_right(cfg.grid, u.values, extra)
-            cfg = replace(cfg, grid=g2)
-            u = Field(g2, uv)
-            extended = True
-
-    t_arr = np.array(times)
-    p_arr = np.array(positions)
-    speed, r2 = _fit(t_arr, p_arr)
-    return FrontTrack(level=FRONT_LEVEL, times=t_arr, positions=p_arr,
-                      fitted_speed=speed, fit_r2=r2, extended=extended)
+    grid = config.grid
+    _, monitors, _ = run(replace(config, frame_speed=FRAME_SPEED), u0)
+    times, frame_x = np.array(monitors.times), np.array(monitors.front_x)
+    fit = times >= times[-1] / 2.0
+    if fit.sum() < 3:
+        raise NoFront("not enough tracked front positions for a fit")
+    for t, x, inf_u in zip(times[fit], frame_x[fit], np.array(monitors.inf_u)[fit]):
+        # u above the level everywhere: the front has left on the right
+        side = ("right" if x > grid.x1 - BOUNDARY_MARGIN or inf_u > FRONT_LEVEL
+                else None if x >= grid.x0 + BOUNDARY_MARGIN else "left")
+        if side:
+            raise NoFront(
+                f"front lost or within {BOUNDARY_MARGIN:g} of the {side} edge "
+                f"of the co-moving window at t = {t:g}; widen it with --grid-{side}")
+    positions = frame_x + FRAME_SPEED * times
+    speed, r2 = _fit(times[fit], positions[fit])
+    return FrontTrack(level=FRONT_LEVEL, times=times, positions=positions,
+                      fitted_speed=speed, fit_r2=r2)
 
 
 # ----------------------------------------------------------------------

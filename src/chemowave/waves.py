@@ -152,8 +152,9 @@ class WaveDiagnostics:
 def _prepare(problem: WaveProblem):
     """Shared setup of both constructions.
 
-    Checks regime and speed, and returns the barrier sandwich spec, its
-    upper and lower barriers on the grid and the fitted frame speed.
+    Checks regime, speed and the super-solution's decay window, and
+    returns the barrier sandwich spec, its upper and lower barriers on
+    the grid and the fitted frame speed.
     """
     p = problem.params
     tag = classify_regime(p)
@@ -166,8 +167,11 @@ def _prepare(problem: WaveProblem):
     d_min = math.exp((spec.kappa_tilde - spec.kappa) * (grid.x0 + 5.0))
     if spec.D < d_min:
         spec = replace(spec, D=d_min)
-    return (spec, eval_super(spec, grid).values,
-            eval_sub(spec, grid, clipped=True).values,
+    upper = eval_super(spec, grid).values
+    # the profile's tail follows the super-solution's e^{-kappa x}: a grid
+    # with no room for the latter's decay window is refused before any solve
+    _decay_window(grid.x, upper)
+    return (spec, upper, eval_sub(spec, grid, clipped=True).values,
             fitted_frame_speed(problem.c, grid.h))
 
 
@@ -382,13 +386,20 @@ def diagnose(profile: WaveProfile, kappa1: float | None = None) -> WaveDiagnosti
     return diagnose_profile_field(profile.U, profile.kappa, kappa1)
 
 
-def diagnose_profile_field(U: Field, kappa: float, kappa1: float) -> WaveDiagnostics:
-    x = U.grid.x
-    u = U.values
+def _decay_window(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Mask of the nodes with u in FIT_WINDOW; WindowTooShort unless they
+    span at least MIN_WINDOW_LENGTH."""
     lo, hi = FIT_WINDOW
     mask = (u >= lo) & (u <= hi)
     if not mask.any() or x[mask].max() - x[mask].min() < MIN_WINDOW_LENGTH:
         raise WindowTooShort("decay window shorter than 5 length units")
+    return mask
+
+
+def diagnose_profile_field(U: Field, kappa: float, kappa1: float) -> WaveDiagnostics:
+    x = U.grid.x
+    u = U.values
+    mask = _decay_window(x, u)
     xw, uw = x[mask], u[mask]
     slope = float(np.polyfit(xw, -np.log(uw), 1)[0])
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -146,6 +147,19 @@ def test_wave_unusable_grid_exits_1(tmp_path, capsys, left, right, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_wave_relax_refuses_short_grid_up_front(tmp_path, capsys):
+    # the super-solution has no decay window on [-20, 8], so CoupledRelax
+    # exits 1 like FixedPoint instead of spending its step budget
+    t0 = time.perf_counter()
+    code = main(["wave", "--chi", "0", "--c", "3", "--grid-left", "-20",
+                 "--grid-right", "8", "--method", "CoupledRelax",
+                 "--out-dir", str(tmp_path / "w")])
+    assert code == 1
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "decay window shorter" in err
+
+
 def test_wave_relax_above_cell_peclet_limit_exits_1(tmp_path, capsys):
     # c = 3 on h = 0.8 steps at the fitted frame speed 2.96: c h >= 2,
     # where the implicit frame advection's matrix is no M-matrix
@@ -274,6 +288,15 @@ def test_speed_explicit_auto_dt_runs_automatic_step(tmp_path):
     written = json.loads((out / "speed.json").read_text())
     assert written["fitted_speed"] == track.fitted_speed
     assert written["r2"] == track.fit_r2
+
+
+def test_speed_front_leaving_window_exits_1(tmp_path, capsys):
+    # chi = -12 outruns the speed-2 frame on the default [-40, 40]
+    code = main(["speed", "--chi", "-12", "--out-dir", str(tmp_path / "sp")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--grid-right" in err
+    assert not (tmp_path / "sp").exists()
 
 
 @pytest.mark.parametrize("subcommand", ["speed", "sweep"])

@@ -1,5 +1,6 @@
 """Front tracking and spreading-speed measurement."""
 
+import functools
 import math
 
 import numpy as np
@@ -73,16 +74,47 @@ def test_spreading_speed_translation_invariance():
     assert abs(speeds[0] - speeds[1]) < 1e-3
 
 
-def test_spreading_speed_auto_extension():
-    # deliberately undersized domain: the run must extend once and warn
-    p = Params(0.0)
-    g = Grid.from_bounds(-20, 50, 0.1)
-    cfg = SimConfig(params=p, grid=g, t_end=40.0, dt=0.02, output_every=1.0)
-    u0 = Field(g, np.where(np.abs(g.x) <= 1.0, 0.5, 0.0))
-    with pytest.warns(UserWarning, match="extending the grid once"):
-        track = spreading_speed(cfg, u0)
-    assert track.extended
-    assert track.fitted_speed == pytest.approx(2.0, rel=0.05)
+@functools.lru_cache(maxsize=None)
+def _track(chi: float, left: float = -40.0, right: float = 40.0):
+    g = Grid.from_bounds(left, right, 0.05)
+    cfg = SimConfig(params=Params(chi), grid=g, t_end=60.0, dt=0.02,
+                    output_every=1.0)
+    return spreading_speed(cfg, Field(g, np.where(np.abs(g.x) <= 1.0, 0.5, 0.0)))
+
+
+def test_spreading_speed_front_leaving_window_raises():
+    # chi = -12 outruns the speed-2 frame: its front comes within the
+    # margin of the right edge of the default window in the fit half
+    with pytest.raises(NoFront, match="--grid-right"):
+        _track(-12.0)
+    # chi = -8 is faster than 2 too, but its frame front peaks near 24
+    assert _track(-8.0).fitted_speed > 2.0
+
+
+def test_spreading_speed_front_near_left_edge_raises():
+    # the chi = 0 front lags the frame by ~(3/2) ln t and sits near
+    # x = -8 in the fit half, inside the margin of a window from -15
+    with pytest.raises(NoFront, match="--grid-left"):
+        _track(0.0, left=-15.0)
+
+
+@pytest.mark.parametrize("chi", [0.0, 0.5])
+def test_bramson_corrected_speed_is_two(chi):
+    # a pulled front sits at 2t - (3/2) ln t + O(1) (Bramson); the plain
+    # fit reads ~1.966 either way, the corrected one sees a 0.5% error
+    track = _track(chi)
+    t = track.times
+    cut = (t >= 30.0) & (t <= 60.0)
+    c = np.polyfit(t[cut], track.positions[cut] + 1.5 * np.log(t[cut]), 1)[0]
+    assert abs(c - 2.0) < 0.01
+
+
+def test_fitted_speed_independent_of_window():
+    # the default [-40, 40], then a narrower and a wider window
+    speeds = [_track(0.0).fitted_speed] + [
+        _track(0.0, left, right).fitted_speed
+        for left, right in ((-20.0, 40.0), (-40.0, 60.0))]
+    assert max(speeds) - min(speeds) < 1e-4
 
 
 def test_speed_converges_from_below_in_h():
