@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
 
 from .cauchy import solve_v, steady_residual
 from .errors import DomainError
@@ -128,6 +127,10 @@ def random_envelope(spec: BarrierSpec, grid: Grid, seed: int) -> Field:
     super-solution, covering the admissible class without adversarial
     roughness.
     """
+    # imported here: only certify draws envelopes, and every CLI call
+    # would otherwise pay for scipy.ndimage at start-up
+    from scipy.ndimage import gaussian_filter1d
+
     rng = np.random.default_rng(seed)
     raw = rng.uniform(size=grid.n)
     smooth = gaussian_filter1d(raw, sigma=max(2.0 / grid.h, 4.0), mode="nearest")

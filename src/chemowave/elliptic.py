@@ -7,10 +7,13 @@ On the whole line the solution is the exponential-kernel convolution
 and its derivative splits into a left and a right one-sided integral.
 Here the grid part of the integral is evaluated exactly for a
 piecewise-linear reconstruction of s via two O(n) exponential prefix
-sweeps (one lfilter call), and the two half-line tails are closed
-analytically from one decay rate per side; their edge-decay profiles
-are computed once per (grid, lambda).  `solve_pair_values` is the
-array-level core; `solve_pair` wraps it in Fields.
+sweeps, run in one call of scipy's compiled IIR filter
+(`scipy.signal._sigtools._linear_filter`, loaded without initialising
+`scipy.signal`; `scipy.signal.lfilter` if it cannot be loaded).  The
+two half-line tails are closed analytically from one decay rate per
+side; their edge-decay profiles are computed once per (grid, lambda).
+`solve_pair_values` is the array-level core; `solve_pair` wraps it in
+Fields.
 
 Tail convention: beyond a grid end x_e, s continues as
 s(x_e) * exp(-rate * (x - x_e)), so a rate > 0 decays to the right (and
@@ -24,14 +27,49 @@ purely as an independent cross-check.
 
 from __future__ import annotations
 
+import importlib.util
 from functools import lru_cache
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder)
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.signal import lfilter
 
 from .errors import DomainError, InternalError
 from .fields import Field, Grid
+
+
+def _load_sigtools():
+    """scipy.signal's compiled core, loaded without initialising scipy.signal.
+
+    The package's __init__ imports scipy.stats, scipy.interpolate and
+    scipy.optimize, about 1 s, for a filter that is one C call.
+    """
+    signal = importlib.util.find_spec("scipy.signal")
+    finder = FileFinder(signal.submodule_search_locations[0],
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.signal._sigtools")
+    if spec is None:
+        raise ImportError("scipy.signal._sigtools not found")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve_linear_filter():
+    """_sigtools._linear_filter(b, a, x, axis), the call lfilter makes.
+
+    It is private scipy API, so a scipy without it gets lfilter itself,
+    which takes the same arguments.
+    """
+    try:
+        return _load_sigtools()._linear_filter
+    except (ImportError, AttributeError):
+        from scipy.signal import lfilter
+        return lfilter
+
+
+_linear_filter = _resolve_linear_filter()
 
 
 def _sweeps(s: np.ndarray, h: float, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -41,7 +79,7 @@ def _sweeps(s: np.ndarray, h: float, r: float) -> tuple[np.ndarray, np.ndarray]:
     B[i] = int_{x_i}^{x_end} exp(-r (y - x_i)) s(y) dy
 
     with s piecewise linear between nodes; each cell integrated exactly.
-    Both recurrences run in one lfilter call, B's on the reversed cells.
+    Both recurrences run in one filter call, B's on the reversed cells.
     """
     E = np.exp(-r * h)
     one_minus_E = -np.expm1(-r * h)
@@ -57,7 +95,7 @@ def _sweeps(s: np.ndarray, h: float, r: float) -> tuple[np.ndarray, np.ndarray]:
     cells[0] = s0 * I0 + slope * I1
     # contribution of cell (i, i+1) to B[i], weight anchored at the left end
     cells[1] = (s0 * J0 + slope * J1)[::-1]
-    sums = lfilter([1.0], [1.0, -E], cells)
+    sums = _linear_filter(np.array([1.0]), np.array([1.0, -E]), cells, -1)
 
     A = np.empty_like(s)
     A[0] = 0.0

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .barriers import BarrierSpec, default_barrier_spec, eval_sub, eval_super
 from .cauchy import (DT_MAX, SimConfig, march, robin_rate, solve_v,
@@ -183,6 +182,10 @@ def _newton_step(problem: WaveProblem, u: np.ndarray, v: np.ndarray,
                  vx: np.ndarray, ux: np.ndarray, F: np.ndarray,
                  c_eff: float) -> np.ndarray:
     """(dU[0..n-2], dc_eff) solving J step = -F with U[n-1] held fixed."""
+    # imported here: only the Newton solves need it, and every CLI call
+    # would otherwise pay for scipy.sparse.linalg at start-up
+    from scipy.sparse.linalg import LinearOperator, gmres
+
     p, grid, kappa = problem.params, problem.grid, problem.kappa
     n = grid.n
     sub, diag, sup = steady_jacobian(p, u, v, vx, ux, c_eff, grid,

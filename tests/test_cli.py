@@ -3,12 +3,17 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chemowave
 from chemowave import waves
 from chemowave.cauchy import DT_MAX, SimConfig
 from chemowave.cli import _NUMERIC, main, parse_config, emit_plot
@@ -379,3 +384,33 @@ def test_wave_subcommand_coupled_relax(tmp_path):
     assert diag["monotonicity_violation"] < 1e-6
     assert diag["steps"] > 0
     assert 0.0 < diag["dt_min"] <= diag["dt_max"] <= DT_MAX
+
+
+def test_import_leaves_heavy_scipy_packages_unloaded(tmp_path):
+    # a fresh interpreter: the test session may have imported these already.
+    # GMRES loads on the first Newton solve, ndimage on the first certify
+    script = textwrap.dedent("""
+        import json, os, sys
+        import chemowave.cli
+        heavy = ("scipy.signal", "scipy.stats", "scipy.sparse.linalg",
+                 "scipy.ndimage")
+        at_import = [m for m in heavy if m in sys.modules]
+        codes = [chemowave.cli.main(argv + ["--out-dir",
+                                            os.path.join(sys.argv[1], name)])
+                 for name, argv in (
+                     ("wave", ["wave", "--chi", "-1", "--c", "4",
+                               "--grid-left", "-20", "--grid-right", "30"]),
+                     ("certify", ["certify", "--chi", "-1", "--c", "3"]))]
+        print(json.dumps({"at_import": at_import, "codes": codes,
+                          "after": [m for m in heavy if m in sys.modules]}))
+        """)
+    src = str(Path(chemowave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["at_import"] == []
+    assert report["codes"] == [0, 0]
+    assert report["after"] == ["scipy.sparse.linalg", "scipy.ndimage"]

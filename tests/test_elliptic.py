@@ -1,10 +1,15 @@
 """Exponential-kernel elliptic solves: exact cases, bounds, cross-checks."""
 
+import math
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chemowave.elliptic import psi_derivative, solve_fd, solve_pair, solve_psi
+from chemowave import elliptic
+from chemowave.elliptic import (psi_derivative, solve_fd, solve_pair,
+                                solve_pair_values, solve_psi)
 from chemowave.errors import DomainError
 from chemowave.fields import Field, Grid
 
@@ -88,18 +93,6 @@ def test_derivative_matches_centered_difference():
     assert np.abs(cd - dpsi.values[1:-1]).max() < 5 * g.h ** 2
 
 
-def test_positivity_and_comparison():
-    g = Grid.from_bounds(-30, 30, 0.05)
-    for seed in range(30):
-        s1 = smooth_nonneg(g, seed)
-        bump = 0.3 * (1 + np.sin(0.2 * g.x) ** 2)
-        s2 = Field(g, s1.values + bump)
-        p1 = solve_psi(s1, 1.0, 1.0, 0.0, 0.0)
-        p2 = solve_psi(s2, 1.0, 1.0, 0.0, 0.0)
-        assert p1.min() >= 0.0
-        assert np.all(p1.values <= p2.values + 1e-12)
-
-
 def test_decay_envelope_bound():
     # 0 <= s <= min{M, e^{-kx}} implies Psi <= min{M, e^{-kx}/(1-k^2)};
     # sources drawn with a margin so their chords stay inside the envelope
@@ -116,16 +109,67 @@ def test_decay_envelope_bound():
             assert np.all(psi.values <= bound + 1e-8)
 
 
-def test_linearity():
-    g = Grid.from_bounds(-20, 20, 0.05)
-    s1 = smooth_nonneg(g, 1)
-    s2 = smooth_nonneg(g, 2)
-    a, b = 0.7, 2.3
-    s3 = Field(g, a * s1.values + b * s2.values)
-    p = solve_psi(s3, 1.0, 1.0, 0.0, 0.0)
-    q = (a * solve_psi(s1, 1.0, 1.0, 0.0, 0.0).values
-         + b * solve_psi(s2, 1.0, 1.0, 0.0, 0.0).values)
-    assert np.abs(p.values - q).max() < 1e-12 * max(1.0, np.abs(q).max())
+@st.composite
+def elliptic_cases(draw):
+    """(lam, mu, left_rate, right_rate, h, seed) across the admissible space:
+    the left tail rate below sqrt(lam), the right one above -sqrt(lam)."""
+    lam = draw(st.floats(0.1, 4.0))
+    r = math.sqrt(lam)
+    return (lam, draw(st.floats(0.1, 10.0)), draw(st.floats(-1.0, 0.95)) * r,
+            draw(st.floats(-0.95, 1.0)) * r, draw(st.floats(0.02, 0.2)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=100)
+@given(case=elliptic_cases(), a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
+def test_linearity(case, a, b):
+    lam, mu, left, right, h, seed = case
+    g = Grid.from_bounds(-10.0, 10.0, h)
+    rng = np.random.default_rng(seed)
+    s1, s2 = rng.uniform(-1.0, 1.0, (2, g.n))
+    p1, d1 = solve_pair_values(s1, g, lam, mu, left, right)
+    p2, d2 = solve_pair_values(s2, g, lam, mu, left, right)
+    p, d = solve_pair_values(a * s1 + b * s2, g, lam, mu, left, right)
+    for got, u, w in ((p, p1, p2), (d, d1, d2)):
+        scale = abs(a) * np.abs(u).max() + abs(b) * np.abs(w).max()
+        assert np.abs(got - (a * u + b * w)).max() <= 1e-12 * scale
+
+
+@settings(max_examples=100)
+@given(case=elliptic_cases())
+def test_positivity_and_comparison(case):
+    # s >= 0 gives Psi >= 0, and s1 <= s2 gives Psi1 <= Psi2, for rough
+    # sources too: the piecewise-linear reconstruction keeps the order
+    lam, mu, left, right, h, seed = case
+    g = Grid.from_bounds(-10.0, 10.0, h)
+    rng = np.random.default_rng(seed)
+    s1 = rng.uniform(0.0, 1.0, g.n) * rng.integers(0, 2, g.n)
+    s2 = s1 + rng.uniform(0.0, 1.0, g.n) * rng.integers(0, 2, g.n)
+    p1, _ = solve_pair_values(s1, g, lam, mu, left, right)
+    p2, _ = solve_pair_values(s2, g, lam, mu, left, right)
+    assert p1.min() >= 0.0
+    assert np.all(p1 <= p2 + 1e-12 * np.abs(p2).max())
+
+
+@settings(max_examples=60)
+@given(case=elliptic_cases(),
+       bumps=st.lists(st.tuples(st.floats(-8.0, 8.0), st.floats(0.5, 3.0),
+                                st.floats(0.1, 5.0)), min_size=1, max_size=3))
+def test_solve_pair_agrees_with_fd_to_second_order(case, bumps):
+    # Gaussian sources; the finite-difference solve gets the kernel's
+    # boundary values, so the two differ by their O(h^2) errors only
+    lam, mu, left, right, h, _ = case
+    cells = int(round(20.0 / h))
+    errs = []
+    for k in (1, 2):
+        g = Grid(-10.0, h / k, k * cells + 1)
+        s = Field(g, sum(amp * np.exp(-0.5 * ((g.x - c) / w) ** 2)
+                         for c, w, amp in bumps))
+        psi, _ = solve_pair(s, lam, mu, left, right)
+        v = solve_fd(s, lam, mu, float(psi.values[0]), float(psi.values[-1]))
+        errs.append(np.abs(v.values - psi.values).max())
+    assert errs[0] <= h**2 * np.abs(psi.values).max()
+    assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 
 def test_domain_errors():
@@ -177,3 +221,36 @@ def test_fd_kernel_mutual_oracle():
     rel = (np.abs(v.values - psi.values)[inner]
            / np.maximum(np.abs(psi.values[inner]), 1e-12)).max()
     assert rel < 10 * g.h ** 2
+
+
+def test_direct_filter_is_lfilter_bit_for_bit():
+    # imported after the direct load, as a caller of both would
+    from scipy.signal import lfilter
+    assert elliptic._linear_filter.__name__ == "_linear_filter"
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 7, 400, 4000):
+        for E in rng.uniform(0.0, 1.0, 3):
+            x = rng.standard_normal((2, n))
+            got = elliptic._linear_filter(np.array([1.0]), np.array([1.0, -E]),
+                                          x, -1)
+            assert got.tobytes() == lfilter([1.0], [1.0, -E], x).tobytes()
+
+
+def _no_extension():
+    raise ImportError("no compiled filter")
+
+
+@pytest.mark.parametrize("load", [
+    pytest.param(_no_extension, id="extension-missing"),
+    pytest.param(types.SimpleNamespace, id="name-missing")])
+def test_fallback_filter_gives_the_same_bits(monkeypatch, load):
+    from scipy.signal import lfilter
+    g = Grid.from_bounds(-20.0, 20.0, 0.05)
+    s = np.random.default_rng(3).uniform(size=g.n)
+    direct = solve_pair_values(s, g, 1.3, 0.7, 0.2, 0.4)
+    monkeypatch.setattr(elliptic, "_load_sigtools", load)
+    fallback = elliptic._resolve_linear_filter()
+    assert fallback is lfilter
+    monkeypatch.setattr(elliptic, "_linear_filter", fallback)
+    for got, want in zip(solve_pair_values(s, g, 1.3, 0.7, 0.2, 0.4), direct):
+        assert got.tobytes() == want.tobytes()

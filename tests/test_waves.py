@@ -198,6 +198,27 @@ def test_newton_wave_inside_barriers(chi, dc):
         assert np.diff(u).max() <= 1e-12
 
 
+def test_discrete_uniqueness_from_three_starts(wave_grid, neg_profile):
+    # criterion 7's wave (chi = -1, c = 4): the tail pin fixes the
+    # translation, so Newton from a scaled super-solution and from a
+    # shifted Fisher profile lands on the profile the construction finds
+    problem = WaveProblem(params=Params(-1.0), c=4.0, grid=wave_grid)
+    _, upper, lower, c_fit = waves._prepare(problem)
+    tol = newton_tolerance(wave_grid.h, 1.0)
+    fisher = construct_fixed_point(
+        WaveProblem(params=Params(0.0), c=4.0, grid=wave_grid)).U.values
+    shifted = np.interp(wave_grid.x - 3.0, wave_grid.x, fisher)
+    for start in (0.9 * upper, shifted):
+        u, c_eff, _ = waves._newton(problem, start, c_fit, tol)
+        assert np.abs(u - neg_profile.U.values).max() < 1e-12
+        assert abs(c_eff - neg_profile.c_eff) < 1e-12
+    # the third start, the sub-solution (its plateau at d = 0.042 left of
+    # x_plus), is outside the damped Newton's reach: no step lowers the
+    # sup residual, about d (1 - d), so the line search gives up at once
+    with pytest.raises(NoConvergence, match="line search failed"):
+        waves._newton(problem, lower, c_fit, tol)
+
+
 def test_newton_budget_reports_history(monkeypatch):
     monkeypatch.setattr(waves, "MAX_NEWTON", 2)
     g = Grid.from_bounds(-40, 40, 0.1)
