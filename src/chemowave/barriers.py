@@ -156,7 +156,6 @@ def default_barrier_spec(params: Params, c: float, M: float | None = None) -> Ba
 @dataclass
 class CertifyReport:
     passed: bool
-    checks: list
     worst_excess: float
     worst_location: float
     worst_check: str
@@ -205,7 +204,7 @@ def certify(params: Params, c: float, n_draws: int = 200,
         ("sub_const", Wd, all_mask, eps_disc(grid.h, max(spec.d, 1e-3)), -1),
     )
 
-    checks = []
+    passed = True
     worst = -math.inf
     worst_loc = math.nan
     worst_name = ""
@@ -215,11 +214,9 @@ def certify(params: Params, c: float, n_draws: int = 200,
         for name, W, mask, eps, sign in plans:
             res = _residual_given_V(W, V, Vx, p, c)
             excess, loc = _sign_excess(res, mask, eps, sign)
-            checks.append((name, k, excess <= 0, excess, loc))
+            passed = passed and excess <= 0     # a NaN excess fails
             if excess > worst:
                 worst, worst_loc, worst_name = excess, loc, name
-
-    passed = all(ok for _, _, ok, _, _ in checks)
-    return CertifyReport(passed=passed, checks=checks, worst_excess=worst,
+    return CertifyReport(passed=passed, worst_excess=worst,
                          worst_location=worst_loc, worst_check=worst_name,
                          n_draws=n_draws)

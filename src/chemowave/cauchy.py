@@ -314,7 +314,9 @@ def steady_jacobian(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
     w = advective_velocity(p, u, vx, c)
     right = 1.0 / h**2 + w / (2.0 * h)       # weight of ue[i+2]
     left = 1.0 / h**2 - w / (2.0 * h)        # weight of ue[i]
-    dw = -p.chi * p.m * (p.m - 1.0) * np.power(u, p.m - 2.0) * vx
+    # dw/du is 0 at m = 1, where u^(m-2) would be inf at a zero node
+    dw = (0.0 if p.m == 1.0 else
+          -p.chi * p.m * (p.m - 1.0) * np.power(u, p.m - 2.0) * vx)
     diag = -2.0 / h**2 + dw * ux + reaction_derivative(p, u, v)
     diag[-1] -= 2.0 * h * robin_kappa * right[-1]
     sup = right[:-1].copy()

@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Subcommands: constants, simulate, wave, stability, speed, sweep, certify.
-Configuration is a flat key=value file (# comments) plus flags; flags
-override file values, and the CHEMOWAVE_OUT environment variable
-overrides out_dir.  Exit codes: 0 success, 1 error, 2 a PASS/FAIL
-experiment or a solve failed (including "speed below threshold",
-non-convergence, blow-up and time-step underflow), 64 usage.
+Run settings are layered DEFAULTS < the subcommand's entry in
+SUBCOMMANDS < a flat key=value config file (# comments) < flags < the
+CHEMOWAVE_OUT environment variable (out_dir only).  Exit codes: 0
+success, 1 error, 2 a PASS/FAIL experiment or a solve failed (including
+"speed below threshold", non-convergence, blow-up and time-step
+underflow), 64 usage.
 """
 
 from __future__ import annotations
@@ -25,14 +26,12 @@ from .errors import (BlowupDetected, DomainError, NoConvergence, NoFront,
                      StiffnessError, WindowTooShort)
 from .fields import Field, Grid
 from .params import Params, constants_report
-from .speed import SWEEP_HEADER, spreading_speed, sweep_speeds
+from .speed import (SWEEP_HEADER, compact_datum, spreading_speed,
+                    sweep_speeds)
 from .stability import default_eta, eta_window, run_stability
 from .waves import (WaveProblem, construct, diagnose, normalize_translation,
                     settle)
 from .barriers import certify
-
-SUBCOMMANDS = ("constants", "simulate", "wave", "stability", "speed",
-               "sweep", "certify")
 
 DEFAULTS = {
     "chi": "0", "m": "1", "alpha": "1", "gamma": "1",
@@ -42,6 +41,7 @@ DEFAULTS = {
 }
 _NUMERIC = ("chi", "m", "alpha", "gamma", "c", "grid.left", "grid.right",
             "grid.h", "t_end")
+_SWEEP_KEYS = ("chi", "m", "alpha", "gamma")    # each has a --KEY-values list
 
 
 def _number(key: str, text: str) -> float:
@@ -55,26 +55,24 @@ def _number(key: str, text: str) -> float:
     return value
 
 
-def parse_config(path: str | None, overrides: dict[str, str]) -> dict:
-    """Defaults <- file <- flags; unknown keys and bad numbers rejected."""
+def parse_config(path: str | None, overrides: dict[str, str],
+                 subcommand: str | None = None) -> dict:
+    """DEFAULTS <- subcommand defaults <- file <- flags <- CHEMOWAVE_OUT.
+
+    Unknown keys and bad numbers are rejected.
+    """
     raw = dict(DEFAULTS)
-    explicit: set[str] = set()
-    if path is not None:
-        for key, val in cw_io.read_config_file(path).items():
+    if subcommand is not None:
+        raw.update(SUBCOMMANDS[subcommand][1])
+    file_values = cw_io.read_config_file(path) if path is not None else {}
+    for layer in (file_values, overrides):
+        for key, val in layer.items():
             if key not in DEFAULTS:
                 raise DomainError(f"unknown config key {key!r}")
-            raw[key] = val
-            explicit.add(key)
-    for key, val in overrides.items():
-        if val is None:
-            continue
-        if key not in DEFAULTS:
-            raise DomainError(f"unknown config key {key!r}")
-        raw[key] = val
-        explicit.add(key)
+            if val is not None:
+                raw[key] = val
     if os.environ.get("CHEMOWAVE_OUT"):
         raw["out_dir"] = os.environ["CHEMOWAVE_OUT"]
-        explicit.add("out_dir")
 
     cfg: dict = {}
     for key in _NUMERIC:
@@ -90,7 +88,6 @@ def parse_config(path: str | None, overrides: dict[str, str]) -> dict:
         raise DomainError(f"unknown method {raw['method']!r}")
     cfg["method"] = raw["method"]
     cfg["out_dir"] = raw["out_dir"]
-    cfg["_explicit"] = explicit
     return cfg
 
 
@@ -102,11 +99,15 @@ def _grid(cfg: dict) -> Grid:
     return Grid.from_bounds(cfg["grid.left"], cfg["grid.right"], cfg["grid.h"])
 
 
+def _sim_config(cfg: dict, output_every: float) -> SimConfig:
+    return SimConfig(params=_params(cfg), grid=_grid(cfg), t_end=cfg["t_end"],
+                     dt=cfg["dt"], output_every=output_every)
+
+
 def _manifest(cfg: dict, extra: dict | None = None) -> None:
     # out_dir is where the manifest lives; echoing it would tie the bytes
     # to the checkout
-    payload = {k: cfg[k] for k in sorted(cfg)
-               if not k.startswith("_") and k != "out_dir"}
+    payload = {k: cfg[k] for k in sorted(cfg) if k != "out_dir"}
     cw_io.write_manifest(cfg["out_dir"], payload, extra)
 
 
@@ -122,14 +123,12 @@ def cmd_constants(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    p = _params(cfg)
-    grid = _grid(cfg)
-    sim = SimConfig(params=p, grid=grid, t_end=cfg["t_end"], dt=cfg["dt"],
-                    output_every=max(cfg["t_end"] / 50.0, 1.0))
+    sim = _sim_config(cfg, output_every=max(cfg["t_end"] / 50.0, 1.0))
+    grid = sim.grid
     u0 = Field(grid, 2.0 * np.exp(-grid.x ** 2))
     final, monitors, snapshots = run(sim, u0)
     cw_io.write_run_outputs(cfg["out_dir"], snapshots, monitors)
-    violations = monitor_bounds(final, p, u0_sup=u0.max())
+    violations = monitor_bounds(final, sim.params, u0_sup=u0.max())
     _manifest(cfg, {"violations": violations, "warnings": monitors.warnings})
     for v in violations:
         print(v)
@@ -171,20 +170,12 @@ def cmd_wave(cfg: dict) -> int:
 
 
 def cmd_stability(cfg: dict) -> int:
-    # Stability weights the far tail by e^{2 eta x}; keep the right edge
-    # shallow enough that round-off there cannot pollute the norm, and
-    # polish the profile into a machine-exact fixed point first.
-    if "grid.left" not in cfg["_explicit"]:
-        cfg["grid.left"] = -60.0
-    if "grid.right" not in cfg["_explicit"]:
-        cfg["grid.right"] = 45.0
+    # polish the profile into a machine-exact fixed point first
     p = _params(cfg)
     profile = settle(_build_wave(cfg))
     # NormalizationError unless the profile is a front (one crossing of 1/2)
     normalize_translation(profile)
     eta = cfg["eta"] if cfg["eta"] is not None else default_eta(p, cfg["c"])
-    if "t_end" not in cfg["_explicit"]:
-        cfg["t_end"] = 20.0
     record = run_stability(profile, eta, t_end=cfg["t_end"])
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
@@ -208,27 +199,9 @@ def cmd_stability(cfg: dict) -> int:
     return 0 if record.passed else 2
 
 
-def _speed_settings(cfg: dict) -> SimConfig:
-    """Run settings of a speed or sweep run; the defaults are written into cfg.
-
-    The grid is the window of the frame moving at speed 2, where the
-    front lags the frame by about (3/2) ln t: [-40, 40] holds it up to
-    the default t_end 60.  dt defaults to 0.02; an explicit auto selects
-    the automatic step.
-    """
-    for key, value in (("grid.left", -40.0), ("grid.right", 40.0),
-                       ("t_end", 60.0), ("dt", 0.02)):
-        if key not in cfg["_explicit"]:
-            cfg[key] = value
-    return SimConfig(params=_params(cfg), grid=_grid(cfg), t_end=cfg["t_end"],
-                     dt=cfg["dt"], output_every=1.0)
-
-
 def cmd_speed(cfg: dict) -> int:
-    sim = _speed_settings(cfg)
-    grid = sim.grid
-    u0 = Field(grid, np.where(np.abs(grid.x) <= 1.0, 0.5, 0.0))
-    track = spreading_speed(sim, u0)
+    sim = _sim_config(cfg, output_every=1.0)
+    track = spreading_speed(sim, compact_datum(sim.grid))
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
     cw_io.write_csv(os.path.join(out, "front.csv"), ("t", "x_front"),
@@ -242,13 +215,8 @@ def cmd_speed(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict, values: dict[str, list[float]], jobs: int) -> int:
-    chis = values.get("chi") or [cfg["chi"]]
-    ms = values.get("m") or [cfg["m"]]
-    alphas = values.get("alpha") or [cfg["alpha"]]
-    gammas = values.get("gamma") or [cfg["gamma"]]
-    sim = _speed_settings(cfg)
-    rows = sweep_speeds(chis, ms, alphas, gammas, sim.grid, sim.t_end, sim.dt,
-                        jobs=jobs)
+    axes = [values.get(key) or [cfg[key]] for key in _SWEEP_KEYS]
+    rows = sweep_speeds(*axes, _sim_config(cfg, output_every=1.0), jobs)
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
     cw_io.write_csv(os.path.join(out, "speeds.csv"), SWEEP_HEADER, rows)
@@ -272,6 +240,28 @@ def cmd_certify(cfg: dict) -> int:
           f"{report.worst_excess:.3e} at x = {report.worst_location:.3f} "
           f"({report.worst_check})")
     return 0 if report.passed else 2
+
+
+# The window of the frame moving at speed 2, where a pulled front lags the
+# frame by about (3/2) ln t: [-40, 40] holds it up to t_end 60.  A fixed
+# dt gives every sweep row the same time step; --dt auto selects the
+# automatic one.
+_CO_MOVING = {"grid.left": "-40", "grid.right": "40", "t_end": "60",
+              "dt": "0.02"}
+
+# Each subcommand's handler and the run settings it layers over DEFAULTS.
+SUBCOMMANDS = {
+    "constants": (cmd_constants, {}),
+    "simulate": (cmd_simulate, {}),
+    "wave": (cmd_wave, {}),
+    # the stability norm weights the far tail by e^{2 eta x}; a right edge
+    # at 45 keeps the round-off there out of it
+    "stability": (cmd_stability, {"grid.left": "-60", "grid.right": "45",
+                                  "t_end": "20"}),
+    "speed": (cmd_speed, _CO_MOVING),
+    "sweep": (cmd_sweep, _CO_MOVING),
+    "certify": (cmd_certify, {}),
+}
 
 
 def emit_plot(out_dir: str, kind: str) -> str:
@@ -348,7 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "traveling waves, stability, spreading speeds, barrier "
                     "certificates.",
         epilog="Config keys (key=value file or flags): "
-               + ", ".join(f"{k} (default {v})" for k, v in DEFAULTS.items()))
+               + ", ".join(f"{k} (default {v})" for k, v in DEFAULTS.items())
+               + ". Subcommand defaults, over those: "
+               + "; ".join(f"{name}: " + ", ".join(f"{k}={v}"
+                                                   for k, v in over.items())
+                           for name, (_, over) in SUBCOMMANDS.items() if over)
+               + ". Precedence: defaults < subcommand defaults < --config "
+                 "file < flags < CHEMOWAVE_OUT (out_dir).")
     ap.add_argument("subcommand", choices=SUBCOMMANDS)
     ap.add_argument("--config", help="flat key=value config file")
     for key, default in DEFAULTS.items():
@@ -356,30 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
         ap.add_argument(flag, dest=key, default=None, metavar="V",
                         help=f"default {default}")
     ap.add_argument("--jobs", type=int, default=1, help="sweep worker count")
-    for key in ("chi", "m", "alpha", "gamma"):
+    for key in _SWEEP_KEYS:
         ap.add_argument(f"--{key}-values", dest=f"{key}_values", default=None,
                         metavar="LIST", help=f"comma list of {key} for sweep")
     return ap
 
 
-def dispatch(subcommand: str, cfg: dict, values: dict | None = None,
-             jobs: int = 1) -> int:
-    handlers = {
-        "constants": cmd_constants, "simulate": cmd_simulate,
-        "wave": cmd_wave, "stability": cmd_stability, "speed": cmd_speed,
-        "certify": cmd_certify,
-    }
-    if subcommand == "sweep":
-        return cmd_sweep(cfg, values or {}, jobs)
-    return handlers[subcommand](cfg)
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] not in SUBCOMMANDS and not argv[0].startswith("-"):
-        print(f"unknown subcommand {argv[0]!r}; expected one of "
-              f"{', '.join(SUBCOMMANDS)}", file=sys.stderr)
-        return 64
     ap = build_parser()
     try:
         ns = ap.parse_args(argv)
@@ -387,7 +366,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 64
     overrides = {k: getattr(ns, k) for k in DEFAULTS}
     values = {}
-    for key in ("chi", "m", "alpha", "gamma"):
+    for key in _SWEEP_KEYS:
         raw = getattr(ns, f"{key}_values")
         if raw:
             try:
@@ -397,8 +376,10 @@ def main(argv=None) -> int:
                 print(f"usage: --{key}-values: {exc}", file=sys.stderr)
                 return 64
     try:
-        cfg = parse_config(ns.config, overrides)
-        return dispatch(ns.subcommand, cfg, values, ns.jobs)
+        cfg = parse_config(ns.config, overrides, ns.subcommand)
+        handler, _ = SUBCOMMANDS[ns.subcommand]
+        sweep_args = (values, ns.jobs) if ns.subcommand == "sweep" else ()
+        return handler(cfg, *sweep_args)
     except (SpeedError, NoConvergence, BlowupDetected, StiffnessError) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 2

@@ -40,6 +40,11 @@ class FrontTrack:
     fit_r2: float
 
 
+def compact_datum(grid: Grid) -> Field:
+    """The compact initial datum of every speed run: 1/2 on |x| <= 1, else 0."""
+    return Field(grid, np.where(np.abs(grid.x) <= 1.0, 0.5, 0.0))
+
+
 def front_position(u: Field, level: float) -> float:
     """Rightmost crossing abscissa of ``level`` by linear interpolation."""
     crossings = level_crossings(u.grid.x, u.values, level)
@@ -97,33 +102,34 @@ def spreading_speed(config: SimConfig, u0: Field) -> FrontTrack:
 SWEEP_HEADER = ("chi", "m", "alpha", "gamma", "c_fit", "r2", "c_star", "c_star_star")
 
 
-def _sweep_one(args) -> tuple:
-    chi, m, alpha, gamma, grid_args, t_end, dt = args
+def _sweep_one(config: SimConfig, combo: tuple) -> tuple[tuple, str | None]:
+    """(row, None), or (row with NaN c_fit and r2, why the run failed)."""
     cs = css = math.nan
     try:
-        p = Params(chi, m, alpha, gamma)
+        p = Params(*combo)
         cs = c_star(p)
         css = constants_report(p).c_star_star
-        grid = Grid(*grid_args)
-        cfg = SimConfig(params=p, grid=grid, t_end=t_end, dt=dt,
-                        output_every=1.0)
-        u0 = Field(grid, np.where(np.abs(grid.x) <= 1.0, 0.5, 0.0))
-        track = spreading_speed(cfg, u0)
-        return (chi, m, alpha, gamma, track.fitted_speed, track.fit_r2, cs, css)
+        track = spreading_speed(replace(config, params=p),
+                                compact_datum(config.grid))
+        return (*combo, track.fitted_speed, track.fit_r2, cs, css), None
     except Exception as exc:            # per-row failures must not kill the sweep
-        warnings.warn(f"sweep row (chi={chi}, m={m}, alpha={alpha}, "
-                      f"gamma={gamma}) failed: {exc}")
-        return (chi, m, alpha, gamma, math.nan, math.nan, cs, css)
+        where = ", ".join(f"{k}={v}" for k, v in zip(SWEEP_HEADER, combo))
+        return (*combo, math.nan, math.nan, cs, css), f"sweep row ({where}) failed: {exc}"
 
 
-def sweep_speeds(chis, ms, alphas, gammas, grid: Grid, t_end: float,
-                 dt: float | None, jobs: int = 1) -> list[tuple]:
-    """One row per (chi, m, alpha, gamma) in lexicographic order."""
-    combos = [(chi, m, a, g, (grid.x0, grid.h, grid.n), t_end, dt)
-              for chi, m, a, g in itertools.product(chis, ms, alphas, gammas)]
+def sweep_speeds(chis, ms, alphas, gammas, config: SimConfig,
+                 jobs: int = 1) -> list[tuple]:
+    """One row per (chi, m, alpha, gamma) in lexicographic order, each a
+    run of config with those params from the compact datum; a failed row
+    has NaN c_fit and r2 and is warned about in the calling process."""
+    combos = list(itertools.product(chis, ms, alphas, gammas))
     if jobs > 1 and len(combos) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_one, combos))
+            results = list(pool.map(_sweep_one, itertools.repeat(config),
+                                    combos))
     else:
-        rows = [_sweep_one(c) for c in combos]
-    return rows
+        results = [_sweep_one(config, combo) for combo in combos]
+    for _, failure in results:
+        if failure is not None:
+            warnings.warn(failure, stacklevel=2)
+    return [row for row, _ in results]

@@ -10,8 +10,9 @@ Two routes to a stationary profile of the moving-frame system
   centered IMEX step (`cauchy.steady_residual`), started from the
   super-solution min{M, e^{-kx}}.  The frame speed c_eff is an unknown
   (the freezing method of Beyn & Thuemmler) and the tail node is pinned
-  to e^{-kappa x_R}, the amplitude the barriers fix.  The result is a
-  fixed point of the stepper to round-off.
+  to e^{-kappa x_R}, the amplitude the barriers fix (and the translation,
+  where that value is well above round-off; see `_newton`).  The result
+  is a fixed point of the stepper to round-off.
 
 * CoupledRelax: direct relaxation of the fully coupled moving-frame
   system from the same initial condition, an independent cross-check.
@@ -233,9 +234,11 @@ def _newton(problem: WaveProblem, u: np.ndarray, c_eff: float, tol: float,
     """Damped Newton-Krylov solve of the steady centered stepper from (u, c_eff).
 
     Unknowns are (u[0..n-2], c_eff); the tail u[n-1] is pinned to
-    e^{-kappa x_R}, which fixes the translation and the barriers' tail
-    amplitude.  The line search halves a step until the iterate stays
-    positive and the sup residual falls; the solve stops once that
+    e^{-kappa x_R}, the barriers' tail amplitude.  The pin fixes the
+    translation only where that value is well above the residual's
+    round-off; at 2.6e-17 (chi = 0, c = 3 on [-100, 100]) a shifted start
+    returns unchanged.  The line search halves a step until the iterate
+    stays positive and the sup residual falls; the solve stops once that
     residual is below tol.  visit(u) sees the pinned start and every
     accepted iterate.  Returns the solution, its c_eff and the sup
     residual of each iterate, the start included.

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from chemowave import barriers
 from chemowave.barriers import (BarrierSpec, certify, default_barrier_spec,
                                 eps_disc, eval_sub, eval_super,
                                 random_envelope, residual_A, solve_V)
@@ -116,6 +117,22 @@ def test_certify_both_regimes_small():
     assert rep.passed
     rep2 = certify(Params(0.25), 2.5, n_draws=20, seed=100)
     assert rep2.passed
+
+
+def test_certify_fails_on_a_nan_excess(monkeypatch):
+    # NaN compares false with everything: it must not pass as "not above 0"
+    real = barriers._sign_excess
+    calls = []
+
+    def nan_once(*args):
+        calls.append(None)
+        return (math.nan, 0.0) if len(calls) == 3 else real(*args)
+
+    monkeypatch.setattr(barriers, "_sign_excess", nan_once)
+    rep = certify(Params(-1.0), 3.0, n_draws=2, seed=0)
+    assert len(calls) == 8
+    assert not rep.passed
+    assert math.isfinite(rep.worst_excess)
 
 
 def test_residual_discretization_contracts_quadratically():

@@ -21,7 +21,7 @@ from chemowave.errors import DomainError
 from chemowave.fields import Field, Grid
 from chemowave.io import fmt
 from chemowave.params import Params
-from chemowave.speed import spreading_speed, sweep_speeds
+from chemowave.speed import compact_datum, spreading_speed, sweep_speeds
 from chemowave.waves import NEWTON_TOL, fitted_frame_speed
 
 
@@ -75,6 +75,47 @@ def test_parse_config_numeric_key_is_finite_or_refused(key, text):
         assert key in ("dt", "eta")
     else:
         assert isinstance(value, float) and math.isfinite(value)
+
+
+# each subcommand's own defaults: (grid.left, grid.right, t_end, dt)
+TABLE_DEFAULTS = {"stability": (-60.0, 45.0, 20.0, None),
+                  "speed": (-40.0, 40.0, 60.0, 0.02),
+                  "sweep": (-40.0, 40.0, 60.0, 0.02)}
+
+
+@pytest.mark.parametrize("subcommand", sorted(TABLE_DEFAULTS))
+def test_subcommand_defaults_layer_under_file_and_flags(tmp_path, subcommand):
+    left, right, t_end, dt = TABLE_DEFAULTS[subcommand]
+    cfg = parse_config(None, {}, subcommand)
+    assert (cfg["grid.left"], cfg["grid.right"], cfg["t_end"],
+            cfg["dt"]) == (left, right, t_end, dt)
+    assert cfg["grid.h"] == 0.05 and cfg["c"] == 3.0      # from DEFAULTS
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("grid.left=-30\nt_end=45\n")
+    cfg = parse_config(str(cfg_file), {"t_end": "41"}, subcommand)
+    assert cfg["grid.left"] == -30.0      # file overrides the table
+    assert cfg["t_end"] == 41.0           # flag overrides the file
+    assert cfg["grid.right"] == right     # table where neither sets it
+    assert parse_config(None, {"dt": "auto"}, subcommand)["dt"] is None
+
+
+@pytest.mark.filterwarnings("ignore::chemowave.errors.TruncationWarning")
+@pytest.mark.parametrize("subcommand", sorted(TABLE_DEFAULTS))
+def test_manifest_records_the_subcommand_defaults(tmp_path, subcommand):
+    out = tmp_path / subcommand
+    assert main([subcommand, "--out-dir", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["grid.left"], config["grid.right"], config["t_end"],
+            config["dt"]) == TABLE_DEFAULTS[subcommand]
+
+
+def test_help_prints_each_subcommand_default(capsys):
+    assert main(["--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "stability: grid.left=-60, grid.right=45, t_end=20" in text
+    for name in ("speed", "sweep"):
+        assert (f"{name}: grid.left=-40, grid.right=40, t_end=60, dt=0.02"
+                in text)
 
 
 def test_oversized_grid_exits_1(tmp_path, capsys):
@@ -269,9 +310,9 @@ def test_sweep_runs_the_flagged_grid_and_times(tmp_path):
                  "--grid-right", "120", "--grid-h", "0.1", "--t-end", "40",
                  "--dt", "0.05", "--out-dir", str(out)])
     assert code == 0
-    row = sweep_speeds([0.0], [1.0], [1.0], [1.0],
-                       grid=Grid.from_bounds(-30, 120, 0.1), t_end=40.0,
-                       dt=0.05)[0]
+    config = SimConfig(params=Params(0.0), grid=Grid.from_bounds(-30, 120, 0.1),
+                       t_end=40.0, dt=0.05, output_every=1.0)
+    row = sweep_speeds([0.0], [1.0], [1.0], [1.0], config)[0]
     written = (out / "speeds.csv").read_text().splitlines()[1]
     assert written == ",".join(fmt(v) for v in row)
     config = json.loads((out / "manifest.json").read_text())["config"]
@@ -289,7 +330,7 @@ def test_speed_explicit_auto_dt_runs_automatic_step(tmp_path):
     grid = Grid.from_bounds(-30, 120, 0.1)
     track = spreading_speed(
         SimConfig(params=Params(0.0), grid=grid, t_end=40.0, output_every=1.0),
-        Field(grid, np.where(np.abs(grid.x) <= 1.0, 0.5, 0.0)))
+        compact_datum(grid))
     written = json.loads((out / "speed.json").read_text())
     assert written["fitted_speed"] == track.fitted_speed
     assert written["r2"] == track.fit_r2

@@ -130,10 +130,14 @@ def test_speed_converges_from_below_in_h():
     assert speeds[0.025] >= speeds[0.1] - 1e-3
 
 
+def _sweep_config():
+    # params are replaced row by row
+    return SimConfig(params=Params(0.0), grid=Grid.from_bounds(-30, 120, 0.1),
+                     t_end=40.0, dt=0.05, output_every=1.0)
+
+
 def test_sweep_rows_lexicographic():
-    rows = sweep_speeds([0.0, 0.5], [1.0], [1.0], [1.0, 2.0],
-                        grid=Grid.from_bounds(-30, 120, 0.1),
-                        t_end=40.0, dt=0.05)
+    rows = sweep_speeds([0.0, 0.5], [1.0], [1.0], [1.0, 2.0], _sweep_config())
     assert len(rows) == 4
     keys = [(r[0], r[1], r[2], r[3]) for r in rows]
     assert keys == sorted(keys)
@@ -144,21 +148,23 @@ def test_sweep_rows_lexicographic():
 
 
 def test_sweep_empty():
-    assert sweep_speeds([], [1.0], [1.0], [1.0],
-                        Grid.from_bounds(-30, 120, 0.1), 40.0, 0.05) == []
+    assert sweep_speeds([], [1.0], [1.0], [1.0], _sweep_config()) == []
 
 
-def test_sweep_failed_row_logged():
-    with pytest.warns(UserWarning, match="failed"):
-        rows = sweep_speeds([0.0], [0.5], [1.0], [1.0],
-                            grid=Grid.from_bounds(-30, 120, 0.1),
-                            t_end=40.0, dt=0.05)
-    assert len(rows) == 1
-    assert math.isnan(rows[0][4])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_failed_row_logged(jobs):
+    # m = 0.5 is refused row by row; the warnings reach the calling
+    # process also from pool workers
+    with pytest.warns(UserWarning, match="failed") as caught:
+        rows = sweep_speeds([0.0, 0.25], [0.5], [1.0], [1.0], _sweep_config(),
+                            jobs=jobs)
+    assert len([w for w in caught if "sweep row" in str(w.message)]) == 2
+    assert len(rows) == 2
+    assert all(math.isnan(row[4]) and math.isnan(row[5]) for row in rows)
 
 
 def test_sweep_parallel_jobs_match_serial():
-    kwargs = dict(grid=Grid.from_bounds(-30, 120, 0.1), t_end=40.0, dt=0.05)
-    serial = sweep_speeds([0.0, -0.5], [1.0], [1.0], [1.0], jobs=1, **kwargs)
-    parallel = sweep_speeds([0.0, -0.5], [1.0], [1.0], [1.0], jobs=2, **kwargs)
+    config = _sweep_config()
+    serial = sweep_speeds([0.0, -0.5], [1.0], [1.0], [1.0], config, jobs=1)
+    parallel = sweep_speeds([0.0, -0.5], [1.0], [1.0], [1.0], config, jobs=2)
     assert serial == parallel

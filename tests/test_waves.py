@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from chemowave import waves
 from chemowave.cauchy import (DT_MAX, SimConfig, advance_imex, auto_dt, march,
-                              solve_v)
+                              robin_rate, solve_v, steady_jacobian,
+                              steady_residual)
 from chemowave.errors import (NoConvergence, NormalizationError, RegimeError,
                               SpeedError, TruncationWarning, WindowTooShort)
 from chemowave.fields import Field, Grid
@@ -217,6 +218,29 @@ def test_discrete_uniqueness_from_three_starts(wave_grid, neg_profile):
     # sup residual, about d (1 - d), so the line search gives up at once
     with pytest.raises(NoConvergence, match="line search failed"):
         waves._newton(problem, lower, c_fit, tol)
+
+
+def test_newton_from_a_start_with_zeros_at_m_1():
+    # max(0, e^{-kx} - 3 e^{-2kx}) is 0 on the left part of the grid; at
+    # m = 1 the Jacobian's u^(m-2) term must not turn those zeros into NaN
+    p, g = Params(-1.0), Grid.from_bounds(-40, 40, 0.1)
+    problem = WaveProblem(params=p, c=4.0, grid=g)
+    k = problem.kappa
+    start = np.maximum(0.0, np.exp(-k * g.x) - 3.0 * np.exp(-2.0 * k * g.x))
+    assert (start == 0.0).sum() > 400
+    _, _, _, c_fit = waves._prepare(problem)
+    rk = robin_rate(k, g.h)
+    V, Vx = solve_v(p, Field(g, start), tail_kappa=k)
+    _, ux = steady_residual(p, start, V.values, Vx.values, c_fit, g, rk)
+    bands = steady_jacobian(p, start, V.values, Vx.values, ux, c_fit, g, rk)
+    assert all(np.isfinite(band).all() for band in bands)
+    tol = newton_tolerance(g.h, 1.0)
+    u, c_eff, history = waves._newton(problem, start, c_fit, tol)
+    assert history[-1] < tol
+    # the tail pin, e^{-kappa 40} ~ 2e-5, fixes the translation here
+    ref = construct_fixed_point(problem)
+    assert np.abs(u - ref.U.values).max() < 1e-12
+    assert abs(c_eff - ref.c_eff) < 1e-12
 
 
 def test_newton_budget_reports_history(monkeypatch):
