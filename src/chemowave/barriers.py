@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -120,20 +121,47 @@ def residual_A(W: Field, u: Field, params: Params, c: float) -> Field:
     return _residual_given_V(W, V, Vx, params, c)
 
 
+@lru_cache(maxsize=8)
+def _gaussian_spectrum(n: int, sigma: float) -> tuple[int, int, np.ndarray]:
+    """(radius, FFT length, rfft of the kernel) for smoothing n nodes.
+
+    The kernel is scipy.ndimage.gaussian_filter1d's: radius
+    int(4 sigma + 0.5), weights exp(-x^2 / (2 sigma^2)) normalised by
+    their sum.  The FFT length is the first power of two >= n + 2 radius,
+    so the circular convolution of the padded data (n + 2 radius values)
+    wraps nothing into the n nodes kept.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    weights /= weights.sum()
+    size = 1 << (n + 2 * radius - 1).bit_length()
+    spectrum = np.fft.rfft(weights, size)
+    spectrum.flags.writeable = False
+    return radius, size, spectrum
+
+
+def _gaussian_smooth(raw: np.ndarray, sigma: float) -> np.ndarray:
+    """gaussian_filter1d(raw, sigma, mode="nearest") as one FFT convolution."""
+    n = raw.size
+    radius, size, spectrum = _gaussian_spectrum(n, sigma)
+    padded = np.pad(raw, radius, mode="edge")
+    full = np.fft.irfft(np.fft.rfft(padded, size) * spectrum, size)
+    return full[2 * radius:2 * radius + n]
+
+
 def random_envelope(spec: BarrierSpec, grid: Grid, seed: int) -> Field:
     """Random admissible density 0 <= u <= min{M, e^{-kx}}.
 
-    Smoothed uniform noise scaled into [0.2, 1.0] multiplies the
-    super-solution, covering the admissible class without adversarial
-    roughness.
+    Uniform noise, smoothed by a Gaussian of width max(2 / h, 4) nodes
+    and scaled into [0.2, 1.0], multiplies the super-solution, covering
+    the admissible class without adversarial roughness.  The smoothing is
+    one FFT convolution of the noise padded with its nearest edge value,
+    which is gaussian_filter1d(mode="nearest") to round-off.
     """
-    # imported here: only certify draws envelopes, and every CLI call
-    # would otherwise pay for scipy.ndimage at start-up
-    from scipy.ndimage import gaussian_filter1d
-
     rng = np.random.default_rng(seed)
     raw = rng.uniform(size=grid.n)
-    smooth = gaussian_filter1d(raw, sigma=max(2.0 / grid.h, 4.0), mode="nearest")
+    smooth = _gaussian_smooth(raw, max(2.0 / grid.h, 4.0))
     lo, hi = smooth.min(), smooth.max()
     r = (smooth - lo) / (hi - lo) if hi > lo else np.full(grid.n, 0.5)
     env = 0.2 + 0.8 * r
@@ -180,8 +208,11 @@ def certify(params: Params, c: float, n_draws: int = 200,
     residual must be <= eps_disc right of the plateau kink, the constant
     M residual <= eps_disc everywhere, the sub-solution residual
     >= -eps_disc right of x_minus, and the constant d residual
-    >= -eps_disc everywhere, all on CERTIFY_GRID.
+    >= -eps_disc everywhere, all on CERTIFY_GRID.  Draw k uses seed + k,
+    so the seed must be nonnegative.
     """
+    if seed < 0:
+        raise DomainError(f"--seed must be nonnegative, got {seed}")
     p = params
     grid = Grid.from_bounds(*CERTIFY_GRID)
     spec = default_barrier_spec(p, c)

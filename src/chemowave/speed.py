@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import itertools
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -123,8 +124,10 @@ def sweep_speeds(chis, ms, alphas, gammas, config: SimConfig,
     run of config with those params from the compact datum; a failed row
     has NaN c_fit and r2 and is warned about in the calling process."""
     combos = list(itertools.product(chis, ms, alphas, gammas))
-    if jobs > 1 and len(combos) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # no row depends on the worker that runs it, so the cap keeps every bit
+    workers = min(jobs, len(combos), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, itertools.repeat(config),
                                     combos))
     else:

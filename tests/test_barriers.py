@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chemowave import barriers
 from chemowave.barriers import (BarrierSpec, certify, default_barrier_spec,
@@ -65,6 +66,29 @@ def test_residual_super_negative_regime():
         xi = res.grid.x
         mask = (xi >= spec.kink) & (np.abs(xi - spec.kink) > 3 * g.h)
         assert res.values[mask].max() <= eps
+
+
+@settings(max_examples=60)
+@given(n=st.integers(8, 2000), h=st.floats(0.005, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=3001, h=0.02, seed=0)        # CERTIFY_GRID: sigma 100, radius 400
+@example(n=50, h=0.02, seed=1)          # radius 400 > n
+@example(n=8, h=0.005, seed=2)          # radius 1600, 200 times n
+@example(n=300, h=0.75, seed=3)         # the sigma = 4 floor
+def test_random_envelope_smoothing_matches_ndimage(n, h, seed):
+    # ndimage is the oracle only; the package smooths by FFT
+    from scipy.ndimage import gaussian_filter1d
+
+    sigma = max(2.0 / h, 4.0)
+    raw = np.random.default_rng(seed).uniform(size=n)
+    ref = gaussian_filter1d(raw, sigma, mode="nearest")
+    assert np.abs(barriers._gaussian_smooth(raw, sigma) - ref).max() <= 1e-14
+
+    spec = BarrierSpec(kappa=0.5, kappa_tilde=1.0, M=2.0, D=1.0, d=0.1)
+    g = Grid(-0.5 * (n - 1) * h, h, n)
+    sup = eval_super(spec, g).values
+    u = random_envelope(spec, g, seed).values
+    assert np.all(0.2 * sup <= u) and np.all(u <= sup)
 
 
 def test_residual_constant_super_and_sub():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chemowave
-from chemowave import waves
+from chemowave import barriers, waves
 from chemowave.cauchy import DT_MAX, SimConfig
 from chemowave.cli import _NUMERIC, main, parse_config, emit_plot
 from chemowave.errors import DomainError
@@ -264,6 +264,20 @@ def test_certify_subcommand(tmp_path, capsys):
     assert payload["n_draws"] == 200
 
 
+def test_certify_refuses_a_negative_seed(tmp_path, capsys, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew an envelope")
+
+    monkeypatch.setattr(barriers, "random_envelope", no_draw)
+    out = tmp_path / "cert"
+    code = main(["certify", "--chi", "-1", "--c", "3", "--seed", "-1",
+                 "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
+    assert not (out / "certify.json").exists()
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("grid.left=-10\ngrid.right=10\ngrid.h=0.1\nt_end=2\nchi=-0.5\n")
@@ -429,7 +443,8 @@ def test_wave_subcommand_coupled_relax(tmp_path):
 
 def test_import_leaves_heavy_scipy_packages_unloaded(tmp_path):
     # a fresh interpreter: the test session may have imported these already.
-    # GMRES loads on the first Newton solve, ndimage on the first certify
+    # GMRES loads on the first Newton solve; certify smooths by numpy's FFT,
+    # so ndimage never loads
     script = textwrap.dedent("""
         import json, os, sys
         import chemowave.cli
@@ -454,4 +469,4 @@ def test_import_leaves_heavy_scipy_packages_unloaded(tmp_path):
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["at_import"] == []
     assert report["codes"] == [0, 0]
-    assert report["after"] == ["scipy.sparse.linalg", "scipy.ndimage"]
+    assert report["after"] == ["scipy.sparse.linalg"]

@@ -2,10 +2,12 @@
 
 import functools
 import math
+import os
 
 import numpy as np
 import pytest
 
+from chemowave import speed
 from chemowave.cauchy import SimConfig
 from chemowave.errors import DomainError, NoFront
 from chemowave.fields import Field, Grid, level_crossings
@@ -168,3 +170,35 @@ def test_sweep_parallel_jobs_match_serial():
     serial = sweep_speeds([0.0, -0.5], [1.0], [1.0], [1.0], config, jobs=1)
     parallel = sweep_speeds([0.0, -0.5], [1.0], [1.0], [1.0], config, jobs=2)
     assert serial == parallel
+
+
+def test_sweep_caps_the_worker_pool(monkeypatch):
+    # a recording stand-in for the pool: no process starts
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    def sweep():
+        # m = 0.5 rows are refused at once, so the runs cost nothing
+        with pytest.warns(UserWarning, match="sweep row"):
+            return sweep_speeds([0.0, 0.25], [0.5], [1.0], [1.0],
+                                _sweep_config(), jobs=5000)
+
+    monkeypatch.setattr(speed, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert len(sweep()) == 2
+    assert asked == [2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    sweep()
+    assert asked == [2]         # no known CPU count: the rows run in process
