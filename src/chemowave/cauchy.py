@@ -59,17 +59,18 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
-# not called here; kept bound for perfbench's cauchy.tridiag probe
-from scipy.linalg import solve_banded  # noqa: F401
 
-from .elliptic import solve_pair_values
+from .elliptic import lapack, solve_pair_values
+# not called here (a step solves with gttrs); the package's tridiagonal
+# solve stays bound under this name for perfbench's cauchy.tridiag probe
+from .elliptic import solve_tridiagonal as solve_banded  # noqa: F401
 from .errors import BlowupDetected, DomainError, InternalError, StiffnessError
 from .fields import Field, Grid, level_crossings
 from .params import Params, RegimeTag, M_chi, classify_regime
 
 DT_FLOOR = 1e-10
 DT_MAX = 0.1                     # cap on the automatic time step
+MAX_INNER_STEPS = 400_000        # step budget of one march
 MONITOR_SLACK = 1e-6
 FRONT_LEVEL = 0.5                # level whose rightmost crossing is the front
 
@@ -229,7 +230,7 @@ def _diffusion_factor(n: int, h: float, dt: float, robin_kappa: float,
     D_x is centered.  Its ghost rows are zero flux on the left, where
     the frame term vanishes, and Robin on the right, where it adds
     c dt robin_kappa to the diagonal.  gttrs on this factor does
-    solve_banded's (gtsv's) elimination, pivots included, bit for bit.
+    solve_tridiagonal's (gtsv's) elimination, pivots included, bit for bit.
     Keyed on all the matrix depends on: a fixed-dt run factors it once,
     and at c = 0 the matrix is I - dt D_xx to the bit.
     """
@@ -341,7 +342,11 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
     IMEX step.  u, v and v_x are read-only arrays.  dt is config.dt or
     automatic; it must clear DT_FLOOR before it is capped so that a step
     lands on every multiple of output_every and on t_end.  sample marks
-    those landings and the final state.  v is refreshed from the new u
+    those landings and the final state.  A run whose least step count,
+    t_end / (dt or DT_MAX), is above MAX_INNER_STEPS is refused before
+    its first step (a fixed dt below DT_FLOOR fails that step instead),
+    and an automatic-dt run that needs more steps ends in
+    StiffnessError.  v is refreshed from the new u
     after every step, except at chi = 0: a step then reads v only
     through terms multiplied by chi, so v is solved at samples only and
     yielded as None (v_x too) in between; u^gamma is still checked.
@@ -351,6 +356,15 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
         raise DomainError("u0 grid does not match config.grid")
     if u0.min() < 0:
         raise DomainError("u0 must be nonnegative")
+    largest_dt = config.dt or DT_MAX
+    least_steps = config.t_end / largest_dt
+    # a fixed dt below DT_FLOOR is left to fail its first step
+    if largest_dt >= DT_FLOOR and least_steps > MAX_INNER_STEPS:
+        dt = f"{config.dt:g}" if config.dt else f"auto (at most {DT_MAX:g})"
+        raise DomainError(
+            f"--t-end {config.t_end:g} at --dt {dt} needs at least "
+            f"{least_steps:.3g} steps, over the budget of {MAX_INNER_STEPS:,}:"
+            " shorten --t-end or raise --dt")
 
     robin_kappa = robin_rate(config.tail_kappa, grid.h)
     u = u0.values
@@ -361,10 +375,16 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
 
     refresh_every_step = p.chi != 0.0
     next_out = config.output_every
+    steps = 0
     while t < config.t_end - 1e-12:
         dt = config.dt
         if dt is None:
+            if steps == MAX_INNER_STEPS:
+                raise StiffnessError(
+                    f"automatic dt took {steps:,} steps to t = {t:.6g} of "
+                    f"t_end {config.t_end:g}: step budget exhausted")
             dt = auto_dt(p, u, v, vx, grid.h)
+        steps += 1
         if dt < DT_FLOOR:
             raise StiffnessError(f"dt underflow: {dt:.3e} < {DT_FLOOR:g}")
         dt = min(dt, next_out - t, config.t_end - t)

@@ -365,6 +365,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 64
     overrides = {k: getattr(ns, k) for k in DEFAULTS}
+    if ns.jobs < 1:
+        print(f"usage: --jobs: must be >= 1, got {ns.jobs}", file=sys.stderr)
+        return 64
     values = {}
     for key in _SWEEP_KEYS:
         raw = getattr(ns, f"{key}_values")

@@ -8,12 +8,19 @@ and its derivative splits into a left and a right one-sided integral.
 Here the grid part of the integral is evaluated exactly for a
 piecewise-linear reconstruction of s via two O(n) exponential prefix
 sweeps, run in one call of scipy's compiled IIR filter
-(`scipy.signal._sigtools._linear_filter`, loaded without initialising
-`scipy.signal`; `scipy.signal.lfilter` if it cannot be loaded).  The
-two half-line tails are closed analytically from one decay rate per
-side; their edge-decay profiles are computed once per (grid, lambda).
-`solve_pair_values` is the array-level core; `solve_pair` wraps it in
-Fields.
+(`scipy.signal._sigtools._linear_filter`; `scipy.signal.lfilter` if it
+cannot be loaded).  The two half-line tails are closed analytically
+from one decay rate per side; their edge-decay profiles are computed
+once per (grid, lambda).  `solve_pair_values` is the array-level core;
+`solve_pair` wraps it in Fields.
+
+The package's compiled scipy code is loaded here, each extension file
+directly, so that neither `scipy.signal`'s nor `scipy.linalg`'s
+`__init__` runs at import: the filter above, and `lapack`, scipy's
+compiled LAPACK (`scipy.linalg._flapack`; `scipy.linalg.lapack` if it
+cannot be loaded or lacks gttrf, gttrs or gtsv).  `solve_tridiagonal`,
+gtsv with `scipy.linalg.solve_banded`'s checks, is the package's one
+tridiagonal solve.
 
 Tail convention: beyond a grid end x_e, s continues as
 s(x_e) * exp(-rate * (x - x_e)), so a rate > 0 decays to the right (and
@@ -33,24 +40,24 @@ from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
                                  FileFinder)
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import DomainError, InternalError
 from .fields import Field, Grid
 
 
-def _load_sigtools():
-    """scipy.signal's compiled core, loaded without initialising scipy.signal.
+def _load_extension(package: str, name: str):
+    """The compiled module package.name, loaded without initialising package.
 
-    The package's __init__ imports scipy.stats, scipy.interpolate and
-    scipy.optimize, about 1 s, for a filter that is one C call.
+    scipy.signal's __init__ imports scipy.stats, scipy.interpolate and
+    scipy.optimize, about 1 s, and scipy.linalg's pulls in numpy.f2py
+    and numpy.testing, about 0.25 s, for code that is one C call.
     """
-    signal = importlib.util.find_spec("scipy.signal")
-    finder = FileFinder(signal.submodule_search_locations[0],
+    found = importlib.util.find_spec(package)
+    finder = FileFinder(found.submodule_search_locations[0],
                         (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    spec = finder.find_spec("scipy.signal._sigtools")
+    spec = finder.find_spec(f"{package}.{name}")
     if spec is None:
-        raise ImportError("scipy.signal._sigtools not found")
+        raise ImportError(f"{package}.{name} not found")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -63,13 +70,52 @@ def _resolve_linear_filter():
     which takes the same arguments.
     """
     try:
-        return _load_sigtools()._linear_filter
+        return _load_extension("scipy.signal", "_sigtools")._linear_filter
     except (ImportError, AttributeError):
         from scipy.signal import lfilter
         return lfilter
 
 
+def _resolve_lapack():
+    """scipy.linalg._flapack, whose routines scipy.linalg.lapack re-exports.
+
+    It is private scipy API, so a scipy without it, or without one of
+    the three routines the package calls, gets scipy.linalg.lapack itself.
+    """
+    try:
+        module = _load_extension("scipy.linalg", "_flapack")
+        if all(hasattr(module, routine)
+               for routine in ("dgttrf", "dgttrs", "dgtsv")):
+            return module
+    except ImportError:
+        pass
+    from scipy.linalg import lapack
+    return lapack
+
+
 _linear_filter = _resolve_linear_filter()
+lapack = _resolve_lapack()
+
+
+def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                      rhs: np.ndarray) -> np.ndarray:
+    """x solving A x = rhs; A has bands sub (n-1), diag (n) and sup (n-1).
+
+    LAPACK gtsv, Gaussian elimination with partial pivoting, with the
+    checks of scipy.linalg.solve_banded((1, 1), ab, rhs), which makes
+    this same call on ab's rows: the same bits, a ValueError on a
+    non-finite entry and a LinAlgError on a singular matrix.  No
+    argument is overwritten.
+    """
+    for values in (sub, diag, sup, rhs):
+        if not np.all(np.isfinite(values)):
+            raise ValueError("array must not contain infs or NaNs")
+    *_, x, info = lapack.dgtsv(sub, diag, sup, rhs)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gtsv")
+    return x
 
 
 def _sweeps(s: np.ndarray, h: float, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -171,18 +217,17 @@ def solve_fd(s: Field, lam: float, mu: float,
         raise DomainError("lambda and mu must be positive")
     n = s.grid.n
     h = s.grid.h
-    ab = np.zeros((3, n))
-    ab[0, 1:] = 1.0 / h**2          # superdiagonal
-    ab[1, :] = -2.0 / h**2 - lam    # diagonal
-    ab[2, :-1] = 1.0 / h**2         # subdiagonal
+    sub = np.full(n - 1, 1.0 / h**2)
+    diag = np.full(n, -2.0 / h**2 - lam)
+    sup = np.full(n - 1, 1.0 / h**2)
     rhs = -mu * s.values.copy()
-    ab[0, 1] = 0.0
-    ab[1, 0] = 1.0
+    sup[0] = 0.0
+    diag[0] = 1.0
     rhs[0] = bc_left
-    ab[2, -2] = 0.0
-    ab[1, -1] = 1.0
+    sub[-1] = 0.0
+    diag[-1] = 1.0
     rhs[-1] = bc_right
-    v = solve_banded((1, 1), ab, rhs)
+    v = solve_tridiagonal(sub, diag, sup, rhs)
     if not np.all(np.isfinite(v)):
         raise InternalError("tridiagonal solve produced non-finite values")
     return Field(s.grid, v)

@@ -18,7 +18,6 @@ import math
 import itertools
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,6 +126,9 @@ def sweep_speeds(chis, ms, alphas, gammas, config: SimConfig,
     # no row depends on the worker that runs it, so the cap keeps every bit
     workers = min(jobs, len(combos), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: a serial sweep, and every other CLI call, would
+        # otherwise pay for multiprocessing at start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, itertools.repeat(config),
                                     combos))

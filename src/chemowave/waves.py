@@ -18,11 +18,11 @@ Two routes to a stationary profile of the moving-frame system
   system from the same initial condition, an independent cross-check.
   It runs `cauchy.march`, the package's one stepping loop, at the
   fitted frame speed and stops it once ||u_t||_inf < TOL_INNER; at most
-  MAX_INNER_STEPS steps are taken.  The step advects with the frame
-  speed implicitly, so only the chemotactic drift and the reaction
-  bound its dt, and it converges to the same discrete steady state
-  `cauchy.steady_residual` = 0 that FixedPoint solves for.  The profile
-  records its step count and dt range.
+  MAX_INNER_STEPS steps, march's step budget, are taken.  The step
+  advects with the frame speed implicitly, so only the chemotactic
+  drift and the reaction bound its dt, and it converges to the same
+  discrete steady state `cauchy.steady_residual` = 0 that FixedPoint
+  solves for.  The profile records its step count and dt range.
 
 Profiles built here use centered advection: the wave targets (decay-rate
 fits, barrier sandwiches at 1e-8) need the O(h^2) spatial accuracy, and
@@ -39,12 +39,11 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .barriers import BarrierSpec, default_barrier_spec, eval_sub, eval_super
-from .cauchy import (DT_MAX, SimConfig, march, robin_rate, solve_v,
-                     steady_jacobian, steady_residual)
-from .elliptic import solve_pair
+from .cauchy import (DT_MAX, MAX_INNER_STEPS, SimConfig, march, robin_rate,
+                     solve_v, steady_jacobian, steady_residual)
+from .elliptic import solve_pair, solve_tridiagonal
 from .errors import (DomainError, NoConvergence, NormalizationError,
                      RegimeError, WindowTooShort)
 from .fields import Field, Grid, level_crossings
@@ -55,7 +54,6 @@ FIT_WINDOW = (1e-6, 1e-2)
 MIN_WINDOW_LENGTH = 5.0
 SCHEME = "centered"          # advection scheme of every wave-lane step
 TOL_INNER = 1e-8             # CoupledRelax steady state: ||u_t||_inf below this
-MAX_INNER_STEPS = 400_000    # CoupledRelax step budget
 NEWTON_TOL = 1e-12           # FixedPoint: sup of the steady residual below this
 ROUNDOFF_FACTOR = 10.0       # ... or below this many times its round-off floor
 MAX_NEWTON = 50
@@ -194,15 +192,12 @@ def _newton_step(problem: WaveProblem, u: np.ndarray, v: np.ndarray,
     # preconditioner: the frozen-v Jacobian, tridiagonal in U[0..n-2] and
     # bordered by the pinned node's row and the dF/dc_eff = U_x column,
     # solved by eliminating the border
-    ab = np.zeros((3, n - 1))
-    ab[0, 1:] = sup[:-1]
-    ab[1] = diag[:-1]
-    ab[2, :-1] = sub[:-1]
-    z = solve_banded((1, 1), ab, ux[:-1])
+    bands = sub[:-1], diag[:-1], sup[:-1]
+    z = solve_tridiagonal(*bands, ux[:-1])
     corner = ux[-1] - sub[-1] * z[-1]
 
     def precond(f):
-        y = solve_banded((1, 1), ab, f[:-1])
+        y = solve_tridiagonal(*bands, f[:-1])
         dc = (f[-1] - sub[-1] * y[-1]) / corner
         return np.append(y - dc * z, dc)
 
@@ -311,6 +306,9 @@ def construct_relax(problem: WaveProblem) -> WaveProfile:
 
     march runs to t_end = MAX_INNER_STEPS * DT_MAX, so neither its
     output times nor its end cap a step before the step budget runs out.
+    That horizon sits exactly on march's own budget, so march accepts
+    it and is never asked for a step past the budget: an exhausted
+    budget is this function's NoConvergence.
     """
     spec, upper, lower, c_eff = _prepare(problem)
     horizon = MAX_INNER_STEPS * DT_MAX

@@ -1,6 +1,7 @@
 """Time integrator: constant solutions, bounds, monotone structure, orders."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,6 +195,45 @@ def test_stiffness_error():
     u0 = Field(g, np.full(g.n, 1e8))
     with pytest.raises(StiffnessError):
         run(SimConfig(params=p, grid=g, t_end=1.0, output_every=1.0), u0)
+
+
+@pytest.mark.parametrize("dt, refused", [
+    (None, False), (0.1, False), (0.0999, True), (1e-9, True)])
+def test_march_refuses_a_run_over_the_step_budget(monkeypatch, dt, refused):
+    # 10 steps of dt (DT_MAX when automatic) reach t_end = 1, the budget
+    monkeypatch.setattr(cauchy, "MAX_INNER_STEPS", 10)
+    g = Grid.from_bounds(-10, 10, 0.1)
+    cfg = SimConfig(params=Params(0.0), grid=g, t_end=1.0, dt=dt)
+    steps = march(cfg, Field(g, np.ones(g.n)))
+    if refused:
+        with pytest.raises(DomainError,
+                           match="--t-end 1 at --dt .* budget of 10"):
+            next(steps)
+    else:
+        assert next(steps)[0] == 0.0
+
+
+def test_march_accepts_the_relaxation_horizon():
+    # CoupledRelax runs to MAX_INNER_STEPS * DT_MAX: exactly on the budget
+    g = Grid.from_bounds(-10, 10, 0.1)
+    cfg = SimConfig(params=Params(0.0), grid=g,
+                    t_end=cauchy.MAX_INNER_STEPS * cauchy.DT_MAX)
+    assert next(march(cfg, Field(g, np.ones(g.n))))[0] == 0.0
+    with pytest.raises(DomainError, match="budget"):
+        next(march(replace(cfg, t_end=math.nextafter(cfg.t_end, math.inf)),
+                   Field(g, np.ones(g.n))))
+
+
+def test_auto_dt_run_over_the_step_budget_is_a_stiffness_error(monkeypatch):
+    # u = 2 holds the automatic dt near 0.1 / 3, so t_end 1 needs 30 steps
+    monkeypatch.setattr(cauchy, "MAX_INNER_STEPS", 10)
+    g = Grid.from_bounds(-10, 10, 0.1)
+    cfg = SimConfig(params=Params(0.0), grid=g, t_end=1.0)
+    steps = []
+    with pytest.raises(StiffnessError, match="step budget exhausted"):
+        for _, _, _, _, dt, _, _ in march(cfg, Field(g, np.full(g.n, 2.0))):
+            steps.append(dt)
+    assert len(steps) == 11            # the initial state and 10 steps
 
 
 def test_blowup_detected():

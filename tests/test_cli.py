@@ -245,6 +245,32 @@ def test_malformed_values_list_exits_64(tmp_path, capsys):
     assert not (tmp_path / "sw").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_refuses_jobs_below_one(tmp_path, capsys, jobs):
+    code = main(["sweep", "--jobs", jobs, "--out-dir", str(tmp_path / "sw")])
+    assert code == 64
+    assert capsys.readouterr().err.startswith("usage: --jobs")
+    assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--t-end", "1e300", "--grid-left", "-20", "--grid-right",
+     "20"],
+    ["simulate", "--dt", "1e-9", "--grid-left", "-20", "--grid-right", "20"],
+    ["speed", "--t-end", "1e12"],
+    ["stability", "--t-end", "1e12"],
+], ids=["huge-t-end", "tiny-dt", "speed", "stability"])
+def test_run_over_the_step_budget_is_refused_up_front(tmp_path, capsys, argv):
+    # each would step for hours, or forever, without the up-front check
+    t0 = time.perf_counter()
+    code = main(argv + ["--out-dir", str(tmp_path / "run")])
+    assert time.perf_counter() - t0 < 10.0
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --t-end ") and "--dt" in err
+    assert "budget of 400,000" in err
+
+
 def test_dt_underflow_exits_2(tmp_path, capsys):
     # a fixed dt below the stepper's floor fails on the first step
     code = main(["simulate", "--dt", "1e-12", "--grid-left", "-10",
@@ -443,22 +469,32 @@ def test_wave_subcommand_coupled_relax(tmp_path):
 
 def test_import_leaves_heavy_scipy_packages_unloaded(tmp_path):
     # a fresh interpreter: the test session may have imported these already.
-    # GMRES loads on the first Newton solve; certify smooths by numpy's FFT,
-    # so ndimage never loads
+    # LAPACK and the IIR filter load as bare compiled extensions; GMRES,
+    # and with it scipy.linalg, loads on the first Newton solve; certify
+    # smooths by numpy's FFT, so ndimage never loads; a serial sweep
+    # starts no process pool
     script = textwrap.dedent("""
         import json, os, sys
         import chemowave.cli
-        heavy = ("scipy.signal", "scipy.stats", "scipy.sparse.linalg",
-                 "scipy.ndimage")
-        at_import = [m for m in heavy if m in sys.modules]
-        codes = [chemowave.cli.main(argv + ["--out-dir",
-                                            os.path.join(sys.argv[1], name)])
-                 for name, argv in (
-                     ("wave", ["wave", "--chi", "-1", "--c", "4",
-                               "--grid-left", "-20", "--grid-right", "30"]),
-                     ("certify", ["certify", "--chi", "-1", "--c", "3"]))]
-        print(json.dumps({"at_import": at_import, "codes": codes,
-                          "after": [m for m in heavy if m in sys.modules]}))
+        heavy = ("scipy.signal", "scipy.stats", "scipy.linalg",
+                 "scipy.sparse.linalg", "scipy.ndimage", "scipy._lib._util",
+                 "numpy.f2py", "numpy.testing", "concurrent.futures.process")
+        loaded = {"import": [m for m in heavy if m in sys.modules]}
+        codes = []
+        for name, argv in (
+                ("certify", ["certify", "--chi", "-1", "--c", "3"]),
+                ("simulate", ["simulate", "--grid-left", "-10",
+                              "--grid-right", "10", "--grid-h", "0.1",
+                              "--t-end", "1"]),
+                ("relax", ["wave", "--chi", "0", "--c", "3",
+                           "--grid-left", "-60", "--grid-right", "60",
+                           "--method", "CoupledRelax"]),
+                ("wave", ["wave", "--chi", "-1", "--c", "4",
+                          "--grid-left", "-20", "--grid-right", "30"])):
+            codes.append(chemowave.cli.main(
+                argv + ["--out-dir", os.path.join(sys.argv[1], name)]))
+            loaded[name] = [m for m in heavy if m in sys.modules]
+        print(json.dumps({"codes": codes, "loaded": loaded}))
         """)
     src = str(Path(chemowave.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -467,6 +503,12 @@ def test_import_leaves_heavy_scipy_packages_unloaded(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["at_import"] == []
-    assert report["codes"] == [0, 0]
-    assert report["after"] == ["scipy.sparse.linalg"]
+    assert report["codes"] == [0, 0, 0, 0]
+    loaded = report["loaded"]
+    for name in ("import", "certify", "simulate", "relax"):
+        assert loaded[name] == [], name
+    # scipy.linalg's own import brings scipy._lib._util, numpy.f2py and
+    # numpy.testing with it
+    assert loaded["wave"] == ["scipy.linalg", "scipy.sparse.linalg",
+                              "scipy._lib._util", "numpy.f2py",
+                              "numpy.testing"]

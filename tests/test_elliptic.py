@@ -5,13 +5,14 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from chemowave import elliptic
+from chemowave import cauchy, elliptic
 from chemowave.elliptic import (psi_derivative, solve_fd, solve_pair,
                                 solve_pair_values, solve_psi)
 from chemowave.errors import DomainError
 from chemowave.fields import Field, Grid
+from chemowave.params import Params
 
 
 def smooth_nonneg(grid, seed, scale=1.0):
@@ -236,21 +237,133 @@ def test_direct_filter_is_lfilter_bit_for_bit():
             assert got.tobytes() == lfilter([1.0], [1.0, -E], x).tobytes()
 
 
-def _no_extension():
-    raise ImportError("no compiled filter")
+def _no_extension(package, name):
+    raise ImportError("no compiled extension")
 
 
 @pytest.mark.parametrize("load", [
     pytest.param(_no_extension, id="extension-missing"),
-    pytest.param(types.SimpleNamespace, id="name-missing")])
+    pytest.param(lambda package, name: types.SimpleNamespace(),
+                 id="name-missing")])
 def test_fallback_filter_gives_the_same_bits(monkeypatch, load):
     from scipy.signal import lfilter
     g = Grid.from_bounds(-20.0, 20.0, 0.05)
     s = np.random.default_rng(3).uniform(size=g.n)
     direct = solve_pair_values(s, g, 1.3, 0.7, 0.2, 0.4)
-    monkeypatch.setattr(elliptic, "_load_sigtools", load)
+    monkeypatch.setattr(elliptic, "_load_extension", load)
     fallback = elliptic._resolve_linear_filter()
     assert fallback is lfilter
     monkeypatch.setattr(elliptic, "_linear_filter", fallback)
     for got, want in zip(solve_pair_values(s, g, 1.3, 0.7, 0.2, 0.4), direct):
         assert got.tobytes() == want.tobytes()
+
+
+def _bands(n, seed, dominance):
+    """Random tridiagonal bands; dominance below 2 lets pivoting run."""
+    rng = np.random.default_rng(seed)
+    sub, sup = rng.uniform(-1.0, 1.0, (2, n - 1))
+    diag = dominance * rng.uniform(-1.0, 1.0, n)
+    return sub, diag, sup, rng.standard_normal(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 4001), seed=st.integers(0, 2**32 - 1),
+       dominance=st.floats(0.0, 4.0))
+@example(n=2, seed=0, dominance=0.0)
+@example(n=4001, seed=1, dominance=0.1)
+def test_tridiagonal_solve_is_solve_banded_bit_for_bit(n, seed, dominance):
+    # imported here only: the package never imports scipy.linalg itself
+    from scipy.linalg import solve_banded
+    sub, diag, sup, rhs = _bands(n, seed, dominance)
+    ab = np.zeros((3, n))
+    ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
+    try:
+        want = solve_banded((1, 1), ab, rhs)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            elliptic.solve_tridiagonal(sub, diag, sup, rhs)
+        return
+    before = [a.copy() for a in (sub, diag, sup, rhs)]
+    got = elliptic.solve_tridiagonal(sub, diag, sup, rhs)
+    assert got.tobytes() == want.tobytes()
+    for a, b in zip((sub, diag, sup, rhs), before):
+        assert a.tobytes() == b.tobytes()      # nothing overwritten
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
+       which=st.integers(0, 3), at=st.floats(0.0, 1.0),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_tridiagonal_solve_refuses_non_finite_entries(n, seed, which, at, bad):
+    args = list(_bands(n, seed, 4.0))
+    args[which][min(int(at * args[which].size), args[which].size - 1)] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        elliptic.solve_tridiagonal(*args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
+       at=st.floats(0.0, 1.0), dominance=st.floats(0.0, 4.0))
+def test_tridiagonal_solve_refuses_a_singular_matrix(n, seed, at, dominance):
+    # a zero column j: diag[j], sup[j-1] (row j-1) and sub[j] (row j+1)
+    sub, diag, sup, rhs = _bands(n, seed, dominance)
+    j = min(int(at * n), n - 1)
+    diag[j] = 0.0
+    if j > 0:
+        sup[j - 1] = 0.0
+    if j < n - 1:
+        sub[j] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        elliptic.solve_tridiagonal(sub, diag, sup, rhs)
+
+
+def test_solve_fd_is_the_banded_solve_bit_for_bit():
+    from scipy.linalg import solve_banded
+    g = Grid.from_bounds(-10.0, 10.0, 0.05)
+    s = smooth_nonneg(g, 4)
+    lam, mu, h = 1.3, 0.7, g.h
+    ab = np.zeros((3, g.n))
+    ab[0, 2:] = 1.0 / h**2
+    ab[1, 1:-1] = -2.0 / h**2 - lam
+    ab[1, 0] = ab[1, -1] = 1.0
+    ab[2, :-2] = 1.0 / h**2
+    rhs = -mu * s.values
+    rhs[0], rhs[-1] = 0.3, 0.1
+    want = solve_banded((1, 1), ab, rhs)
+    got = solve_fd(s, lam, mu, 0.3, 0.1).values
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("load", [
+    pytest.param(_no_extension, id="extension-missing"),
+    pytest.param(lambda package, name: types.SimpleNamespace(
+        dgttrf=elliptic.lapack.dgttrf, dgttrs=elliptic.lapack.dgttrs),
+        id="gtsv-missing")])
+def test_fallback_lapack_gives_the_same_bits(monkeypatch, load):
+    from scipy.linalg import lapack
+    assert elliptic.lapack.__name__ == "scipy.linalg._flapack"
+    g = Grid.from_bounds(-20.0, 20.0, 0.05)
+    rng = np.random.default_rng(5)
+    u, v, vx = rng.uniform(size=(3, g.n))
+    p = Params(-0.5, m=2.0)
+    sub, diag, sup, rhs = _bands(g.n, 6, 0.5)
+
+    def outputs():
+        cauchy._diffusion_factor.cache_clear()
+        return (*cauchy._diffusion_factor(g.n, g.h, 0.03, 0.4, 1.5),
+                cauchy.advance_imex(p, u, v, vx, 1.5, 0.03, g, 0.4),
+                elliptic.solve_tridiagonal(sub, diag, sup, rhs))
+
+    direct = outputs()
+    monkeypatch.setattr(elliptic, "_load_extension", load)
+    fallback = elliptic._resolve_lapack()
+    assert fallback is lapack
+    monkeypatch.setattr(elliptic, "lapack", fallback)
+    monkeypatch.setattr(cauchy, "lapack", fallback)
+    try:
+        got = outputs()
+    finally:
+        cauchy._diffusion_factor.cache_clear()
+    assert len(got) == len(direct)
+    for a, b in zip(got, direct):
+        assert a.tobytes() == b.tobytes()

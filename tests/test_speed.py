@@ -1,5 +1,6 @@
 """Front tracking and spreading-speed measurement."""
 
+import concurrent.futures
 import functools
 import math
 import os
@@ -7,7 +8,6 @@ import os
 import numpy as np
 import pytest
 
-from chemowave import speed
 from chemowave.cauchy import SimConfig
 from chemowave.errors import DomainError, NoFront
 from chemowave.fields import Field, Grid, level_crossings
@@ -195,7 +195,8 @@ def test_sweep_caps_the_worker_pool(monkeypatch):
             return sweep_speeds([0.0, 0.25], [0.5], [1.0], [1.0],
                                 _sweep_config(), jobs=5000)
 
-    monkeypatch.setattr(speed, "ProcessPoolExecutor", FakePool)
+    # sweep_speeds imports the pool class only when it opens a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert len(sweep()) == 2
     assert asked == [2]

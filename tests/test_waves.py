@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chemowave import waves
+from chemowave import cauchy, waves
 from chemowave.cauchy import (DT_MAX, SimConfig, advance_imex, auto_dt, march,
                               robin_rate, solve_v, steady_jacobian,
                               steady_residual)
@@ -261,6 +261,17 @@ def test_relax_budget_reports_residual(monkeypatch):
                                     method="CoupledRelax"))
     assert math.isfinite(info.value.residual)
     assert info.value.residual > waves.TOL_INNER
+
+
+def test_relax_keeps_its_own_error_at_march_budget(monkeypatch):
+    # with march's budget equal to the relaxation's, the horizon is not
+    # refused and march is never asked for a step past it
+    monkeypatch.setattr(cauchy, "MAX_INNER_STEPS", 10)
+    monkeypatch.setattr(waves, "MAX_INNER_STEPS", 10)
+    g = Grid.from_bounds(-40, 40, 0.1)
+    with pytest.raises(NoConvergence, match="coupled relaxation failed"):
+        construct_relax(WaveProblem(params=Params(-1.0), c=4.0, grid=g,
+                                    method="CoupledRelax"))
 
 
 def test_relax_steps_are_not_capped_by_the_frame_speed(neg_relax_profile):
