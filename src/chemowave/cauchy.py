@@ -71,6 +71,7 @@ from .params import Params, RegimeTag, M_chi, classify_regime
 DT_FLOOR = 1e-10
 DT_MAX = 0.1                     # cap on the automatic time step
 MAX_INNER_STEPS = 400_000        # step budget of one march
+LANDING_SLACK = 1e-12            # a step this near an output time lands on it
 MONITOR_SLACK = 1e-6
 FRONT_LEVEL = 0.5                # level whose rightmost crossing is the front
 
@@ -376,7 +377,7 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
     refresh_every_step = p.chi != 0.0
     next_out = config.output_every
     steps = 0
-    while t < config.t_end - 1e-12:
+    while t < config.t_end - LANDING_SLACK:
         dt = config.dt
         if dt is None:
             if steps == MAX_INNER_STEPS:
@@ -397,10 +398,10 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
         t += dt
         _check_finite(u, t, grid)
         u.flags.writeable = False
-        sample = t >= next_out - 1e-12
+        sample = t >= next_out - LANDING_SLACK
         if sample:
             next_out = round(next_out / config.output_every + 1) * config.output_every
-        sample = sample or t >= config.t_end - 1e-12
+        sample = sample or t >= config.t_end - LANDING_SLACK
         if refresh_every_step or sample:
             v, vx = _v_values(p, u, grid, config.tail_kappa)
             v.flags.writeable = vx.flags.writeable = False

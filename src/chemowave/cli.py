@@ -380,6 +380,11 @@ def main(argv=None) -> int:
                 return 64
     try:
         cfg = parse_config(ns.config, overrides, ns.subcommand)
+        # Newton takes no time step, CoupledRelax and stability the auto dt
+        if cfg["dt"] is not None and ns.subcommand in ("wave", "stability"):
+            print(f"usage: --dt: {ns.subcommand} takes no fixed dt, got "
+                  f"{cfg['dt']:g}; drop it or give --dt auto", file=sys.stderr)
+            return 64
         handler, _ = SUBCOMMANDS[ns.subcommand]
         sweep_args = (values, ns.jobs) if ns.subcommand == "sweep" else ()
         return handler(cfg, *sweep_args)

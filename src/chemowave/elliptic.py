@@ -12,13 +12,14 @@ sweeps, run in one call of scipy's compiled IIR filter
 cannot be loaded).  The two half-line tails are closed analytically
 from one decay rate per side; their edge-decay profiles are computed
 once per (grid, lambda).  `solve_pair_values` is the array-level core;
-`solve_pair` wraps it in Fields.
+`solve_pair` wraps it in Fields.  The sweeps' weights (`sweep_weights`)
+and `tail_integrals` also fill the wave lane's banded Newton Jacobian.
 
 The package's compiled scipy code is loaded here, each extension file
 directly, so that neither `scipy.signal`'s nor `scipy.linalg`'s
 `__init__` runs at import: the filter above, and `lapack`, scipy's
 compiled LAPACK (`scipy.linalg._flapack`; `scipy.linalg.lapack` if it
-cannot be loaded or lacks gttrf, gttrs or gtsv).  `solve_tridiagonal`,
+cannot be loaded or lacks gttrf, gttrs, gtsv or gbsv).  `solve_tridiagonal`,
 gtsv with `scipy.linalg.solve_banded`'s checks, is the package's one
 tridiagonal solve.
 
@@ -80,12 +81,12 @@ def _resolve_lapack():
     """scipy.linalg._flapack, whose routines scipy.linalg.lapack re-exports.
 
     It is private scipy API, so a scipy without it, or without one of
-    the three routines the package calls, gets scipy.linalg.lapack itself.
+    gttrf, gttrs, gtsv and gbsv, gets scipy.linalg.lapack itself.
     """
     try:
         module = _load_extension("scipy.linalg", "_flapack")
         if all(hasattr(module, routine)
-               for routine in ("dgttrf", "dgttrs", "dgtsv")):
+               for routine in ("dgttrf", "dgttrs", "dgtsv", "dgbsv")):
             return module
     except ImportError:
         pass
@@ -118,6 +119,18 @@ def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
     return x
 
 
+def sweep_weights(h: float, r: float) -> tuple:
+    """(E, (I0, I1), (J0, J1)) of the sweeps A[i] = E A[i-1] + s_{i-1} I0
+    + slope I1 and B[i] = E B[i+1] + s_i J0 + slope J1, per cell slope."""
+    E = np.exp(-r * h)
+    one_minus_E = -np.expm1(-r * h)
+    I0 = one_minus_E / r                 # int_0^h e^{r(t-h)} dt
+    I1 = (h - I0) / r                    # int_0^h e^{r(t-h)} t dt
+    J0 = I0                              # int_0^h e^{-r t} dt
+    J1 = (one_minus_E - E * r * h) / r**2   # int_0^h e^{-r t} t dt
+    return E, (I0, I1), (J0, J1)
+
+
 def _sweeps(s: np.ndarray, h: float, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Left and right one-sided kernel integrals over the grid.
 
@@ -127,13 +140,7 @@ def _sweeps(s: np.ndarray, h: float, r: float) -> tuple[np.ndarray, np.ndarray]:
     with s piecewise linear between nodes; each cell integrated exactly.
     Both recurrences run in one filter call, B's on the reversed cells.
     """
-    E = np.exp(-r * h)
-    one_minus_E = -np.expm1(-r * h)
-    I0 = one_minus_E / r                 # int_0^h e^{r(t-h)} dt
-    I1 = (h - I0) / r                    # int_0^h e^{r(t-h)} t dt
-    J0 = I0                              # int_0^h e^{-r t} dt
-    J1 = (one_minus_E - E * r * h) / r**2   # int_0^h e^{-r t} t dt
-
+    E, (I0, I1), (J0, J1) = sweep_weights(h, r)
     s0, s1 = s[:-1], s[1:]
     slope = (s1 - s0) / h
     cells = np.empty((2, s.size - 1))
@@ -152,8 +159,8 @@ def _sweeps(s: np.ndarray, h: float, r: float) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def _tail_integrals(s: np.ndarray, r: float, left_rate: float,
-                    right_rate: float) -> tuple[float, float]:
+def tail_integrals(s: np.ndarray, r: float, left_rate: float,
+                   right_rate: float) -> tuple[float, float]:
     """(T_L, T_R): half-line integrals anchored at the grid endpoints.
 
     T_L = int_{-inf}^{x0} exp(-r (x0 - y)) s(y) dy and symmetrically T_R.
@@ -183,7 +190,7 @@ def solve_pair_values(s: np.ndarray, grid: Grid, lam: float, mu: float,
         raise DomainError("lambda and mu must be positive")
     r = np.sqrt(lam)
     A, B = _sweeps(s, grid.h, r)
-    TL, TR = _tail_integrals(s, r, left_rate, right_rate)
+    TL, TR = tail_integrals(s, r, left_rate, right_rate)
     decay_left, decay_right = _edge_decay(grid, r)
     left = A + TL * decay_left
     right = B + TR * decay_right

@@ -6,7 +6,8 @@ spreading speed at chi = 0.  A pulled front lags 2t by (3/2) ln t
 it: the front is the rightmost crossing of the level 1/2, tracked in
 the frame and reported in the lab frame as front_x + 2 t.  The
 asymptotic spreading speed is the slope of a linear fit of front
-position against time over the last half of the run (t >= t_end / 2).
+position against time over the last half of the run (t >= t_end / 2
+less march's LANDING_SLACK, so round-off in t drops no sample).
 Every sample in that half must have a front at least BOUNDARY_MARGIN
 inside both edges of the window; otherwise NoFront names the grid
 flag to widen.
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cauchy import FRONT_LEVEL, SimConfig, run
+from .cauchy import FRONT_LEVEL, LANDING_SLACK, SimConfig, run
 from .errors import DomainError, NoFront
 from .fields import Field, Grid, level_crossings
 from .params import Params, c_star, constants_report
@@ -78,7 +79,7 @@ def spreading_speed(config: SimConfig, u0: Field) -> FrontTrack:
     grid = config.grid
     _, monitors, _ = run(replace(config, frame_speed=FRAME_SPEED), u0)
     times, frame_x = np.array(monitors.times), np.array(monitors.front_x)
-    fit = times >= times[-1] / 2.0
+    fit = times >= config.t_end / 2.0 - LANDING_SLACK
     if fit.sum() < 3:
         raise NoFront("not enough tracked front positions for a fit")
     for t, x, inf_u in zip(times[fit], frame_x[fit], np.array(monitors.inf_u)[fit]):

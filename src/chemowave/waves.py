@@ -6,8 +6,8 @@ Two routes to a stationary profile of the moving-frame system
           + chi u^(m+gamma) + u (1 - u^alpha),      V = Psi(u^gamma):
 
 * FixedPoint: the fixed point of the map u -> U(.; u) solved directly
-  by a damped Newton-Krylov iteration on the steady form of the
-  centered IMEX step (`cauchy.steady_residual`), started from the
+  by damped Newton, one banded solve of the exact Jacobian per step, on
+  the steady centered IMEX step (`cauchy.steady_residual`) from the
   super-solution min{M, e^{-kx}}.  The frame speed c_eff is an unknown
   (the freezing method of Beyn & Thuemmler) and the tail node is pinned
   to e^{-kappa x_R}, the amplitude the barriers fix (and the translation,
@@ -43,7 +43,7 @@ import numpy as np
 from .barriers import BarrierSpec, default_barrier_spec, eval_sub, eval_super
 from .cauchy import (DT_MAX, MAX_INNER_STEPS, SimConfig, march, robin_rate,
                      solve_v, steady_jacobian, steady_residual)
-from .elliptic import solve_pair, solve_tridiagonal
+from .elliptic import lapack, sweep_weights, tail_integrals
 from .errors import (DomainError, NoConvergence, NormalizationError,
                      RegimeError, WindowTooShort)
 from .fields import Field, Grid, level_crossings
@@ -58,8 +58,7 @@ NEWTON_TOL = 1e-12           # FixedPoint: sup of the steady residual below this
 ROUNDOFF_FACTOR = 10.0       # ... or below this many times its round-off floor
 MAX_NEWTON = 50
 MIN_DAMPING = 2.0**-30       # Newton line search gives up below this step
-GMRES_RTOL = 1e-10           # relative residual of each linear solve
-GMRES_MAX_ITERS = 50         # Krylov vectors kept per linear solve (no restart)
+BAND = 3                     # Newton Jacobian: diagonals either side of the main
 
 
 def fitted_frame_speed(c: float, h: float) -> float:
@@ -180,53 +179,58 @@ def _sandwich(u: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
 def _newton_step(problem: WaveProblem, u: np.ndarray, v: np.ndarray,
                  vx: np.ndarray, ux: np.ndarray, F: np.ndarray,
                  c_eff: float) -> np.ndarray:
-    """(dU[0..n-2], dc_eff) solving J step = -F with U[n-1] held fixed."""
-    # imported here: only the Newton solves need it, and every CLI call
-    # would otherwise pay for scipy.sparse.linalg at start-up
-    from scipy.sparse.linalg import LinearOperator, gmres
+    """(dU[0..n-2], dc_eff) solving J step = -F with U[n-1] held fixed.
 
+    J is exact: v = (a + b) / 2 and v_x = (b - a) / 2 for solve_pair's
+    sweeps a, b (lam = mu = 1), recurrences from their tail integrals, so
+    with (a_k, dU_k, b_k) interleaved as unknowns J is banded (BAND
+    diagonals each side) and one LAPACK gbsv solves it.  The rows of the
+    pinned column, dF/dc_eff = U_x, outside the band are a rank-1 border:
+    Sherman-Morrison, as a second right-hand side on the same factor.
+    """
     p, grid, kappa = problem.params, problem.grid, problem.kappa
-    n = grid.n
+    n, h = grid.n, grid.h
     sub, diag, sup = steady_jacobian(p, u, v, vx, ux, c_eff, grid,
-                                     robin_rate(kappa, grid.h))
-    # preconditioner: the frozen-v Jacobian, tridiagonal in U[0..n-2] and
-    # bordered by the pinned node's row and the dF/dc_eff = U_x column,
-    # solved by eliminating the border
-    bands = sub[:-1], diag[:-1], sup[:-1]
-    z = solve_tridiagonal(*bands, ux[:-1])
-    corner = ux[-1] - sub[-1] * z[-1]
-
-    def precond(f):
-        y = solve_tridiagonal(*bands, f[:-1])
-        dc = (f[-1] - sub[-1] * y[-1]) / corner
-        return np.append(y - dc * z, dc)
-
-    dsrc = p.gamma * np.power(u, p.gamma - 1.0)          # d(u^gamma)/du
+                                     robin_rate(kappa, h))
+    E, (I0, I1), (J0, J1) = sweep_weights(h, 1.0)
+    ds = p.gamma * np.power(u, p.gamma - 1.0)            # d(u^gamma)/du
+    ds[-1] = 0.0                                         # U[n-1] is pinned
     dF_dv = -p.chi * np.power(u, p.m)
     dF_dvx = -p.chi * p.m * np.power(u, p.m - 1.0) * ux
-
-    def jvp(d):
-        du = d.copy()
-        du[-1] = 0.0
-        out = diag * du + ux * d[-1]
-        out[:-1] += sup * du[1:]
-        out[1:] += sub * du[:-1]
-        src = Field(grid, dsrc * du)
-        dV, dVx = solve_pair(src, 1.0, 1.0, 0.0, p.gamma * kappa)
-        return out + dF_dv * dV.values + dF_dvx * dVx.values
-
-    op = LinearOperator((n, n), matvec=lambda y: jvp(precond(y)), dtype=float)
-    # an unconverged solve still lowers the linearized residual; the
-    # caller's line search decides whether its step is taken
-    y, _ = gmres(op, -F, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_MAX_ITERS,
-                 maxiter=1)
-    return precond(y)
+    # J[i, j] sits at ab[o + i - j, j]; band[:, k, 0 | 1 | 2] holds the
+    # columns of a_k, dU_k and b_k, and its rows are a's, F's and b's at k
+    o = 2 * BAND
+    ab = np.zeros((3 * BAND + 1, 3 * n))
+    band = ab.reshape(-1, n, 3)
+    # a_k - E a_{k-1} = cell (k-1, k), a_0 = T_L; b_k - E b_{k+1} = cell
+    # (k, k+1), b_{n-1} = T_R, which the pin makes a constant
+    band[o] = 1.0
+    band[o + 3, :-1, 0] = band[o - 3, 1:, 2] = -E
+    band[o + 2, :-1, 1] = -(I0 - I1 / h) * ds[:-1]
+    band[o - 1, 1:, 1] = -(I1 / h) * ds[1:]
+    band[o - 1, 0, 1] = -tail_integrals(ds, 1.0, 0.0, p.gamma * kappa)[0]
+    band[o + 1, :-1, 1] = -(J0 - J1 / h) * ds[:-1]
+    band[o - 2, 1:, 1] = -(J1 / h) * ds[1:]
+    # F_k; in the pinned column U_x, in band for the last two rows
+    band[o + 1, :, 0] = 0.5 * (dF_dv - dF_dvx)
+    band[o - 1, :, 2] = 0.5 * (dF_dv + dF_dvx)
+    band[o + 3, :-1, 1], band[o, :, 1], band[o - 3, 1:, 1] = sub, diag, sup
+    band[o - 3, -1, 1], band[o, -1, 1] = ux[-2], ux[-1]
+    rhs = np.zeros((n, 3, 2))
+    rhs[:, 1, 0] = -F
+    rhs[:-2, 1, 1] = ux[:-2]
+    *_, x, info = lapack.dgbsv(BAND, BAND, ab, rhs.reshape(3 * n, 2),
+                               overwrite_ab=True, overwrite_b=True)
+    if info != 0:
+        raise NoConvergence(f"Newton Jacobian solve failed (gbsv info={info})")
+    step, border = x.reshape(n, 3, 2)[:, 1].T
+    return step - border * (step[-1] / (1.0 + border[-1]))
 
 
 def _newton(problem: WaveProblem, u: np.ndarray, c_eff: float, tol: float,
             visit: Callable[[np.ndarray], None] | None = None
             ) -> tuple[np.ndarray, float, list[float]]:
-    """Damped Newton-Krylov solve of the steady centered stepper from (u, c_eff).
+    """Damped Newton solve of the steady centered stepper from (u, c_eff).
 
     Unknowns are (u[0..n-2], c_eff); the tail u[n-1] is pinned to
     e^{-kappa x_R}, the barriers' tail amplitude.  The pin fixes the
@@ -280,15 +284,12 @@ def _newton(problem: WaveProblem, u: np.ndarray, c_eff: float, tol: float,
 
 
 def construct_fixed_point(problem: WaveProblem) -> WaveProfile:
-    """Damped Newton-Krylov solve of the steady centered stepper.
+    """Damped Newton solve of the steady centered stepper.
 
     Unknowns are (U[0..n-2], c_eff) with the tail U[n-1] pinned (see
-    _newton).  Each linear system is solved by GMRES, right
-    preconditioned by the frozen-v tridiagonal Jacobian whose pinned
-    column is replaced by dF/dc_eff = U_x; the products with the exact
-    Jacobian add the linear v response, one solve_pair of
-    gamma U^(gamma-1) dU.  The solve starts from the super-solution at
-    the fitted frame speed and stops once the sup residual is below
+    _newton); each step is one banded solve of the exact Jacobian (see
+    _newton_step).  The solve starts from the super-solution at the
+    fitted frame speed and stops once the sup residual is below
     newton_tolerance(h, M).
     """
     spec, upper, lower, c_eff = _prepare(problem)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chemowave import cauchy, elliptic
+from chemowave import cauchy, elliptic, waves
 from chemowave.elliptic import (psi_derivative, solve_fd, solve_pair,
                                 solve_pair_values, solve_psi)
 from chemowave.errors import DomainError
@@ -337,29 +337,34 @@ def test_solve_fd_is_the_banded_solve_bit_for_bit():
 @pytest.mark.parametrize("load", [
     pytest.param(_no_extension, id="extension-missing"),
     pytest.param(lambda package, name: types.SimpleNamespace(
-        dgttrf=elliptic.lapack.dgttrf, dgttrs=elliptic.lapack.dgttrs),
-        id="gtsv-missing")])
+        dgttrf=elliptic.lapack.dgttrf, dgttrs=elliptic.lapack.dgttrs,
+        dgbsv=elliptic.lapack.dgbsv), id="gtsv-missing"),
+    pytest.param(lambda package, name: types.SimpleNamespace(
+        dgttrf=elliptic.lapack.dgttrf, dgttrs=elliptic.lapack.dgttrs,
+        dgtsv=elliptic.lapack.dgtsv), id="gbsv-missing")])
 def test_fallback_lapack_gives_the_same_bits(monkeypatch, load):
     from scipy.linalg import lapack
     assert elliptic.lapack.__name__ == "scipy.linalg._flapack"
     g = Grid.from_bounds(-20.0, 20.0, 0.05)
     rng = np.random.default_rng(5)
-    u, v, vx = rng.uniform(size=(3, g.n))
+    u, v, vx, ux, F = rng.uniform(size=(5, g.n))
     p = Params(-0.5, m=2.0)
+    problem = waves.WaveProblem(p, 4.0, g)
     sub, diag, sup, rhs = _bands(g.n, 6, 0.5)
 
     def outputs():
         cauchy._diffusion_factor.cache_clear()
         return (*cauchy._diffusion_factor(g.n, g.h, 0.03, 0.4, 1.5),
                 cauchy.advance_imex(p, u, v, vx, 1.5, 0.03, g, 0.4),
-                elliptic.solve_tridiagonal(sub, diag, sup, rhs))
+                elliptic.solve_tridiagonal(sub, diag, sup, rhs),
+                waves._newton_step(problem, u, v, vx, ux, F, 4.0))
 
     direct = outputs()
     monkeypatch.setattr(elliptic, "_load_extension", load)
     fallback = elliptic._resolve_lapack()
     assert fallback is lapack
-    monkeypatch.setattr(elliptic, "lapack", fallback)
-    monkeypatch.setattr(cauchy, "lapack", fallback)
+    for module in (elliptic, cauchy, waves):
+        monkeypatch.setattr(module, "lapack", fallback)
     try:
         got = outputs()
     finally:

@@ -8,7 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from chemowave.cauchy import SimConfig
+from chemowave import speed
+from chemowave.cauchy import Monitors, SimConfig
 from chemowave.errors import DomainError, NoFront
 from chemowave.fields import Field, Grid, level_crossings
 from chemowave.params import Params
@@ -136,6 +137,25 @@ def _sweep_config():
     # params are replaced row by row
     return SimConfig(params=Params(0.0), grid=Grid.from_bounds(-30, 120, 0.1),
                      t_end=40.0, dt=0.05, output_every=1.0)
+
+
+@pytest.mark.parametrize("t30", [30.0, 29.999999999999446],
+                         ids=["landed-exactly", "accumulated-short"])
+def test_fit_half_does_not_rest_on_round_off(monkeypatch, t30):
+    # march's t = 30 sample is 30.0 at dt 0.01 or auto, and
+    # 29.999999999999446 at dt 0.02: either way it opens the fit half
+    times = np.arange(61.0)
+    times[30] = t30
+    lag = -1.5 * np.log1p(times)            # Bramson's lag behind the frame
+    monitors = Monitors(times=list(times), front_x=list(lag),
+                        inf_u=[0.0] * times.size)
+    monkeypatch.setattr(speed, "run", lambda config, u0: (None, monitors, []))
+    g = Grid.from_bounds(-40, 40, 0.05)
+    track = spreading_speed(SimConfig(Params(0.0), g, t_end=60.0),
+                            speed.compact_datum(g))
+    want, _ = speed._fit(np.arange(30.0, 61.0), np.arange(30.0, 61.0) * 2.0
+                         - 1.5 * np.log1p(np.arange(30.0, 61.0)))
+    assert track.fitted_speed == pytest.approx(want, abs=1e-12)
 
 
 def test_sweep_rows_lexicographic():

@@ -45,6 +45,6 @@ def test_tracer_counts_a_small_wave_and_simulate(tmp_path):
     assert codes == [0, 0]
     assert restored
     layers = tracer.summarize(1.0)
-    for key in ("cauchy.steps", "waves.outer_iters",
-                "elliptic.solve_pair_calls"):
+    # the wave's elliptic solves are cauchy.solve_v calls
+    for key in ("cauchy.steps", "waves.outer_iters", "cauchy.solve_v_calls"):
         assert layers[key] > 0, key

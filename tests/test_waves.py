@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import types
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from chemowave.cauchy import (DT_MAX, SimConfig, advance_imex, auto_dt, march,
 from chemowave.errors import (NoConvergence, NormalizationError, RegimeError,
                               SpeedError, TruncationWarning, WindowTooShort)
 from chemowave.fields import Field, Grid
-from chemowave.params import Params, c_star
+from chemowave.params import Params, c_star, chi_star
 from chemowave.waves import (NEWTON_TOL, SCHEME, WaveProblem,
                              construct_fixed_point, construct_relax, diagnose,
                              diagnose_profile_field, fitted_frame_speed,
@@ -241,6 +242,71 @@ def test_newton_from_a_start_with_zeros_at_m_1():
     ref = construct_fixed_point(problem)
     assert np.abs(u - ref.U.values).max() < 1e-12
     assert abs(c_eff - ref.c_eff) < 1e-12
+
+
+def _dense_newton_step(problem, u, c_eff):
+    """Dense solve of the finite-difference Jacobian of the steady residual
+    in (u[0..n-2], c_eff), v re-solved from u and u[n-1] held fixed."""
+    p, g, k = problem.params, problem.grid, problem.kappa
+    rk = robin_rate(k, g.h)
+
+    def residual(y):
+        w = np.append(y[:-1], u[-1])
+        V, Vx = solve_v(p, Field(g, w), tail_kappa=k)
+        return steady_residual(p, w, V.values, Vx.values, y[-1], g, rk)[0]
+
+    y = np.append(u[:-1], c_eff)
+    jac = np.empty((g.n, g.n))
+    for j in range(g.n):
+        e = np.zeros(g.n)
+        e[j] = 1e-6 * max(1.0, abs(y[j]))
+        jac[:, j] = (residual(y + e) - residual(y - e)) / (2.0 * e[j])
+    return np.linalg.solve(jac, -residual(y))
+
+
+@settings(max_examples=25)
+@given(positive=st.booleans(), frac=st.floats(0.0, 1.0),
+       m=st.floats(1.0, 2.0), gamma=st.floats(1.0, 2.0),
+       n=st.integers(8, 60), h=st.floats(0.05, 0.5),
+       seed=st.integers(0, 2**32 - 1))
+def test_newton_step_is_the_dense_jacobian_solve(positive, frac, m, gamma, n,
+                                                 h, seed):
+    # both wave regimes: chi in [-2, 0] with alpha = 1, or chi in
+    # [0, min{1/2, chi*}) with alpha = m + gamma - 1
+    if positive:
+        p = Params(frac * 0.99 * min(0.5, chi_star(m, gamma)), m,
+                   m + gamma - 1.0, gamma)
+        c = 2.5
+    else:
+        p = Params(-2.0 * frac, m, 1.0, gamma)
+        c = c_star(p) + 0.5
+    g = Grid(-0.4 * n * h, h, n)
+    problem = WaveProblem(params=p, c=c, grid=g)
+    # a rough super-solution: positive, tail e^{-kappa x}
+    rng = np.random.default_rng(seed)
+    u = (np.minimum(1.0, np.exp(-problem.kappa * g.x))
+         * rng.uniform(0.9, 1.1, n))
+    c_eff = fitted_frame_speed(c, h)
+    V, Vx = solve_v(p, Field(g, u), tail_kappa=problem.kappa)
+    F, ux = steady_residual(p, u, V.values, Vx.values, c_eff, g,
+                            robin_rate(problem.kappa, h))
+    got = waves._newton_step(problem, u, V.values, Vx.values, ux, F, c_eff)
+    want = _dense_newton_step(problem, u, c_eff)
+    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+def test_singular_newton_solve_is_a_wave_failure(monkeypatch, tmp_path,
+                                                 capsys):
+    from chemowave.cli import main
+
+    def singular(kl, ku, ab, b, **kwargs):
+        return ab, np.zeros(b.shape[0], dtype=np.int32), b, 5
+
+    monkeypatch.setattr(waves, "lapack", types.SimpleNamespace(dgbsv=singular))
+    code = main(["wave", "--chi", "-1", "--c", "4", "--grid-left", "-20",
+                 "--grid-right", "30", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("FAIL: Newton Jacobian solve")
 
 
 def test_newton_budget_reports_history(monkeypatch):
