@@ -28,11 +28,12 @@ Two rules keep a step's work to what it reads, and change no bit of
 the result.  The implicit matrix depends only on (n, h, dt,
 robin_kappa, c); its LAPACK gttrf factor is cached for the last four
 such keys and each step solves with gttrs, so a fixed-dt run factors
-its dt once, plus each shorter step capped at an output time (an
-automatic-dt step factors afresh, at the cost of a one-off tridiagonal
-solve).  At chi = 0 the step reads v only through terms multiplied by
-chi, so march solves v only at samples (output times and the end) and
-reuses the last v in between.
+its dt once, plus each shorter step capped at an output time; so does
+an automatic-dt run while its step sits at the DT_MAX cap (a step below
+the cap factors afresh, at the cost of a one-off tridiagonal solve).
+At chi = 0 the step reads v only through terms multiplied by chi, so
+march solves v only at samples (output times and the end) and reuses
+the last v in between.
 
 `steady_residual` and `steady_jacobian` are the steady form of the
 centered step and its frozen-v Jacobian, which the wave lane's Newton
@@ -64,7 +65,8 @@ from .elliptic import lapack, solve_pair_values
 # not called here (a step solves with gttrs); the package's tridiagonal
 # solve stays bound under this name for perfbench's cauchy.tridiag probe
 from .elliptic import solve_tridiagonal as solve_banded  # noqa: F401
-from .errors import BlowupDetected, DomainError, InternalError, StiffnessError
+from .errors import (BlowupDetected, DomainError, InternalError,
+                     StepBudgetError, StiffnessError)
 from .fields import Field, Grid, level_crossings
 from .params import Params, RegimeTag, M_chi, classify_regime
 
@@ -135,6 +137,8 @@ class Monitors:
     clamp_count: int = 0
     steps: int = 0
     node_steps: int = 0
+    dt_min: float = math.nan         # range of the steps' dt
+    dt_max: float = math.nan
     warnings: list = dc_field(default_factory=list)
 
     def record(self, t: float, u: np.ndarray, x: np.ndarray):
@@ -345,12 +349,12 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
     lands on every multiple of output_every and on t_end.  sample marks
     those landings and the final state.  A run whose least step count,
     t_end / (dt or DT_MAX), is above MAX_INNER_STEPS is refused before
-    its first step (a fixed dt below DT_FLOOR fails that step instead),
-    and an automatic-dt run that needs more steps ends in
-    StiffnessError.  v is refreshed from the new u
-    after every step, except at chi = 0: a step then reads v only
-    through terms multiplied by chi, so v is solved at samples only and
-    yielded as None (v_x too) in between; u^gamma is still checked.
+    its first step with StepBudgetError (a fixed dt below DT_FLOOR fails
+    that step instead), and an automatic-dt run that needs more steps
+    ends in StiffnessError.  v is refreshed from the new u after every
+    step, except at chi = 0: a step then reads v only through terms
+    multiplied by chi, so v is solved at samples only and yielded as
+    None (v_x too) in between; u^gamma is still checked.
     """
     p, grid = config.params, config.grid
     if u0.grid != grid:
@@ -362,10 +366,9 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
     # a fixed dt below DT_FLOOR is left to fail its first step
     if largest_dt >= DT_FLOOR and least_steps > MAX_INNER_STEPS:
         dt = f"{config.dt:g}" if config.dt else f"auto (at most {DT_MAX:g})"
-        raise DomainError(
+        raise StepBudgetError(
             f"--t-end {config.t_end:g} at --dt {dt} needs at least "
-            f"{least_steps:.3g} steps, over the budget of {MAX_INNER_STEPS:,}:"
-            " shorten --t-end or raise --dt")
+            f"{least_steps:.3g} steps, over the budget of {MAX_INNER_STEPS:,}")
 
     robin_kappa = robin_rate(config.tail_kappa, grid.h)
     u = u0.values
@@ -423,6 +426,9 @@ def run(config: SimConfig, u0: Field) -> tuple[State, Monitors, list[State]]:
         if dt:
             monitors.steps += 1
             monitors.node_steps += grid.n
+            # against the NaN before the first step, min and max keep dt
+            monitors.dt_min = min(dt, monitors.dt_min)
+            monitors.dt_max = max(dt, monitors.dt_max)
         if sample:
             monitors.record(t, u, x)
             snapshots.append(State(t, Field(grid, u), Field(grid, v)))

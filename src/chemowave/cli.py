@@ -3,10 +3,12 @@
 Subcommands: constants, simulate, wave, stability, speed, sweep, certify.
 Run settings are layered DEFAULTS < the subcommand's entry in
 SUBCOMMANDS < a flat key=value config file (# comments) < flags < the
-CHEMOWAVE_OUT environment variable (out_dir only).  Exit codes: 0
-success, 1 error, 2 a PASS/FAIL experiment or a solve failed (including
-"speed below threshold", non-convergence, blow-up and time-step
-underflow), 64 usage.
+CHEMOWAVE_OUT environment variable (out_dir only).  A flag the
+subcommand never reads is a usage error; a config file key is not, so
+that one file can serve several subcommands.  Exit codes: 0 success, 1
+error, 2 a PASS/FAIL experiment or a solve failed (including "speed
+below threshold", non-convergence, blow-up and time-step underflow), 64
+usage.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from . import io as cw_io
 from .cauchy import SimConfig, monitor_bounds, run
 from .errors import (BlowupDetected, DomainError, NoConvergence, NoFront,
                      NormalizationError, RegimeError, SpeedError,
-                     StiffnessError, WindowTooShort)
+                     StepBudgetError, StiffnessError, WindowTooShort)
 from .fields import Field, Grid
 from .params import Params, constants_report
 from .speed import (SWEEP_HEADER, compact_datum, spreading_speed,
@@ -63,7 +66,7 @@ def parse_config(path: str | None, overrides: dict[str, str],
     """
     raw = dict(DEFAULTS)
     if subcommand is not None:
-        raw.update(SUBCOMMANDS[subcommand][1])
+        raw.update(SUBCOMMANDS[subcommand].defaults)
     file_values = cw_io.read_config_file(path) if path is not None else {}
     for layer in (file_values, overrides):
         for key, val in layer.items():
@@ -208,7 +211,8 @@ def cmd_speed(cfg: dict) -> int:
                     zip(track.times, track.positions))
     cw_io.write_json(os.path.join(out, "speed.json"),
                      {"fitted_speed": track.fitted_speed, "r2": track.fit_r2,
-                      "level": track.level})
+                      "level": track.level, "steps": track.steps,
+                      "dt_min": track.dt_min, "dt_max": track.dt_max})
     _manifest(cfg)
     print(f"fitted_speed = {track.fitted_speed:.4f} (r2 = {track.fit_r2:.6f})")
     return 0
@@ -220,7 +224,7 @@ def cmd_sweep(cfg: dict, values: dict[str, list[float]], jobs: int) -> int:
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
     cw_io.write_csv(os.path.join(out, "speeds.csv"), SWEEP_HEADER, rows)
-    _manifest(cfg, {"rows": len(rows)})
+    _manifest(cfg, {"rows": len(rows), "runs": rows.runs})
     return 0
 
 
@@ -243,25 +247,50 @@ def cmd_certify(cfg: dict) -> int:
 
 
 # The window of the frame moving at speed 2, where a pulled front lags the
-# frame by about (3/2) ln t: [-40, 40] holds it up to t_end 60.  A fixed
-# dt gives every sweep row the same time step; --dt auto selects the
-# automatic one.
-_CO_MOVING = {"grid.left": "-40", "grid.right": "40", "t_end": "60",
-              "dt": "0.02"}
+# frame by about (3/2) ln t: [-40, 40] holds it up to t_end 60.  The frame
+# advection is implicit, so the automatic dt of a row is a reproducible
+# function of its parameters (DT_MAX on almost every step); a fixed --dt
+# is still honoured.
+_CO_MOVING = {"grid.left": "-40", "grid.right": "40", "t_end": "60"}
 
-# Each subcommand's handler and the run settings it layers over DEFAULTS.
+_MODEL = ("chi", "m", "alpha", "gamma")
+_GRID = ("grid.left", "grid.right", "grid.h")
+
+
+class Subcommand(NamedTuple):
+    handler: Callable
+    defaults: dict          # the run settings it layers over DEFAULTS
+    reads: tuple            # keys of its flags (--config, --out-dir aside)
+    # keys it reads only as "auto": a number for one, from a flag or the
+    # config file, is a usage error
+    auto_only: tuple = ()
+
+
 SUBCOMMANDS = {
-    "constants": (cmd_constants, {}),
-    "simulate": (cmd_simulate, {}),
-    "wave": (cmd_wave, {}),
+    "constants": Subcommand(cmd_constants, {}, (*_MODEL, "c")),
+    "simulate": Subcommand(cmd_simulate, {}, (*_MODEL, *_GRID, "t_end",
+                                              "dt")),
+    # Newton takes no time step, CoupledRelax the automatic one
+    "wave": Subcommand(cmd_wave, {}, (*_MODEL, "c", *_GRID, "method"),
+                       ("dt",)),
     # the stability norm weights the far tail by e^{2 eta x}; a right edge
     # at 45 keeps the round-off there out of it
-    "stability": (cmd_stability, {"grid.left": "-60", "grid.right": "45",
-                                  "t_end": "20"}),
-    "speed": (cmd_speed, _CO_MOVING),
-    "sweep": (cmd_sweep, _CO_MOVING),
-    "certify": (cmd_certify, {}),
+    "stability": Subcommand(cmd_stability,
+                            {"grid.left": "-60", "grid.right": "45",
+                             "t_end": "20"},
+                            (*_MODEL, "c", *_GRID, "method", "eta", "t_end"),
+                            ("dt",)),
+    "speed": Subcommand(cmd_speed, _CO_MOVING, (*_MODEL, *_GRID, "t_end",
+                                                "dt")),
+    "sweep": Subcommand(cmd_sweep, _CO_MOVING,
+                        (*_MODEL, *_GRID, "t_end", "dt", "jobs",
+                         *(f"{key}_values" for key in _SWEEP_KEYS))),
+    "certify": Subcommand(cmd_certify, {}, (*_MODEL, "c", "seed")),
 }
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace(".", "-").replace("_", "-")
 
 
 def emit_plot(out_dir: str, kind: str) -> str:
@@ -332,6 +361,9 @@ fig.savefig("stability.png", dpi=150)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    subcommand_defaults = "; ".join(
+        f"{name}: " + ", ".join(f"{k}={v}" for k, v in sub.defaults.items())
+        for name, sub in SUBCOMMANDS.items() if sub.defaults)
     ap = argparse.ArgumentParser(
         prog="chemowave",
         description="1D chemotaxis front toolkit: constants, Cauchy runs, "
@@ -339,19 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "certificates.",
         epilog="Config keys (key=value file or flags): "
                + ", ".join(f"{k} (default {v})" for k, v in DEFAULTS.items())
-               + ". Subcommand defaults, over those: "
-               + "; ".join(f"{name}: " + ", ".join(f"{k}={v}"
-                                                   for k, v in over.items())
-                           for name, (_, over) in SUBCOMMANDS.items() if over)
+               + f". Subcommand defaults, over those: {subcommand_defaults}"
                + ". Precedence: defaults < subcommand defaults < --config "
-                 "file < flags < CHEMOWAVE_OUT (out_dir).")
+                 "file < flags < CHEMOWAVE_OUT (out_dir). A flag the "
+                 "subcommand never reads exits 64.")
     ap.add_argument("subcommand", choices=SUBCOMMANDS)
     ap.add_argument("--config", help="flat key=value config file")
     for key, default in DEFAULTS.items():
-        flag = "--" + key.replace(".", "-").replace("_", "-")
-        ap.add_argument(flag, dest=key, default=None, metavar="V",
+        ap.add_argument(_flag(key), dest=key, default=None, metavar="V",
                         help=f"default {default}")
-    ap.add_argument("--jobs", type=int, default=1, help="sweep worker count")
+    ap.add_argument("--jobs", type=int, default=None,
+                    help="sweep worker count (default 1)")
     for key in _SWEEP_KEYS:
         ap.add_argument(f"--{key}-values", dest=f"{key}_values", default=None,
                         metavar="LIST", help=f"comma list of {key} for sweep")
@@ -365,8 +395,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 64
     overrides = {k: getattr(ns, k) for k in DEFAULTS}
-    if ns.jobs < 1:
-        print(f"usage: --jobs: must be >= 1, got {ns.jobs}", file=sys.stderr)
+    sub = SUBCOMMANDS[ns.subcommand]
+    unread = [_flag(key) for key, value in vars(ns).items()
+              if value is not None and key not in sub.reads + sub.auto_only
+              and key not in ("subcommand", "config", "out_dir")]
+    if unread:
+        them = "them" if len(unread) > 1 else "it"
+        print(f"usage: {', '.join(unread)}: {ns.subcommand} never reads "
+              f"{them}; drop {them}", file=sys.stderr)
+        return 64
+    jobs = 1 if ns.jobs is None else ns.jobs
+    if jobs < 1:
+        print(f"usage: --jobs: must be >= 1, got {jobs}", file=sys.stderr)
         return 64
     values = {}
     for key in _SWEEP_KEYS:
@@ -380,17 +420,22 @@ def main(argv=None) -> int:
                 return 64
     try:
         cfg = parse_config(ns.config, overrides, ns.subcommand)
-        # Newton takes no time step, CoupledRelax and stability the auto dt
-        if cfg["dt"] is not None and ns.subcommand in ("wave", "stability"):
-            print(f"usage: --dt: {ns.subcommand} takes no fixed dt, got "
-                  f"{cfg['dt']:g}; drop it or give --dt auto", file=sys.stderr)
-            return 64
-        handler, _ = SUBCOMMANDS[ns.subcommand]
-        sweep_args = (values, ns.jobs) if ns.subcommand == "sweep" else ()
-        return handler(cfg, *sweep_args)
+        for key in sub.auto_only:
+            if cfg[key] is not None:
+                print(f"usage: {_flag(key)}: {ns.subcommand} takes no fixed "
+                      f"{key}, got {cfg[key]:g}; drop it or give "
+                      f"{_flag(key)} auto", file=sys.stderr)
+                return 64
+        sweep_args = (values, jobs) if ns.subcommand == "sweep" else ()
+        return sub.handler(cfg, *sweep_args)
     except (SpeedError, NoConvergence, BlowupDetected, StiffnessError) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 2
+    except StepBudgetError as exc:
+        advice = "shorten --t-end" + (" or raise --dt" if "dt" in sub.reads
+                                      else "")
+        print(f"error: {exc}: {advice}", file=sys.stderr)
+        return 1
     except (DomainError, RegimeError, NoFront, NormalizationError,
             WindowTooShort, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,10 @@ class SpeedError(DomainError):
     """Requested wave speed below the admissible threshold."""
 
 
+class StepBudgetError(DomainError):
+    """A run needs more time steps than the budget of one march."""
+
+
 class NoConvergence(RuntimeError):
     """Iteration failed to reach its tolerance within the step budget."""
 

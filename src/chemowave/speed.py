@@ -10,7 +10,9 @@ position against time over the last half of the run (t >= t_end / 2
 less march's LANDING_SLACK, so round-off in t drops no sample).
 Every sample in that half must have a front at least BOUNDARY_MARGIN
 inside both edges of the window; otherwise NoFront names the grid
-flag to widen.
+flag to widen.  A sweep makes one run per distinct set of parameters
+that the run reads: rows at chi = 0 that differ only in m and gamma
+share theirs.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ class FrontTrack:
     positions: np.ndarray            # lab frame
     fitted_speed: float
     fit_r2: float
+    steps: int                       # time steps of the run
+    dt_min: float                    # their dt range
+    dt_max: float
 
 
 def compact_datum(grid: Grid) -> Field:
@@ -93,7 +98,8 @@ def spreading_speed(config: SimConfig, u0: Field) -> FrontTrack:
     positions = frame_x + FRAME_SPEED * times
     speed, r2 = _fit(times[fit], positions[fit])
     return FrontTrack(level=FRONT_LEVEL, times=times, positions=positions,
-                      fitted_speed=speed, fit_r2=r2)
+                      fitted_speed=speed, fit_r2=r2, steps=monitors.steps,
+                      dt_min=monitors.dt_min, dt_max=monitors.dt_max)
 
 
 # ----------------------------------------------------------------------
@@ -103,39 +109,96 @@ def spreading_speed(config: SimConfig, u0: Field) -> FrontTrack:
 SWEEP_HEADER = ("chi", "m", "alpha", "gamma", "c_fit", "r2", "c_star", "c_star_star")
 
 
-def _sweep_one(config: SimConfig, combo: tuple) -> tuple[tuple, str | None]:
-    """(row, None), or (row with NaN c_fit and r2, why the run failed)."""
-    cs = css = math.nan
-    try:
-        p = Params(*combo)
-        cs = c_star(p)
-        css = constants_report(p).c_star_star
-        track = spreading_speed(replace(config, params=p),
-                                compact_datum(config.grid))
-        return (*combo, track.fitted_speed, track.fit_r2, cs, css), None
-    except Exception as exc:            # per-row failures must not kill the sweep
+class SweepRows(list):
+    """sweep_speeds' rows, and in `runs` the number of runs they took."""
+
+    def __init__(self, rows, runs: int):
+        super().__init__(rows)
+        self.runs = runs
+
+
+def _run_key(combo: tuple) -> tuple:
+    """What the run of a (chi, m, alpha, gamma) row reads of its parameters.
+
+    At chi = 0 every term that carries m or gamma is multiplied by chi,
+    so rows that differ only in m and gamma are one run.  Sharing it
+    skips no check: from the compact datum u stays <= max(1, sup u0) = 1
+    (max u - 1 over every step of the default run is -4.5e-7), so
+    march's check that u^gamma is finite passes for every gamma alike.
+    """
+    chi, _, alpha, _ = combo
+    return (0.0, alpha) if chi == 0.0 else combo
+
+
+def _sweep_group(config: SimConfig, combos: list) -> tuple[list, bool]:
+    """Rows of combos that share one run, and whether that run was made.
+
+    Each row is validated on its own and comes as (row, None), or as
+    (row with NaN c_fit and r2, why it failed); the run takes the params
+    of the first row that validates.
+    """
+    heads, run_config = [], None
+    for combo in combos:
+        cs = css = math.nan
+        try:
+            p = Params(*combo)
+            cs = c_star(p)
+            css = constants_report(p).c_star_star
+        except Exception as exc:        # per-row failures must not kill the sweep
+            heads.append((combo, cs, css, str(exc)))
+            continue
+        heads.append((combo, cs, css, None))
+        if run_config is None:
+            run_config = replace(config, params=p)
+    fit, run_failure = (math.nan, math.nan), None
+    if run_config is not None:
+        try:
+            track = spreading_speed(run_config, compact_datum(config.grid))
+            fit = (track.fitted_speed, track.fit_r2)
+        except Exception as exc:
+            run_failure = str(exc)
+    results = []
+    for combo, cs, css, failure in heads:
+        if failure is None:
+            failure = run_failure
+        if failure is None:
+            results.append(((*combo, *fit, cs, css), None))
+            continue
         where = ", ".join(f"{k}={v}" for k, v in zip(SWEEP_HEADER, combo))
-        return (*combo, math.nan, math.nan, cs, css), f"sweep row ({where}) failed: {exc}"
+        results.append(((*combo, math.nan, math.nan, cs, css),
+                        f"sweep row ({where}) failed: {failure}"))
+    return results, run_config is not None
 
 
 def sweep_speeds(chis, ms, alphas, gammas, config: SimConfig,
-                 jobs: int = 1) -> list[tuple]:
+                 jobs: int = 1) -> SweepRows:
     """One row per (chi, m, alpha, gamma) in lexicographic order, each a
-    run of config with those params from the compact datum; a failed row
-    has NaN c_fit and r2 and is warned about in the calling process."""
+    run of config with those params from the compact datum.  Rows with
+    one _run_key share their run, and `runs` counts the runs made.  A
+    failed row has NaN c_fit and r2 and is warned about in the calling
+    process."""
     combos = list(itertools.product(chis, ms, alphas, gammas))
-    # no row depends on the worker that runs it, so the cap keeps every bit
-    workers = min(jobs, len(combos), os.cpu_count() or 1)
+    groups: dict[tuple, list[int]] = {}
+    for i, combo in enumerate(combos):
+        groups.setdefault(_run_key(combo), []).append(i)
+    tasks = [[combos[i] for i in group] for group in groups.values()]
+    # no run depends on the worker that makes it, so the cap keeps every bit
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # imported here: a serial sweep, and every other CLI call, would
         # otherwise pay for multiprocessing at start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, itertools.repeat(config),
-                                    combos))
+            done = list(pool.map(_sweep_group, itertools.repeat(config),
+                                 tasks))
     else:
-        results = [_sweep_one(config, combo) for combo in combos]
+        done = [_sweep_group(config, task) for task in tasks]
+    results = [None] * len(combos)
+    for group, (group_results, _) in zip(groups.values(), done):
+        for i, result in zip(group, group_results):
+            results[i] = result
     for _, failure in results:
         if failure is not None:
             warnings.warn(failure, stacklevel=2)
-    return [row for row, _ in results]
+    return SweepRows([row for row, _ in results],
+                     runs=sum(ran for _, ran in done))

@@ -1,5 +1,6 @@
 """CLI: config parsing, dispatch, exit codes, deterministic outputs."""
 
+import importlib.util
 import json
 import math
 import os
@@ -79,8 +80,8 @@ def test_parse_config_numeric_key_is_finite_or_refused(key, text):
 
 # each subcommand's own defaults: (grid.left, grid.right, t_end, dt)
 TABLE_DEFAULTS = {"stability": (-60.0, 45.0, 20.0, None),
-                  "speed": (-40.0, 40.0, 60.0, 0.02),
-                  "sweep": (-40.0, 40.0, 60.0, 0.02)}
+                  "speed": (-40.0, 40.0, 60.0, None),
+                  "sweep": (-40.0, 40.0, 60.0, None)}
 
 
 @pytest.mark.parametrize("subcommand", sorted(TABLE_DEFAULTS))
@@ -114,8 +115,8 @@ def test_help_prints_each_subcommand_default(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert "stability: grid.left=-60, grid.right=45, t_end=20" in text
     for name in ("speed", "sweep"):
-        assert (f"{name}: grid.left=-40, grid.right=40, t_end=60, dt=0.02"
-                in text)
+        assert f"{name}: grid.left=-40, grid.right=40, t_end=60" in text
+    assert "dt=0.02" not in text
 
 
 def test_oversized_grid_exits_1(tmp_path, capsys):
@@ -253,14 +254,17 @@ def test_sweep_refuses_jobs_below_one(tmp_path, capsys, jobs):
     assert not (tmp_path / "sw").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--t-end", "1e300", "--grid-left", "-20", "--grid-right",
-     "20"],
-    ["simulate", "--dt", "1e-9", "--grid-left", "-20", "--grid-right", "20"],
-    ["speed", "--t-end", "1e12"],
-    ["stability", "--t-end", "1e12"],
+@pytest.mark.parametrize("argv, advice", [
+    (["simulate", "--t-end", "1e300", "--grid-left", "-20", "--grid-right",
+      "20"], "shorten --t-end or raise --dt"),
+    (["simulate", "--dt", "1e-9", "--grid-left", "-20", "--grid-right",
+      "20"], "shorten --t-end or raise --dt"),
+    (["speed", "--t-end", "1e12"], "shorten --t-end or raise --dt"),
+    # stability takes no fixed dt, so only --t-end can help
+    (["stability", "--t-end", "1e12"], "shorten --t-end"),
 ], ids=["huge-t-end", "tiny-dt", "speed", "stability"])
-def test_run_over_the_step_budget_is_refused_up_front(tmp_path, capsys, argv):
+def test_run_over_the_step_budget_is_refused_up_front(tmp_path, capsys, argv,
+                                                      advice):
     # each would step for hours, or forever, without the up-front check
     t0 = time.perf_counter()
     code = main(argv + ["--out-dir", str(tmp_path / "run")])
@@ -268,7 +272,7 @@ def test_run_over_the_step_budget_is_refused_up_front(tmp_path, capsys, argv):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --t-end ") and "--dt" in err
-    assert "budget of 400,000" in err
+    assert err.endswith(f"budget of 400,000: {advice}\n")
 
 
 def test_dt_underflow_exits_2(tmp_path, capsys):
@@ -361,12 +365,19 @@ def test_sweep_runs_the_flagged_grid_and_times(tmp_path):
 
 
 def test_speed_explicit_auto_dt_runs_automatic_step(tmp_path):
-    out = tmp_path / "sp"
-    code = main(["speed", "--dt", "auto", "--grid-left", "-30",
-                 "--grid-right", "120", "--grid-h", "0.1", "--t-end", "40",
-                 "--out-dir", str(out)])
-    assert code == 0
+    # --dt auto writes the bytes of the default, which is the automatic
+    # step; speed.json records the run's steps and their dt range, as
+    # wave's diagnostics.json does
+    grid = ["--grid-left", "-30", "--grid-right", "120", "--grid-h", "0.1",
+            "--t-end", "40"]
+    out, default = tmp_path / "sp", tmp_path / "default"
+    assert main(["speed", "--dt", "auto", *grid, "--out-dir", str(out)]) == 0
+    assert main(["speed", *grid, "--out-dir", str(default)]) == 0
     assert json.loads((out / "manifest.json").read_text())["config"]["dt"] is None
+    files = sorted(os.listdir(out))
+    assert files == sorted(os.listdir(default))
+    for name in files:
+        assert (out / name).read_bytes() == (default / name).read_bytes()
     grid = Grid.from_bounds(-30, 120, 0.1)
     track = spreading_speed(
         SimConfig(params=Params(0.0), grid=grid, t_end=40.0, output_every=1.0),
@@ -374,11 +385,29 @@ def test_speed_explicit_auto_dt_runs_automatic_step(tmp_path):
     written = json.loads((out / "speed.json").read_text())
     assert written["fitted_speed"] == track.fitted_speed
     assert written["r2"] == track.fit_r2
+    assert written["steps"] == track.steps >= 40.0 / DT_MAX
+    assert 0.0 < written["dt_min"] <= written["dt_max"] == DT_MAX
+
+
+def test_sweep_manifest_counts_its_distinct_runs(tmp_path):
+    # at chi = 0 the run reads no gamma: two rows, one run
+    out = tmp_path / "sw"
+    assert main(["sweep", "--chi-values", "0", "--gamma-values", "1,2",
+                 "--grid-left", "-30", "--grid-right", "120", "--grid-h",
+                 "0.1", "--t-end", "40", "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["rows"], manifest["runs"]) == (2, 1)
+    rows = [line.split(",") for line in
+            (out / "speeds.csv").read_text().splitlines()[1:]]
+    assert rows[0][4:6] == rows[1][4:6]
 
 
 def test_speed_front_leaving_window_exits_1(tmp_path, capsys):
-    # chi = -12 outruns the speed-2 frame on the default [-40, 40]
-    code = main(["speed", "--chi", "-12", "--out-dir", str(tmp_path / "sp")])
+    # chi = -12 outruns the speed-2 frame on the default [-40, 40]; its
+    # chemotactic drift holds the automatic dt to 0.008 on average (7,454
+    # steps, 2.5 s), so the run takes a fixed one
+    code = main(["speed", "--chi", "-12", "--dt", "0.02",
+                 "--out-dir", str(tmp_path / "sp")])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--grid-right" in err
@@ -420,6 +449,53 @@ def test_wave_and_stability_refuse_a_fixed_dt(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "o").exists()
     with pytest.raises(Built):
         main([subcommand, "--dt", "auto"] + out)
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["certify", "--chi", "-1", "--c", "3", "--dt", "0.05", "--t-end", "7",
+      "--grid-h", "0.3", "--method", "CoupledRelax"],
+     "--grid-h, --dt, --t-end, --method"),
+    (["constants", "--dt", "0.05", "--eta", "3"], "--dt, --eta"),
+    (["wave", "--t-end", "5", "--seed", "1"], "--t-end, --seed"),
+    (["simulate", "--c", "4", "--jobs", "2"], "--c, --jobs"),
+    (["speed", "--gamma-values", "1,2"], "--gamma-values"),
+], ids=["certify", "constants", "wave", "simulate", "speed"])
+def test_a_flag_the_subcommand_never_reads_exits_64(tmp_path, capsys, argv,
+                                                    flags):
+    out = tmp_path / "o"
+    assert main(argv + ["--out-dir", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: {flags}: {argv[0]} never reads ")
+    assert not out.exists()
+
+
+def test_a_config_key_the_subcommand_never_reads_is_accepted(tmp_path):
+    # one file can serve several subcommands
+    (tmp_path / "run.cfg").write_text("dt = 0.05\neta = 3\nt_end = 7\n")
+    out = tmp_path / "c"
+    assert main(["constants", "--config", str(tmp_path / "run.cfg"),
+                 "--out-dir", str(out)]) == 0
+    assert json.loads((out / "constants.json").read_text())["c_star"] == 2.0
+
+
+def test_every_benchmark_argv_passes_the_flag_rule(tmp_path, monkeypatch):
+    # the handlers are stood in for: only the flags and the config are checked
+    import chemowave.cli
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # for dataclass
+    spec.loader.exec_module(workloads)
+    ran = []
+    for name, sub in chemowave.cli.SUBCOMMANDS.items():
+        monkeypatch.setitem(chemowave.cli.SUBCOMMANDS, name, sub._replace(
+            handler=lambda cfg, *args, name=name: ran.append(name) or 0))
+    argvs = {task.argv for workload in workloads.NAMES for seed in (0, 1)
+             for task in workloads.build(workload, seed).tasks}
+    for argv in sorted(argvs):
+        assert main([*argv, "--out-dir", str(tmp_path / "o")]) == 0, argv
+    assert sorted(set(ran)) == ["certify", "simulate", "stability", "sweep",
+                                "wave"]
 
 
 def test_emit_plot_errors(tmp_path):

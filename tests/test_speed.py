@@ -4,6 +4,7 @@ import concurrent.futures
 import functools
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from chemowave import speed
 from chemowave.cauchy import Monitors, SimConfig
 from chemowave.errors import DomainError, NoFront
 from chemowave.fields import Field, Grid, level_crossings
-from chemowave.params import Params
+from chemowave.params import Params, c_star, constants_report
 from chemowave.speed import (SWEEP_HEADER, front_position, spreading_speed,
                              sweep_speeds)
 
@@ -181,15 +182,55 @@ def test_sweep_failed_row_logged(jobs):
         rows = sweep_speeds([0.0, 0.25], [0.5], [1.0], [1.0], _sweep_config(),
                             jobs=jobs)
     assert len([w for w in caught if "sweep row" in str(w.message)]) == 2
-    assert len(rows) == 2
+    assert len(rows) == 2 and rows.runs == 0
     assert all(math.isnan(row[4]) and math.isnan(row[5]) for row in rows)
 
 
+def _auto_sweep_config():
+    # a narrower window that still holds every row's front, automatic dt
+    return replace(_sweep_config(), grid=Grid.from_bounds(-30, 30, 0.1),
+                   dt=None)
+
+
 def test_sweep_parallel_jobs_match_serial():
-    config = _sweep_config()
-    serial = sweep_speeds([0.0, -0.5], [1.0], [1.0], [1.0], config, jobs=1)
-    parallel = sweep_speeds([0.0, -0.5], [1.0], [1.0], [1.0], config, jobs=2)
+    # the two chi = 0 rows share one run, in the pool as in process
+    config = _auto_sweep_config()
+    axes = ([0.0, -0.5], [1.0], [1.0], [1.0, 2.0])
+    serial = sweep_speeds(*axes, config, jobs=1)
+    parallel = sweep_speeds(*axes, config, jobs=2)
     assert serial == parallel
+    assert serial.runs == parallel.runs == 3
+
+
+@pytest.mark.parametrize("axes, runs", [
+    (([0.0, 0.5], [1.0], [1.0], [1.0, 2.0]), 3),
+    (([0.0], [1.0, 2.0], [1.0, 2.0], [3.0]), 2),
+], ids=["chi-gamma", "chi0-m-alpha-gamma"])
+def test_sweep_rows_equal_their_own_runs(axes, runs):
+    # rows at chi = 0 that differ only in m and gamma share one run; each
+    # still equals the run of its own params, bit for bit
+    config = _auto_sweep_config()
+    rows = sweep_speeds(*axes, config)
+    assert rows.runs == runs
+    for row in rows:
+        p = Params(*row[:4])
+        track = spreading_speed(replace(config, params=p),
+                                speed.compact_datum(config.grid))
+        assert row == (*row[:4], track.fitted_speed, track.fit_r2,
+                       c_star(p), constants_report(p).c_star_star)
+
+
+def test_sweep_shared_run_keeps_each_row_check():
+    # the m = 0.5 row shares its run key with the m = 1 row, is listed
+    # first, and still fails alone; the run takes the valid row's params
+    with pytest.warns(UserWarning, match="sweep row") as caught:
+        rows = sweep_speeds([0.0], [0.5, 1.0], [1.0], [1.0],
+                            _auto_sweep_config())
+    failed = [str(w.message) for w in caught if "sweep row" in str(w.message)]
+    assert len(failed) == 1 and "m=0.5" in failed[0]
+    assert math.isnan(rows[0][4]) and math.isnan(rows[0][5])
+    assert rows[1][4] == pytest.approx(2.0, rel=0.06)
+    assert rows.runs == 1
 
 
 def test_sweep_caps_the_worker_pool(monkeypatch):
