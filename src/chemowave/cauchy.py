@@ -20,9 +20,9 @@ the lab frame (c = 0) the matrix is I - dt D_xx and the explicit drift
 is all of w.  `march` is the package's one stepping loop: it checks u0,
 takes each clamped step, checks it is finite, refreshes v from the new
 u and caps dt at output times and t_end.  It steps plain arrays and
-builds no Field.  Callers only consume what it yields: `run` builds
-Fields at samples only, and the wave lane's CoupledRelax stops it at a
-steady state.
+builds no Field.  Its consumers count their steps in one StepStats:
+`run` builds Fields at samples only, CoupledRelax stops it at a steady
+state and the spreading-speed run at a lost front.
 
 Two rules keep a step's work to what it reads, and change no bit of
 the result.  The implicit matrix depends only on (n, h, dt,
@@ -129,16 +129,30 @@ class State:
 
 
 @dataclass
+class StepStats:
+    """Ledger of one stepped run: its steps, their dt range, nodes clamped."""
+
+    steps: int = 0
+    clamp_count: int = 0
+    dt_min: float = math.nan         # NaN until a step: min and max keep dt
+    dt_max: float = math.nan
+
+    def add(self, dt: float, clamped: int) -> None:
+        """Count one yield of march; the initial state (dt 0) is no step."""
+        self.clamp_count += clamped
+        if dt:
+            self.steps += 1
+            self.dt_min = min(dt, self.dt_min)
+            self.dt_max = max(dt, self.dt_max)
+
+
+@dataclass
 class Monitors:
     times: list = dc_field(default_factory=list)
     sup_u: list = dc_field(default_factory=list)
     inf_u: list = dc_field(default_factory=list)
     front_x: list = dc_field(default_factory=list)
-    clamp_count: int = 0
-    steps: int = 0
-    node_steps: int = 0
-    dt_min: float = math.nan         # range of the steps' dt
-    dt_max: float = math.nan
+    stats: StepStats = dc_field(default_factory=StepStats)
     warnings: list = dc_field(default_factory=list)
 
     def record(self, t: float, u: np.ndarray, x: np.ndarray):
@@ -147,11 +161,6 @@ class Monitors:
         self.inf_u.append(float(u.min()))
         crossings = level_crossings(x, u, FRONT_LEVEL)
         self.front_x.append(float(crossings[-1]) if crossings.size else math.nan)
-
-    def finalize(self):
-        if self.node_steps and self.clamp_count > 1e-3 * self.node_steps:
-            self.warnings.append(
-                f"clamp_count {self.clamp_count} exceeds 0.1% of node-steps")
 
 
 def _require_finite(values: np.ndarray, name: str) -> None:
@@ -417,22 +426,17 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
 
 def run(config: SimConfig, u0: Field) -> tuple[State, Monitors, list[State]]:
     """Integrate to t_end, recording monitors and snapshots at march's samples."""
-    grid = config.grid
-    x = grid.x
-    monitors = Monitors()
-    snapshots = []
+    grid, x = config.grid, config.grid.x
+    monitors, snapshots = Monitors(), []
     for t, u, v, _, dt, clamped, sample in march(config, u0):
-        monitors.clamp_count += clamped
-        if dt:
-            monitors.steps += 1
-            monitors.node_steps += grid.n
-            # against the NaN before the first step, min and max keep dt
-            monitors.dt_min = min(dt, monitors.dt_min)
-            monitors.dt_max = max(dt, monitors.dt_max)
+        monitors.stats.add(dt, clamped)
         if sample:
             monitors.record(t, u, x)
             snapshots.append(State(t, Field(grid, u), Field(grid, v)))
-    monitors.finalize()
+    stats = monitors.stats
+    if stats.clamp_count > 1e-3 * stats.steps * grid.n:
+        monitors.warnings.append(
+            f"clamp_count {stats.clamp_count} exceeds 0.1% of node-steps")
     return snapshots[-1], monitors, snapshots
 
 

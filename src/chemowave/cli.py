@@ -18,12 +18,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import io as cw_io
-from .cauchy import SimConfig, monitor_bounds, run
+from .cauchy import FRONT_LEVEL, SimConfig, monitor_bounds, run
 from .errors import (BlowupDetected, DomainError, NoConvergence, NoFront,
                      NormalizationError, RegimeError, SpeedError,
                      StepBudgetError, StiffnessError, WindowTooShort)
@@ -31,7 +32,8 @@ from .fields import Field, Grid
 from .params import Params, constants_report
 from .speed import (SWEEP_HEADER, compact_datum, spreading_speed,
                     sweep_speeds)
-from .stability import default_eta, eta_window, run_stability
+from .stability import (ENVELOPE_SLACK, REL_DROP, default_eta, eta_window,
+                        run_stability)
 from .waves import (WaveProblem, construct, diagnose, normalize_translation,
                     settle)
 from .barriers import certify
@@ -132,7 +134,8 @@ def cmd_simulate(cfg: dict) -> int:
     final, monitors, snapshots = run(sim, u0)
     cw_io.write_run_outputs(cfg["out_dir"], snapshots, monitors)
     violations = monitor_bounds(final, sim.params, u0_sup=u0.max())
-    _manifest(cfg, {"violations": violations, "warnings": monitors.warnings})
+    _manifest(cfg, {"violations": violations, "warnings": monitors.warnings,
+                    **asdict(monitors.stats)})
     for v in violations:
         print(v)
     return 0
@@ -159,11 +162,8 @@ def cmd_wave(cfg: dict) -> int:
         "sandwich_violation": profile.sandwich_violation,
         "outer_iters": profile.outer_iters, "method": profile.method,
         "refined_trend_slope": diag.refined_trend_slope,
-        "residual_history": profile.residual_history,
-        "c_eff": profile.c_eff,
-        "c_eff_shift": profile.c_eff_shift,
-        "steps": profile.steps, "dt_min": profile.dt_min,
-        "dt_max": profile.dt_max,
+        "residual_history": profile.residual_history, "c_eff": profile.c_eff,
+        "c_eff_shift": profile.c_eff_shift, **asdict(profile.stats),
     }
     cw_io.write_json(os.path.join(out, "diagnostics.json"), payload)
     _manifest(cfg)
@@ -184,17 +184,16 @@ def cmd_stability(cfg: dict) -> int:
     os.makedirs(out, exist_ok=True)
     cw_io.write_decay_csv(os.path.join(out, "decay.csv"), record)
     km, kp = eta_window(p, cfg["c"])
+    tolerances = {"rel_drop": REL_DROP, "envelope_slack": ENVELOPE_SLACK}
     payload = {"lambda_pred": record.lambda_pred, "eta": record.eta,
                "kappa_minus": km, "kappa_plus": kp,
-               "passed": record.passed, "rel_drop": record.rel_drop,
-               "envelope_slack": record.envelope_slack,
+               "passed": record.passed, **tolerances,
                "W0": float(record.W[0]), "W_end": float(record.W[-1]),
                "supdiff_end": float(record.supdiff[-1]),
                "truncated_from_t": record.truncated_from_t,
-               "steps": record.steps}
+               **asdict(record.stats)}
     cw_io.write_json(os.path.join(out, "stability.json"), payload)
-    _manifest(cfg, {"tolerances": {"rel_drop": record.rel_drop,
-                                   "envelope_slack": record.envelope_slack}})
+    _manifest(cfg, {"tolerances": tolerances})
     emit_plot(out, "stability")
     print(f"stability {'PASS' if record.passed else 'FAIL'}: "
           f"W(t_end)/W(0) = {record.W[-1] / record.W[0]:.3e}, "
@@ -211,8 +210,7 @@ def cmd_speed(cfg: dict) -> int:
                     zip(track.times, track.positions))
     cw_io.write_json(os.path.join(out, "speed.json"),
                      {"fitted_speed": track.fitted_speed, "r2": track.fit_r2,
-                      "level": track.level, "steps": track.steps,
-                      "dt_min": track.dt_min, "dt_max": track.dt_max})
+                      "level": FRONT_LEVEL, **asdict(track.stats)})
     _manifest(cfg)
     print(f"fitted_speed = {track.fitted_speed:.4f} (r2 = {track.fit_r2:.6f})")
     return 0

@@ -1,7 +1,7 @@
 """Spreading-speed measurement from compactly supported initial data.
 
-The run is one `cauchy.run` in the frame moving at FRAME_SPEED = 2, the
-spreading speed at chi = 0.  A pulled front lags 2t by (3/2) ln t
+The run is one `cauchy.march` in the frame moving at FRAME_SPEED = 2,
+the spreading speed at chi = 0.  A pulled front lags 2t by (3/2) ln t
 (Bramson), so in that frame it barely moves and a fixed window holds
 it: the front is the rightmost crossing of the level 1/2, tracked in
 the frame and reported in the lab frame as front_x + 2 t.  The
@@ -9,10 +9,10 @@ asymptotic spreading speed is the slope of a linear fit of front
 position against time over the last half of the run (t >= t_end / 2
 less march's LANDING_SLACK, so round-off in t drops no sample).
 Every sample in that half must have a front at least BOUNDARY_MARGIN
-inside both edges of the window; otherwise NoFront names the grid
-flag to widen.  A sweep makes one run per distinct set of parameters
-that the run reads: rows at chi = 0 that differ only in m and gamma
-share theirs.
+inside both edges of the window; the first that has not stops the run
+with NoFront, which names the grid flag to widen.  A sweep makes one
+run per distinct set of parameters that the run reads: rows at chi = 0
+that differ only in m and gamma share theirs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cauchy import FRONT_LEVEL, LANDING_SLACK, SimConfig, run
+from .cauchy import (FRONT_LEVEL, LANDING_SLACK, Monitors, SimConfig,
+                     StepStats, march)
 from .errors import DomainError, NoFront
 from .fields import Field, Grid, level_crossings
 from .params import Params, c_star, constants_report
@@ -36,14 +37,11 @@ BOUNDARY_MARGIN = 10.0
 
 @dataclass
 class FrontTrack:
-    level: float
     times: np.ndarray
     positions: np.ndarray            # lab frame
     fitted_speed: float
     fit_r2: float
-    steps: int                       # time steps of the run
-    dt_min: float                    # their dt range
-    dt_max: float
+    stats: StepStats                 # time steps of the run
 
 
 def compact_datum(grid: Grid) -> Field:
@@ -71,8 +69,8 @@ def spreading_speed(config: SimConfig, u0: Field) -> FrontTrack:
     """Track the front of a lab-frame problem and fit its asymptotic speed.
 
     config is a lab-frame configuration; it is run in the frame moving
-    at FRAME_SPEED.  NoFront if a sample of the fit half has no front
-    or one within BOUNDARY_MARGIN of an edge of the window.
+    at FRAME_SPEED.  NoFront at the first sample of the fit half with no
+    front or one within BOUNDARY_MARGIN of an edge of the window.
     """
     if config.frame_speed != 0.0:
         raise DomainError("spreading speed is measured in the lab frame")
@@ -81,25 +79,31 @@ def spreading_speed(config: SimConfig, u0: Field) -> FrontTrack:
     if u0.min() < 0 or u0.max() == 0.0:
         raise DomainError("u0 must be nonnegative and not identically zero")
 
-    grid = config.grid
-    _, monitors, _ = run(replace(config, frame_speed=FRAME_SPEED), u0)
-    times, frame_x = np.array(monitors.times), np.array(monitors.front_x)
-    fit = times >= config.t_end / 2.0 - LANDING_SLACK
-    if fit.sum() < 3:
-        raise NoFront("not enough tracked front positions for a fit")
-    for t, x, inf_u in zip(times[fit], frame_x[fit], np.array(monitors.inf_u)[fit]):
+    grid, nodes = config.grid, config.grid.x
+    fit_from = config.t_end / 2.0 - LANDING_SLACK
+    monitors = Monitors()
+    for t, u, _, _, dt, clamped, sample in march(
+            replace(config, frame_speed=FRAME_SPEED), u0):
+        monitors.stats.add(dt, clamped)
+        if not sample:
+            continue
+        monitors.record(t, u, nodes)
+        x, inf_u = monitors.front_x[-1], monitors.inf_u[-1]
         # u above the level everywhere: the front has left on the right
         side = ("right" if x > grid.x1 - BOUNDARY_MARGIN or inf_u > FRONT_LEVEL
                 else None if x >= grid.x0 + BOUNDARY_MARGIN else "left")
-        if side:
+        if side and t >= fit_from:
             raise NoFront(
                 f"front lost or within {BOUNDARY_MARGIN:g} of the {side} edge "
                 f"of the co-moving window at t = {t:g}; widen it with --grid-{side}")
+    times, frame_x = np.array(monitors.times), np.array(monitors.front_x)
+    fit = times >= fit_from
+    if fit.sum() < 3:
+        raise NoFront("not enough tracked front positions for a fit")
     positions = frame_x + FRAME_SPEED * times
     speed, r2 = _fit(times[fit], positions[fit])
-    return FrontTrack(level=FRONT_LEVEL, times=times, positions=positions,
-                      fitted_speed=speed, fit_r2=r2, steps=monitors.steps,
-                      dt_min=monitors.dt_min, dt_max=monitors.dt_max)
+    return FrontTrack(times=times, positions=positions, fitted_speed=speed,
+                      fit_r2=r2, stats=monitors.stats)
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import SimConfig, run, solve_v
+from .cauchy import SimConfig, StepStats, run, solve_v
 from .elliptic import solve_pair
 from .errors import DomainError, TruncationWarning
 from .fields import Field
@@ -57,10 +57,8 @@ class DecayRecord:
     lambda_pred: float
     eta: float
     passed: bool
-    rel_drop: float = REL_DROP
-    envelope_slack: float = ENVELOPE_SLACK
+    stats: StepStats                         # the run's time steps
     truncated_from_t: float | None = None    # first sample weighted_norm flags
-    steps: int = 0                           # time steps taken
 
 
 def _weighted_integrand(u: Field, Ustar: Field, eta: float) -> np.ndarray:
@@ -175,9 +173,8 @@ def run_stability(profile: WaveProfile, eta: float,
                  for i in range(len(times)) if times[i] >= 1.0)
     passed = bool(env_ok and W[-1] <= REL_DROP * W[0])
     return DecayRecord(times=times, W=W, supdiff=supdiff, lambda_pred=lam,
-                       eta=eta, passed=passed,
-                       truncated_from_t=truncated[0] if truncated else None,
-                       steps=monitors.steps)
+                       eta=eta, passed=passed, stats=monitors.stats,
+                       truncated_from_t=truncated[0] if truncated else None)
 
 
 # ----------------------------------------------------------------------

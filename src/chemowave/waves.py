@@ -22,7 +22,7 @@ Two routes to a stationary profile of the moving-frame system
   advects with the frame speed implicitly, so only the chemotactic
   drift and the reaction bound its dt, and it converges to the same
   discrete steady state `cauchy.steady_residual` = 0 that FixedPoint
-  solves for.  The profile records its step count and dt range.
+  solves for.  The profile's StepStats count its steps.
 
 Profiles built here use centered advection: the wave targets (decay-rate
 fits, barrier sandwiches at 1e-8) need the O(h^2) spatial accuracy, and
@@ -41,8 +41,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .barriers import BarrierSpec, default_barrier_spec, eval_sub, eval_super
-from .cauchy import (DT_MAX, MAX_INNER_STEPS, SimConfig, march, robin_rate,
-                     solve_v, steady_jacobian, steady_residual)
+from .cauchy import (DT_MAX, MAX_INNER_STEPS, SimConfig, StepStats, march,
+                     robin_rate, solve_v, steady_jacobian, steady_residual)
 from .elliptic import lapack, sweep_weights, tail_integrals
 from .errors import (DomainError, NoConvergence, NormalizationError,
                      RegimeError, WindowTooShort)
@@ -122,9 +122,7 @@ class WaveProfile:
     sandwich_violation: float = math.nan
     barrier: BarrierSpec | None = None
     residual_history: list[float] = field(default_factory=list)
-    steps: int = 0                   # time steps taken (CoupledRelax only)
-    dt_min: float = math.nan         # their dt range
-    dt_max: float = math.nan
+    stats: StepStats = field(default_factory=StepStats)  # CoupledRelax only
 
     @property
     def c_eff_shift(self) -> float:
@@ -299,7 +297,7 @@ def construct_fixed_point(problem: WaveProblem) -> WaveProfile:
         newton_tolerance(problem.grid.h, float(upper.max())),
         lambda w: sandwich.append(_sandwich(w, lower, upper)))
     return _finish(problem, u, len(history) - 1, max(sandwich), spec,
-                   "FixedPoint", c_eff, history)
+                   "FixedPoint", c_eff, history, StepStats())
 
 
 def construct_relax(problem: WaveProblem) -> WaveProfile:
@@ -316,17 +314,15 @@ def construct_relax(problem: WaveProblem) -> WaveProfile:
     config = SimConfig(problem.params, problem.grid, t_end=horizon,
                        frame_speed=c_eff, tail_kappa=problem.kappa,
                        output_every=horizon, scheme=SCHEME)
-    u, resid, dts = upper, math.inf, []
-    for _, un, _, _, dt, _, _ in itertools.islice(
+    u, resid, stats = upper, math.inf, StepStats()
+    for _, un, _, _, dt, clamped, _ in itertools.islice(
             march(config, Field(problem.grid, upper)), 1, MAX_INNER_STEPS + 1):
         resid = float(np.abs(un - u).max()) / dt
         u = un
-        dts.append(dt)
+        stats.add(dt, clamped)
         if resid < TOL_INNER:
-            profile = _finish(problem, u, 0, _sandwich(u, lower, upper), spec,
-                              "CoupledRelax", c_eff, [resid])
-            return replace(profile, steps=len(dts), dt_min=min(dts),
-                           dt_max=max(dts))
+            return _finish(problem, u, 0, _sandwich(u, lower, upper), spec,
+                           "CoupledRelax", c_eff, [resid], stats)
     raise NoConvergence("coupled relaxation failed to reach steady state",
                         residual=resid)
 
@@ -348,7 +344,7 @@ def settle(profile: WaveProfile) -> WaveProfile:
     (every FixedPoint profile) comes back unchanged; any other (a
     CoupledRelax one) is solved one step past the stop rule, its polish
     residuals added to residual_history and its iterations to outer_iters.
-    Its step count and dt range are kept: the polish takes no time step.
+    Its StepStats are kept: the polish takes no time step.
     """
     grid = profile.U.grid
     problem = WaveProblem(profile.params, profile.c, grid, profile.method)
@@ -364,16 +360,15 @@ def settle(profile: WaveProfile) -> WaveProfile:
         history += last[1:]
     except NoConvergence:
         pass
-    polished = _finish(problem, u, profile.outer_iters + len(history) - 1,
-                       profile.sandwich_violation, profile.barrier,
-                       profile.method, c_eff, profile.residual_history + history)
-    return replace(polished, steps=profile.steps, dt_min=profile.dt_min,
-                   dt_max=profile.dt_max)
+    return _finish(problem, u, profile.outer_iters + len(history) - 1,
+                   profile.sandwich_violation, profile.barrier,
+                   profile.method, c_eff, profile.residual_history + history,
+                   profile.stats)
 
 
 def _finish(problem: WaveProblem, u: np.ndarray, outer: int, sandwich: float,
             spec: BarrierSpec, method: str, c_eff: float,
-            history: list[float]) -> WaveProfile:
+            history: list[float], stats: StepStats) -> WaveProfile:
     p = problem.params
     kappa = problem.kappa
     U = Field(problem.grid, u)
@@ -381,7 +376,7 @@ def _finish(problem: WaveProblem, u: np.ndarray, outer: int, sandwich: float,
     return WaveProfile(U=U, V=V, c=problem.c, kappa=kappa,
                        outer_iters=outer, params=p, method=method,
                        c_eff=c_eff, sandwich_violation=sandwich, barrier=spec,
-                       residual_history=list(history))
+                       residual_history=list(history), stats=stats)
 
 
 def diagnose(profile: WaveProfile, kappa1: float | None = None) -> WaveDiagnostics:

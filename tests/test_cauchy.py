@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from chemowave import cauchy
-from chemowave.cauchy import (Monitors, SimConfig, State, _ghosted,
+from chemowave.cauchy import (SimConfig, State, StepStats, _ghosted,
                               advance_imex, advective_velocity, auto_dt,
                               march, monitor_bounds, reaction_source,
                               robin_rate, run, solve_v)
@@ -275,12 +275,40 @@ def test_config_refuses_cell_peclet_of_one(h, peclet, sign):
             SimConfig(params=Params(0.0), grid=g, t_end=1.0, frame_speed=c)
 
 
+def _clamping_run(t_end):
+    # a fixed dt of 0.3 capped at each output time, and a peak of 8 whose
+    # explicit logistic term drives 29 nodes below zero on the first step
+    g = Grid.from_bounds(-10, 10, 0.1)
+    cfg = SimConfig(params=Params(0.0), grid=g, t_end=t_end, dt=0.3,
+                    output_every=1.0)
+    return cfg, Field(g, 8.0 * np.exp(-g.x ** 2))
+
+
 def test_clamp_counting_and_warning():
-    m = Monitors()
-    m.node_steps = 1000
-    m.clamp_count = 5
-    m.finalize()
-    assert m.warnings and "clamp_count" in m.warnings[0]
+    # the warning reads the clamped share of steps x n node-steps: 29 of
+    # 8 x 201 passes 0.1%, 29 of 240 x 201 does not
+    _, short, _ = run(*_clamping_run(2.0))
+    assert (short.stats.steps, short.stats.clamp_count) == (8, 29)
+    assert short.warnings == ["clamp_count 29 exceeds 0.1% of node-steps"]
+    _, long, _ = run(*_clamping_run(60.0))
+    assert (long.stats.steps, long.stats.clamp_count) == (240, 29)
+    assert long.warnings == []
+
+
+def test_step_stats_equal_the_yields_of_march():
+    cfg, u0 = _clamping_run(2.0)
+    stats = StepStats()
+    dts, clamped = [], 0
+    for _, _, _, _, dt, n_clamped, _ in march(cfg, u0):
+        stats.add(dt, n_clamped)
+        clamped += n_clamped
+        if dt:
+            dts.append(dt)
+    assert clamped > 0 and min(dts) < max(dts)
+    assert stats == StepStats(steps=len(dts), clamp_count=clamped,
+                              dt_min=min(dts), dt_max=max(dts))
+    _, monitors, _ = run(cfg, u0)
+    assert monitors.stats == stats
 
 
 def test_auto_dt_obeys_both_bounds():

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import chemowave
 from chemowave import barriers, waves
 from chemowave.cauchy import DT_MAX, SimConfig
-from chemowave.cli import _NUMERIC, main, parse_config, emit_plot
+from chemowave.cli import DEFAULTS, _NUMERIC, main, parse_config, emit_plot
 from chemowave.errors import DomainError
 from chemowave.fields import Field, Grid
 from chemowave.io import fmt
@@ -385,7 +385,7 @@ def test_speed_explicit_auto_dt_runs_automatic_step(tmp_path):
     written = json.loads((out / "speed.json").read_text())
     assert written["fitted_speed"] == track.fitted_speed
     assert written["r2"] == track.fit_r2
-    assert written["steps"] == track.steps >= 40.0 / DT_MAX
+    assert written["steps"] == track.stats.steps >= 40.0 / DT_MAX
     assert 0.0 < written["dt_min"] <= written["dt_max"] == DT_MAX
 
 
@@ -404,8 +404,9 @@ def test_sweep_manifest_counts_its_distinct_runs(tmp_path):
 
 def test_speed_front_leaving_window_exits_1(tmp_path, capsys):
     # chi = -12 outruns the speed-2 frame on the default [-40, 40]; its
-    # chemotactic drift holds the automatic dt to 0.008 on average (7,454
-    # steps, 2.5 s), so the run takes a fixed one
+    # chemotactic drift holds the automatic dt to 0.008 on average (5,244
+    # steps to the failing t = 43 sample, 1.5 s), so the run takes a
+    # fixed one
     code = main(["speed", "--chi", "-12", "--dt", "0.02",
                  "--out-dir", str(tmp_path / "sp")])
     assert code == 1
@@ -611,3 +612,78 @@ def test_import_leaves_heavy_scipy_packages_unloaded(tmp_path):
     loaded = report["loaded"]
     for name in ("import", "certify", "simulate", "relax", "wave"):
         assert loaded[name] == [], name
+
+
+LEDGER = {"steps", "clamp_count", "dt_min", "dt_max"}
+MANIFEST = {"artifact", "version", "config"}
+_SMALL = ["--grid-left", "-30", "--grid-right", "50", "--grid-h", "0.1"]
+_WAVE_KEYS = {"c", "c_eff", "c_eff_shift", "kappa", "kappa1", "kappa_fit",
+              "left_limit", "method", "monotonicity_violation",
+              "outer_iters", "refined_trend_slope", "residual_history",
+              "right_limit", "sandwich_violation", *LEDGER}
+# subcommand: (argv, top-level keys of each JSON file it writes, the file
+# holding its step ledger or None)
+JSON_KEYS = {
+    "constants": (["constants"], {
+        "constants.json": {
+            "D_dprime", "D_prime", "D_sub", "K", "M1", "M2", "M_barrier",
+            "M_chi", "M_dprime", "M_prime", "M_tilde", "M_tprime", "alpha",
+            "b1", "b2", "b3", "b4", "c", "c1", "c2", "c3", "c_star",
+            "c_star_star", "chi", "chi_star", "d_sub", "gamma", "kappa",
+            "kappa1", "kappa_tilde", "m", "sigma", "x_minus", "x_plus"},
+        "manifest.json": MANIFEST}, None),
+    "simulate": (["simulate", "--grid-left", "-10", "--grid-right", "10",
+                  "--grid-h", "0.1", "--t-end", "1"], {
+        "manifest.json": {*MANIFEST, "violations", "warnings", *LEDGER}},
+        "manifest.json"),
+    "wave-FixedPoint": (["wave", "--chi", "-1", "--c", "4", "--grid-left",
+                         "-20", "--grid-right", "30"], {
+        "diagnostics.json": _WAVE_KEYS, "manifest.json": MANIFEST},
+        "diagnostics.json"),
+    "wave-CoupledRelax": (["wave", *_SMALL, "--method", "CoupledRelax"], {
+        "diagnostics.json": _WAVE_KEYS, "manifest.json": MANIFEST},
+        "diagnostics.json"),
+    "stability": (["stability", "--chi", "0", "--c", "3", "--eta", "0.9",
+                   "--t-end", "6"], {
+        "stability.json": {"W0", "W_end", "envelope_slack", "eta",
+                           "kappa_minus", "kappa_plus", "lambda_pred",
+                           "passed", "rel_drop", "supdiff_end",
+                           "truncated_from_t", *LEDGER},
+        "manifest.json": {*MANIFEST, "tolerances"}}, "stability.json"),
+    "speed": (["speed", "--grid-left", "-30", "--grid-right", "30",
+               "--grid-h", "0.1", "--t-end", "40"], {
+        "speed.json": {"fitted_speed", "level", "r2", *LEDGER},
+        "manifest.json": MANIFEST}, "speed.json"),
+    "sweep": (["sweep", "--grid-left", "-30", "--grid-right", "30",
+               "--grid-h", "0.1", "--t-end", "40"], {
+        "manifest.json": {*MANIFEST, "rows", "runs"}}, None),
+    "certify": (["certify", "--chi", "-1", "--c", "3"], {
+        "certify.json": {"n_draws", "passed", "worst_check", "worst_excess",
+                         "worst_location"},
+        "manifest.json": MANIFEST}, None),
+}
+
+
+@pytest.mark.filterwarnings("ignore::chemowave.errors.TruncationWarning")
+@pytest.mark.parametrize("name", JSON_KEYS)
+def test_every_json_key_set_is_pinned(tmp_path, name):
+    # a key dropped or renamed fails here; every stepped run writes its
+    # steps, their dt range and its clamped nodes, and the FixedPoint
+    # wave, which takes no time step, writes an empty ledger
+    argv, files, ledger = JSON_KEYS[name]
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    written = {path.name: json.loads(path.read_text())
+               for path in out.glob("*.json")}
+    assert {fname: set(keys) for fname, keys in written.items()} == files
+    config = written["manifest.json"]["config"]
+    assert set(config) == set(DEFAULTS) - {"out_dir"}
+    if ledger is None:
+        return
+    stats = {key: written[ledger][key] for key in LEDGER}
+    if name == "wave-FixedPoint":
+        assert stats == {"steps": 0, "clamp_count": 0, "dt_min": None,
+                         "dt_max": None}
+    else:
+        assert stats["steps"] > 0 and stats["clamp_count"] == 0
+        assert 0.0 < stats["dt_min"] <= stats["dt_max"] <= DT_MAX

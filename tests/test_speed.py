@@ -9,8 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chemowave import speed
-from chemowave.cauchy import Monitors, SimConfig
+from chemowave import cauchy, speed
+from chemowave.cauchy import SimConfig
 from chemowave.errors import DomainError, NoFront
 from chemowave.fields import Field, Grid, level_crossings
 from chemowave.params import Params, c_star, constants_report
@@ -95,6 +95,23 @@ def test_spreading_speed_front_leaving_window_raises():
     assert _track(-8.0).fitted_speed > 2.0
 
 
+def test_lost_front_stops_the_run_at_once(monkeypatch):
+    # chi = -12 fails at the t = 43 sample: the run takes its 2,150 steps
+    # of 0.02 and none of the 850 more that would reach t_end 60
+    yields = []
+
+    def counted(config, u0):
+        for step in cauchy.march(config, u0):
+            yields.append(step[0])
+            yield step
+
+    monkeypatch.setattr(speed, "march", counted)
+    with pytest.raises(NoFront, match="right edge .* at t = 43;"):
+        _track(-12.0)
+    assert yields[-1] == pytest.approx(43.0)
+    assert len(yields) - 1 < 60.0 / 0.02
+
+
 def test_spreading_speed_front_near_left_edge_raises():
     # the chi = 0 front lags the frame by ~(3/2) ln t and sits near
     # x = -8 in the fit half, inside the margin of a window from -15
@@ -148,10 +165,14 @@ def test_fit_half_does_not_rest_on_round_off(monkeypatch, t30):
     times = np.arange(61.0)
     times[30] = t30
     lag = -1.5 * np.log1p(times)            # Bramson's lag behind the frame
-    monitors = Monitors(times=list(times), front_x=list(lag),
-                        inf_u=[0.0] * times.size)
-    monkeypatch.setattr(speed, "run", lambda config, u0: (None, monitors, []))
     g = Grid.from_bounds(-40, 40, 0.05)
+
+    def samples(config, u0):
+        # one sample a time unit, each a ramp through 1/2 at the lag
+        for t, dt, x in zip(times, np.diff(times, prepend=0.0), lag):
+            yield t, 0.5 - 0.01 * (g.x - x), None, None, dt, 0, True
+
+    monkeypatch.setattr(speed, "march", samples)
     track = spreading_speed(SimConfig(Params(0.0), g, t_end=60.0),
                             speed.compact_datum(g))
     want, _ = speed._fit(np.arange(30.0, 61.0), np.arange(30.0, 61.0) * 2.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chemowave import stability
-from chemowave.cauchy import run, solve_v
+from chemowave.cauchy import DT_MAX, run, solve_v
 from chemowave.errors import DomainError, TruncationWarning
 from chemowave.fields import Field, Grid
 from chemowave.params import Params, kappa_of_speed, SIGMA, constants_report
@@ -125,7 +125,8 @@ def test_run_stability_step_count(stab_fisher_profile):
         rec = run_stability(stab_fisher_profile,
                             default_eta(Params(0.0), 3.0), t_end=20.0)
     assert rec.passed
-    assert 0 < rec.steps <= 300
+    assert 0 < rec.stats.steps <= 300
+    assert rec.stats.dt_max == DT_MAX
     assert rec.supdiff[-1] < 1e-3
 
 

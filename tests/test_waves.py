@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chemowave import cauchy, waves
-from chemowave.cauchy import (DT_MAX, SimConfig, advance_imex, auto_dt, march,
-                              robin_rate, solve_v, steady_jacobian,
-                              steady_residual)
+from chemowave.cauchy import (DT_MAX, SimConfig, StepStats, advance_imex,
+                              auto_dt, march, robin_rate, solve_v,
+                              steady_jacobian, steady_residual)
 from chemowave.errors import (NoConvergence, NormalizationError, RegimeError,
                               SpeedError, TruncationWarning, WindowTooShort)
 from chemowave.fields import Field, Grid
@@ -135,7 +135,7 @@ def test_sandwich_during_construction(neg_profile):
 def test_fixed_point_profile_fisher(fisher_profile):
     prof = fisher_profile
     assert prof.outer_iters <= 5         # Newton from the super-solution
-    assert prof.steps == 0
+    assert prof.stats == StepStats()     # and no time step
     assert prof.residual_history[-1] < NEWTON_TOL
     d = diagnose(prof)
     assert abs(d.kappa_fit / prof.kappa - 1.0) < 0.02
@@ -344,10 +344,33 @@ def test_relax_steps_are_not_capped_by_the_frame_speed(neg_relax_profile):
     # the frame advection is implicit: an explicit c u_x would cap dt at
     # 0.5 h / c_eff = 0.00625
     prof = neg_relax_profile
-    assert 0 < prof.steps <= 500
-    assert prof.dt_max > 0.5 * prof.U.grid.h / prof.c_eff
-    assert 0.0 < prof.dt_min <= prof.dt_max <= DT_MAX
-    assert settle(prof).steps == prof.steps
+    assert 0 < prof.stats.steps <= 500
+    assert prof.stats.dt_max > 0.5 * prof.U.grid.h / prof.c_eff
+    assert 0.0 < prof.stats.dt_min <= prof.stats.dt_max <= DT_MAX
+    assert settle(prof).stats == prof.stats
+
+
+def test_relax_ledger_counts_what_march_yields(monkeypatch):
+    # march's clamp counts are relabelled (one node on every third step) so
+    # that the ledger must read them; settle's polish keeps the ledger
+    yields = []
+
+    def relabelled(config, u0):
+        for i, (*head, dt, _, sample) in enumerate(march(config, u0)):
+            yields.append((dt, int(i % 3 == 1)))
+            yield (*head, dt, yields[-1][1], sample)
+
+    monkeypatch.setattr(waves, "march", relabelled)
+    prof = construct_relax(WaveProblem(params=Params(0.0), c=3.0,
+                                       grid=Grid.from_bounds(-30, 50, 0.1),
+                                       method="CoupledRelax"))
+    taken = yields[1:]                     # the initial state is no step
+    assert prof.stats == StepStats(
+        steps=len(taken), clamp_count=sum(c for _, c in taken),
+        dt_min=min(dt for dt, _ in taken), dt_max=max(dt for dt, _ in taken))
+    assert prof.stats.clamp_count > 0
+    polished = settle(prof)
+    assert polished.outer_iters > 0 and polished.stats == prof.stats
 
 
 def test_relax_agrees_with_fixed_point(neg_profile, neg_relax_profile):
