@@ -20,6 +20,10 @@ statement is certified only up to the discrete slack
     eps_disc = 1e-6 + 20 h^2 * max|W|,
 
 and the 3 nodes nearest a kink or a sign change of W are skipped.
+
+The barriers, the random densities and (V, V') are plain arrays on a
+Grid, so `certify` builds no Field; `residual_A`, the paper's operator,
+takes and returns Fields.
 """
 
 from __future__ import annotations
@@ -77,12 +81,13 @@ class BarrierSpec:
         return -math.log(self.M) / self.kappa
 
 
-def eval_super(spec: BarrierSpec, grid: Grid) -> Field:
+def eval_super(spec: BarrierSpec, grid: Grid) -> np.ndarray:
     """min{M, e^{-kappa x}} sampled on the grid."""
-    return Field(grid, np.minimum(spec.M, np.exp(-spec.kappa * grid.x)))
+    return np.minimum(spec.M, np.exp(-spec.kappa * grid.x))
 
 
-def eval_sub(spec: BarrierSpec, grid: Grid, clipped: bool = False) -> Field:
+def eval_sub(spec: BarrierSpec, grid: Grid,
+             clipped: bool = False) -> np.ndarray:
     """e^{-kx} - D e^{-kt x}; clipped variant plateaus left of its maximum."""
     x = grid.x
     vals = np.exp(-spec.kappa * x) - spec.D * np.exp(-spec.kappa_tilde * x)
@@ -90,7 +95,7 @@ def eval_sub(spec: BarrierSpec, grid: Grid, clipped: bool = False) -> Field:
         xp = spec.x_plus
         peak = math.exp(-spec.kappa * xp) - spec.D * math.exp(-spec.kappa_tilde * xp)
         vals = np.where(x <= xp, peak, vals)
-    return Field(grid, vals)
+    return vals
 
 
 def _pow_guard(W: np.ndarray, p: Params) -> None:
@@ -100,15 +105,18 @@ def _pow_guard(W: np.ndarray, p: Params) -> None:
                           "of a negative value)")
 
 
-def solve_V(u: Field, params: Params, c: float) -> tuple[Field, Field]:
+def solve_V(u: np.ndarray, grid: Grid, params: Params,
+            c: float) -> tuple[np.ndarray, np.ndarray]:
     """(V, V') of v'' - v + u^gamma = 0, closed at the wave's tail rate kappa(c)."""
-    return solve_v(params, u, tail_kappa=kappa_of_speed(c))
+    return solve_v(params, u, grid, kappa_of_speed(c))
 
 
-def _residual_given_V(W: Field, V: Field, Vx: Field, p: Params, c: float) -> Field:
-    _pow_guard(W.values, p)
-    res, _ = steady_residual(p, W.values, V.values, Vx.values, c, W.grid, 0.0)
-    return Field(W.grid.interior(), res[1:-1])
+def _residual_given_V(W: np.ndarray, V: np.ndarray, Vx: np.ndarray,
+                      p: Params, c: float, grid: Grid) -> np.ndarray:
+    """A(W; u) at the interior nodes, for u's (V, V')."""
+    _pow_guard(W, p)
+    res, _ = steady_residual(p, W, V, Vx, c, grid, 0.0)
+    return res[1:-1]
 
 
 def residual_A(W: Field, u: Field, params: Params, c: float) -> Field:
@@ -117,8 +125,9 @@ def residual_A(W: Field, u: Field, params: Params, c: float) -> Field:
         raise DomainError("W and u must share a grid")
     if u.min() < 0:
         raise DomainError("u must be nonnegative")
-    V, Vx = solve_V(u, params, c)
-    return _residual_given_V(W, V, Vx, params, c)
+    V, Vx = solve_V(u.values, u.grid, params, c)
+    return Field(W.grid.interior(),
+                 _residual_given_V(W.values, V, Vx, params, c, W.grid))
 
 
 @lru_cache(maxsize=8)
@@ -150,7 +159,7 @@ def _gaussian_smooth(raw: np.ndarray, sigma: float) -> np.ndarray:
     return full[2 * radius:2 * radius + n]
 
 
-def random_envelope(spec: BarrierSpec, grid: Grid, seed: int) -> Field:
+def random_envelope(spec: BarrierSpec, grid: Grid, seed: int) -> np.ndarray:
     """Random admissible density 0 <= u <= min{M, e^{-kx}}.
 
     Uniform noise, smoothed by a Gaussian of width max(2 / h, 4) nodes
@@ -165,7 +174,7 @@ def random_envelope(spec: BarrierSpec, grid: Grid, seed: int) -> Field:
     lo, hi = smooth.min(), smooth.max()
     r = (smooth - lo) / (hi - lo) if hi > lo else np.full(grid.n, 0.5)
     env = 0.2 + 0.8 * r
-    return Field(grid, eval_super(spec, grid).values * env)
+    return eval_super(spec, grid) * env
 
 
 def default_barrier_spec(params: Params, c: float, M: float | None = None) -> BarrierSpec:
@@ -190,14 +199,14 @@ class CertifyReport:
     n_draws: int
 
 
-def _sign_excess(res: Field, mask: np.ndarray, eps: float, sign: int):
-    """Worst violation of sign*res <= eps on the masked nodes."""
-    vals = sign * res.values[mask]
+def _sign_excess(res: np.ndarray, xs: np.ndarray, mask: np.ndarray,
+                 eps: float, sign: int):
+    """Worst violation of sign*res <= eps on the masked nodes xs."""
+    vals = sign * res[mask]
     if vals.size == 0:
         return -math.inf, math.nan
     i = int(np.argmax(vals))
-    xs = res.grid.x[mask]
-    return float(vals[i] - eps), float(xs[i])
+    return float(vals[i] - eps), float(xs[mask][i])
 
 
 def certify(params: Params, c: float, n_draws: int = 200,
@@ -218,10 +227,9 @@ def certify(params: Params, c: float, n_draws: int = 200,
     spec = default_barrier_spec(p, c)
 
     Wsup = eval_super(spec, grid)
-    Wsub_raw = eval_sub(spec, grid)
-    Wsub = Wsub_raw.with_values(np.maximum(Wsub_raw.values, 0.0))
-    Wm = Field(grid, np.full(grid.n, float(spec.M)))
-    Wd = Field(grid, np.full(grid.n, spec.d))
+    Wsub = np.maximum(eval_sub(spec, grid), 0.0)
+    Wm = np.full(grid.n, float(spec.M))
+    Wd = np.full(grid.n, spec.d)
 
     xi = grid.interior().x
     sup_mask = (xi >= spec.kink) & (np.abs(xi - spec.kink) > 3.0 * grid.h)
@@ -241,10 +249,10 @@ def certify(params: Params, c: float, n_draws: int = 200,
     worst_name = ""
     for k in range(n_draws):
         u = random_envelope(spec, grid, seed + k)
-        V, Vx = solve_V(u, p, c)
+        V, Vx = solve_V(u, grid, p, c)
         for name, W, mask, eps, sign in plans:
-            res = _residual_given_V(W, V, Vx, p, c)
-            excess, loc = _sign_excess(res, mask, eps, sign)
+            res = _residual_given_V(W, V, Vx, p, c, grid)
+            excess, loc = _sign_excess(res, xi, mask, eps, sign)
             passed = passed and excess <= 0     # a NaN excess fails
             if excess > worst:
                 worst, worst_loc, worst_name = excess, loc, name

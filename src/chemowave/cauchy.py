@@ -24,6 +24,10 @@ builds no Field.  Its consumers count their steps in one StepStats:
 `run` builds Fields at samples only, CoupledRelax stops it at a steady
 state and the spreading-speed run at a lost front.
 
+`solve_v`, on plain arrays, is the model's one solve of 0 = v_xx - v
++ u^gamma: march, the wave lane, the barrier operator and the a-priori
+checks all call it.
+
 Two rules keep a step's work to what it reads, and change no bit of
 the result.  The implicit matrix depends only on (n, h, dt,
 robin_kappa, c); its LAPACK gttrf factor is cached for the last four
@@ -61,7 +65,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elliptic import lapack, solve_pair_values
+from .elliptic import lapack, solve_pair
 # not called here (a step solves with gttrs); the package's tridiagonal
 # solve stays bound under this name for perfbench's cauchy.tridiag probe
 from .elliptic import solve_tridiagonal as solve_banded  # noqa: F401
@@ -168,25 +172,19 @@ def _require_finite(values: np.ndarray, name: str) -> None:
         raise DomainError(f"{name} values must be finite")
 
 
-def _v_values(p: Params, u: np.ndarray, grid: Grid,
-              tail_kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    """(v, v_x) arrays for density values u; DomainError unless all finite.
+def solve_v(p: Params, u: np.ndarray, grid: Grid,
+            tail_kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """(v, v_x) for density values u; DomainError unless all are finite.
 
     u^gamma plateaus on the left and decays as e^{-gamma tail_kappa x}
     on the right (a plateau too at tail_kappa = 0).
     """
     src = np.power(u, p.gamma)
     _require_finite(src, "u^gamma")
-    v, vx = solve_pair_values(src, grid, 1.0, 1.0, 0.0, p.gamma * tail_kappa)
+    v, vx = solve_pair(src, grid, 1.0, 1.0, 0.0, p.gamma * tail_kappa)
     _require_finite(v, "v")
     _require_finite(vx, "v_x")
     return v, vx
-
-
-def solve_v(p: Params, u: Field, *, tail_kappa: float) -> tuple[Field, Field]:
-    """(v, v_x) for the current density u."""
-    v, vx = _v_values(p, u.values, u.grid, tail_kappa)
-    return Field(u.grid, v), Field(u.grid, vx)
 
 
 def robin_rate(kappa: float, h: float) -> float:
@@ -381,7 +379,7 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
 
     robin_kappa = robin_rate(config.tail_kappa, grid.h)
     u = u0.values
-    v, vx = _v_values(p, u, grid, config.tail_kappa)
+    v, vx = solve_v(p, u, grid, config.tail_kappa)
     v.flags.writeable = vx.flags.writeable = False
     t = 0.0
     yield t, u, v, vx, 0.0, 0, True
@@ -415,7 +413,7 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
             next_out = round(next_out / config.output_every + 1) * config.output_every
         sample = sample or t >= config.t_end - LANDING_SLACK
         if refresh_every_step or sample:
-            v, vx = _v_values(p, u, grid, config.tail_kappa)
+            v, vx = solve_v(p, u, grid, config.tail_kappa)
             v.flags.writeable = vx.flags.writeable = False
             yield t, u, v, vx, dt, clamped, sample
         else:

@@ -11,9 +11,12 @@ sweeps, run in one call of scipy's compiled IIR filter
 (`scipy.signal._sigtools._linear_filter`; `scipy.signal.lfilter` if it
 cannot be loaded).  The two half-line tails are closed analytically
 from one decay rate per side; their edge-decay profiles are computed
-once per (grid, lambda).  `solve_pair_values` is the array-level core;
-`solve_pair` wraps it in Fields.  The sweeps' weights (`sweep_weights`)
-and `tail_integrals` also fill the wave lane's banded Newton Jacobian.
+once per (grid, lambda).  `solve_pair`, on plain arrays, is the one
+entry point; the model's v-solve is `cauchy.solve_v` on top of it.
+`solve_psi` and `psi_derivative`, its two halves, are read by no package
+code: perfbench's tracer probes them by name.  The sweeps' weights
+(`sweep_weights`) and `tail_integrals` also fill the wave lane's banded
+Newton Jacobian.
 
 The package's compiled scipy code is loaded here, each extension file
 directly, so that neither `scipy.signal`'s nor `scipy.linalg`'s
@@ -29,8 +32,9 @@ grows to the left) and a rate of 0 is the plateau at the boundary value.
 The left tail integral converges for left_rate < sqrt(lambda), the
 right one for right_rate > -sqrt(lambda).
 
-A second-order finite-difference solve with Dirichlet data is provided
-purely as an independent cross-check.
+`solve_fd`, a second-order finite-difference solve with Dirichlet data,
+is provided purely as an independent cross-check; it is the module's one
+function on Fields.
 """
 
 from __future__ import annotations
@@ -182,10 +186,10 @@ def _edge_decay(grid: Grid, r: float) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def solve_pair_values(s: np.ndarray, grid: Grid, lam: float, mu: float,
-                      left_rate: float, right_rate: float
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """(Psi, Psi') as arrays for source values s on grid; solve_pair's core."""
+def solve_pair(s: np.ndarray, grid: Grid, lam: float, mu: float,
+               left_rate: float, right_rate: float
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(Psi, Psi') of v'' - lam v + mu s = 0 for source values s on grid."""
     if not (lam > 0 and mu > 0):
         raise DomainError("lambda and mu must be positive")
     r = np.sqrt(lam)
@@ -197,24 +201,16 @@ def solve_pair_values(s: np.ndarray, grid: Grid, lam: float, mu: float,
     return (mu / (2.0 * r)) * (left + right), (mu / 2.0) * (right - left)
 
 
-def solve_psi(s: Field, lam: float, mu: float, left_rate: float,
-              right_rate: float) -> Field:
-    """Exact-kernel solution of v'' - lam v + mu s = 0 for the given tail rates."""
-    return solve_pair(s, lam, mu, left_rate, right_rate)[0]
+def solve_psi(s: np.ndarray, grid: Grid, lam: float, mu: float,
+              left_rate: float, right_rate: float) -> np.ndarray:
+    """Psi alone: solve_pair's first value."""
+    return solve_pair(s, grid, lam, mu, left_rate, right_rate)[0]
 
 
-def psi_derivative(s: Field, lam: float, mu: float, left_rate: float,
-                   right_rate: float) -> Field:
-    """d/dx of solve_psi via the same sweeps with the one-sided sign split."""
-    return solve_pair(s, lam, mu, left_rate, right_rate)[1]
-
-
-def solve_pair(s: Field, lam: float, mu: float, left_rate: float,
-               right_rate: float) -> tuple[Field, Field]:
-    """(Psi, Psi') from a single pair of sweeps."""
-    psi, dpsi = solve_pair_values(s.values, s.grid, lam, mu, left_rate,
-                                  right_rate)
-    return Field(s.grid, psi), Field(s.grid, dpsi)
+def psi_derivative(s: np.ndarray, grid: Grid, lam: float, mu: float,
+                   left_rate: float, right_rate: float) -> np.ndarray:
+    """Psi' alone: solve_pair's second value."""
+    return solve_pair(s, grid, lam, mu, left_rate, right_rate)[1]
 
 
 def solve_fd(s: Field, lam: float, mu: float,

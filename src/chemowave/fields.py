@@ -86,9 +86,6 @@ class Field:
     def min(self) -> float:
         return float(self.values.min())
 
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, values)
-
 
 def level_crossings(x: np.ndarray, u: np.ndarray, level: float) -> np.ndarray:
     """Every abscissa where u meets ``level``, ascending.

@@ -213,7 +213,7 @@ def apriori_checks(profile: WaveProfile) -> list[Check]:
 
     x = profile.U.grid.x
     # v and v_x from one solve, closed by the profile's own wave tails
-    V, Vx = (f.values for f in solve_v(p, profile.U, tail_kappa=kappa))
+    V, Vx = solve_v(p, profile.U.values, profile.U.grid, kappa)
 
     def sup_check(name, vals, bound):
         excess = np.abs(vals) - bound      # bound scalar or per-node array
@@ -305,14 +305,14 @@ def weighted_elliptic_check(u1: Field, u2: Field, eta: float, gamma: float,
     src = np.power(u2.values, gamma) - np.power(u1.values, gamma)
     if max(abs(src[0]), abs(src[-1])) > 1e-8 * max(1.0, abs(src).max()):
         raise DomainError("u2^gamma - u1^gamma must vanish at both grid ends")
-    v, vx = solve_pair(u1.with_values(src), 1.0, 1.0, 0.0, 0.0)
+    v, vx = solve_pair(src, u1.grid, 1.0, 1.0, 0.0, 0.0)
 
     x = u1.grid.x
     h = u1.grid.h
     wgt = np.exp(eta * x)
     U = wgt * (u2.values - u1.values)
-    V = wgt * v.values
-    Vx = wgt * (eta * v.values + vx.values)
+    V = wgt * v
+    Vx = wgt * (eta * v + vx)
 
     iU = float(np.trapezoid(U * U, dx=h))
     iV = float(np.trapezoid(V * V, dx=h))

@@ -162,11 +162,11 @@ def _prepare(problem: WaveProblem):
     d_min = math.exp((spec.kappa_tilde - spec.kappa) * (grid.x0 + 5.0))
     if spec.D < d_min:
         spec = replace(spec, D=d_min)
-    upper = eval_super(spec, grid).values
+    upper = eval_super(spec, grid)
     # the profile's tail follows the super-solution's e^{-kappa x}: a grid
     # with no room for the latter's decay window is refused before any solve
     _decay_window(grid.x, upper)
-    return (spec, upper, eval_sub(spec, grid, clipped=True).values,
+    return (spec, upper, eval_sub(spec, grid, clipped=True),
             fitted_frame_speed(problem.c, grid.h))
 
 
@@ -244,9 +244,9 @@ def _newton(problem: WaveProblem, u: np.ndarray, c_eff: float, tol: float,
     rk = robin_rate(kappa, grid.h)
 
     def residual(u, c_eff):
-        V, Vx = solve_v(p, Field(grid, u), tail_kappa=kappa)
-        F, ux = steady_residual(p, u, V.values, Vx.values, c_eff, grid, rk)
-        return F, ux, V.values, Vx.values
+        v, vx = solve_v(p, u, grid, kappa)
+        F, ux = steady_residual(p, u, v, vx, c_eff, grid, rk)
+        return F, ux, v, vx
 
     u = u.copy()
     u[-1] = math.exp(-kappa * grid.x[-1])
@@ -369,12 +369,10 @@ def settle(profile: WaveProfile) -> WaveProfile:
 def _finish(problem: WaveProblem, u: np.ndarray, outer: int, sandwich: float,
             spec: BarrierSpec, method: str, c_eff: float,
             history: list[float], stats: StepStats) -> WaveProfile:
-    p = problem.params
-    kappa = problem.kappa
-    U = Field(problem.grid, u)
-    V, _ = solve_v(p, U, tail_kappa=kappa)
-    return WaveProfile(U=U, V=V, c=problem.c, kappa=kappa,
-                       outer_iters=outer, params=p, method=method,
+    p, grid, kappa = problem.params, problem.grid, problem.kappa
+    v, _ = solve_v(p, u, grid, kappa)
+    return WaveProfile(U=Field(grid, u), V=Field(grid, v), c=problem.c,
+                       kappa=kappa, outer_iters=outer, params=p, method=method,
                        c_eff=c_eff, sandwich_violation=sandwich, barrier=spec,
                        residual_history=list(history), stats=stats)
 

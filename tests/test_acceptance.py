@@ -20,7 +20,7 @@ from chemowave.elliptic import solve_pair
 from chemowave.fields import Field, Grid
 from chemowave.params import Params, SIGMA, c_star, constants_report
 from chemowave.speed import spreading_speed
-from chemowave.stability import run_stability, uniqueness_check, weighted_norm
+from chemowave.stability import run_stability, uniqueness_check
 from chemowave.waves import diagnose, normalize_translation
 
 from conftest import BUILD_TIMES
@@ -83,11 +83,10 @@ def test_criterion_1_constants_regression():
 def test_criterion_2_elliptic_exactness():
     t0 = time.perf_counter()
     g = Grid.from_bounds(-40.0, 40.0, 0.00025)
-    s = Field(g, np.exp(-0.5 * g.x))
-    psi, _ = solve_pair(s, 1.0, 1.0, 0.5, 0.5)
+    psi, _ = solve_pair(np.exp(-0.5 * g.x), g, 1.0, 1.0, 0.5, 0.5)
     exact = (4.0 / 3.0) * np.exp(-0.5 * g.x)
     win = (g.x >= -20.0) & (g.x <= 20.0)
-    rel = np.abs(psi.values[win] / exact[win] - 1.0).max()
+    rel = np.abs(psi[win] / exact[win] - 1.0).max()
     assert rel < 1e-8
 
     g2 = Grid.from_bounds(-40.0, 40.0, 0.05)
@@ -95,10 +94,10 @@ def test_criterion_2_elliptic_exactness():
     for seed in range(200):
         rng = np.random.default_rng(seed)
         vals = np.convolve(rng.uniform(size=g2.n), rng_k, mode="same")
-        src = Field(g2, (1.0 + seed % 4) * vals)
+        src = (1.0 + seed % 4) * vals
         lam = 1.0 + 0.25 * (seed % 5)
-        p2, d2 = solve_pair(src, lam, 1.0, 0.0, 0.0)
-        assert np.all(np.abs(d2.values) <= math.sqrt(lam) * p2.values + 1e-10)
+        p2, d2 = solve_pair(src, g2, lam, 1.0, 0.0, 0.0)
+        assert np.all(np.abs(d2) <= math.sqrt(lam) * p2 + 1e-10)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     report(2, elapsed, 10.0,
@@ -117,7 +116,7 @@ def test_criterion_3_barrier_certificates():
 
     def residual_on(h):
         gr = Grid.from_bounds(-20.0, 40.0, h)
-        W = eval_super(spec, gr)
+        W = Field(gr, eval_super(spec, gr))
         return residual_A(W, W, p, 3.0), gr
 
     res_ref, gref = residual_on(0.005)
@@ -183,8 +182,8 @@ def test_criterion_5_wave_existence_decay(fisher_profile, neg_profile,
     assert npd.monotonicity_violation < 1e-6
     grid = npf.U.grid
     spec = npf.barrier
-    upper = eval_super(spec, grid).values
-    lower = eval_sub(spec, grid, clipped=True).values
+    upper = eval_super(spec, grid)
+    lower = eval_sub(spec, grid, clipped=True)
     assert float((lower - npf.U.values).max()) <= 1e-8
     assert float((npf.U.values - upper).max()) <= 1e-8
     assert npf.sandwich_violation <= 1e-8

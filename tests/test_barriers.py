@@ -9,10 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from chemowave import barriers
 from chemowave.barriers import (BarrierSpec, certify, default_barrier_spec,
                                 eps_disc, eval_sub, eval_super,
-                                random_envelope, residual_A, solve_V)
+                                random_envelope, residual_A)
 from chemowave.errors import DomainError
 from chemowave.fields import Field, Grid
-from chemowave.params import Params, kappa_of_speed
+from chemowave.params import Params
 
 
 def test_eval_super_values():
@@ -21,11 +21,11 @@ def test_eval_super_values():
     W = eval_super(spec, g)
     kink = -math.log(2.0) / 0.5
     i = int(round((kink - g.x0) / g.h))
-    assert W.values[i] == pytest.approx(2.0, rel=1e-6)
+    assert W[i] == pytest.approx(2.0, rel=1e-6)
     i0 = int(round((0.0 - g.x0) / g.h))
-    assert W.values[i0] == pytest.approx(1.0, abs=1e-14)
+    assert W[i0] == pytest.approx(1.0, abs=1e-14)
     i2 = int(round((2.0 - g.x0) / g.h))
-    assert W.values[i2] == pytest.approx(math.exp(-1.0), abs=1e-10)
+    assert W[i2] == pytest.approx(math.exp(-1.0), abs=1e-10)
 
 
 def test_eval_sub_geometry():
@@ -34,10 +34,10 @@ def test_eval_sub_geometry():
     W = eval_sub(spec, g)
     assert spec.x_minus == pytest.approx(4.0, abs=1e-14)
     i = int(round((spec.x_minus - g.x0) / g.h))
-    assert abs(W.values[i]) < 1e-12
+    assert abs(W[i]) < 1e-12
     # interior maximum at x_plus with vanishing centered derivative
     ip = int(round((spec.x_plus - g.x0) / g.h))
-    assert W.values[ip] == pytest.approx(W.values.max(), abs=1e-8)
+    assert W[ip] == pytest.approx(W.max(), abs=1e-8)
 
     def U(x):
         return math.exp(-spec.kappa * x) - spec.D * math.exp(-spec.kappa_tilde * x)
@@ -45,11 +45,11 @@ def test_eval_sub_geometry():
     hh = 1e-3
     assert abs(U(spec.x_plus + hh) - U(spec.x_plus - hh)) / (2 * hh) < 1e-8
     i8 = int(round((8.0 - g.x0) / g.h))
-    assert W.values[i8] == pytest.approx(
+    assert W[i8] == pytest.approx(
         math.exp(-2.0) - math.e * math.exp(-4.0), abs=1e-12)
     clipped = eval_sub(spec, g, clipped=True)
-    assert clipped.values[0] == pytest.approx(W.values[ip], rel=1e-6)
-    assert np.all(clipped.values >= W.values - 1e-15)
+    assert clipped[0] == pytest.approx(W[ip], rel=1e-6)
+    assert np.all(clipped >= W - 1e-15)
 
 
 def test_residual_super_negative_regime():
@@ -58,10 +58,10 @@ def test_residual_super_negative_regime():
     c = 3.0
     g = Grid.from_bounds(-20, 30, 0.02)
     spec = default_barrier_spec(p, c, M=1.0)
-    W = eval_super(spec, g)
+    W = Field(g, eval_super(spec, g))
     eps = eps_disc(g.h, W.max())
     for seed in (0, 1, 2):
-        u = random_envelope(spec, g, seed)
+        u = Field(g, random_envelope(spec, g, seed))
         res = residual_A(W, u, p, c)
         xi = res.grid.x
         mask = (xi >= spec.kink) & (np.abs(xi - spec.kink) > 3 * g.h)
@@ -86,8 +86,8 @@ def test_random_envelope_smoothing_matches_ndimage(n, h, seed):
 
     spec = BarrierSpec(kappa=0.5, kappa_tilde=1.0, M=2.0, D=1.0, d=0.1)
     g = Grid(-0.5 * (n - 1) * h, h, n)
-    sup = eval_super(spec, g).values
-    u = random_envelope(spec, g, seed).values
+    sup = eval_super(spec, g)
+    u = random_envelope(spec, g, seed)
     assert np.all(0.2 * sup <= u) and np.all(u <= sup)
 
 
@@ -96,7 +96,7 @@ def test_residual_constant_super_and_sub():
     c = 3.0
     g = Grid.from_bounds(-20, 30, 0.02)
     spec = default_barrier_spec(p, c, M=1.0)
-    u = random_envelope(spec, g, 5)
+    u = Field(g, random_envelope(spec, g, 5))
     Wm = Field(g, np.full(g.n, spec.M))
     res_m = residual_A(Wm, u, p, c)
     assert res_m.values.max() <= eps_disc(g.h, spec.M)
@@ -110,9 +110,8 @@ def test_residual_sub_profile():
     c = 3.0
     g = Grid.from_bounds(-20, 40, 0.02)
     spec = default_barrier_spec(p, c, M=1.0)
-    Wsub = eval_sub(spec, g)
-    W = Wsub.with_values(np.maximum(Wsub.values, 0.0))
-    u = random_envelope(spec, g, 9)
+    W = Field(g, np.maximum(eval_sub(spec, g), 0.0))
+    u = Field(g, random_envelope(spec, g, 9))
     res = residual_A(W, u, p, c)
     xi = res.grid.x
     mask = xi > spec.x_minus + 3 * g.h
@@ -168,7 +167,7 @@ def test_residual_discretization_contracts_quadratically():
 
     def residual_on(h):
         g = Grid.from_bounds(-20.0, 40.0, h)
-        W = eval_super(spec, g)
+        W = Field(g, eval_super(spec, g))
         return residual_A(W, W, p, c), g
 
     res_ref, gref = residual_on(0.005)

@@ -8,18 +8,19 @@ import subprocess
 import sys
 import textwrap
 import time
+import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import chemowave
 from chemowave import barriers, waves
 from chemowave.cauchy import DT_MAX, SimConfig
-from chemowave.cli import DEFAULTS, _NUMERIC, main, parse_config, emit_plot
+from chemowave.cli import (DEFAULTS, _NUMERIC, SUBCOMMANDS, _flag, emit_plot,
+                           main, parse_config)
 from chemowave.errors import DomainError
-from chemowave.fields import Field, Grid
+from chemowave.fields import Grid
 from chemowave.io import fmt
 from chemowave.params import Params
 from chemowave.speed import compact_datum, spreading_speed, sweep_speeds
@@ -477,6 +478,47 @@ def test_a_config_key_the_subcommand_never_reads_is_accepted(tmp_path):
     assert main(["constants", "--config", str(tmp_path / "run.cfg"),
                  "--out-dir", str(out)]) == 0
     assert json.loads((out / "constants.json").read_text())["c_star"] == 2.0
+
+
+# a base run per subcommand, each under 0.1 s but certify (no size flag:
+# about 0.15 s on a 2 vCPU Xeon); the fuzz values below give no smaller
+# h, wider grid, longer t_end or CoupledRelax than these
+FUZZ_BASE = {
+    "constants": ["constants"],
+    "simulate": ["simulate", "--grid-left", "-5", "--grid-right", "5",
+                 "--grid-h", "0.1", "--t-end", "0.5"],
+    "wave": ["wave", "--chi", "-1", "--c", "4", "--grid-left", "-20",
+             "--grid-right", "30", "--grid-h", "0.1"],
+    "stability": ["stability", "--grid-left", "-20", "--grid-right", "20",
+                  "--grid-h", "0.1", "--t-end", "0.5"],
+    "speed": ["speed", "--grid-h", "0.5", "--t-end", "40"],
+    "sweep": ["sweep", "--grid-h", "0.5", "--t-end", "40"],
+    "certify": ["certify", "--chi", "-1", "--c", "3"],
+}
+
+
+@st.composite
+def one_bad_flag(draw) -> list[str]:
+    """A base run with one flag it reads set to a hostile value."""
+    name = draw(st.sampled_from(sorted(FUZZ_BASE)))
+    sub = SUBCOMMANDS[name]
+    flag = draw(st.sampled_from([_flag(key) for key in (
+        *sub.reads, *sub.auto_only, "config", "out_dir")]))
+    value = draw(st.sampled_from(["nan", "inf", "-inf", "", "abc", "1e400",
+                                  "-1", "0"]))
+    return FUZZ_BASE[name] + ["--out-dir", "out", flag, value]
+
+
+@settings(max_examples=150)
+@given(argv=one_bad_flag())
+def test_one_bad_flag_value_ends_in_a_documented_exit_code(tmp_path_factory,
+                                                           argv):
+    # relative paths (a value given to --out-dir or --config) stay in tmp
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.chdir(tmp_path_factory.mktemp("fuzz"))
+        mp.delenv("CHEMOWAVE_OUT", raising=False)
+        warnings.simplefilter("ignore")
+        assert main(argv) in (0, 1, 2, 64)
 
 
 def test_every_benchmark_argv_passes_the_flag_rule(tmp_path, monkeypatch):

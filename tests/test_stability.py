@@ -11,7 +11,7 @@ from chemowave.cauchy import DT_MAX, run, solve_v
 from chemowave.errors import DomainError, TruncationWarning
 from chemowave.fields import Field, Grid
 from chemowave.params import Params, kappa_of_speed, SIGMA, constants_report
-from chemowave.stability import (Check, apriori_checks, bump, default_eta,
+from chemowave.stability import (apriori_checks, bump, default_eta,
                                  eta_window, predicted_lambda,
                                  run_stability, uniqueness_check,
                                  weighted_elliptic_check, weighted_norm)
@@ -156,8 +156,9 @@ def test_run_stability_closes_v_at_the_profile_rate(stab_small_chi_profile,
     monkeypatch.setattr(stability, "run", spy)
     run_stability(prof, 0.65, t_end=0.25)
     u0, v = starts[0]
-    expected, _ = solve_v(prof.params, u0, tail_kappa=prof.kappa)
-    assert np.array_equal(v.values, expected.values)
+    expected, _ = solve_v(prof.params, u0.values, u0.grid,
+                          tail_kappa=prof.kappa)
+    assert np.array_equal(v.values, expected)
 
 
 def test_run_stability_eta_out_of_window(stab_fisher_profile):

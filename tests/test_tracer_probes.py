@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import chemowave.fields
@@ -48,3 +49,25 @@ def test_tracer_counts_a_small_wave_and_simulate(tmp_path):
     # the wave's elliptic solves are cauchy.solve_v calls
     for key in ("cauchy.steps", "waves.outer_iters", "cauchy.solve_v_calls"):
         assert layers[key] > 0, key
+
+
+def test_tracer_counts_every_v_solve_of_march(tmp_path):
+    # at chi != 0 march solves v at the start and after every step, each
+    # through cauchy.solve_v and so elliptic.solve_pair
+    import chemowave.cli
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = chemowave.cli.main(
+            ["simulate", "--chi", "-1", "--grid-left", "-10", "--grid-right",
+             "10", "--grid-h", "0.1", "--t-end", "1",
+             "--out-dir", str(tmp_path)])
+    finally:
+        restored = tracer.restore()
+    assert code == 0
+    assert restored
+    steps = json.loads((tmp_path / "manifest.json").read_text())["steps"]
+    layers = tracer.summarize(1.0)
+    assert steps > 0
+    assert layers["cauchy.solve_v_calls"] == steps + 1
+    assert layers["elliptic.solve_pair_calls"] == steps + 1

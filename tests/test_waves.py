@@ -21,16 +21,17 @@ from chemowave.waves import (NEWTON_TOL, SCHEME, WaveProblem,
                              construct_fixed_point, construct_relax, diagnose,
                              diagnose_profile_field, fitted_frame_speed,
                              newton_tolerance, normalize_translation, settle)
-from chemowave.barriers import default_barrier_spec, eval_sub, eval_super
+from chemowave.barriers import default_barrier_spec, eval_super
 from chemowave.stability import default_eta, run_stability
 
 
 def synthetic_profile(grid, fn, kappa, c, params=Params(0.0)):
     from chemowave.waves import WaveProfile
     U = Field(grid, fn(grid.x))
-    v, _ = solve_v(params, U, tail_kappa=kappa)
-    return WaveProfile(U=U, V=v, c=c, kappa=kappa, outer_iters=0,
-                       params=params, method="FixedPoint", c_eff=c)
+    v, _ = solve_v(params, U.values, grid, tail_kappa=kappa)
+    return WaveProfile(U=U, V=Field(grid, v), c=c, kappa=kappa,
+                       outer_iters=0, params=params, method="FixedPoint",
+                       c_eff=c)
 
 
 def stepped(prof):
@@ -112,14 +113,13 @@ def test_inner_relaxation_monotone_neg_chi():
     c = 4.0
     g = Grid.from_bounds(-40, 40, 0.05)
     spec = default_barrier_spec(p, c, M=1.0)
-    u = eval_super(spec, g).values.copy()
-    V, Vx = solve_v(p, Field(g, u), tail_kappa=spec.kappa)
+    u = eval_super(spec, g)
+    V, Vx = solve_v(p, u, g, tail_kappa=spec.kappa)
     c_eff = fitted_frame_speed(c, g.h)
     t = 0.0
     while t < 5.0:
-        dt = auto_dt(p, u, V.values, Vx.values, g.h)
-        un = advance_imex(p, u, V.values, Vx.values, c_eff, dt, g,
-                          spec.kappa, "centered")
+        dt = auto_dt(p, u, V, Vx, g.h)
+        un = advance_imex(p, u, V, Vx, c_eff, dt, g, spec.kappa, "centered")
         un = np.maximum(un, 0.0)
         assert float((un - u).max()) <= 1e-8          # decreasing in t
         ux = (un[2:] - un[:-2]) / (2 * g.h)
@@ -193,7 +193,7 @@ def test_newton_wave_inside_barriers(chi, dc):
     u = prof.U.values
     assert prof.residual_history[-1] < NEWTON_TOL
     assert u.min() > 0.0
-    assert float((u - eval_super(prof.barrier, g).values).max()) <= 1e-8
+    assert float((u - eval_super(prof.barrier, g)).max()) <= 1e-8
     assert u[-1] * math.exp(prof.kappa * g.x[-1]) == pytest.approx(1.0,
                                                                    abs=1e-12)
     if chi <= 0:
@@ -231,9 +231,9 @@ def test_newton_from_a_start_with_zeros_at_m_1():
     assert (start == 0.0).sum() > 400
     _, _, _, c_fit = waves._prepare(problem)
     rk = robin_rate(k, g.h)
-    V, Vx = solve_v(p, Field(g, start), tail_kappa=k)
-    _, ux = steady_residual(p, start, V.values, Vx.values, c_fit, g, rk)
-    bands = steady_jacobian(p, start, V.values, Vx.values, ux, c_fit, g, rk)
+    V, Vx = solve_v(p, start, g, tail_kappa=k)
+    _, ux = steady_residual(p, start, V, Vx, c_fit, g, rk)
+    bands = steady_jacobian(p, start, V, Vx, ux, c_fit, g, rk)
     assert all(np.isfinite(band).all() for band in bands)
     tol = newton_tolerance(g.h, 1.0)
     u, c_eff, history = waves._newton(problem, start, c_fit, tol)
@@ -252,8 +252,8 @@ def _dense_newton_step(problem, u, c_eff):
 
     def residual(y):
         w = np.append(y[:-1], u[-1])
-        V, Vx = solve_v(p, Field(g, w), tail_kappa=k)
-        return steady_residual(p, w, V.values, Vx.values, y[-1], g, rk)[0]
+        V, Vx = solve_v(p, w, g, tail_kappa=k)
+        return steady_residual(p, w, V, Vx, y[-1], g, rk)[0]
 
     y = np.append(u[:-1], c_eff)
     jac = np.empty((g.n, g.n))
@@ -287,10 +287,10 @@ def test_newton_step_is_the_dense_jacobian_solve(positive, frac, m, gamma, n,
     u = (np.minimum(1.0, np.exp(-problem.kappa * g.x))
          * rng.uniform(0.9, 1.1, n))
     c_eff = fitted_frame_speed(c, h)
-    V, Vx = solve_v(p, Field(g, u), tail_kappa=problem.kappa)
-    F, ux = steady_residual(p, u, V.values, Vx.values, c_eff, g,
+    V, Vx = solve_v(p, u, g, tail_kappa=problem.kappa)
+    F, ux = steady_residual(p, u, V, Vx, c_eff, g,
                             robin_rate(problem.kappa, h))
-    got = waves._newton_step(problem, u, V.values, Vx.values, ux, F, c_eff)
+    got = waves._newton_step(problem, u, V, Vx, ux, F, c_eff)
     want = _dense_newton_step(problem, u, c_eff)
     assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
