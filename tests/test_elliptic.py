@@ -119,11 +119,14 @@ def elliptic_cases(draw):
 
 
 @settings(max_examples=100)
-@given(case=elliptic_cases(),
-       a=st.floats(-3.0, 3.0, allow_subnormal=False),
-       b=st.floats(-3.0, 3.0, allow_subnormal=False))
+@given(case=elliptic_cases(), a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
+@example(case=(1.0, 1.0, 0.0, 0.0, 0.125, 0), a=0.0, b=2.225073858507e-311)
+@example(case=(1.0, 1.0, 0.0, 0.0, 0.125, 0), a=0.0,
+         b=np.finfo(float).smallest_normal)
 def test_linearity(case, a, b):
-    # a subnormal coefficient leaves no relative precision to bound
+    # below the smallest normal float each rounding is an absolute error of
+    # up to half a subnormal step, so the O(n) sweeps may lose a few steps
+    # per node whatever the scale; above it the relative bound dominates
     lam, mu, left, right, h, seed = case
     g = Grid.from_bounds(-10.0, 10.0, h)
     rng = np.random.default_rng(seed)
@@ -133,7 +136,8 @@ def test_linearity(case, a, b):
     p, d = solve_pair(a * s1 + b * s2, g, lam, mu, left, right)
     for got, u, w in ((p, p1, p2), (d, d1, d2)):
         scale = abs(a) * np.abs(u).max() + abs(b) * np.abs(w).max()
-        assert np.abs(got - (a * u + b * w)).max() <= 1e-12 * scale
+        assert np.abs(got - (a * u + b * w)).max() <= (
+            1e-12 * scale + 4 * g.n * np.finfo(float).smallest_subnormal)
 
 
 @settings(max_examples=100)
