@@ -33,8 +33,9 @@ the result.  The implicit matrix depends only on (n, h, dt,
 robin_kappa, c); its LAPACK gttrf factor is cached for the last four
 such keys and each step solves with gttrs, so a fixed-dt run factors
 its dt once, plus each shorter step capped at an output time; so does
-an automatic-dt run while its step sits at the DT_MAX cap (a step below
-the cap factors afresh, at the cost of a one-off tridiagonal solve).
+an automatic-dt run while its step sits at its cap, DT_MAX or
+RELAX_DT_MAX (a step below the cap factors afresh, at the cost of a
+one-off tridiagonal solve).
 At chi = 0 the step reads v only through terms multiplied by chi, so
 march solves v only at samples (output times and the end) and reuses
 the last v in between.
@@ -48,12 +49,20 @@ One right-edge decay rate kappa (SimConfig.tail_kappa) closes u and v;
 it is 0 in the lab frame and kappa(c) in the wave lane.
 The automatic time step obeys
 
-    dt <= min(0.5 h / max|w - c|, 0.1 / Rmax)
+    dt <= min(0.5 h / max|w - c|, 0.1 / Rmax, DT_MAX)
 
 with w - c the explicit chemotactic drift and Rmax the largest reaction
 Jacobian magnitude, recomputed every step; the frame speed c, being
 implicit, does not bound it.  It is bounded instead by |c| h < 2 (cell
 Peclet number below 1), which keeps the implicit matrix an M-matrix.
+0.1 / Rmax is a time-accuracy bound.  A run that seeks only a steady
+state (SimConfig.pseudo_time, set by CoupledRelax alone) steps in
+pseudo-time instead, under
+
+    dt <= min(0.5 h / max|w - c|, RELAX_REACTION / Rmax, RELAX_DT_MAX),
+
+the same drift CFL and a reaction bound that keeps explicit Euler on
+the reaction monotone (dt Rmax <= 1; it is stable up to 2).
 """
 
 from __future__ import annotations
@@ -76,6 +85,8 @@ from .params import Params, RegimeTag, M_chi, classify_regime
 
 DT_FLOOR = 1e-10
 DT_MAX = 0.1                     # cap on the automatic time step
+RELAX_REACTION = 0.8             # pseudo-time step: dt Rmax at most this
+RELAX_DT_MAX = 0.4               # ... and dt at most this
 MAX_INNER_STEPS = 400_000        # step budget of one march
 LANDING_SLACK = 1e-12            # a step this near an output time lands on it
 MONITOR_SLACK = 1e-6
@@ -89,7 +100,9 @@ class SimConfig:
     The left edge is always zero flux.  u leaves the right edge as
     e^{-tail_kappa x} (Robin ghost node, robin_rate) and v as
     e^{-gamma tail_kappa x}; the lab's 0 means zero flux and a plateau.
-    The implicit frame advection needs |frame_speed| h < 2.
+    The implicit frame advection needs |frame_speed| h < 2.  pseudo_time
+    selects the steady-state step rule of auto_dt, for a run whose time
+    accuracy does not matter.
     """
 
     params: Params
@@ -100,6 +113,7 @@ class SimConfig:
     tail_kappa: float = 0.0
     output_every: float = 1.0
     scheme: str = "upwind"           # "upwind" | "centered"
+    pseudo_time: bool = False        # automatic dt for a steady state only
 
     def __post_init__(self):
         for name in ("t_end", "output_every", "frame_speed", "dt",
@@ -213,11 +227,15 @@ def reaction_jacobian_bound(p: Params, u: np.ndarray, v: np.ndarray) -> float:
 
 
 def auto_dt(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
-            h: float) -> float:
+            h: float, pseudo_time: bool = False) -> float:
     """Automatic step: CFL on the explicit drift w - c, and the reaction bound.
 
     The frame speed c is advected implicitly, so it does not bound dt.
+    pseudo_time swaps the accuracy bound 0.1 / Rmax and cap DT_MAX for
+    RELAX_REACTION / Rmax and RELAX_DT_MAX.
     """
+    reaction, cap = ((RELAX_REACTION, RELAX_DT_MAX) if pseudo_time
+                     else (0.1, DT_MAX))
     drift = advective_velocity(p, u, vx, 0.0)       # w - c
     vmax = float(np.abs(drift).max())
     rmax = reaction_jacobian_bound(p, u, v)
@@ -225,8 +243,8 @@ def auto_dt(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
     if vmax > 0:
         dt = min(dt, 0.5 * h / vmax)
     if rmax > 0:
-        dt = min(dt, 0.1 / rmax)
-    return min(dt, DT_MAX)
+        dt = min(dt, reaction / rmax)
+    return min(dt, cap)
 
 
 def _ghosted(u: np.ndarray, h: float, robin_kappa: float) -> np.ndarray:
@@ -355,7 +373,8 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
     automatic; it must clear DT_FLOOR before it is capped so that a step
     lands on every multiple of output_every and on t_end.  sample marks
     those landings and the final state.  A run whose least step count,
-    t_end / (dt or DT_MAX), is above MAX_INNER_STEPS is refused before
+    t_end over dt or over the automatic cap (DT_MAX, or RELAX_DT_MAX
+    under config.pseudo_time), is above MAX_INNER_STEPS is refused before
     its first step with StepBudgetError (a fixed dt below DT_FLOOR fails
     that step instead), and an automatic-dt run that needs more steps
     ends in StiffnessError.  v is refreshed from the new u after every
@@ -368,11 +387,12 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
         raise DomainError("u0 grid does not match config.grid")
     if u0.min() < 0:
         raise DomainError("u0 must be nonnegative")
-    largest_dt = config.dt or DT_MAX
+    cap = RELAX_DT_MAX if config.pseudo_time else DT_MAX
+    largest_dt = config.dt or cap
     least_steps = config.t_end / largest_dt
     # a fixed dt below DT_FLOOR is left to fail its first step
     if largest_dt >= DT_FLOOR and least_steps > MAX_INNER_STEPS:
-        dt = f"{config.dt:g}" if config.dt else f"auto (at most {DT_MAX:g})"
+        dt = f"{config.dt:g}" if config.dt else f"auto (at most {cap:g})"
         raise StepBudgetError(
             f"--t-end {config.t_end:g} at --dt {dt} needs at least "
             f"{least_steps:.3g} steps, over the budget of {MAX_INNER_STEPS:,}")
@@ -394,7 +414,7 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
                 raise StiffnessError(
                     f"automatic dt took {steps:,} steps to t = {t:.6g} of "
                     f"t_end {config.t_end:g}: step budget exhausted")
-            dt = auto_dt(p, u, v, vx, grid.h)
+            dt = auto_dt(p, u, v, vx, grid.h, config.pseudo_time)
         steps += 1
         if dt < DT_FLOOR:
             raise StiffnessError(f"dt underflow: {dt:.3e} < {DT_FLOOR:g}")

@@ -268,7 +268,8 @@ SUBCOMMANDS = {
     "constants": Subcommand(cmd_constants, {}, (*_MODEL, "c")),
     "simulate": Subcommand(cmd_simulate, {}, (*_MODEL, *_GRID, "t_end",
                                               "dt")),
-    # Newton takes no time step, CoupledRelax the automatic one
+    # Newton takes no time step; CoupledRelax steps in pseudo-time, at the
+    # automatic dt of a steady-state relaxation
     "wave": Subcommand(cmd_wave, {}, (*_MODEL, "c", *_GRID, "method"),
                        ("dt",)),
     # the stability norm weights the far tail by e^{2 eta x}; a right edge

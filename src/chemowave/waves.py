@@ -18,11 +18,14 @@ Two routes to a stationary profile of the moving-frame system
   system from the same initial condition, an independent cross-check.
   It runs `cauchy.march`, the package's one stepping loop, at the
   fitted frame speed and stops it once ||u_t||_inf < TOL_INNER; at most
-  MAX_INNER_STEPS steps, march's step budget, are taken.  The step
-  advects with the frame speed implicitly, so only the chemotactic
-  drift and the reaction bound its dt, and it converges to the same
+  MAX_INNER_STEPS steps, march's step budget, are taken.  It seeks no
+  time accuracy, so it steps in pseudo-time (SimConfig.pseudo_time):
+  the frame speed is advected implicitly, and only the chemotactic
+  drift's CFL, the reaction's monotonicity bound RELAX_REACTION / Rmax
+  and the cap RELAX_DT_MAX bound its dt.  It converges to the same
   discrete steady state `cauchy.steady_residual` = 0 that FixedPoint
-  solves for.  The profile's StepStats count its steps.
+  solves for, a fixed point of the step at any dt.  The profile's
+  StepStats count its steps.
 
 Profiles built here use centered advection: the wave targets (decay-rate
 fits, barrier sandwiches at 1e-8) need the O(h^2) spatial accuracy, and
@@ -41,8 +44,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .barriers import BarrierSpec, default_barrier_spec, eval_sub, eval_super
-from .cauchy import (DT_MAX, MAX_INNER_STEPS, SimConfig, StepStats, march,
-                     robin_rate, solve_v, steady_jacobian, steady_residual)
+from .cauchy import (MAX_INNER_STEPS, RELAX_DT_MAX, SimConfig, StepStats,
+                     march, robin_rate, solve_v, steady_jacobian,
+                     steady_residual)
 from .elliptic import lapack, sweep_weights, tail_integrals
 from .errors import (DomainError, NoConvergence, NormalizationError,
                      RegimeError, WindowTooShort)
@@ -303,17 +307,18 @@ def construct_fixed_point(problem: WaveProblem) -> WaveProfile:
 def construct_relax(problem: WaveProblem) -> WaveProfile:
     """Steady state of the coupled moving-frame system from the super-solution.
 
-    march runs to t_end = MAX_INNER_STEPS * DT_MAX, so neither its
-    output times nor its end cap a step before the step budget runs out.
-    That horizon sits exactly on march's own budget, so march accepts
-    it and is never asked for a step past the budget: an exhausted
-    budget is this function's NoConvergence.
+    march steps in pseudo-time, each dt at most RELAX_DT_MAX, and runs
+    to t_end = MAX_INNER_STEPS * RELAX_DT_MAX, so neither its output
+    times nor its end cap a step before the step budget runs out.  That
+    horizon sits exactly on march's own budget, so march accepts it and
+    is never asked for a step past the budget: an exhausted budget is
+    this function's NoConvergence.
     """
     spec, upper, lower, c_eff = _prepare(problem)
-    horizon = MAX_INNER_STEPS * DT_MAX
+    horizon = MAX_INNER_STEPS * RELAX_DT_MAX
     config = SimConfig(problem.params, problem.grid, t_end=horizon,
                        frame_speed=c_eff, tail_kappa=problem.kappa,
-                       output_every=horizon, scheme=SCHEME)
+                       output_every=horizon, scheme=SCHEME, pseudo_time=True)
     u, resid, stats = upper, math.inf, StepStats()
     for _, un, _, _, dt, clamped, _ in itertools.islice(
             march(config, Field(problem.grid, upper)), 1, MAX_INNER_STEPS + 1):

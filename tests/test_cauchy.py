@@ -213,14 +213,16 @@ def test_march_refuses_a_run_over_the_step_budget(monkeypatch, dt, refused):
 
 
 def test_march_accepts_the_relaxation_horizon():
-    # CoupledRelax runs to MAX_INNER_STEPS * DT_MAX: exactly on the budget
+    # CoupledRelax runs in pseudo-time to MAX_INNER_STEPS * RELAX_DT_MAX:
+    # exactly on the budget, which the accurate step rule's cap would break
     g = Grid.from_bounds(-10, 10, 0.1)
-    cfg = SimConfig(params=Params(0.0), grid=g,
-                    t_end=cauchy.MAX_INNER_STEPS * cauchy.DT_MAX)
+    cfg = SimConfig(params=Params(0.0), grid=g, pseudo_time=True,
+                    t_end=cauchy.MAX_INNER_STEPS * cauchy.RELAX_DT_MAX)
     assert next(march(cfg, Field(g, np.ones(g.n))))[0] == 0.0
-    with pytest.raises(DomainError, match="budget"):
-        next(march(replace(cfg, t_end=math.nextafter(cfg.t_end, math.inf)),
-                   Field(g, np.ones(g.n))))
+    for over in (replace(cfg, t_end=math.nextafter(cfg.t_end, math.inf)),
+                 replace(cfg, pseudo_time=False)):
+        with pytest.raises(DomainError, match="budget"):
+            next(march(over, Field(g, np.ones(g.n))))
 
 
 def test_auto_dt_run_over_the_step_budget_is_a_stiffness_error(monkeypatch):
@@ -314,17 +316,34 @@ def test_auto_dt_obeys_both_bounds():
     from chemowave.cauchy import reaction_jacobian_bound
     rng = np.random.default_rng(12)
     g = Grid.from_bounds(-20, 20, 0.05)
+    rules = ((False, 0.1, cauchy.DT_MAX),
+             (True, cauchy.RELAX_REACTION, cauchy.RELAX_DT_MAX))
     for chi in (-3.0, -0.5, 0.4):
         p = Params(chi, 1.5, 1.5, 2.0)
         u = Field(g, 2.0 * np.convolve(rng.uniform(size=g.n),
                                        np.ones(31) / 31, mode="same"))
         v, vx = solve_v(p, u.values, g, tail_kappa=0.0)
-        dt = auto_dt(p, u.values, v, vx, g.h)
+        rmax = reaction_jacobian_bound(p, u.values, v)
         # the frame speed is advected implicitly: only the drift w - c
         # enters the CFL bound
         drift = advective_velocity(p, u.values, vx, 3.0) - 3.0
-        assert dt <= 0.5 * g.h / np.abs(drift).max() + 1e-15
-        assert dt <= 0.1 / reaction_jacobian_bound(p, u.values, v) + 1e-15
+        for pseudo_time, reaction, cap in rules:
+            dt = auto_dt(p, u.values, v, vx, g.h, pseudo_time)
+            assert dt <= 0.5 * g.h / np.abs(drift).max() + 1e-15
+            assert dt <= reaction / rmax + 1e-15
+            assert dt <= cap
+
+
+def test_accurate_step_rule_stats_are_pinned():
+    # simulate, stability, speed and sweep keep the accuracy rule
+    # 0.1 / Rmax; these are its steps on a small lab-frame run
+    g = Grid.from_bounds(-20, 20, 0.1)
+    u0 = Field(g, 2.0 * np.exp(-g.x**2))
+    _, monitors, _ = run(SimConfig(Params(-1.0), g, t_end=2.0), u0)
+    stats = monitors.stats
+    assert (stats.steps, stats.clamp_count) == (42, 0)
+    assert stats.dt_min == pytest.approx(0.01692198236477578, rel=1e-12)
+    assert stats.dt_max == pytest.approx(0.06543374783027749, rel=1e-12)
 
 
 def banded_reference_step(p, u, v, vx, c, dt, grid, robin_kappa, scheme):

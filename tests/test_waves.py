@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chemowave import cauchy, waves
-from chemowave.cauchy import (DT_MAX, SimConfig, StepStats, advance_imex,
-                              auto_dt, march, robin_rate, solve_v,
+from chemowave.cauchy import (DT_MAX, RELAX_DT_MAX, SimConfig, StepStats,
+                              advance_imex, auto_dt, march,
+                              reaction_jacobian_bound, robin_rate, solve_v,
                               steady_jacobian, steady_residual)
 from chemowave.errors import (NoConvergence, NormalizationError, RegimeError,
                               SpeedError, TruncationWarning, WindowTooShort)
@@ -106,9 +107,12 @@ def test_construct_speed_and_regime_errors():
         construct_fixed_point(WaveProblem(params=Params(0.9), c=4.0, grid=g))
 
 
-def test_inner_relaxation_monotone_neg_chi():
+@pytest.mark.parametrize("pseudo_time", [False, True],
+                         ids=["accurate", "pseudo_time"])
+def test_inner_relaxation_monotone_neg_chi(pseudo_time):
     # frozen-V relaxation from the super-solution decreases in time and
-    # keeps the spatial monotonicity (repulsion regime)
+    # keeps the spatial monotonicity (repulsion regime), at the accurate
+    # step and at the larger pseudo-time step alike
     p = Params(-1.0)
     c = 4.0
     g = Grid.from_bounds(-40, 40, 0.05)
@@ -118,7 +122,7 @@ def test_inner_relaxation_monotone_neg_chi():
     c_eff = fitted_frame_speed(c, g.h)
     t = 0.0
     while t < 5.0:
-        dt = auto_dt(p, u, V, Vx, g.h)
+        dt = auto_dt(p, u, V, Vx, g.h, pseudo_time)
         un = advance_imex(p, u, V, Vx, c_eff, dt, g, spec.kappa, "centered")
         un = np.maximum(un, 0.0)
         assert float((un - u).max()) <= 1e-8          # decreasing in t
@@ -344,10 +348,30 @@ def test_relax_steps_are_not_capped_by_the_frame_speed(neg_relax_profile):
     # the frame advection is implicit: an explicit c u_x would cap dt at
     # 0.5 h / c_eff = 0.00625
     prof = neg_relax_profile
-    assert 0 < prof.stats.steps <= 500
+    assert 0 < prof.stats.steps <= 120
     assert prof.stats.dt_max > 0.5 * prof.U.grid.h / prof.c_eff
-    assert 0.0 < prof.stats.dt_min <= prof.stats.dt_max <= DT_MAX
+    assert 0.0 < prof.stats.dt_min <= prof.stats.dt_max <= RELAX_DT_MAX
     assert settle(prof).stats == prof.stats
+
+
+def test_relax_steps_exceed_the_accuracy_bound(neg_relax_profile):
+    # pseudo-time: a relaxation step is above the cap and the reaction
+    # bound 0.1 / Rmax that a time-accurate run obeys
+    prof = neg_relax_profile
+    rmax = reaction_jacobian_bound(prof.params, prof.U.values, prof.V.values)
+    assert prof.stats.dt_max > max(DT_MAX, 0.1 / rmax)
+    assert prof.stats.clamp_count == 0
+
+
+def test_relax_stops_at_a_steady_state(neg_relax_profile):
+    # the stop rule reads ||u_new - u|| / dt, which the implicit solve
+    # damps more at a larger dt; the profile must still be steady
+    prof = neg_relax_profile
+    p, g = prof.params, prof.U.grid
+    v, vx = solve_v(p, prof.U.values, g, prof.kappa)
+    resid, _ = steady_residual(p, prof.U.values, v, vx, prof.c_eff, g,
+                               robin_rate(prof.kappa, g.h))
+    assert float(np.abs(resid).max()) < waves.TOL_INNER
 
 
 def test_relax_ledger_counts_what_march_yields(monkeypatch):
