@@ -21,8 +21,9 @@ is all of w.  `march` is the package's one stepping loop: it checks u0,
 takes each clamped step, checks it is finite, refreshes v from the new
 u and caps dt at output times and t_end.  It steps plain arrays and
 builds no Field.  Its consumers count their steps in one StepStats:
-`run` builds Fields at samples only, CoupledRelax stops it at a steady
-state and the spreading-speed run at a lost front.
+`run` builds Fields at samples only, the stability lab reads arrays at
+samples, CoupledRelax stops it at a steady state (or a stall) and the
+spreading-speed run at a lost front.
 
 `solve_v`, on plain arrays, is the model's one solve of 0 = v_xx - v
 + u^gamma: march, the wave lane, the barrier operator and the a-priori

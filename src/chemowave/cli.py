@@ -142,9 +142,8 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def _build_wave(cfg: dict):
-    problem = WaveProblem(params=_params(cfg), c=cfg["c"], grid=_grid(cfg),
-                          method=cfg["method"])
-    return construct(problem)
+    return construct(WaveProblem(_params(cfg), cfg["c"], _grid(cfg)),
+                     cfg["method"])
 
 
 def cmd_wave(cfg: dict) -> int:
@@ -155,7 +154,8 @@ def cmd_wave(cfg: dict) -> int:
     os.makedirs(out, exist_ok=True)
     cw_io.write_profile_csv(os.path.join(out, "profile.csv"), profile)
     payload = {
-        "c": profile.c, "kappa": profile.kappa, "kappa_fit": diag.kappa_fit,
+        "c": profile.problem.c, "kappa": profile.problem.kappa,
+        "kappa_fit": diag.kappa_fit,
         "kappa1": diag.kappa1, "left_limit": diag.left_limit,
         "right_limit": diag.right_limit,
         "monotonicity_violation": diag.monotonicity_violation,
@@ -174,16 +174,17 @@ def cmd_wave(cfg: dict) -> int:
 
 def cmd_stability(cfg: dict) -> int:
     # polish the profile into a machine-exact fixed point first
-    p = _params(cfg)
     profile = settle(_build_wave(cfg))
+    problem = profile.problem
     # NormalizationError unless the profile is a front (one crossing of 1/2)
     normalize_translation(profile)
-    eta = cfg["eta"] if cfg["eta"] is not None else default_eta(p, cfg["c"])
+    eta = (cfg["eta"] if cfg["eta"] is not None
+           else default_eta(problem.params, problem.c))
     record = run_stability(profile, eta, t_end=cfg["t_end"])
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
     cw_io.write_decay_csv(os.path.join(out, "decay.csv"), record)
-    km, kp = eta_window(p, cfg["c"])
+    km, kp = eta_window(problem.params, problem.c)
     tolerances = {"rel_drop": REL_DROP, "envelope_slack": ENVELOPE_SLACK}
     payload = {"lambda_pred": record.lambda_pred, "eta": record.eta,
                "kappa_minus": km, "kappa_plus": kp,

@@ -13,7 +13,9 @@ which the energy estimate bounds by W(0) exp(2 lambda t) with
 s = 1/6, and D', D'' the explicit constant chain evaluated at a sup
 bound slightly above M_chi.  A run PASSes when W drops by the required
 relative factor and stays under the predicted envelope (slack factor 10
-absorbing transients).
+absorbing transients).  It steps the profile's own problem
+(WaveProblem.stepper at the profile's c_eff) through `cauchy.march` and
+reads W, supdiff and the truncation flag from each sample's arrays.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import SimConfig, StepStats, run, solve_v
+from .cauchy import StepStats, march, solve_v
 from .elliptic import solve_pair
 from .errors import DomainError, TruncationWarning
 from .fields import Field
 from .params import (Params, SIGMA, TILDE_FACTOR, _bD_chain, M_chi,
                      constants_report, kappa_of_speed)
-from .waves import SCHEME, WaveProfile
+from .waves import WaveProfile
 
 REL_DROP = 1e-4          # required relative decay of W at t_end
 ENVELOPE_SLACK = 10.0    # transient allowance on the exp(2 lambda t) envelope
@@ -61,12 +63,6 @@ class DecayRecord:
     truncated_from_t: float | None = None    # first sample weighted_norm flags
 
 
-def _weighted_integrand(u: Field, Ustar: Field, eta: float) -> np.ndarray:
-    if u.grid != Ustar.grid:
-        raise DomainError("u and Ustar must share a grid")
-    return np.exp(2.0 * eta * u.grid.x) * (u.values - Ustar.values) ** 2
-
-
 def _truncated(integrand: np.ndarray) -> bool:
     """The integrand at the right edge is not negligible against its peak."""
     peak = integrand.max()
@@ -80,7 +76,9 @@ def _warn_truncated() -> None:
 
 def weighted_norm(u: Field, Ustar: Field, eta: float) -> float:
     """Trapezoid integral of exp(2 eta x) (u - Ustar)^2."""
-    integrand = _weighted_integrand(u, Ustar, eta)
+    if u.grid != Ustar.grid:
+        raise DomainError("u and Ustar must share a grid")
+    integrand = np.exp(2.0 * eta * u.grid.x) * (u.values - Ustar.values) ** 2
     if _truncated(integrand):
         _warn_truncated()
     return float(np.trapezoid(integrand, dx=u.grid.h))
@@ -142,38 +140,40 @@ def run_stability(profile: WaveProfile, eta: float,
     not negligible at the right edge (weighted_norm's TruncationWarning);
     it does not enter the verdict.
     """
-    p = profile.params
-    kappa = profile.kappa
-    hi = 1.0 / (1.0 + abs(p.chi) ** SIGMA)
+    problem = profile.problem
+    kappa = problem.kappa
+    hi = 1.0 / (1.0 + abs(problem.params.chi) ** SIGMA)
     if not (kappa < eta < hi):
         raise DomainError(f"eta={eta:.6g} outside (kappa, 1/(1+|chi|^sigma)) "
                           f"= ({kappa:.6g}, {hi:.6g})")
-    lam = predicted_lambda(p, profile.c, eta)
+    lam = predicted_lambda(problem.params, problem.c, eta)
 
     u0 = perturbed_initial(profile)
     # step with exactly the discrete operator the profile is a fixed point of
-    config = SimConfig(params=p, grid=profile.U.grid, t_end=t_end,
-                       frame_speed=profile.c_eff, tail_kappa=kappa,
-                       output_every=OUTPUT_EVERY, scheme=SCHEME)
-    _, monitors, snapshots = run(config, u0)
-    times = np.array([s.t for s in snapshots])
-    W = np.empty(len(snapshots))
+    config = problem.stepper(profile.c_eff, t_end, OUTPUT_EVERY,
+                             pseudo_time=False)
+    ustar, h = profile.U.values, problem.grid.h
+    weight = np.exp(2.0 * eta * problem.grid.x)
+    stats, times, W, supdiff = StepStats(), [], [], []
     truncated = []                 # sample times weighted_norm would flag
-    for i, s in enumerate(snapshots):
-        integrand = _weighted_integrand(s.u, profile.U, eta)
-        W[i] = np.trapezoid(integrand, dx=profile.U.grid.h)
-        if _truncated(integrand):
-            truncated.append(s.t)
+    for t, u, _, _, dt, clamped, sample in march(config, u0):
+        stats.add(dt, clamped)
+        if sample:
+            integrand = weight * (u - ustar) ** 2
+            times.append(t)
+            W.append(np.trapezoid(integrand, dx=h))
+            supdiff.append(float(np.abs(u - ustar).max()))
+            if _truncated(integrand):
+                truncated.append(t)
     if truncated:
         _warn_truncated()
-    supdiff = np.array([float(np.abs(s.u.values - profile.U.values).max())
-                        for s in snapshots])
+    times, W, supdiff = np.array(times), np.array(W), np.array(supdiff)
 
     env_ok = all(W[i] <= ENVELOPE_SLACK * W[0] * math.exp(2.0 * lam * times[i])
                  for i in range(len(times)) if times[i] >= 1.0)
     passed = bool(env_ok and W[-1] <= REL_DROP * W[0])
     return DecayRecord(times=times, W=W, supdiff=supdiff, lambda_pred=lam,
-                       eta=eta, passed=passed, stats=monitors.stats,
+                       eta=eta, passed=passed, stats=stats,
                        truncated_from_t=truncated[0] if truncated else None)
 
 
@@ -198,9 +198,8 @@ def apriori_checks(profile: WaveProfile) -> list[Check]:
     |U'/U| <= M_tilde.  Each check reports pass/fail with its worst
     margin, or not_applicable when its hypothesis fails.
     """
-    p = profile.params
-    c = profile.c
-    kappa = profile.kappa
+    problem = profile.problem
+    p, c, kappa = problem.params, problem.c, problem.kappa
     M = M_chi(p)
     rep = constants_report(p, c=c)
     slack = 1e-6 + profile.U.grid.h
@@ -211,25 +210,25 @@ def apriori_checks(profile: WaveProfile) -> list[Check]:
         return [Check("hypothesis c > max{gamma+1/gamma, m|chi|M^(m+g-1)}",
                       "not_applicable")]
 
+    def worst(name, excess, where):
+        """Pass when the largest excess is at most slack; record where."""
+        i = int(np.argmax(excess))
+        checks.append(Check(name, "pass" if excess[i] <= slack else "fail",
+                            float(excess[i]), float(where[i])))
+
     x = profile.U.grid.x
     # v and v_x from one solve, closed by the profile's own wave tails
     V, Vx = solve_v(p, profile.U.values, profile.U.grid, kappa)
-
-    def sup_check(name, vals, bound):
-        excess = np.abs(vals) - bound      # bound scalar or per-node array
-        i = int(np.argmax(excess))
-        checks.append(Check(name, "pass" if excess[i] <= slack else "fail",
-                            float(excess[i]), float(x[i])))
-
     Mg = M ** p.gamma
-    sup_check("abs(v) <= M_chi^gamma", V, Mg)
-    sup_check("abs(v_x) <= M_chi^gamma", Vx, Mg)
+    worst("abs(v) <= M_chi^gamma", np.abs(V) - Mg, x)
+    worst("abs(v_x) <= M_chi^gamma", np.abs(Vx) - Mg, x)
 
     gk = p.gamma * kappa
     if gk < 1.0:
         refined = np.minimum(Mg, np.exp(-gk * x) / (1.0 - gk * gk))
-        sup_check("abs(v) <= min{M^g, e^(-gkx)/(1-g^2k^2)}", V, refined)
-        sup_check("abs(v_x) refined exponential bound", Vx, refined)
+        worst("abs(v) <= min{M^g, e^(-gkx)/(1-g^2k^2)}",
+              np.abs(V) - refined, x)
+        worst("abs(v_x) refined exponential bound", np.abs(Vx) - refined, x)
     else:
         checks.append(Check("refined v bounds", "not_applicable"))
 
@@ -239,41 +238,26 @@ def apriori_checks(profile: WaveProfile) -> list[Check]:
     drift = c - p.m * abs(p.chi) * M ** (p.m + p.gamma - 1.0)
     lo = -(abs(p.chi) * M ** (p.m + p.gamma) + M) / drift
     hi = (abs(p.chi) * M ** (p.m + p.gamma) + M * (M ** p.alpha - 1.0)) / drift
-    worst_lo = float((lo - Ux).max())
-    worst_hi = float((Ux - hi).max())
-    ok = worst_lo <= slack and worst_hi <= slack
-    checks.append(Check("U' within explicit bracket", "pass" if ok else "fail",
-                        max(worst_lo, worst_hi),
-                        float(xi[int(np.argmax(np.maximum(lo - Ux, Ux - hi)))])))
+    worst("U' within explicit bracket", np.maximum(lo - Ux, Ux - hi), xi)
 
     if gk < 1.0 and not math.isnan(rep.M2):
         env = (1.0 + 2.0 / c) * (rep.M1 * np.exp(-kappa * xi)
                                  + rep.M2 * np.exp(-gk * xi))
-        excess = np.abs(Ux) - env
-        i = int(np.argmax(excess))
-        checks.append(Check("abs(U') <= (1+2/c)(M1 e^-kx + M2 e^-gkx)",
-                            "pass" if excess[i] <= slack else "fail",
-                            float(excess[i]), float(xi[i])))
+        worst("abs(U') <= (1+2/c)(M1 e^-kx + M2 e^-gkx)", np.abs(Ux) - env, xi)
     else:
         checks.append(Check("two-exponential U' envelope", "not_applicable"))
 
     Ui = profile.U.values[1:-1]
     pos = Ui > 1e-12
-    ratio = np.abs(Ux[pos]) / Ui[pos]
-    excess = ratio - rep.M_tilde
-    i = int(np.argmax(excess))
-    checks.append(Check("abs(U'/U) <= M_tilde",
-                        "pass" if excess[i] <= slack else "fail",
-                        float(excess[i]), float(xi[pos][i])))
+    worst("abs(U'/U) <= M_tilde", np.abs(Ux[pos]) / Ui[pos] - rep.M_tilde,
+          xi[pos])
     return checks
 
 
 def uniqueness_check(p1: WaveProfile, p2: WaveProfile) -> float:
     """Sup-norm distance of two translation-normalized profiles."""
-    if p1.params != p2.params or p1.c != p2.c:
-        raise DomainError("profiles must share (params, c)")
-    if p1.U.grid != p2.U.grid:
-        raise DomainError("profiles must share a grid")
+    if p1.problem != p2.problem:
+        raise DomainError("profiles must share a problem (params, c, grid)")
     return float(np.abs(p1.U.values - p2.U.values).max())
 
 

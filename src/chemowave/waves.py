@@ -1,31 +1,33 @@
 """Traveling-wave profile construction and diagnostics.
 
-Two routes to a stationary profile of the moving-frame system
+A WaveProblem (params, c, grid) owns the wave lane's discrete equations,
+the centered IMEX step of the moving-frame system
 
     u_t = u_xx + c u_x - chi m u^(m-1) u_x V_x - chi u^m V
-          + chi u^(m+gamma) + u (1 - u^alpha),      V = Psi(u^gamma):
+          + chi u^(m+gamma) + u (1 - u^alpha),      V = Psi(u^gamma)
 
-* FixedPoint: the fixed point of the map u -> U(.; u) solved directly
-  by damped Newton, one banded solve of the exact Jacobian per step, on
-  the steady centered IMEX step (`cauchy.steady_residual`) from the
-  super-solution min{M, e^{-kx}}.  The frame speed c_eff is an unknown
-  (the freezing method of Beyn & Thuemmler) and the tail node is pinned
-  to e^{-kappa x_R}, the amplitude the barriers fix (and the translation,
-  where that value is well above round-off; see `_newton`).  The result
-  is a fixed point of the stepper to round-off.
+closed at kappa(c): its steady form (`residual`) and its `stepper`.
+`construct(problem, method)` solves them by one of two routes; the
+WaveProfile carries its problem and records its route.
 
-* CoupledRelax: direct relaxation of the fully coupled moving-frame
-  system from the same initial condition, an independent cross-check.
-  It runs `cauchy.march`, the package's one stepping loop, at the
-  fitted frame speed and stops it once ||u_t||_inf < TOL_INNER; at most
-  MAX_INNER_STEPS steps, march's step budget, are taken.  It seeks no
-  time accuracy, so it steps in pseudo-time (SimConfig.pseudo_time):
-  the frame speed is advected implicitly, and only the chemotactic
-  drift's CFL, the reaction's monotonicity bound RELAX_REACTION / Rmax
-  and the cap RELAX_DT_MAX bound its dt.  It converges to the same
-  discrete steady state `cauchy.steady_residual` = 0 that FixedPoint
-  solves for, a fixed point of the step at any dt.  The profile's
-  StepStats count its steps.
+* FixedPoint: damped Newton on residual = 0, one banded solve of the
+  exact Jacobian per step, from the super-solution min{M, e^{-kx}}.
+  The frame speed c_eff is an unknown (the freezing method of Beyn &
+  Thuemmler) and the tail node is pinned to e^{-kappa x_R}, the
+  amplitude the barriers fix (and the translation, where that value is
+  well above round-off; see `_newton`).  The result is a fixed point of
+  the stepper to round-off.
+
+* CoupledRelax: direct relaxation of the fully coupled system from the
+  same start, an independent cross-check.  It runs `cauchy.march` at
+  the fitted frame speed and stops it once ||u_t||_inf < TOL_INNER,
+  within MAX_INNER_STEPS steps (march's budget) and unless it stalls
+  (||u_t||_inf not halved in STALL_STEPS steps).  It seeks no time
+  accuracy, so it steps in pseudo-time (SimConfig.pseudo_time): the
+  frame speed is advected implicitly, and only the chemotactic drift's
+  CFL, the reaction's monotonicity bound RELAX_REACTION / Rmax and the
+  cap RELAX_DT_MAX bound its dt.  Its steady state is residual = 0, a
+  fixed point of the step at any dt.  StepStats count its steps.
 
 Profiles built here use centered advection: the wave targets (decay-rate
 fits, barrier sandwiches at 1e-8) need the O(h^2) spatial accuracy, and
@@ -58,6 +60,7 @@ FIT_WINDOW = (1e-6, 1e-2)
 MIN_WINDOW_LENGTH = 5.0
 SCHEME = "centered"          # advection scheme of every wave-lane step
 TOL_INNER = 1e-8             # CoupledRelax steady state: ||u_t||_inf below this
+STALL_STEPS = 500            # ... which must halve within this many steps
 NEWTON_TOL = 1e-12           # FixedPoint: sup of the steady residual below this
 ROUNDOFF_FACTOR = 10.0       # ... or below this many times its round-off floor
 MAX_NEWTON = 50
@@ -98,30 +101,42 @@ def newton_tolerance(h: float, u_max: float) -> float:
 
 @dataclass(frozen=True)
 class WaveProblem:
+    """The centered step at speed c on grid, closed at kappa(c): u leaves
+    the right edge at robin_rate(kappa, h), v as e^{-gamma kappa x}."""
+
     params: Params
     c: float
     grid: Grid
-    method: str = "FixedPoint"        # "FixedPoint" | "CoupledRelax"
-
-    def __post_init__(self):
-        if self.method not in ("FixedPoint", "CoupledRelax"):
-            raise DomainError(f"unknown method {self.method!r}")
 
     @property
     def kappa(self) -> float:
         """Decay rate of the wave's right tail, kappa(c)."""
         return kappa_of_speed(self.c)
 
+    def residual(self, u: np.ndarray, c_eff: float) -> tuple[np.ndarray, ...]:
+        """(F, u_x, v, v_x): the steady residual at u in the frame c_eff,
+        v solved from u."""
+        v, vx = solve_v(self.params, u, self.grid, self.kappa)
+        F, ux = steady_residual(self.params, u, v, vx, c_eff, self.grid,
+                                robin_rate(self.kappa, self.grid.h))
+        return F, ux, v, vx
+
+    def stepper(self, c_eff: float, t_end: float, output_every: float,
+                pseudo_time: bool) -> SimConfig:
+        """The centered step in the frame c_eff, for march."""
+        return SimConfig(self.params, self.grid, t_end=t_end,
+                         frame_speed=c_eff, tail_kappa=self.kappa,
+                         output_every=output_every, scheme=SCHEME,
+                         pseudo_time=pseudo_time)
+
 
 @dataclass
 class WaveProfile:
     U: Field
     V: Field
-    c: float
-    kappa: float
+    problem: WaveProblem
     outer_iters: int
-    params: Params
-    method: str
+    method: str                      # the route: "FixedPoint" | "CoupledRelax"
     c_eff: float                     # fitted frame speed actually stepped
     sandwich_violation: float = math.nan
     barrier: BarrierSpec | None = None
@@ -131,7 +146,8 @@ class WaveProfile:
     @property
     def c_eff_shift(self) -> float:
         """c_eff less the fitted frame speed it started from."""
-        return self.c_eff - fitted_frame_speed(self.c, self.U.grid.h)
+        return self.c_eff - fitted_frame_speed(self.problem.c,
+                                               self.problem.grid.h)
 
 
 @dataclass
@@ -244,19 +260,11 @@ def _newton(problem: WaveProblem, u: np.ndarray, c_eff: float, tol: float,
     accepted iterate.  Returns the solution, its c_eff and the sup
     residual of each iterate, the start included.
     """
-    p, grid, kappa = problem.params, problem.grid, problem.kappa
-    rk = robin_rate(kappa, grid.h)
-
-    def residual(u, c_eff):
-        v, vx = solve_v(p, u, grid, kappa)
-        F, ux = steady_residual(p, u, v, vx, c_eff, grid, rk)
-        return F, ux, v, vx
-
     u = u.copy()
-    u[-1] = math.exp(-kappa * grid.x[-1])
+    u[-1] = math.exp(-problem.kappa * problem.grid.x[-1])
     if visit is not None:
         visit(u)
-    F, ux, v, vx = residual(u, c_eff)
+    F, ux, v, vx = problem.residual(u, c_eff)
     history = [float(np.abs(F).max())]
     while history[-1] >= tol:
         if len(history) > MAX_NEWTON:
@@ -269,7 +277,7 @@ def _newton(problem: WaveProblem, u: np.ndarray, c_eff: float, tol: float,
         while True:
             u_try = u + lam * du
             if u_try.min() > 0.0:
-                trial = residual(u_try, c_eff + lam * step[-1])
+                trial = problem.residual(u_try, c_eff + lam * step[-1])
                 res = float(np.abs(trial[0]).max())
                 if res < history[-1]:
                     break
@@ -312,30 +320,37 @@ def construct_relax(problem: WaveProblem) -> WaveProfile:
     times nor its end cap a step before the step budget runs out.  That
     horizon sits exactly on march's own budget, so march accepts it and
     is never asked for a step past the budget: an exhausted budget is
-    this function's NoConvergence.
+    this function's NoConvergence.  So is a stall: ||u_t||_inf not
+    halved over the last STALL_STEPS steps.
     """
     spec, upper, lower, c_eff = _prepare(problem)
     horizon = MAX_INNER_STEPS * RELAX_DT_MAX
-    config = SimConfig(problem.params, problem.grid, t_end=horizon,
-                       frame_speed=c_eff, tail_kappa=problem.kappa,
-                       output_every=horizon, scheme=SCHEME, pseudo_time=True)
-    u, resid, stats = upper, math.inf, StepStats()
+    config = problem.stepper(c_eff, horizon, horizon, pseudo_time=True)
+    u, resid, stats = upper, [], StepStats()
     for _, un, _, _, dt, clamped, _ in itertools.islice(
             march(config, Field(problem.grid, upper)), 1, MAX_INNER_STEPS + 1):
-        resid = float(np.abs(un - u).max()) / dt
+        resid.append(float(np.abs(un - u).max()) / dt)
         u = un
         stats.add(dt, clamped)
-        if resid < TOL_INNER:
+        if resid[-1] < TOL_INNER:
             return _finish(problem, u, 0, _sandwich(u, lower, upper), spec,
-                           "CoupledRelax", c_eff, [resid], stats)
+                           "CoupledRelax", c_eff, resid[-1:], stats)
+        if len(resid) > STALL_STEPS and (
+                resid[-1] > 0.5 * resid[-1 - STALL_STEPS]):
+            raise NoConvergence(
+                f"coupled relaxation stalled: ||u_t||_inf = {resid[-1]:.3e} "
+                f"has not halved in {STALL_STEPS} steps", residual=resid[-1])
     raise NoConvergence("coupled relaxation failed to reach steady state",
-                        residual=resid)
+                        residual=resid[-1])
 
 
-def construct(problem: WaveProblem) -> WaveProfile:
-    if problem.method == "FixedPoint":
+def construct(problem: WaveProblem, method: str) -> WaveProfile:
+    """The wave by the route method, "FixedPoint" or "CoupledRelax"."""
+    if method == "FixedPoint":
         return construct_fixed_point(problem)
-    return construct_relax(problem)
+    if method == "CoupledRelax":
+        return construct_relax(problem)
+    raise DomainError(f"unknown method {method!r}")
 
 
 def settle(profile: WaveProfile) -> WaveProfile:
@@ -351,10 +366,10 @@ def settle(profile: WaveProfile) -> WaveProfile:
     residuals added to residual_history and its iterations to outer_iters.
     Its StepStats are kept: the polish takes no time step.
     """
-    grid = profile.U.grid
-    problem = WaveProblem(profile.params, profile.c, grid, profile.method)
+    problem = profile.problem
     u, c_eff, history = _newton(problem, profile.U.values, profile.c_eff,
-                                newton_tolerance(grid.h, profile.barrier.M))
+                                newton_tolerance(problem.grid.h,
+                                                 profile.barrier.M))
     if len(history) == 1:
         return profile
     # the step that met the stop rule can leave c_eff 4e-13 off, a drift
@@ -374,19 +389,12 @@ def settle(profile: WaveProfile) -> WaveProfile:
 def _finish(problem: WaveProblem, u: np.ndarray, outer: int, sandwich: float,
             spec: BarrierSpec, method: str, c_eff: float,
             history: list[float], stats: StepStats) -> WaveProfile:
-    p, grid, kappa = problem.params, problem.grid, problem.kappa
-    v, _ = solve_v(p, u, grid, kappa)
-    return WaveProfile(U=Field(grid, u), V=Field(grid, v), c=problem.c,
-                       kappa=kappa, outer_iters=outer, params=p, method=method,
-                       c_eff=c_eff, sandwich_violation=sandwich, barrier=spec,
+    grid = problem.grid
+    v, _ = solve_v(problem.params, u, grid, problem.kappa)
+    return WaveProfile(U=Field(grid, u), V=Field(grid, v), problem=problem,
+                       outer_iters=outer, method=method, c_eff=c_eff,
+                       sandwich_violation=sandwich, barrier=spec,
                        residual_history=list(history), stats=stats)
-
-
-def diagnose(profile: WaveProfile, kappa1: float | None = None) -> WaveDiagnostics:
-    """Decay-rate fit, refined-decay score, monotonicity and limit readouts."""
-    if kappa1 is None:
-        kappa1 = kappa1_default(profile.params, profile.kappa)
-    return diagnose_profile_field(profile.U, profile.kappa, kappa1)
 
 
 def _decay_window(x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -399,9 +407,13 @@ def _decay_window(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return mask
 
 
-def diagnose_profile_field(U: Field, kappa: float, kappa1: float) -> WaveDiagnostics:
-    x = U.grid.x
-    u = U.values
+def diagnose(profile: WaveProfile, kappa1: float | None = None) -> WaveDiagnostics:
+    """Decay-rate fit, refined-decay score, monotonicity and limit readouts."""
+    kappa = profile.problem.kappa
+    if kappa1 is None:
+        kappa1 = kappa1_default(profile.problem.params, kappa)
+    x = profile.U.grid.x
+    u = profile.U.values
     mask = _decay_window(x, u)
     xw, uw = x[mask], u[mask]
     slope = float(np.polyfit(xw, -np.log(uw), 1)[0])
@@ -415,7 +427,7 @@ def diagnose_profile_field(U: Field, kappa: float, kappa1: float) -> WaveDiagnos
     else:
         trend = -math.inf
     k = max(3, u.size // 20)
-    du = (u[2:] - u[:-2]) / (2.0 * U.grid.h)
+    du = (u[2:] - u[:-2]) / (2.0 * profile.U.grid.h)
     return WaveDiagnostics(kappa=kappa, kappa_fit=slope, kappa1=kappa1,
                            window=(float(xw.min()), float(xw.max())),
                            refined_x=xr, refined_score=score,

@@ -54,8 +54,7 @@ def neg_profile(wave_grid):
 @pytest.fixture(scope="session")
 def neg_relax_profile(wave_grid):
     return _timed("neg_relax_profile", lambda: construct_relax(
-        WaveProblem(params=Params(-1.0), c=4.0, grid=wave_grid,
-                    method="CoupledRelax")))
+        WaveProblem(params=Params(-1.0), c=4.0, grid=wave_grid)))
 
 
 @pytest.fixture(scope="session")

@@ -173,7 +173,7 @@ def test_criterion_5_wave_existence_decay(fisher_profile, neg_profile,
                        ("fisher_profile", "neg_profile", "pos_profile"))
     fp = fisher_profile
     fpd = diagnose(fp)
-    assert abs(fpd.kappa_fit - fp.kappa) / fp.kappa < 0.02
+    assert abs(fpd.kappa_fit - fp.problem.kappa) / fp.problem.kappa < 0.02
     assert abs(fpd.left_limit - 1.0) < 0.02
     assert fpd.right_limit < 0.02
 
@@ -191,13 +191,13 @@ def test_criterion_5_wave_existence_decay(fisher_profile, neg_profile,
     assert npd.right_limit < 0.02
 
     pp = pos_profile
-    bound = np.minimum((1.0 / 0.75) ** 1.0, np.exp(-pp.kappa * pp.U.grid.x))
+    bound = np.minimum((1.0 / 0.75) ** 1.0, np.exp(-pp.problem.kappa * pp.U.grid.x))
     assert float((pp.U.values - bound).max()) <= 1e-8
     assert abs(diagnose(pp).left_limit - 1.0) < 0.02
     elapsed = time.perf_counter() - t0 + fixture_cost
     assert elapsed < 600.0
     report(5, elapsed, 600.0,
-           f"kappa_fit rel {abs(fpd.kappa_fit / fp.kappa - 1):.2e}; "
+           f"kappa_fit rel {abs(fpd.kappa_fit / fp.problem.kappa - 1):.2e}; "
            f"monotonicity {npd.monotonicity_violation:.1e}; "
            f"sandwich {npf.sandwich_violation:.1e}")
 

@@ -187,7 +187,7 @@ def test_converged_profile_is_discrete_steady_state(neg_profile):
     # reinserting the computed wave into the operator leaves a residual
     # below the discrete slack
     prof = neg_profile
-    res = residual_A(prof.U, prof.U, prof.params, prof.c)
+    res = residual_A(prof.U, prof.U, prof.problem.params, prof.problem.c)
     eps = eps_disc(prof.U.grid.h, prof.U.max())
     assert np.abs(res.values).max() < eps
 

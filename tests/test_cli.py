@@ -183,6 +183,17 @@ def test_wave_relax_budget_exhausted_exits_2(tmp_path, capsys, monkeypatch):
         "FAIL: coupled relaxation failed")
 
 
+def test_wave_relax_stall_exits_2_early(tmp_path, capsys):
+    # on [-20, 30] ||u_t|| stalls near 5e-5: the stall rule ends the
+    # relaxation after 537 steps, not at the 400,000-step budget
+    t0 = time.perf_counter()
+    code = main(["wave", "--chi", "-1", "--c", "4", "--grid-left", "-20",
+                 "--grid-right", "30", "--method", "CoupledRelax",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2 and time.perf_counter() - t0 < 2.0
+    assert "FAIL: coupled relaxation stalled" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("left, right, message", [
     ("-20", "8", "decay window shorter"),      # tail cut above 1e-2
     ("5", "60", "never crosses level 0.5"),    # front left of the grid

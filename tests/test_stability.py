@@ -2,12 +2,13 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chemowave import stability
-from chemowave.cauchy import DT_MAX, run, solve_v
+from chemowave.cauchy import DT_MAX, march, solve_v
 from chemowave.errors import DomainError, TruncationWarning
 from chemowave.fields import Field, Grid
 from chemowave.params import Params, kappa_of_speed, SIGMA, constants_report
@@ -15,7 +16,7 @@ from chemowave.stability import (apriori_checks, bump, default_eta,
                                  eta_window, predicted_lambda,
                                  run_stability, uniqueness_check,
                                  weighted_elliptic_check, weighted_norm)
-from chemowave.waves import WaveProfile, normalize_translation
+from chemowave.waves import WaveProblem, WaveProfile, normalize_translation
 
 # frozen from an independent high-precision evaluation of the constant chain
 LAMBDA_CHI_M0001 = -0.8501688607606180
@@ -149,16 +150,16 @@ def test_run_stability_closes_v_at_the_profile_rate(stab_small_chi_profile,
     starts = []
 
     def spy(config, u0):
-        result = run(config, u0)
-        starts.append((u0, result[2][0].v))
-        return result
+        for state in march(config, u0):
+            starts.append((u0, state[2]))
+            yield state
 
-    monkeypatch.setattr(stability, "run", spy)
+    monkeypatch.setattr(stability, "march", spy)
     run_stability(prof, 0.65, t_end=0.25)
     u0, v = starts[0]
-    expected, _ = solve_v(prof.params, u0.values, u0.grid,
-                          tail_kappa=prof.kappa)
-    assert np.array_equal(v.values, expected)
+    expected, _ = solve_v(prof.problem.params, u0.values, u0.grid,
+                          tail_kappa=prof.problem.kappa)
+    assert np.array_equal(v, expected)
 
 
 def test_run_stability_eta_out_of_window(stab_fisher_profile):
@@ -171,10 +172,16 @@ def test_apriori_checks_pass(fisher_profile, neg_profile):
         checks = apriori_checks(prof)
         assert all(c.status in ("pass", "not_applicable") for c in checks)
         assert sum(c.status == "pass" for c in checks) >= 5
+        # its margin is the worse side's: at chi <= 0, m = gamma = alpha
+        # = 1 the bracket is [-(|chi| + 1), |chi|] / (c - |chi|)
+        Ux = np.gradient(prof.U.values, prof.U.grid.h)[1:-1]
+        a, c = abs(prof.problem.params.chi), prof.problem.c
+        bracket = [ch for ch in checks if "bracket" in ch.name][0]
+        assert bracket.margin == max((-(a + 1) / (c - a) - Ux).max(),
+                                     (Ux - a / (c - a)).max())
 
 
 def test_apriori_checks_detect_spike(fisher_profile):
-    from dataclasses import replace
     prof = fisher_profile
     vals = prof.U.values.copy()
     i = int(round((5.0 - prof.U.grid.x0) / prof.U.grid.h))
@@ -191,13 +198,12 @@ def test_apriori_checks_close_v_with_wave_tails():
     # U = e^{-kx} gives v_x = -k e^{-kx}/(1-k^2), so at the cut the refined
     # bound e^{-kx}/(1-k^2) on |v_x| leaves the margin -U/(1+k); closing v
     # with constant tails instead would flatten v_x there.
-    p, c = Params(0.0), 3.0
-    k = kappa_of_speed(c)
+    k = kappa_of_speed(3.0)
     g = Grid.from_bounds(-30.0, math.log(100.0) / k, 0.05)
     U = Field(g, np.minimum(1.0, np.exp(-k * g.x)))
     V = Field(g, np.zeros(g.n))          # must not be read
-    prof = WaveProfile(U=U, V=V, c=c, kappa=k, outer_iters=0, params=p,
-                       method="FixedPoint", c_eff=c)
+    prof = WaveProfile(U=U, V=V, problem=WaveProblem(Params(0.0), 3.0, g),
+                       outer_iters=0, method="FixedPoint", c_eff=3.0)
     checks = {ch.name: ch for ch in apriori_checks(prof)}
     vx = checks["abs(v_x) refined exponential bound"]
     assert vx.location == pytest.approx(g.x1)
@@ -209,10 +215,12 @@ def test_apriori_checks_close_v_with_wave_tails():
 def test_uniqueness_check_basics(neg_profile):
     n1 = normalize_translation(neg_profile)
     assert uniqueness_check(n1, n1) == 0.0
-    from dataclasses import replace
-    other_c = replace(n1, c=3.0)
-    with pytest.raises(DomainError):
-        uniqueness_check(n1, other_c)
+    g = n1.U.grid
+    for change in ({"params": Params(-0.5)}, {"c": 3.0},
+                   {"grid": Grid(g.x0, g.h, g.n - 1)}):
+        other = replace(n1, problem=replace(n1.problem, **change))
+        with pytest.raises(DomainError, match="share a problem"):
+            uniqueness_check(n1, other)
 
 
 def test_weighted_elliptic_identical():

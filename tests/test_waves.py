@@ -10,36 +10,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chemowave import cauchy, waves
-from chemowave.cauchy import (DT_MAX, RELAX_DT_MAX, SimConfig, StepStats,
-                              advance_imex, auto_dt, march,
-                              reaction_jacobian_bound, robin_rate, solve_v,
-                              steady_jacobian, steady_residual)
-from chemowave.errors import (NoConvergence, NormalizationError, RegimeError,
-                              SpeedError, TruncationWarning, WindowTooShort)
+from chemowave.cauchy import (DT_MAX, RELAX_DT_MAX, StepStats, advance_imex,
+                              auto_dt, march, reaction_jacobian_bound,
+                              robin_rate, solve_v, steady_jacobian)
+from chemowave.errors import (DomainError, NoConvergence, NormalizationError,
+                              RegimeError, SpeedError, TruncationWarning,
+                              WindowTooShort)
 from chemowave.fields import Field, Grid
 from chemowave.params import Params, c_star, chi_star
-from chemowave.waves import (NEWTON_TOL, SCHEME, WaveProblem,
+from chemowave.waves import (NEWTON_TOL, WaveProblem, WaveProfile, construct,
                              construct_fixed_point, construct_relax, diagnose,
-                             diagnose_profile_field, fitted_frame_speed,
-                             newton_tolerance, normalize_translation, settle)
+                             fitted_frame_speed, newton_tolerance,
+                             normalize_translation, settle)
 from chemowave.barriers import default_barrier_spec, eval_super
 from chemowave.stability import default_eta, run_stability
 
 
-def synthetic_profile(grid, fn, kappa, c, params=Params(0.0)):
-    from chemowave.waves import WaveProfile
+def synthetic_profile(grid, fn, c, params=Params(0.0)):
+    problem = WaveProblem(params, c, grid)
     U = Field(grid, fn(grid.x))
-    v, _ = solve_v(params, U.values, grid, tail_kappa=kappa)
-    return WaveProfile(U=U, V=Field(grid, v), c=c, kappa=kappa,
-                       outer_iters=0, params=params, method="FixedPoint",
-                       c_eff=c)
+    v, _ = solve_v(params, U.values, grid, tail_kappa=problem.kappa)
+    return WaveProfile(U=U, V=Field(grid, v), problem=problem, outer_iters=0,
+                       method="FixedPoint", c_eff=c)
 
 
 def stepped(prof):
     """One centered step of prof with its own V, c_eff and tail rate."""
-    config = SimConfig(prof.params, prof.U.grid, t_end=1.0,
-                       frame_speed=prof.c_eff, tail_kappa=prof.kappa,
-                       scheme=SCHEME)
+    config = prof.problem.stepper(prof.c_eff, 1.0, 1.0, pseudo_time=False)
     _, (_, un, _, _, dt, clamped, _) = itertools.islice(march(config, prof.U), 2)
     return un, dt, clamped
 
@@ -47,7 +44,7 @@ def stepped(prof):
 def test_diagnose_exact_exponential():
     g = Grid.from_bounds(-50, 60, 0.05)
     prof = synthetic_profile(g, lambda x: np.minimum(1.0, np.exp(-0.4 * x)),
-                             kappa=0.4, c=0.4 + 1 / 0.4)
+                             c=0.4 + 1 / 0.4)
     d = diagnose(prof, kappa1=0.55)
     assert d.kappa_fit == pytest.approx(0.4, abs=1e-4)
     assert d.monotonicity_violation < 1e-12
@@ -59,7 +56,7 @@ def test_diagnose_refined_score_known_correction():
     g = Grid.from_bounds(-50, 60, 0.05)
     prof = synthetic_profile(
         g, lambda x: np.minimum(1.0, np.exp(-0.4 * x) * (1 + np.exp(-0.2 * x))),
-        kappa=0.4, c=0.4 + 1 / 0.4)
+        c=0.4 + 1 / 0.4)
     d = diagnose(prof, kappa1=0.55)
     assert d.refined_trend_slope == pytest.approx(-0.05, abs=5e-3)
     assert np.all(np.diff(d.refined_score) < 0)
@@ -68,14 +65,15 @@ def test_diagnose_refined_score_known_correction():
 def test_diagnose_window_too_short():
     g = Grid.from_bounds(-10, 10, 0.1)
     with pytest.raises(WindowTooShort):
-        diagnose_profile_field(Field(g, np.full(g.n, 0.5)), 0.4, 0.55)
+        diagnose(synthetic_profile(g, lambda x: np.full(x.size, 0.5), 2.9),
+                 kappa1=0.55)
 
 
 def test_normalize_translation_exact():
     g = Grid.from_bounds(-30, 60, 0.05)
     kappa = 0.4
     prof = synthetic_profile(g, lambda x: np.minimum(1.0, np.exp(-kappa * x)),
-                             kappa=kappa, c=kappa + 1 / kappa)
+                             c=kappa + 1 / kappa)
     n1 = normalize_translation(prof)
     # crossing of e^{-kx} = 1/2 sits at ln 2 / k, so the shift moves it to 0
     i0 = int(round((0.0 - g.x0) / g.h))
@@ -86,12 +84,11 @@ def test_normalize_translation_exact():
 
 def test_normalize_translation_errors():
     g = Grid.from_bounds(-30, 30, 0.05)
-    flat = synthetic_profile(g, lambda x: np.full(x.size, 0.1),
-                             kappa=0.4, c=2.9)
+    flat = synthetic_profile(g, lambda x: np.full(x.size, 0.1), c=2.9)
     with pytest.raises(NormalizationError):
         normalize_translation(flat)
     wiggly = synthetic_profile(
-        g, lambda x: 0.5 + 0.4 * np.sin(0.5 * x), kappa=0.4, c=2.9)
+        g, lambda x: 0.5 + 0.4 * np.sin(0.5 * x), c=2.9)
     with pytest.raises(NormalizationError):
         normalize_translation(wiggly)
 
@@ -101,10 +98,11 @@ def test_construct_speed_and_regime_errors():
     with pytest.raises(SpeedError):
         construct_fixed_point(WaveProblem(params=Params(-1.0), c=1.5, grid=g))
     with pytest.raises(SpeedError):
-        construct_relax(WaveProblem(params=Params(-1.0), c=1.5, grid=g,
-                                    method="CoupledRelax"))
+        construct_relax(WaveProblem(params=Params(-1.0), c=1.5, grid=g))
     with pytest.raises(RegimeError):
         construct_fixed_point(WaveProblem(params=Params(0.9), c=4.0, grid=g))
+    with pytest.raises(DomainError, match="unknown method 'Picard'"):
+        construct(WaveProblem(params=Params(-1.0), c=4.0, grid=g), "Picard")
 
 
 @pytest.mark.parametrize("pseudo_time", [False, True],
@@ -142,7 +140,7 @@ def test_fixed_point_profile_fisher(fisher_profile):
     assert prof.stats == StepStats()     # and no time step
     assert prof.residual_history[-1] < NEWTON_TOL
     d = diagnose(prof)
-    assert abs(d.kappa_fit / prof.kappa - 1.0) < 0.02
+    assert abs(d.kappa_fit / prof.problem.kappa - 1.0) < 0.02
     assert 0.98 <= d.left_limit <= 1.02
     assert d.right_limit < 1e-6
     assert d.monotonicity_violation < 1e-6
@@ -198,8 +196,8 @@ def test_newton_wave_inside_barriers(chi, dc):
     assert prof.residual_history[-1] < NEWTON_TOL
     assert u.min() > 0.0
     assert float((u - eval_super(prof.barrier, g)).max()) <= 1e-8
-    assert u[-1] * math.exp(prof.kappa * g.x[-1]) == pytest.approx(1.0,
-                                                                   abs=1e-12)
+    assert u[-1] * math.exp(prof.problem.kappa * g.x[-1]) == pytest.approx(
+        1.0, abs=1e-12)
     if chi <= 0:
         assert np.diff(u).max() <= 1e-12
 
@@ -234,10 +232,8 @@ def test_newton_from_a_start_with_zeros_at_m_1():
     start = np.maximum(0.0, np.exp(-k * g.x) - 3.0 * np.exp(-2.0 * k * g.x))
     assert (start == 0.0).sum() > 400
     _, _, _, c_fit = waves._prepare(problem)
-    rk = robin_rate(k, g.h)
-    V, Vx = solve_v(p, start, g, tail_kappa=k)
-    _, ux = steady_residual(p, start, V, Vx, c_fit, g, rk)
-    bands = steady_jacobian(p, start, V, Vx, ux, c_fit, g, rk)
+    _, ux, V, Vx = problem.residual(start, c_fit)
+    bands = steady_jacobian(p, start, V, Vx, ux, c_fit, g, robin_rate(k, g.h))
     assert all(np.isfinite(band).all() for band in bands)
     tol = newton_tolerance(g.h, 1.0)
     u, c_eff, history = waves._newton(problem, start, c_fit, tol)
@@ -251,18 +247,13 @@ def test_newton_from_a_start_with_zeros_at_m_1():
 def _dense_newton_step(problem, u, c_eff):
     """Dense solve of the finite-difference Jacobian of the steady residual
     in (u[0..n-2], c_eff), v re-solved from u and u[n-1] held fixed."""
-    p, g, k = problem.params, problem.grid, problem.kappa
-    rk = robin_rate(k, g.h)
-
     def residual(y):
-        w = np.append(y[:-1], u[-1])
-        V, Vx = solve_v(p, w, g, tail_kappa=k)
-        return steady_residual(p, w, V, Vx, y[-1], g, rk)[0]
+        return problem.residual(np.append(y[:-1], u[-1]), y[-1])[0]
 
     y = np.append(u[:-1], c_eff)
-    jac = np.empty((g.n, g.n))
-    for j in range(g.n):
-        e = np.zeros(g.n)
+    jac = np.empty((y.size, y.size))
+    for j in range(y.size):
+        e = np.zeros(y.size)
         e[j] = 1e-6 * max(1.0, abs(y[j]))
         jac[:, j] = (residual(y + e) - residual(y - e)) / (2.0 * e[j])
     return np.linalg.solve(jac, -residual(y))
@@ -291,9 +282,7 @@ def test_newton_step_is_the_dense_jacobian_solve(positive, frac, m, gamma, n,
     u = (np.minimum(1.0, np.exp(-problem.kappa * g.x))
          * rng.uniform(0.9, 1.1, n))
     c_eff = fitted_frame_speed(c, h)
-    V, Vx = solve_v(p, u, g, tail_kappa=problem.kappa)
-    F, ux = steady_residual(p, u, V, Vx, c_eff, g,
-                            robin_rate(problem.kappa, h))
+    F, ux, V, Vx = problem.residual(u, c_eff)
     got = waves._newton_step(problem, u, V, Vx, ux, F, c_eff)
     want = _dense_newton_step(problem, u, c_eff)
     assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
@@ -327,8 +316,7 @@ def test_relax_budget_reports_residual(monkeypatch):
     monkeypatch.setattr(waves, "MAX_INNER_STEPS", 10)
     g = Grid.from_bounds(-40, 40, 0.1)
     with pytest.raises(NoConvergence) as info:
-        construct_relax(WaveProblem(params=Params(-1.0), c=4.0, grid=g,
-                                    method="CoupledRelax"))
+        construct_relax(WaveProblem(params=Params(-1.0), c=4.0, grid=g))
     assert math.isfinite(info.value.residual)
     assert info.value.residual > waves.TOL_INNER
 
@@ -340,8 +328,7 @@ def test_relax_keeps_its_own_error_at_march_budget(monkeypatch):
     monkeypatch.setattr(waves, "MAX_INNER_STEPS", 10)
     g = Grid.from_bounds(-40, 40, 0.1)
     with pytest.raises(NoConvergence, match="coupled relaxation failed"):
-        construct_relax(WaveProblem(params=Params(-1.0), c=4.0, grid=g,
-                                    method="CoupledRelax"))
+        construct_relax(WaveProblem(params=Params(-1.0), c=4.0, grid=g))
 
 
 def test_relax_steps_are_not_capped_by_the_frame_speed(neg_relax_profile):
@@ -358,7 +345,8 @@ def test_relax_steps_exceed_the_accuracy_bound(neg_relax_profile):
     # pseudo-time: a relaxation step is above the cap and the reaction
     # bound 0.1 / Rmax that a time-accurate run obeys
     prof = neg_relax_profile
-    rmax = reaction_jacobian_bound(prof.params, prof.U.values, prof.V.values)
+    rmax = reaction_jacobian_bound(prof.problem.params, prof.U.values,
+                                   prof.V.values)
     assert prof.stats.dt_max > max(DT_MAX, 0.1 / rmax)
     assert prof.stats.clamp_count == 0
 
@@ -367,10 +355,7 @@ def test_relax_stops_at_a_steady_state(neg_relax_profile):
     # the stop rule reads ||u_new - u|| / dt, which the implicit solve
     # damps more at a larger dt; the profile must still be steady
     prof = neg_relax_profile
-    p, g = prof.params, prof.U.grid
-    v, vx = solve_v(p, prof.U.values, g, prof.kappa)
-    resid, _ = steady_residual(p, prof.U.values, v, vx, prof.c_eff, g,
-                               robin_rate(prof.kappa, g.h))
+    resid = prof.problem.residual(prof.U.values, prof.c_eff)[0]
     assert float(np.abs(resid).max()) < waves.TOL_INNER
 
 
@@ -385,9 +370,8 @@ def test_relax_ledger_counts_what_march_yields(monkeypatch):
             yield (*head, dt, yields[-1][1], sample)
 
     monkeypatch.setattr(waves, "march", relabelled)
-    prof = construct_relax(WaveProblem(params=Params(0.0), c=3.0,
-                                       grid=Grid.from_bounds(-30, 50, 0.1),
-                                       method="CoupledRelax"))
+    prof = construct_relax(WaveProblem(Params(0.0), 3.0,
+                                       Grid.from_bounds(-30, 50, 0.1)))
     taken = yields[1:]                     # the initial state is no step
     assert prof.stats == StepStats(
         steps=len(taken), clamp_count=sum(c for _, c in taken),
@@ -407,7 +391,8 @@ def test_profile_bounded_by_envelope(pos_profile):
     # positive-sensitivity profile obeys U < min{M_chi, e^{-kappa x}}
     prof = pos_profile
     x = prof.U.grid.x
-    bound = np.minimum((1 / (1 - 0.25)) ** 1.0, np.exp(-prof.kappa * x))
+    bound = np.minimum((1 / (1 - 0.25)) ** 1.0,
+                       np.exp(-prof.problem.kappa * x))
     assert float((prof.U.values - bound).max()) <= 1e-8
     d = diagnose(prof)
     assert 0.98 <= d.left_limit <= 1.02
@@ -429,9 +414,7 @@ def test_settle_makes_relax_profile_stationary(stability_grid,
     # at its fitted speed; settle's Newton polish makes it the stepper's
     # fixed point, the one the FixedPoint construction finds, and the
     # stability lab passes on it at the `stability` subcommand's defaults
-    relax = construct_relax(WaveProblem(params=Params(0.0), c=3.0,
-                                        grid=stability_grid,
-                                        method="CoupledRelax"))
+    relax = construct_relax(WaveProblem(Params(0.0), 3.0, stability_grid))
     assert len(relax.residual_history) == 1      # the stop ||u_t||_inf
     assert relax.residual_history[0] < waves.TOL_INNER
     prof = settle(relax)
@@ -452,12 +435,11 @@ def test_general_exponent_wave_and_uniqueness():
     # monotone sandwiched profile, and the two construction routes agree
     p = Params(-1.0, 2.0, 2.0, 1.5)
     grid = Grid.from_bounds(-60, 60, 0.05)
-    relax = construct_relax(WaveProblem(params=p, c=3.5, grid=grid,
-                                        method="CoupledRelax"))
+    relax = construct_relax(WaveProblem(params=p, c=3.5, grid=grid))
     d = diagnose(relax)
     assert d.monotonicity_violation < 1e-6
     assert relax.sandwich_violation < 1e-8
-    assert abs(d.kappa_fit / relax.kappa - 1.0) < 0.02
+    assert abs(d.kappa_fit / relax.problem.kappa - 1.0) < 0.02
     assert abs(d.left_limit - 1.0) < 0.02 and d.right_limit < 1e-6
     fp = construct_fixed_point(WaveProblem(params=p, c=3.5, grid=grid))
     assert fp.sandwich_violation < 1e-8
