@@ -192,7 +192,8 @@ def solve_v(p: Params, u: np.ndarray, grid: Grid,
     """(v, v_x) for density values u; DomainError unless all are finite.
 
     u^gamma plateaus on the left and decays as e^{-gamma tail_kappa x}
-    on the right (a plateau too at tail_kappa = 0).
+    on the right (a plateau too at tail_kappa = 0).  u runs along its
+    last axis: a (k, n) stack of densities is k solves in one call.
     """
     src = np.power(u, p.gamma)
     _require_finite(src, "u^gamma")

@@ -13,6 +13,8 @@ cannot be loaded).  The two half-line tails are closed analytically
 from one decay rate per side; their edge-decay profiles are computed
 once per (grid, lambda).  `solve_pair`, on plain arrays, is the one
 entry point; the model's v-solve is `cauchy.solve_v` on top of it.
+Both run along the last axis, so a (k, n) stack of sources is k solves
+in one filter call, each row bit for bit its own 1-D solve.
 `solve_psi` and `psi_derivative`, its two halves, are read by no package
 code: perfbench's tracer probes them by name.  The sweeps' weights
 (`sweep_weights`) and `tail_integrals` also fill the wave lane's banded
@@ -136,45 +138,48 @@ def sweep_weights(h: float, r: float) -> tuple:
 
 
 def _sweeps(s: np.ndarray, h: float, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right one-sided kernel integrals over the grid.
+    """Left and right one-sided kernel integrals over the grid, along s's last axis.
 
     A[i] = int_{x0}^{x_i} exp(-r (x_i - y)) s(y) dy
     B[i] = int_{x_i}^{x_end} exp(-r (y - x_i)) s(y) dy
 
     with s piecewise linear between nodes; each cell integrated exactly.
-    Both recurrences run in one filter call, B's on the reversed cells.
+    Both recurrences of every row run in one filter call, B's on the
+    reversed cells.  Each row of cells starts with a zero, which leaves
+    the filter's zero start state as it is and gives A[0] = B[-1] = 0,
+    so A and B are views of the filter's output.
     """
     E, (I0, I1), (J0, J1) = sweep_weights(h, r)
-    s0, s1 = s[:-1], s[1:]
+    s0, s1 = s[..., :-1], s[..., 1:]
     slope = (s1 - s0) / h
-    cells = np.empty((2, s.size - 1))
+    cells = np.zeros((2,) + s.shape)
     # contribution of cell (i-1, i) to A[i], weight anchored at the right end
-    cells[0] = s0 * I0 + slope * I1
+    to_a = cells[0, ..., 1:]
+    np.multiply(s0, I0, out=to_a)
+    to_a += slope * I1
     # contribution of cell (i, i+1) to B[i], weight anchored at the left end
-    cells[1] = (s0 * J0 + slope * J1)[::-1]
+    to_b = cells[1, ..., :0:-1]
+    np.multiply(s0, J0, out=to_b)
+    to_b += slope * J1
+    del slope                           # not held through the filter
     sums = _linear_filter(np.array([1.0]), np.array([1.0, -E]), cells, -1)
-
-    A = np.empty_like(s)
-    A[0] = 0.0
-    A[1:] = sums[0]
-    B = np.empty_like(s)
-    B[-1] = 0.0
-    B[:-1] = sums[1, ::-1]
-    return A, B
+    return sums[0], sums[1, ..., ::-1]
 
 
 def tail_integrals(s: np.ndarray, r: float, left_rate: float,
                    right_rate: float) -> tuple[float, float]:
     """(T_L, T_R): half-line integrals anchored at the grid endpoints.
 
-    T_L = int_{-inf}^{x0} exp(-r (x0 - y)) s(y) dy and symmetrically T_R.
-    The negated comparisons refuse a NaN rate as well.
+    T_L = int_{-inf}^{x0} exp(-r (x0 - y)) s(y) dy and symmetrically T_R,
+    one per row of s along its last axis.  The negated comparisons refuse
+    a NaN rate as well.
     """
     if not left_rate < r:
         raise DomainError("left tail rate must be < sqrt(lambda): divergent tail")
     if not right_rate > -r:
         raise DomainError("right tail rate must be > -sqrt(lambda): divergent tail")
-    return s[0] / (r - left_rate), s[-1] / (r + right_rate)
+    first, last = s.T[0], s.T[-1]       # per row; scalars for one row
+    return first / (r - left_rate), last / (r + right_rate)
 
 
 @lru_cache(maxsize=8)
@@ -189,16 +194,25 @@ def _edge_decay(grid: Grid, r: float) -> tuple[np.ndarray, np.ndarray]:
 def solve_pair(s: np.ndarray, grid: Grid, lam: float, mu: float,
                left_rate: float, right_rate: float
                ) -> tuple[np.ndarray, np.ndarray]:
-    """(Psi, Psi') of v'' - lam v + mu s = 0 for source values s on grid."""
+    """(Psi, Psi') of v'' - lam v + mu s = 0 for source values s on grid.
+
+    s runs along its last axis: a (k, n) stack of sources is k solves in
+    one filter call, each row bit for bit its own 1-D solve.
+    """
     if not (lam > 0 and mu > 0):
         raise DomainError("lambda and mu must be positive")
     r = np.sqrt(lam)
-    A, B = _sweeps(s, grid.h, r)
+    # left and right are the sweeps' own arrays, completed in place
+    left, right = _sweeps(s, grid.h, r)
     TL, TR = tail_integrals(s, r, left_rate, right_rate)
     decay_left, decay_right = _edge_decay(grid, r)
-    left = A + TL * decay_left
-    right = B + TR * decay_right
-    return (mu / (2.0 * r)) * (left + right), (mu / 2.0) * (right - left)
+    left += np.multiply.outer(TL, decay_left)
+    right += np.multiply.outer(TR, decay_right)
+    psi = left + right
+    psi *= mu / (2.0 * r)
+    dpsi = right - left
+    dpsi *= mu / 2.0
+    return psi, dpsi
 
 
 def solve_psi(s: np.ndarray, grid: Grid, lam: float, mu: float,

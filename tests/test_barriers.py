@@ -1,15 +1,17 @@
 """Super/sub-solution evaluation and residual-sign certificates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chemowave import barriers
-from chemowave.barriers import (BarrierSpec, certify, default_barrier_spec,
-                                eps_disc, eval_sub, eval_super,
-                                random_envelope, residual_A)
+from chemowave.barriers import (CERTIFY_GRID, BarrierSpec, certify,
+                                default_barrier_spec, eps_disc, eval_sub,
+                                eval_super, random_envelope, residual_A)
+from chemowave.cauchy import steady_residual
 from chemowave.errors import DomainError
 from chemowave.fields import Field, Grid
 from chemowave.params import Params
@@ -149,11 +151,14 @@ def test_certify_fails_on_a_nan_excess(monkeypatch):
 
     def nan_once(*args):
         calls.append(None)
-        return (math.nan, 0.0) if len(calls) == 3 else real(*args)
+        excess, loc = real(*args)
+        if len(calls) == 3:             # sub_profile, first draw
+            excess[0] = math.nan
+        return excess, loc
 
     monkeypatch.setattr(barriers, "_sign_excess", nan_once)
     rep = certify(Params(-1.0), 3.0, n_draws=2, seed=0)
-    assert len(calls) == 8
+    assert len(calls) == 4              # one block, one call per check
     assert not rep.passed
     assert math.isfinite(rep.worst_excess)
 
@@ -198,3 +203,115 @@ def test_certify_general_exponents():
     assert rep.passed
     rep2 = certify(Params(-2.0, 2.0, 2.0, 1.5), 4.0, n_draws=30, seed=17)
     assert rep2.passed
+
+
+@pytest.mark.parametrize("n_draws", [0, -5])
+def test_certify_refuses_a_certificate_with_no_draws(n_draws):
+    # no draw is a vacuous pass, not a certificate
+    with pytest.raises(DomainError, match="at least one draw"):
+        certify(Params(-1.0), 3.0, n_draws=n_draws)
+
+
+def _one_envelope(spec, grid, seed):
+    """One draw's density, computed on its own as one 1-D row."""
+    raw = np.random.default_rng(seed).uniform(size=grid.n)
+    radius, size, kernel = barriers._gaussian_spectrum(
+        grid.n, max(2.0 / grid.h, 4.0))
+    padded = np.pad(raw, radius, mode="edge")
+    smooth = np.fft.irfft(np.fft.rfft(padded, size) * kernel,
+                          size)[2 * radius:2 * radius + grid.n]
+    lo, hi = smooth.min(), smooth.max()
+    r = (smooth - lo) / (hi - lo) if hi > lo else np.full(grid.n, 0.5)
+    return eval_super(spec, grid) * (0.2 + 0.8 * r)
+
+
+def _certify_draw_by_draw(p, c, n_draws, seed):
+    """certify's report, and each check's (excess, x) per draw, from one
+    draw, one solve and one residual at a time."""
+    grid = Grid.from_bounds(*CERTIFY_GRID)
+    spec = default_barrier_spec(p, c)
+    Wsup = eval_super(spec, grid)
+    Wsub = np.maximum(eval_sub(spec, grid), 0.0)
+    xi = grid.interior().x
+    plans = (
+        ("super_exp", Wsup,
+         (xi >= spec.kink) & (np.abs(xi - spec.kink) > 3.0 * grid.h),
+         eps_disc(grid.h, Wsup.max()), +1),
+        ("super_const", np.full(grid.n, float(spec.M)), xi == xi,
+         eps_disc(grid.h, spec.M), +1),
+        ("sub_profile", Wsub, xi > spec.x_minus + 3.0 * grid.h,
+         eps_disc(grid.h, max(Wsub.max(), 1e-3)), -1),
+        ("sub_const", np.full(grid.n, spec.d), xi == xi,
+         eps_disc(grid.h, max(spec.d, 1e-3)), -1),
+    )
+    checks = []
+    passed, worst, worst_loc, worst_name = True, -math.inf, math.nan, ""
+    for k in range(n_draws):
+        u = _one_envelope(spec, grid, seed + k)
+        assert np.array_equal(random_envelope(spec, grid, seed + k), u)
+        V, Vx = barriers.solve_V(u, grid, p, c)
+        for name, W, mask, eps, sign in plans:
+            barriers._pow_guard(W, p)
+            res = steady_residual(p, W, V, Vx, c, grid, 0.0)[0][1:-1]
+            vals = sign * res[mask]
+            i = int(np.argmax(vals))
+            excess, loc = float(vals[i] - eps), float(xi[mask][i])
+            checks.append((excess.hex(), loc.hex()))
+            passed = passed and excess <= 0
+            if excess > worst:
+                worst, worst_loc, worst_name = excess, loc, name
+    return (passed, worst.hex(), worst_loc.hex(), worst_name, n_draws), checks
+
+
+@pytest.mark.parametrize("params, c", [
+    (Params(-1.0), 3.0), (Params(0.25), 2.5),
+    (Params(0.3, 2.0, 2.0, 1.0), 2.5), (Params(-2.0, 2.0, 2.0, 1.5), 4.0)])
+@pytest.mark.parametrize("n_draws", [1, 13])
+def test_blocked_certify_is_the_draw_by_draw_report(monkeypatch, params, c,
+                                                     n_draws):
+    # 13 draws end in a short block; every bit of the report, and of each
+    # check of each draw, must match
+    real = barriers._sign_excess
+    blocks = []
+
+    def recorded(*args):
+        out = real(*args)
+        blocks.append(out)
+        return out
+
+    monkeypatch.setattr(barriers, "_sign_excess", recorded)
+    for seed in (0, 7):
+        blocks.clear()
+        rep = certify(params, c, n_draws=n_draws, seed=seed)
+        checks = [(float(excess[k]).hex(), float(loc[k]).hex())
+                  for b in range(0, len(blocks), 4)
+                  for k in range(len(blocks[b][0]))
+                  for excess, loc in blocks[b:b + 4]]
+        report, want = _certify_draw_by_draw(params, c, n_draws, seed)
+        assert checks == want
+        assert (rep.passed, rep.worst_excess.hex(), rep.worst_location.hex(),
+                rep.worst_check, rep.n_draws) == report
+
+
+def test_random_envelope_rows_are_their_one_seed_draws():
+    spec = default_barrier_spec(Params(-1.0), 3.0)
+    g = Grid.from_bounds(*CERTIFY_GRID)
+    block = random_envelope(spec, g, range(5, 10))
+    assert block.shape == (5, g.n)
+    for row, seed in zip(block, range(5, 10)):
+        assert np.array_equal(row, _one_envelope(spec, g, seed))
+
+
+def test_certify_peak_allocation_stays_bounded():
+    # measured on numpy 2.4: a block of DRAWS_PER_BLOCK = 4 draws peaks
+    # at 1.31 MB of traced allocation (0.42 MB one draw at a time, 2.04 MB
+    # at 8 draws); a larger block must be measured against the benchmark's
+    # peak RSS before this bound moves
+    certify(Params(-1.0), 3.0, n_draws=4)
+    tracemalloc.start()
+    try:
+        certify(Params(-1.0), 3.0, n_draws=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.45 * 2**20

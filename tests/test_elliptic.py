@@ -228,6 +228,42 @@ def test_fd_kernel_mutual_oracle():
     assert rel < 10 * g.h ** 2
 
 
+@settings(max_examples=40)
+@given(k=st.integers(1, 9), n=st.integers(8, 600), h=st.floats(0.005, 0.5),
+       right_rate=st.sampled_from([0.0, 0.4, 2.5]),
+       gamma=st.sampled_from([1.0, 1.5, 2.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_row_stacked_solves_match_one_dimensional_calls(k, n, h, right_rate,
+                                                         gamma, seed):
+    # a (k, n) stack is k solves, each row bit for bit its own 1-D call
+    g = Grid(-0.3 * (n - 1) * h, h, n)
+    u = np.random.default_rng(seed).uniform(0.0, 2.0, size=(k, n))
+    p = Params(0.0, gamma=gamma)
+    for solve in (lambda s: solve_pair(s, g, 1.3, 0.7, 0.2, right_rate),
+                  lambda s: cauchy.solve_v(p, s, g, right_rate)):
+        stacked = solve(u)
+        for i, row in enumerate(u):
+            for got, want in zip(stacked, solve(row)):
+                assert got.shape == (k, n)
+                assert np.array_equal(got[i], want)
+
+
+@pytest.mark.parametrize("bad, gamma", [(math.nan, 1.0), (math.inf, 1.0),
+                                        (-1.0, 1.5), (1e200, 2.0)])
+def test_a_non_finite_row_is_the_error_of_its_one_dimensional_call(bad,
+                                                                    gamma):
+    g = Grid.from_bounds(-5.0, 5.0, 0.1)
+    p = Params(0.0, gamma=gamma)
+    u = np.full((3, g.n), 0.5)
+    u[1, 40] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(DomainError) as one:
+            cauchy.solve_v(p, u[1], g, 0.5)
+        with pytest.raises(DomainError) as stacked:
+            cauchy.solve_v(p, u, g, 0.5)
+    assert str(stacked.value) == str(one.value)
+
+
 def test_direct_filter_is_lfilter_bit_for_bit():
     # imported after the direct load, as a caller of both would
     from scipy.signal import lfilter
