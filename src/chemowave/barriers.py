@@ -35,9 +35,10 @@ and checked against each barrier as one array, on the nodes the check
 reads.  Every row is bit for bit the draw taken alone, so the report
 does not depend on the block.  Memory sets the block's size: 4 draws
 remove most of the per-draw call overhead of one 3,001-node row and
-peak at 1.3 MB of allocation (0.4 MB one draw at a time), under the
-peak resident memory of the stability lab run beside certify; 8 draws
-(2.0 MB) raised that peak by about 1 MB and took 7% less time.
+peak at 1.3 MB of allocation (0.4 MB one draw at a time), which stays
+under the resident peak of the stability lab run in the same process;
+8 draws (2.0 MB) took about 7% less time but raised that process's
+peak resident memory by about 1 MB.
 """
 
 from __future__ import annotations
@@ -225,9 +226,10 @@ def random_envelope(spec: BarrierSpec, grid: Grid,
     lo = smooth.min(axis=-1, keepdims=True)
     span = smooth.max(axis=-1, keepdims=True) - lo
     # (smooth - lo) / span, 0.5 on a flat row, scaled into [0.2, 1] in place
+    varied = span > 0
     u = np.full(smooth.shape, 0.5)
-    np.subtract(smooth, lo, out=u, where=span > 0)
-    np.divide(u, span, out=u, where=span > 0)
+    np.subtract(smooth, lo, out=u, where=varied)
+    np.divide(u, span, out=u, where=varied)
     u *= 0.8
     u += 0.2
     u *= eval_super(spec, grid)

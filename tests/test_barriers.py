@@ -302,6 +302,22 @@ def test_random_envelope_rows_are_their_one_seed_draws():
         assert np.array_equal(row, _one_envelope(spec, g, seed))
 
 
+def test_random_envelope_flat_row_sits_mid_range(monkeypatch):
+    # a row with nothing to scale is 0.5 of its range, its neighbours not
+    def one_flat_row(raw, sigma):
+        raw = raw.copy()
+        raw[0] = 0.3
+        return raw
+
+    monkeypatch.setattr(barriers, "_gaussian_smooth", one_flat_row)
+    spec = BarrierSpec(kappa=0.5, kappa_tilde=1.0, M=2.0, D=1.0, d=0.1)
+    g = Grid.from_bounds(-5.0, 5.0, 0.1)
+    sup = eval_super(spec, g)
+    u = random_envelope(spec, g, [3, 4])
+    assert np.array_equal(u[0], sup * (0.2 + 0.8 * 0.5))
+    assert np.allclose([(u[1] / sup).min(), (u[1] / sup).max()], [0.2, 1.0])
+
+
 def test_certify_peak_allocation_stays_bounded():
     # measured on numpy 2.4: a block of DRAWS_PER_BLOCK = 4 draws peaks
     # at 1.31 MB of traced allocation (0.42 MB one draw at a time, 2.04 MB

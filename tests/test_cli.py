@@ -491,9 +491,9 @@ def test_a_config_key_the_subcommand_never_reads_is_accepted(tmp_path):
     assert json.loads((out / "constants.json").read_text())["c_star"] == 2.0
 
 
-# a base run per subcommand, each under 0.1 s but certify (no size flag:
-# about 0.15 s on a 2 vCPU Xeon); the fuzz values below give no smaller
-# h, wider grid, longer t_end or CoupledRelax than these
+# a base run per subcommand, each under 0.1 s (certify, which has no
+# size flag, about 0.08 s on a 2 vCPU Xeon); the fuzz values below give
+# no smaller h, wider grid, longer t_end or CoupledRelax than these
 FUZZ_BASE = {
     "constants": ["constants"],
     "simulate": ["simulate", "--grid-left", "-5", "--grid-right", "5",
