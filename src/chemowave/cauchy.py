@@ -31,12 +31,13 @@ checks all call it.
 
 Two rules keep a step's work to what it reads, and change no bit of
 the result.  The implicit matrix depends only on (n, h, dt,
-robin_kappa, c); its LAPACK gttrf factor is cached for the last four
-such keys and each step solves with gttrs, so a fixed-dt run factors
-its dt once, plus each shorter step capped at an output time; so does
-an automatic-dt run while its step sits at its cap, DT_MAX or
-RELAX_DT_MAX (a step below the cap factors afresh, at the cost of a
-one-off tridiagonal solve).
+robin_kappa, c).  A key that is not among the last four keys stepped
+is solved by one LAPACK gtsv and not factored; a key stepped again is
+factored once by gttrf, its factor cached for the last four such keys,
+and solved by gttrs, which is gtsv's elimination bit for bit.  So a
+fixed-dt run factors its dt once, and so does an automatic-dt run
+while its step sits at its cap, DT_MAX or RELAX_DT_MAX; a step below
+the cap, whose dt is new on nearly every step, costs one gtsv.
 At chi = 0 the step reads v only through terms multiplied by chi, so
 march solves v only at samples (output times and the end) and reuses
 the last v in between.
@@ -76,7 +77,7 @@ from functools import lru_cache
 import numpy as np
 
 from .elliptic import lapack, solve_pair
-# not called here (a step solves with gttrs); the package's tridiagonal
+# not called here (a step solves with gtsv or gttrs); the package's tridiagonal
 # solve stays bound under this name for perfbench's cauchy.tridiag probe
 from .elliptic import solve_tridiagonal as solve_banded  # noqa: F401
 from .errors import (BlowupDetected, DomainError, InternalError,
@@ -254,17 +255,14 @@ def _ghosted(u: np.ndarray, h: float, robin_kappa: float) -> np.ndarray:
     return np.concatenate(([u[1]], u, [u[-2] - 2.0 * h * robin_kappa * u[-1]]))
 
 
-@lru_cache(maxsize=4)
-def _diffusion_factor(n: int, h: float, dt: float, robin_kappa: float,
-                      c: float) -> tuple[np.ndarray, ...]:
-    """LAPACK gttrf factor of the implicit matrix I - dt (D_xx + c D_x).
+def _diffusion_bands(n: int, h: float, dt: float, robin_kappa: float,
+                     c: float) -> tuple[np.ndarray, ...]:
+    """(sub, diag, sup) of the implicit matrix I - dt (D_xx + c D_x).
 
     D_x is centered.  Its ghost rows are zero flux on the left, where
     the frame term vanishes, and Robin on the right, where it adds
-    c dt robin_kappa to the diagonal.  gttrs on this factor does
-    solve_tridiagonal's (gtsv's) elimination, pivots included, bit for bit.
-    Keyed on all the matrix depends on: a fixed-dt run factors it once,
-    and at c = 0 the matrix is I - dt D_xx to the bit.
+    c dt robin_kappa to the diagonal.  At c = 0 the matrix is I - dt D_xx
+    to the bit.
     """
     r = dt / h**2
     a = c * dt / (2.0 * h)
@@ -274,12 +272,30 @@ def _diffusion_factor(n: int, h: float, dt: float, robin_kappa: float,
     sup[0] = -2.0 * r        # ghost rows: zero flux left, Robin right
     sub[-1] = -2.0 * r
     diag[-1] = 1.0 + 2.0 * r * (1.0 + h * robin_kappa) + c * dt * robin_kappa
-    *factor, info = lapack.dgttrf(sub, diag, sup)
+    return sub, diag, sup
+
+
+@lru_cache(maxsize=4)
+def _diffusion_factor(n: int, h: float, dt: float, robin_kappa: float,
+                      c: float) -> tuple[np.ndarray, ...]:
+    """LAPACK gttrf factor of the implicit matrix of _diffusion_bands.
+
+    gttrs on this factor does gtsv's elimination, pivots included, bit
+    for bit.  Keyed on all the matrix depends on; advance_imex asks for
+    it only on a key's second recent step, so a key stepped once is
+    never factored.
+    """
+    *factor, info = lapack.dgttrf(*_diffusion_bands(n, h, dt, robin_kappa, c))
     if info != 0:
         raise InternalError(f"diffusion matrix factorization failed (info={info})")
     for a in factor:
         a.flags.writeable = False
     return tuple(factor)
+
+
+# keys of the last _RECENT_KEYS implicit solves, least recent first
+_RECENT_KEYS = 4
+_recent_keys: dict[tuple, bool] = {}
 
 
 def advance_imex(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
@@ -290,8 +306,10 @@ def advance_imex(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
     Solves (I - dt (D_xx + c D_x)) u_new = u + dt ((w - c) u_x + source):
     the frame advection is implicit and centered, the chemotactic drift
     w - c explicit.  Ghost nodes close the left edge with zero flux and
-    the right edge with u_x = -robin_kappa u.  The implicit solve reuses
-    the cached factor of its (n, h, dt, robin_kappa, c).
+    the right edge with u_x = -robin_kappa u.  The implicit matrix is
+    keyed on (n, h, dt, robin_kappa, c): a key that is not among the last
+    _RECENT_KEYS keys stepped is solved by one gtsv and not factored; a
+    recent key is solved by gttrs on its cached _diffusion_factor.
     """
     h = grid.h
     n = grid.n
@@ -312,8 +330,20 @@ def advance_imex(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
             f"non-finite update at x={grid.x0 + i * h:.6g}",
             x=grid.x0 + i * h)
 
-    u_new, _ = lapack.dgttrs(*_diffusion_factor(n, h, dt, robin_kappa, c),
-                             rhs, overwrite_b=True)
+    key = (n, h, dt, robin_kappa, c)
+    seen = _recent_keys.pop(key, False)
+    _recent_keys[key] = True
+    if len(_recent_keys) > _RECENT_KEYS:
+        del _recent_keys[next(iter(_recent_keys))]
+    if seen:
+        u_new, info = lapack.dgttrs(*_diffusion_factor(*key), rhs,
+                                    overwrite_b=True)
+    else:
+        *_, u_new, info = lapack.dgtsv(*_diffusion_bands(*key), rhs,
+                                       overwrite_dl=True, overwrite_d=True,
+                                       overwrite_du=True, overwrite_b=True)
+    if info != 0:
+        raise InternalError(f"diffusion solve failed (info={info})")
     return u_new
 
 

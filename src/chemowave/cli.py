@@ -208,7 +208,7 @@ def cmd_speed(cfg: dict) -> int:
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
     cw_io.write_csv(os.path.join(out, "front.csv"), ("t", "x_front"),
-                    zip(track.times, track.positions))
+                    (track.times, track.positions))
     cw_io.write_json(os.path.join(out, "speed.json"),
                      {"fitted_speed": track.fitted_speed, "r2": track.fit_r2,
                       "level": FRONT_LEVEL, **asdict(track.stats)})
@@ -222,7 +222,8 @@ def cmd_sweep(cfg: dict, values: dict[str, list[float]], jobs: int) -> int:
     rows = sweep_speeds(*axes, _sim_config(cfg, output_every=1.0), jobs)
     out = cfg["out_dir"]
     os.makedirs(out, exist_ok=True)
-    cw_io.write_csv(os.path.join(out, "speeds.csv"), SWEEP_HEADER, rows)
+    cw_io.write_csv(os.path.join(out, "speeds.csv"), SWEEP_HEADER,
+                    zip(*rows))
     _manifest(cfg, {"rows": len(rows), "runs": rows.runs})
     return 0
 

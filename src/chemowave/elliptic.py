@@ -26,7 +26,8 @@ directly, so that neither `scipy.signal`'s nor `scipy.linalg`'s
 compiled LAPACK (`scipy.linalg._flapack`; `scipy.linalg.lapack` if it
 cannot be loaded or lacks gttrf, gttrs, gtsv or gbsv).  `solve_tridiagonal`,
 gtsv with `scipy.linalg.solve_banded`'s checks, is the package's one
-tridiagonal solve.
+checked tridiagonal solve; `cauchy.advance_imex` calls gtsv and gttrs
+directly on the bands it builds itself.
 
 Tail convention: beyond a grid end x_e, s continues as
 s(x_e) * exp(-rate * (x - x_e)), so a rate > 0 decays to the right (and

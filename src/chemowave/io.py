@@ -1,37 +1,43 @@
-"""CSV/JSON persistence: 15 significant digits, LF endings, deterministic."""
+"""CSV/JSON persistence: 15 significant digits, LF endings, deterministic.
+
+Every CSV is a header line and equal-length float columns, each value as
+"%.15g" writes it (nan, inf and -0 included).  A CSV body is one
+%-format of a row format whose first column is already written out; the
+last row format is kept, so a run's snapshots, which share their x
+column, format it once.
+"""
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import DomainError
 
 
-def fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.15g}"
-    return str(x)
+@lru_cache(maxsize=1)
+def _row_format(k: int, first: bytes) -> str:
+    """Body format: each value of the first column, then k "%.15g" slots."""
+    rest = ",%.15g" * k + "\n"
+    return "".join(["%.15g" % x + rest
+                    for x in np.frombuffer(first).tolist()])
 
 
-def write_csv(path: str, header, rows) -> None:
-    """Header line, then one line per row; each value as fmt writes it.
+def write_csv(path: str, header, columns) -> None:
+    """Header line, then one line per row of the equal-length float columns.
 
-    When every row holds len(header) floats, one %-format writes the whole
-    body: "%.15g" prints exactly what fmt does, nan, inf and -0 included.
+    The values are converted to Python floats once and written by one
+    %-format against _row_format, keyed on the first column's bytes (so
+    0.0 and -0.0 are different keys).
     """
-    rows = list(rows)
-    k = len(header)
-    flat = tuple(itertools.chain.from_iterable(rows))
-    if set(map(len, rows)) <= {k} and all(
-            issubclass(t, float) for t in set(map(type, flat))):
-        body = ((("%.15g," * k)[:-1] + "\n") * len(rows)) % flat
-    else:
-        body = "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
+    first, *rest = (np.asarray(col, dtype=float) for col in columns)
+    body = _row_format(len(rest), first.tobytes())
+    if rest:
+        body %= tuple(np.column_stack(rest).ravel().tolist())
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.write(body)
@@ -39,25 +45,25 @@ def write_csv(path: str, header, rows) -> None:
 
 def write_profile_csv(path: str, profile) -> None:
     write_csv(path, ("x", "U", "V"),
-              zip(profile.U.x, profile.U.values, profile.V.values))
+              (profile.U.x, profile.U.values, profile.V.values))
 
 
 def write_snapshot_csv(out_dir: str, state) -> str:
     path = os.path.join(out_dir, f"snap_t{state.t:g}.csv")
     write_csv(path, ("x", "u", "v"),
-              zip(state.u.x, state.u.values, state.v.values))
+              (state.u.x, state.u.values, state.v.values))
     return path
 
 
 def write_monitors_csv(path: str, monitors) -> None:
     write_csv(path, ("t", "sup_u", "inf_u", "front_x"),
-              zip(monitors.times, monitors.sup_u, monitors.inf_u,
-                  monitors.front_x))
+              (monitors.times, monitors.sup_u, monitors.inf_u,
+               monitors.front_x))
 
 
 def write_decay_csv(path: str, record) -> None:
     write_csv(path, ("t", "W", "supdiff"),
-              zip(record.times, record.W, record.supdiff))
+              (record.times, record.W, record.supdiff))
 
 
 def write_run_outputs(out_dir: str, snapshots, monitors) -> None:

@@ -115,12 +115,27 @@ def predicted_lambda(params: Params, c: float, eta: float) -> float:
 
 
 def default_eta(params: Params, c: float) -> float:
-    """Midpoint of (kappa, 1/(1+|chi|^sigma)), the theorem's weight interval."""
+    """The weight eta of a stability run, inside eta_window.
+
+    The midpoint of (kappa, 1/(1+|chi|^sigma)), the theorem's weight
+    interval, where it lies inside eta_window; otherwise the midpoint of
+    the two intervals' intersection.  DomainError names both intervals
+    when they do not meet.
+    """
     kappa = kappa_of_speed(c)
     hi = 1.0 / (1.0 + abs(params.chi) ** SIGMA)
     if hi <= kappa:
         raise DomainError("empty weight interval: c too small for this chi")
-    return 0.5 * (kappa + hi)
+    km, kp = eta_window(params, c)
+    eta = 0.5 * (kappa + hi)
+    if km < eta < kp:
+        return eta
+    lo, up = max(kappa, km), min(hi, kp)
+    if lo >= up:
+        raise DomainError(
+            f"no admissible eta: the weight interval ({kappa:.6g}, {hi:.6g})"
+            f" and the decay window ({km:.6g}, {kp:.6g}) do not meet")
+    return 0.5 * (lo + up)
 
 
 def perturbed_initial(profile: WaveProfile) -> Field:

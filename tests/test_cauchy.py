@@ -1,6 +1,8 @@
 """Time integrator: constant solutions, bounds, monotone structure, orders."""
 
 import math
+import types
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -383,8 +385,9 @@ def test_cached_factor_step_matches_banded_solve(n, h, dts, peclet, pattern,
                                                  robin_kappa, chi, scheme,
                                                  seed):
     # step i takes dt = dts[i % len(dts)] and frame speed c = cs[i % 2],
-    # lab frame (c = 0) on even i: keys repeat and alternate, so the
-    # factor cache both misses and hits.  |c| h = 2 |peclet| < 2.
+    # lab frame (c = 0) on even i: keys repeat and alternate, so steps
+    # solve by gtsv, factor and hit the factor cache.  |c| h = 2 |peclet|
+    # < 2.
     cs = (0.0, 2.0 * peclet / h)
     g = Grid(-1.0, h, n)
     p = Params(chi)
@@ -392,6 +395,7 @@ def test_cached_factor_step_matches_banded_solve(n, h, dts, peclet, pattern,
     u = rng.uniform(0.0, 1.5, n)
     v, vx = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
     cauchy._diffusion_factor.cache_clear()
+    cauchy._recent_keys.clear()
     for i in pattern:
         dt, c = dts[i % len(dts)], cs[i % 2]
         got = advance_imex(p, u, v, vx, c, dt, g, robin_kappa, scheme)
@@ -399,9 +403,45 @@ def test_cached_factor_step_matches_banded_solve(n, h, dts, peclet, pattern,
                                      scheme)
         assert np.array_equal(got, want)
         u = np.maximum(got, 0.0)
+    # at most three keys, so none leaves the record or the cache: a key's
+    # first step makes no factor, its second factors it, later ones hit
+    uses = Counter((dts[i % len(dts)], cs[i % 2]) for i in pattern).values()
     info = cauchy._diffusion_factor.cache_info()
-    assert info.misses == len({(dts[i % len(dts)], cs[i % 2]) for i in pattern})
-    assert info.hits == len(pattern) - info.misses
+    assert info.misses == sum(k >= 2 for k in uses)
+    assert info.hits == sum(max(k - 2, 0) for k in uses)
+
+
+@pytest.mark.parametrize("dt", [0.03, None])
+def test_only_a_repeated_dt_is_factored(monkeypatch, dt):
+    # a fixed dt is factored once; an automatic dt, new on most steps, is
+    # factored only if it is taken twice, and never twice
+    taken, factored = [], []
+    step, real = cauchy.advance_imex, cauchy.lapack
+
+    def stepped(p, u, v, vx, c, dt, *args):
+        taken.append(dt)
+        return step(p, u, v, vx, c, dt, *args)
+
+    def dgttrf(*bands):
+        factored.append(taken[-1])
+        return real.dgttrf(*bands)
+
+    monkeypatch.setattr(cauchy, "advance_imex", stepped)
+    monkeypatch.setattr(cauchy, "lapack", types.SimpleNamespace(
+        dgttrf=dgttrf, dgttrs=real.dgttrs, dgtsv=real.dgtsv))
+    cauchy._diffusion_factor.cache_clear()
+    cauchy._recent_keys.clear()
+    g = Grid.from_bounds(-20, 20, 0.1)
+    run(SimConfig(Params(-1.0), g, t_end=2.0, dt=dt, output_every=0.5),
+        Field(g, 2.0 * np.exp(-g.x ** 2)))
+    cauchy._diffusion_factor.cache_clear()
+    uses = Counter(taken)
+    assert len(set(factored)) == len(factored)
+    assert all(uses[d] >= 2 for d in factored)
+    if dt is None:
+        assert sum(k == 1 for k in uses.values()) > len(uses) // 2
+    else:
+        assert dt in factored
 
 
 def test_chi_zero_solves_v_once_per_sample(monkeypatch):

@@ -21,7 +21,6 @@ from chemowave.cli import (DEFAULTS, _NUMERIC, SUBCOMMANDS, _flag, emit_plot,
                            main, parse_config)
 from chemowave.errors import DomainError
 from chemowave.fields import Grid
-from chemowave.io import fmt
 from chemowave.params import Params
 from chemowave.speed import compact_datum, spreading_speed, sweep_speeds
 from chemowave.waves import NEWTON_TOL, fitted_frame_speed
@@ -370,7 +369,7 @@ def test_sweep_runs_the_flagged_grid_and_times(tmp_path):
                        t_end=40.0, dt=0.05, output_every=1.0)
     row = sweep_speeds([0.0], [1.0], [1.0], [1.0], config)[0]
     written = (out / "speeds.csv").read_text().splitlines()[1]
-    assert written == ",".join(fmt(v) for v in row)
+    assert written == ",".join("%.15g" % v for v in row)
     config = json.loads((out / "manifest.json").read_text())["config"]
     assert (config["grid.left"], config["grid.right"], config["grid.h"],
             config["t_end"], config["dt"]) == (-30.0, 120.0, 0.1, 40.0, 0.05)

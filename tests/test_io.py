@@ -12,18 +12,18 @@ from chemowave import io as cw_io
 from chemowave.fields import Field, Grid
 
 
-def test_fmt_fifteen_significant_digits():
-    assert cw_io.fmt(1.0 / 3.0) == "0.333333333333333"
-    assert cw_io.fmt(2.0) == "2"
-    assert cw_io.fmt(math.nan) == "nan"
-    assert cw_io.fmt(12) == "12"
+def test_csv_fifteen_significant_digits(tmp_path):
+    path = tmp_path / "digits.csv"
+    cw_io.write_csv(str(path), ("a", "b"),
+                    ([1.0 / 3.0, math.nan], [2.0, 12]))
+    assert path.read_text() == "a,b\n0.333333333333333,2\nnan,12\n"
 
 
 def test_field_csv_roundtrip(tmp_path):
     g = Grid.from_bounds(-1.0, 1.0, 0.25)
     f = Field(g, np.linspace(0.0, 1.0, g.n))
     path = tmp_path / "field.csv"
-    cw_io.write_csv(str(path), ("x", "value"), zip(f.x, f.values))
+    cw_io.write_csv(str(path), ("x", "value"), (f.x, f.values))
     raw = path.read_bytes()
     assert b"\r" not in raw
     lines = raw.decode().splitlines()
@@ -44,26 +44,38 @@ FLOATS = st.one_of(EDGE_FLOATS, st.floats(allow_nan=True, allow_infinity=True,
 @settings(max_examples=200)
 @given(columns=st.integers(1, 4), values=st.lists(FLOATS, max_size=40),
        as_numpy=st.booleans())
-def test_float_rows_format_byte_for_byte_as_fmt(columns, values, as_numpy):
+def test_float_columns_format_byte_for_byte(columns, values, as_numpy):
     values = values[:len(values) // columns * columns]
     if as_numpy:
         values = list(np.array(values, dtype=float))
-    rows = [tuple(values[i:i + columns]) for i in range(0, len(values), columns)]
+    rows = [values[i:i + columns] for i in range(0, len(values), columns)]
+    cols = [[row[j] for row in rows] for j in range(columns)]
     header = tuple(f"c{j}" for j in range(columns))
-    expected = "".join(",".join(cw_io.fmt(v) for v in row) + "\n"
+    expected = "".join(",".join("%.15g" % v for v in row) + "\n"
                        for row in rows)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "rows.csv"
-        cw_io.write_csv(str(path), header, iter(rows))
+        path = Path(tmp) / "cols.csv"
+        cw_io.write_csv(str(path), header, iter(cols))
         assert path.read_bytes() == (",".join(header) + "\n"
                                      + expected).encode()
 
 
-def test_mixed_rows_keep_per_value_format(tmp_path):
-    path = tmp_path / "mixed.csv"
-    cw_io.write_csv(str(path), ("a", "b", "c"),
-                    [(1, 0.5, "x"), (math.nan, -0.0, 2.0), (3.0, 4.0)])
-    assert path.read_text() == "a,b,c\n1,0.5,x\nnan,-0,2\n3,4\n"
+def test_kept_row_format_never_leaks_another_files_x(tmp_path):
+    # same length, one value apart or only 0.0 against -0.0: each file
+    # must carry its own first column, however the calls interleave
+    x = np.linspace(-1.0, 1.0, 5)
+    other = x.copy()
+    other[3] = 0.75
+    signed = x.copy()
+    signed[2] = -0.0
+    firsts = [x, other, x, signed, x, signed, other]
+    for i, first in enumerate(firsts):
+        path = tmp_path / f"f{i}.csv"
+        values = np.arange(5.0) + i
+        cw_io.write_csv(str(path), ("x", "u"), (first, values))
+        expected = "".join("%.15g,%.15g\n" % pair
+                           for pair in zip(first.tolist(), values.tolist()))
+        assert path.read_text() == "x,u\n" + expected
 
 
 def test_manifest_contains_version(tmp_path):

@@ -91,8 +91,28 @@ def test_eta_window_ordering():
 
 def test_default_eta_midpoint():
     p = Params(0.0)
-    assert default_eta(p, 3.0) == pytest.approx(
-        0.5 * (kappa_of_speed(3.0) + 1.0))
+    assert default_eta(p, 3.0) == 0.5 * (kappa_of_speed(3.0) + 1.0)
+
+
+@pytest.mark.parametrize("p", [Params(-0.01, 2.0, 1.5, 1.0),
+                               Params(-0.01, 1.0, 1.0, 1.5),
+                               Params(0.001, 2.0, 2.0, 1.0)])
+def test_default_eta_lies_in_the_decay_window(p):
+    # above c** the midpoint of (kappa, 1/(1+|chi|^sigma)) can fall below
+    # kappa-; the intersection's midpoint is taken instead
+    c = constants_report(p).c_star_star + 0.3
+    eta = default_eta(p, c)
+    km, kp = eta_window(p, c)
+    lo = max(kappa_of_speed(c), km)
+    hi = min(1.0 / (1.0 + abs(p.chi) ** SIGMA), kp)
+    assert lo < eta < hi
+    assert math.isfinite(predicted_lambda(p, c, eta))
+
+
+def test_default_eta_refuses_disjoint_intervals():
+    with pytest.raises(DomainError, match=r"weight interval \(0\.17.*"
+                       r"decay window \(1\.6"):
+        default_eta(Params(-0.1, 1.5, 1.0, 1.0), 5.93)
 
 
 def test_perturb_spec_compact_support():
