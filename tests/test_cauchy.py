@@ -434,7 +434,6 @@ def test_only_a_repeated_dt_is_factored(monkeypatch, dt):
     g = Grid.from_bounds(-20, 20, 0.1)
     run(SimConfig(Params(-1.0), g, t_end=2.0, dt=dt, output_every=0.5),
         Field(g, 2.0 * np.exp(-g.x ** 2)))
-    cauchy._diffusion_factor.cache_clear()
     uses = Counter(taken)
     assert len(set(factored)) == len(factored)
     assert all(uses[d] >= 2 for d in factored)

@@ -64,6 +64,7 @@ def test_kept_row_format_never_leaks_another_files_x(tmp_path):
     # same length, one value apart or only 0.0 against -0.0: each file
     # must carry its own first column, however the calls interleave
     x = np.linspace(-1.0, 1.0, 5)
+    assert x[2] == 0.0 and not np.signbit(x[2])
     other = x.copy()
     other[3] = 0.75
     signed = x.copy()
