@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cauchy import solve_v
+from .cauchy import power, solve_v
 from .errors import DomainError
 from .fields import Field, Grid
 from .params import (Params, RegimeTag, barrier_constants,
@@ -143,10 +143,10 @@ def _w_terms(W: np.ndarray, p: Params, h: float) -> tuple[np.ndarray, ...]:
     Wi = W[1:-1]
     return ((W[2:] - W[:-2]) / (2.0 * h),
             (W[2:] - 2.0 * Wi + W[:-2]) / h**2,
-            p.chi * p.m * np.power(Wi, p.m - 1.0),
-            -p.chi * np.power(Wi, p.m),
-            np.power(Wi, p.gamma),
-            Wi * (1.0 - np.power(Wi, p.alpha)))
+            p.chi * p.m * power(Wi, p.m - 1.0),
+            -p.chi * power(Wi, p.m),
+            power(Wi, p.gamma),
+            Wi * (1.0 - power(Wi, p.alpha)))
 
 
 def _residual_rows(terms: tuple[np.ndarray, ...], V: np.ndarray,

@@ -29,18 +29,23 @@ spreading-speed run at a lost front.
 + u^gamma: march, the wave lane, the barrier operator and the a-priori
 checks all call it.
 
-Two rules keep a step's work to what it reads, and change no bit of
-the result.  The implicit matrix depends only on (n, h, dt,
-robin_kappa, c).  A key that is not among the last four keys stepped
-is solved by one LAPACK gtsv and not factored; a key stepped again is
-factored once by gttrf, its factor cached for the last four such keys,
-and solved by gttrs, which is gtsv's elimination bit for bit.  So a
-fixed-dt run factors its dt once, and so does an automatic-dt run
-while its step sits at its cap, DT_MAX or RELAX_DT_MAX; a step below
-the cap, whose dt is new on nearly every step, costs one gtsv.
-At chi = 0 the step reads v only through terms multiplied by chi, so
-march solves v only at samples (output times and the end) and reuses
-the last v in between.
+Three rules keep a step's work to what it reads, and change no bit of
+the result.  A step evaluates each of its terms once: march builds one
+StepTerms per step (u^alpha, u^(m-1), v - u^gamma and the drift w - c)
+that auto_dt and advance_imex both read, and `power` skips the call at
+the exponents 0 and 1, whose np.power is 1.0 and u to the bit.  At
+chi = 0 the step reads v only through terms multiplied by chi, so its
+StepTerms carry none of them: the step takes no u_x and no chemotactic
+source, and march solves v only at samples (output times and the end)
+and reuses the last v in between.  The implicit matrix depends only on
+(n, h, dt, robin_kappa, c).  A key that is not among the last four keys
+stepped is solved by one LAPACK gtsv and not factored; a key stepped
+again is factored once by gttrf, its factor cached for the last four
+such keys, and solved by gttrs, which is gtsv's elimination bit for
+bit.  So a fixed-dt run factors its dt once, and so does an
+automatic-dt run while its step sits at its cap, DT_MAX or
+RELAX_DT_MAX; a step below the cap, whose dt is new on nearly every
+step, costs one gtsv.
 
 `steady_residual` and `steady_jacobian` are the steady form of the
 centered step and its frozen-v Jacobian, which the wave lane's Newton
@@ -73,6 +78,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,8 +190,13 @@ class Monitors:
 
 
 def _require_finite(values: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise DomainError(f"{name} values must be finite")
+
+
+def power(u: np.ndarray, e: float) -> np.ndarray | float:
+    """np.power(u, e) bit for bit, with no call at e = 1 (u) or e = 0 (1.0)."""
+    return u if e == 1.0 else 1.0 if e == 0.0 else np.power(u, e)
 
 
 def solve_v(p: Params, u: np.ndarray, grid: Grid,
@@ -196,7 +207,7 @@ def solve_v(p: Params, u: np.ndarray, grid: Grid,
     on the right (a plateau too at tail_kappa = 0).  u runs along its
     last axis: a (k, n) stack of densities is k solves in one call.
     """
-    src = np.power(u, p.gamma)
+    src = power(u, p.gamma)
     _require_finite(src, "u^gamma")
     v, vx = solve_pair(src, grid, 1.0, 1.0, 0.0, p.gamma * tail_kappa)
     _require_finite(v, "v")
@@ -209,42 +220,71 @@ def robin_rate(kappa: float, h: float) -> float:
     return math.sinh(kappa * h) / h
 
 
-def advective_velocity(p: Params, u: np.ndarray, vx: np.ndarray, c: float) -> np.ndarray:
-    return c - p.chi * p.m * np.power(u, p.m - 1.0) * vx
+class StepTerms(NamedTuple):
+    """The terms of the step at (u, v, v_x), each computed once.
+
+    At chi = 0 the chemotactic ones (um1, gap and the drift w - c) are
+    None: a step then reads no v, has no drift and no chemotactic source.
+    """
+
+    ua: np.ndarray                       # u^alpha
+    um1: np.ndarray | float | None       # u^(m-1)
+    gap: np.ndarray | None               # v - u^gamma
+    drift: np.ndarray | None             # w - c = -chi m u^(m-1) v_x
 
 
-def reaction_source(p: Params, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (-p.chi * np.power(u, p.m) * (v - np.power(u, p.gamma))
-            + u * (1.0 - np.power(u, p.alpha)))
+def step_terms(p: Params, u: np.ndarray, v: np.ndarray | None,
+               vx: np.ndarray | None) -> StepTerms:
+    """The StepTerms at u; v and v_x are read only at chi != 0."""
+    ua = power(u, p.alpha)
+    if p.chi == 0.0:
+        return StepTerms(ua, None, None, None)
+    um1 = power(u, p.m - 1.0)
+    return StepTerms(ua, um1, v - power(u, p.gamma),
+                     advective_velocity(p, um1, vx, 0.0))
 
 
-def reaction_derivative(p: Params, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def advective_velocity(p: Params, um1: np.ndarray | float, vx: np.ndarray,
+                       c: float) -> np.ndarray:
+    """w = c - chi m u^(m-1) v_x, from um1 = u^(m-1)."""
+    return c - p.chi * p.m * um1 * vx
+
+
+def reaction_source(p: Params, u: np.ndarray, terms: StepTerms) -> np.ndarray:
+    """-chi u^m (v - u^gamma) + u (1 - u^alpha); its last term at chi = 0."""
+    logistic = u * (1.0 - terms.ua)
+    if terms.gap is None:
+        return logistic
+    return -p.chi * power(u, p.m) * terms.gap + logistic
+
+
+def reaction_derivative(p: Params, u: np.ndarray,
+                        terms: StepTerms) -> np.ndarray:
     """d/du of reaction_source with v frozen."""
-    return (1.0 - (p.alpha + 1.0) * np.power(u, p.alpha)
-            - p.chi * (p.m * np.power(u, p.m - 1.0) * (v - np.power(u, p.gamma))
-                       - p.gamma * np.power(u, p.m + p.gamma - 1.0)))
+    logistic = 1.0 - (p.alpha + 1.0) * terms.ua
+    if terms.gap is None:
+        return logistic
+    return logistic - p.chi * (p.m * terms.um1 * terms.gap
+                               - p.gamma * power(u, p.m + p.gamma - 1.0))
 
 
-def reaction_jacobian_bound(p: Params, u: np.ndarray, v: np.ndarray) -> float:
-    return float(np.abs(reaction_derivative(p, u, v)).max())
+def auto_dt(p: Params, u: np.ndarray, terms: StepTerms, h: float,
+            pseudo_time: bool = False) -> float:
+    """Automatic step at u: CFL on the drift w - c of terms, and the reaction bound.
 
-
-def auto_dt(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
-            h: float, pseudo_time: bool = False) -> float:
-    """Automatic step: CFL on the explicit drift w - c, and the reaction bound.
-
-    The frame speed c is advected implicitly, so it does not bound dt.
+    The frame speed c is advected implicitly, so it does not bound dt;
+    at chi = 0 there is no drift and only the reaction bounds it.
     pseudo_time swaps the accuracy bound 0.1 / Rmax and cap DT_MAX for
     RELAX_REACTION / Rmax and RELAX_DT_MAX.
     """
     reaction, cap = ((RELAX_REACTION, RELAX_DT_MAX) if pseudo_time
                      else (0.1, DT_MAX))
-    drift = advective_velocity(p, u, vx, 0.0)       # w - c
-    vmax = float(np.abs(drift).max())
-    rmax = reaction_jacobian_bound(p, u, v)
     dt = math.inf
-    if vmax > 0:
-        dt = min(dt, 0.5 * h / vmax)
+    if terms.drift is not None:
+        vmax = float(np.abs(terms.drift).max())
+        if vmax > 0:
+            dt = 0.5 * h / vmax
+    rmax = float(np.abs(reaction_derivative(p, u, terms)).max())
     if rmax > 0:
         dt = min(dt, reaction / rmax)
     return min(dt, cap)
@@ -298,33 +338,37 @@ _RECENT_KEYS = 4
 _recent_keys: dict[tuple, bool] = {}
 
 
-def advance_imex(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
-                 c: float, dt: float, grid: Grid, robin_kappa: float,
+def advance_imex(p: Params, u: np.ndarray, terms: StepTerms, c: float,
+                 dt: float, grid: Grid, robin_kappa: float,
                  scheme: str = "upwind") -> np.ndarray:
-    """One IMEX step of the expanded equation with frozen (v, v_x).
+    """One IMEX step of the expanded equation from u with its StepTerms.
 
     Solves (I - dt (D_xx + c D_x)) u_new = u + dt ((w - c) u_x + source):
     the frame advection is implicit and centered, the chemotactic drift
     w - c explicit.  Ghost nodes close the left edge with zero flux and
-    the right edge with u_x = -robin_kappa u.  The implicit matrix is
-    keyed on (n, h, dt, robin_kappa, c): a key that is not among the last
+    the right edge with u_x = -robin_kappa u; at chi = 0 there is no
+    drift, and no u_x is taken.  The implicit matrix is keyed on
+    (n, h, dt, robin_kappa, c): a key that is not among the last
     _RECENT_KEYS keys stepped is solved by one gtsv and not factored; a
     recent key is solved by gttrs on its cached _diffusion_factor.
     """
     h = grid.h
     n = grid.n
-    ue = _ghosted(u, h, robin_kappa)
     # non-finite intermediates are caught below and reported as blow-up
     with np.errstate(invalid="ignore", over="ignore"):
-        w = advective_velocity(p, u, vx, 0.0)       # w - c
-        if scheme == "upwind":
-            fwd = (ue[2:] - ue[1:-1]) / h
-            bwd = (ue[1:-1] - ue[:-2]) / h
-            ux = np.where(w > 0, fwd, bwd)
-        else:
-            ux = (ue[2:] - ue[:-2]) / (2.0 * h)
-        rhs = u + dt * (w * ux + reaction_source(p, u, v))
-    if not np.all(np.isfinite(rhs)):
+        source = reaction_source(p, u, terms)
+        w = terms.drift                             # w - c
+        if w is not None:
+            ue = _ghosted(u, h, robin_kappa)
+            if scheme == "upwind":
+                fwd = (ue[2:] - ue[1:-1]) / h
+                bwd = (ue[1:-1] - ue[:-2]) / h
+                ux = np.where(w > 0, fwd, bwd)
+            else:
+                ux = (ue[2:] - ue[:-2]) / (2.0 * h)
+            source = w * ux + source
+        rhs = u + dt * source
+    if not np.isfinite(rhs).all():
         i = int(np.flatnonzero(~np.isfinite(rhs))[0])
         raise BlowupDetected(
             f"non-finite update at x={grid.x0 + i * h:.6g}",
@@ -355,14 +399,23 @@ def steady_residual(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
     A zero u_t is a fixed point of the centered step with the same (v, v_x),
     c and robin_kappa, at any dt: u_xx + c u_x from the implicit part,
     (w - c) u_x and the source from the explicit part, the same ghost
-    nodes for both.
+    nodes and the same StepTerms for both.
     """
     h = grid.h
+    terms = step_terms(p, u, v, vx)
     ue = _ghosted(u, h, robin_kappa)
     ux = (ue[2:] - ue[:-2]) / (2.0 * h)
     uxx = (ue[2:] - 2.0 * u + ue[:-2]) / h**2
-    return (uxx + advective_velocity(p, u, vx, c) * ux
-            + reaction_source(p, u, v)), ux
+    return (uxx + _velocity(p, terms, vx, c) * ux
+            + reaction_source(p, u, terms)), ux
+
+
+def _velocity(p: Params, terms: StepTerms, vx: np.ndarray,
+              c: float) -> np.ndarray | float:
+    """w at the frame speed c: c at every node when terms carry no drift."""
+    if terms.um1 is None:
+        return np.full(vx.shape, c)
+    return advective_velocity(p, terms.um1, vx, c)
 
 
 def steady_jacobian(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
@@ -374,13 +427,14 @@ def steady_jacobian(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
     super[i]; the ghost nodes fold into the edge rows.
     """
     h = grid.h
-    w = advective_velocity(p, u, vx, c)
+    terms = step_terms(p, u, v, vx)
+    w = _velocity(p, terms, vx, c)
     right = 1.0 / h**2 + w / (2.0 * h)       # weight of ue[i+2]
     left = 1.0 / h**2 - w / (2.0 * h)        # weight of ue[i]
     # dw/du is 0 at m = 1, where u^(m-2) would be inf at a zero node
     dw = (0.0 if p.m == 1.0 else
-          -p.chi * p.m * (p.m - 1.0) * np.power(u, p.m - 2.0) * vx)
-    diag = -2.0 / h**2 + dw * ux + reaction_derivative(p, u, v)
+          -p.chi * p.m * (p.m - 1.0) * power(u, p.m - 2.0) * vx)
+    diag = -2.0 / h**2 + dw * ux + reaction_derivative(p, u, terms)
     diag[-1] -= 2.0 * h * robin_kappa * right[-1]
     sup = right[:-1].copy()
     sup[0] += left[0]
@@ -390,7 +444,7 @@ def steady_jacobian(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
 
 
 def _check_finite(u: np.ndarray, t: float, grid: Grid) -> None:
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         i = int(np.flatnonzero(~np.isfinite(u))[0])
         raise BlowupDetected(
             f"non-finite state at t={t:.6g}, x={grid.x0 + i * grid.h:.6g}",
@@ -409,10 +463,11 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
     under config.pseudo_time), is above MAX_INNER_STEPS is refused before
     its first step with StepBudgetError (a fixed dt below DT_FLOOR fails
     that step instead), and an automatic-dt run that needs more steps
-    ends in StiffnessError.  v is refreshed from the new u after every
-    step, except at chi = 0: a step then reads v only through terms
-    multiplied by chi, so v is solved at samples only and yielded as
-    None (v_x too) in between; u^gamma is still checked.
+    ends in StiffnessError.  Each step builds its StepTerms once, for
+    auto_dt and advance_imex.  v is refreshed from the new u after every
+    step, except at chi = 0: the step's terms then read no v, so v is
+    solved at samples only and yielded as None (v_x too) in between;
+    u^gamma is still checked.
     """
     p, grid = config.params, config.grid
     if u0.grid != grid:
@@ -436,22 +491,22 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
     t = 0.0
     yield t, u, v, vx, 0.0, 0, True
 
-    refresh_every_step = p.chi != 0.0
     next_out = config.output_every
     steps = 0
     while t < config.t_end - LANDING_SLACK:
+        terms = step_terms(p, u, v, vx)
         dt = config.dt
         if dt is None:
             if steps == MAX_INNER_STEPS:
                 raise StiffnessError(
                     f"automatic dt took {steps:,} steps to t = {t:.6g} of "
                     f"t_end {config.t_end:g}: step budget exhausted")
-            dt = auto_dt(p, u, v, vx, grid.h, config.pseudo_time)
+            dt = auto_dt(p, u, terms, grid.h, config.pseudo_time)
         steps += 1
         if dt < DT_FLOOR:
             raise StiffnessError(f"dt underflow: {dt:.3e} < {DT_FLOOR:g}")
         dt = min(dt, next_out - t, config.t_end - t)
-        u = advance_imex(p, u, v, vx, config.frame_speed, dt, grid,
+        u = advance_imex(p, u, terms, config.frame_speed, dt, grid,
                          robin_kappa, config.scheme)
         clamped = 0
         if u.min() < 0:
@@ -464,13 +519,14 @@ def march(config: SimConfig, u0: Field) -> Iterator[tuple]:
         if sample:
             next_out = round(next_out / config.output_every + 1) * config.output_every
         sample = sample or t >= config.t_end - LANDING_SLACK
-        if refresh_every_step or sample:
+        # v is solved after a step that read it, and at samples
+        if terms.gap is not None or sample:
             v, vx = solve_v(p, u, grid, config.tail_kappa)
             v.flags.writeable = vx.flags.writeable = False
             yield t, u, v, vx, dt, clamped, sample
         else:
             # u >= 0, so u^gamma is finite exactly when max(u)^gamma is
-            _require_finite(np.power(u.max(), p.gamma), "u^gamma")
+            _require_finite(power(u.max(), p.gamma), "u^gamma")
             yield t, u, None, None, dt, clamped, sample
 
 

@@ -16,6 +16,7 @@ the smaller root of kappa^2 - c*kappa + 1 = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields as dc_fields
 from enum import Enum
@@ -51,6 +52,21 @@ class Params:
                 raise DomainError(f"{name} must be >= 1")
 
 
+def _closed_form(fn):
+    """fn(p, ...) with a float overflow (Python's ** raises one) as a
+    DomainError naming fn and the parameters p."""
+    @functools.wraps(fn)
+    def checked(p: Params, *args, **kwargs):
+        try:
+            return fn(p, *args, **kwargs)
+        except OverflowError:
+            name = fn.__name__.lstrip("_")
+            raise DomainError(
+                f"{name} overflows at chi={p.chi:g}, m={p.m:g}, "
+                f"alpha={p.alpha:g}, gamma={p.gamma:g}") from None
+    return checked
+
+
 class RegimeTag(Enum):
     """Which set of hypotheses (if any) the parameters satisfy."""
 
@@ -75,9 +91,16 @@ def kappa_of_speed(c: float) -> float:
     """Smaller root of kappa^2 - c*kappa + 1 = 0, in (0, 1] for c >= 2."""
     if c < 2.0:
         raise DomainError("c must be >= 2 (roots complex below the minimal speed)")
-    return (c - math.sqrt(c * c - 4.0)) / 2.0
+    kappa = (c - math.sqrt(c * c - 4.0)) / 2.0
+    if not kappa > 0.0:
+        # from c ~ 1.34e8 sqrt(c^2 - 4) rounds to c, and above ~1.3e154
+        # c^2 overflows
+        raise DomainError(f"c = {c:g} too large: kappa = (c - sqrt(c^2 - 4))"
+                          f" / 2 evaluates to {kappa:g}, not > 0")
+    return kappa
 
 
+@_closed_form
 def c_star(p: Params) -> float:
     """Lower speed threshold for wave existence with chi <= 0."""
     s = math.sqrt(p.m * p.gamma * abs(p.chi) + p.gamma ** 2 * abs(p.chi) + p.gamma ** 2)
@@ -114,6 +137,7 @@ def kappa1_max(p: Params, kappa: float) -> float:
 # Explicit barrier constants (sub/super-solution parameters)
 # ----------------------------------------------------------------------
 
+@_closed_form
 def M_barrier(p: Params, kappa: float) -> float:
     """Largest plateau admissible for the super-solution, chi <= 0 branch."""
     return 1.0 / (kappa * math.sqrt(
@@ -135,6 +159,7 @@ class BarrierConstants:
     x_plus: float
 
 
+@_closed_form
 def barrier_constants(p: Params, kappa: float, kappa_tilde: float,
                       M: float = 1.0) -> BarrierConstants:
     """Evaluate the explicit sub-solution constants.
@@ -212,6 +237,7 @@ def _M_tprime(p: Params, M: float) -> float:
     return max(low, high)
 
 
+@_closed_form
 def _bD_chain(p: Params, M_hat: float, M_base: float):
     """b1..b4, D', D'' evaluated with the sup bound M_hat."""
     a = abs(p.chi)
@@ -284,6 +310,7 @@ class ConstantsReport:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
 
+@_closed_form
 def constants_report(p: Params, c: float | None = None) -> ConstantsReport:
     a = abs(p.chi)
     M = M_chi(p)

@@ -47,7 +47,7 @@ import numpy as np
 
 from .barriers import BarrierSpec, default_barrier_spec, eval_sub, eval_super
 from .cauchy import (MAX_INNER_STEPS, RELAX_DT_MAX, SimConfig, StepStats,
-                     march, robin_rate, solve_v, steady_jacobian,
+                     march, power, robin_rate, solve_v, steady_jacobian,
                      steady_residual)
 from .elliptic import lapack, sweep_weights, tail_integrals
 from .errors import (DomainError, NoConvergence, NormalizationError,
@@ -213,8 +213,8 @@ def _newton_step(problem: WaveProblem, u: np.ndarray, v: np.ndarray,
     E, (I0, I1), (J0, J1) = sweep_weights(h, 1.0)
     ds = p.gamma * np.power(u, p.gamma - 1.0)            # d(u^gamma)/du
     ds[-1] = 0.0                                         # U[n-1] is pinned
-    dF_dv = -p.chi * np.power(u, p.m)
-    dF_dvx = -p.chi * p.m * np.power(u, p.m - 1.0) * ux
+    dF_dv = -p.chi * power(u, p.m)
+    dF_dvx = -p.chi * p.m * power(u, p.m - 1.0) * ux
     # J[i, j] sits at ab[o + i - j, j]; band[:, k, 0 | 1 | 2] holds the
     # columns of a_k, dU_k and b_k, and its rows are a's, F's and b's at k
     o = 2 * BAND

@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from chemowave import cauchy
-from chemowave.cauchy import (SimConfig, State, StepStats, _ghosted,
-                              advance_imex, advective_velocity, auto_dt,
-                              march, monitor_bounds, reaction_source,
-                              robin_rate, run, solve_v)
+from chemowave.cauchy import (SimConfig, State, StepStats, StepTerms,
+                              _ghosted, advance_imex, advective_velocity,
+                              auto_dt, march, monitor_bounds,
+                              reaction_derivative, reaction_source,
+                              robin_rate, run, solve_v, step_terms)
 from chemowave.elliptic import solve_pair
 from chemowave.errors import BlowupDetected, DomainError, StiffnessError
 from chemowave.fields import Field, Grid
@@ -315,7 +316,6 @@ def test_step_stats_equal_the_yields_of_march():
 
 
 def test_auto_dt_obeys_both_bounds():
-    from chemowave.cauchy import reaction_jacobian_bound
     rng = np.random.default_rng(12)
     g = Grid.from_bounds(-20, 20, 0.05)
     rules = ((False, 0.1, cauchy.DT_MAX),
@@ -325,12 +325,13 @@ def test_auto_dt_obeys_both_bounds():
         u = Field(g, 2.0 * np.convolve(rng.uniform(size=g.n),
                                        np.ones(31) / 31, mode="same"))
         v, vx = solve_v(p, u.values, g, tail_kappa=0.0)
-        rmax = reaction_jacobian_bound(p, u.values, v)
+        terms = step_terms(p, u.values, v, vx)
+        rmax = float(np.abs(reaction_derivative(p, u.values, terms)).max())
         # the frame speed is advected implicitly: only the drift w - c
         # enters the CFL bound
-        drift = advective_velocity(p, u.values, vx, 3.0) - 3.0
+        drift = advective_velocity(p, terms.um1, vx, 3.0) - 3.0
         for pseudo_time, reaction, cap in rules:
-            dt = auto_dt(p, u.values, v, vx, g.h, pseudo_time)
+            dt = auto_dt(p, u.values, terms, g.h, pseudo_time)
             assert dt <= 0.5 * g.h / np.abs(drift).max() + 1e-15
             assert dt <= reaction / rmax + 1e-15
             assert dt <= cap
@@ -348,20 +349,45 @@ def test_accurate_step_rule_stats_are_pinned():
     assert stats.dt_max == pytest.approx(0.06543374783027749, rel=1e-12)
 
 
+def formula_terms(p, u, v, vx):
+    """StepTerms term by term: every power by np.power, chi's terms kept
+    at chi = 0, where they are zero."""
+    um1 = np.power(u, p.m - 1.0)
+    return StepTerms(np.power(u, p.alpha), um1, v - np.power(u, p.gamma),
+                     advective_velocity(p, um1, vx, 0.0))
+
+
+def formula_dt(p, u, v, vx, h, pseudo_time):
+    """auto_dt from formula_terms: both bounds taken at every chi."""
+    reaction, cap = ((cauchy.RELAX_REACTION, cauchy.RELAX_DT_MAX)
+                     if pseudo_time else (0.1, cauchy.DT_MAX))
+    terms = formula_terms(p, u, v, vx)
+    vmax = float(np.abs(terms.drift).max())
+    rmax = float(np.abs(reaction_derivative(p, u, terms)).max())
+    dt = math.inf
+    if vmax > 0:
+        dt = min(dt, 0.5 * h / vmax)
+    if rmax > 0:
+        dt = min(dt, reaction / rmax)
+    return min(dt, cap)
+
+
 def banded_reference_step(p, u, v, vx, c, dt, grid, robin_kappa, scheme):
-    """advance_imex as a fresh solve_banded of I - dt (D_xx + c D_x).
+    """advance_imex from formula_terms, as a fresh solve_banded of
+    I - dt (D_xx + c D_x).
 
     The (3, n) bands hold the centered frame advection; the explicit
-    part upwinds or centers the drift w - c.
+    part upwinds or centers the drift w - c, at chi = 0 too.
     """
     h, n = grid.h, grid.n
+    terms = formula_terms(p, u, v, vx)
     ue = _ghosted(u, h, robin_kappa)
-    w = advective_velocity(p, u, vx, 0.0)
+    w = terms.drift
     if scheme == "upwind":
         ux = np.where(w > 0, (ue[2:] - ue[1:-1]) / h, (ue[1:-1] - ue[:-2]) / h)
     else:
         ux = (ue[2:] - ue[:-2]) / (2.0 * h)
-    rhs = u + dt * (w * ux + reaction_source(p, u, v))
+    rhs = u + dt * (w * ux + reaction_source(p, u, terms))
     r = dt / h**2
     a = c * dt / (2.0 * h)
     ab = np.zeros((3, n))
@@ -374,34 +400,56 @@ def banded_reference_step(p, u, v, vx, c, dt, grid, robin_kappa, scheme):
     return solve_banded((1, 1), ab, rhs)
 
 
+EXPONENTS = st.sampled_from([1.0, 2.0, 2.7])
+
+
 @settings(max_examples=60)
 @given(n=st.integers(8, 300), h=st.floats(0.01, 0.5),
        dts=st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=3),
        peclet=st.floats(-0.99, 0.99),
        pattern=st.lists(st.integers(0, 2), min_size=2, max_size=8),
        robin_kappa=st.floats(0.0, 3.0), chi=st.sampled_from([-1.0, 0.0, 0.5]),
+       m=EXPONENTS, alpha=EXPONENTS, gamma=EXPONENTS,
+       specials=st.lists(st.sampled_from([0.0, -0.0, 1.0, "u^gamma"]),
+                         max_size=4),
        scheme=st.sampled_from(["upwind", "centered"]), seed=st.integers(0, 99))
 def test_cached_factor_step_matches_banded_solve(n, h, dts, peclet, pattern,
-                                                 robin_kappa, chi, scheme,
+                                                 robin_kappa, chi, m, alpha,
+                                                 gamma, specials, scheme,
                                                  seed):
     # step i takes dt = dts[i % len(dts)] and frame speed c = cs[i % 2],
     # lab frame (c = 0) on even i: keys repeat and alternate, so steps
     # solve by gtsv, factor and hit the factor cache.  |c| h = 2 |peclet|
-    # < 2.
+    # < 2.  Each step and its automatic dt read the shared StepTerms and
+    # must give the bits of the term-by-term formulas.  u holds exact
+    # 0.0, -0.0 and 1.0 nodes, and v = u^gamma nodes, among at least as
+    # many random ones: at chi = 0 the terms drop zeros whose sign can
+    # differ at a -0.0 node, which the solve reads only where all of u
+    # is zero.
     cs = (0.0, 2.0 * peclet / h)
     g = Grid(-1.0, h, n)
-    p = Params(chi)
+    p = Params(chi, m, alpha, gamma)
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.0, 1.5, n)
     v, vx = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    nodes = rng.choice(n, size=len(specials), replace=False)
+    for i, special in zip(nodes, specials):
+        if special == "u^gamma":
+            v[i] = np.power(u[i], gamma)
+        else:
+            u[i] = special
     cauchy._diffusion_factor.cache_clear()
     cauchy._recent_keys.clear()
     for i in pattern:
         dt, c = dts[i % len(dts)], cs[i % 2]
-        got = advance_imex(p, u, v, vx, c, dt, g, robin_kappa, scheme)
+        terms = step_terms(p, u, v, vx)
+        for pseudo_time in (False, True):
+            assert (auto_dt(p, u, terms, h, pseudo_time)
+                    == formula_dt(p, u, v, vx, h, pseudo_time))
+        got = advance_imex(p, u, terms, c, dt, g, robin_kappa, scheme)
         want = banded_reference_step(p, u, v, vx, c, dt, g, robin_kappa,
                                      scheme)
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
         u = np.maximum(got, 0.0)
     # at most three keys, so none leaves the record or the cache: a key's
     # first step makes no factor, its second factors it, later ones hit
@@ -418,9 +466,9 @@ def test_only_a_repeated_dt_is_factored(monkeypatch, dt):
     taken, factored = [], []
     step, real = cauchy.advance_imex, cauchy.lapack
 
-    def stepped(p, u, v, vx, c, dt, *args):
+    def stepped(p, u, terms, c, dt, *args):
         taken.append(dt)
-        return step(p, u, v, vx, c, dt, *args)
+        return step(p, u, terms, c, dt, *args)
 
     def dgttrf(*bands):
         factored.append(taken[-1])
@@ -462,17 +510,56 @@ def test_chi_zero_solves_v_once_per_sample(monkeypatch):
     assert steps > len(snaps)
     monkeypatch.undo()
 
-    # the same run with v refreshed after every step
+    # the same run term by term, with v refreshed after every step
+    t, u, v = formula_march(cfg, u0)
+    assert final.t == t
+    assert final.u.values.tobytes() == u.tobytes()
+    assert final.v.values.tobytes() == v.tobytes()
+
+
+def formula_march(cfg, u0):
+    """(t, u, v) at the end of march's run, stepped term by term: each
+    step from formula_terms, v solved after every step."""
+    p, g = cfg.params, cfg.grid
+    robin_kappa = robin_rate(cfg.tail_kappa, g.h)
     u = u0.values
-    v, vx = solve_v(p, u, g, tail_kappa=0.0)
+    v, vx = solve_v(p, u, g, cfg.tail_kappa)
     t, next_out = 0.0, cfg.output_every
     while t < cfg.t_end - 1e-12:
-        dt = min(auto_dt(p, u, v, vx, g.h), next_out - t, cfg.t_end - t)
-        u = np.maximum(advance_imex(p, u, v, vx, 0.0, dt, g, 0.0), 0.0)
+        dt = cfg.dt or formula_dt(p, u, v, vx, g.h, cfg.pseudo_time)
+        dt = min(dt, next_out - t, cfg.t_end - t)
+        u = banded_reference_step(p, u, v, vx, cfg.frame_speed, dt, g,
+                                  robin_kappa, cfg.scheme)
+        if u.min() < 0:
+            u = np.maximum(u, 0.0)
         t += dt
         if t >= next_out - 1e-12:
             next_out += cfg.output_every
-        v, vx = solve_v(p, u, g, tail_kappa=0.0)
+        v, vx = solve_v(p, u, g, cfg.tail_kappa)
+    return t, u, v
+
+
+@pytest.mark.parametrize("chi, exponents, dt, frame", [
+    (-1.0, (1.0, 1.0, 1.0), None, None),
+    (0.3, (2.0, 2.7, 2.0), None, None),
+    (-0.5, (2.7, 1.0, 2.0), 0.02, None),
+    (0.0, (2.0, 2.7, 2.7), None, None),
+    (-1.0, (1.0, 1.0, 1.0), None, "pseudo_time"),
+    (0.25, (1.0, 1.0, 1.0), None, "pseudo_time"),
+    (0.0, (1.0, 2.0, 1.0), 0.05, "centered")])
+def test_march_steps_its_formulas_term_by_term(chi, exponents, dt, frame):
+    # march's shared StepTerms, power shortcuts and chi = 0 rule give the
+    # bits of a run stepped term by term; frame runs step at c = 1.5 with
+    # the centered scheme and a Robin right edge, as the wave lane does
+    g = Grid.from_bounds(-10, 10, 0.1)
+    cfg = SimConfig(Params(chi, *exponents), g, t_end=4.0, dt=dt)
+    if frame:
+        cfg = replace(cfg, frame_speed=1.5, tail_kappa=0.5,
+                      scheme="centered", pseudo_time=frame == "pseudo_time")
+    u0 = Field(g, 1.5 * np.exp(-g.x ** 2) + 0.2 * (g.x < 0))
+    final, monitors, _ = run(cfg, u0)
+    assert monitors.stats.steps > 10
+    t, u, v = formula_march(cfg, u0)
     assert final.t == t
     assert final.u.values.tobytes() == u.tobytes()
     assert final.v.values.tobytes() == v.tobytes()

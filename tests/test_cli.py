@@ -127,6 +127,24 @@ def test_oversized_grid_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "--c", "1e9"], "c = 1e+09 too large"),
+    (["constants", "--c", "1e10"], "c = 1e+10 too large"),
+    (["constants", "--gamma", "1e308"], "bD_chain overflows"),
+    (["wave", "--gamma", "1e308"], "c_star overflows"),
+    (["stability", "--gamma", "1e200"], "c_star overflows"),
+], ids=["certify-c", "constants-c", "constants-gamma", "wave-gamma",
+        "stability-gamma"])
+def test_a_constant_out_of_float_range_exits_1(tmp_path, capsys, argv,
+                                               message):
+    # kappa(c) cancels to 0 from c ~ 1.34e8; Python's float ** raises
+    # OverflowError once gamma^2 passes 1.8e308
+    assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_env_overrides_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("CHEMOWAVE_OUT", str(tmp_path / "envout"))
     cfg = parse_config(None, {"out_dir": "flagout"})
@@ -515,7 +533,7 @@ def one_bad_flag(draw) -> list[str]:
     flag = draw(st.sampled_from([_flag(key) for key in (
         *sub.reads, *sub.auto_only, "config", "out_dir")]))
     value = draw(st.sampled_from(["nan", "inf", "-inf", "", "abc", "1e400",
-                                  "-1", "0"]))
+                                  "1e308", "1e10", "-1", "0"]))
     return FUZZ_BASE[name] + ["--out-dir", "out", flag, value]
 
 

@@ -46,6 +46,31 @@ def test_kappa_of_speed_examples():
         kappa_of_speed(1.99)
 
 
+@pytest.mark.parametrize("c", [1.35e8, 1e9, 1e200, 1e308])
+def test_kappa_of_a_speed_whose_root_cancels_is_a_domain_error(c):
+    # from c ~ 1.34e8 sqrt(c^2 - 4) rounds to c, and from ~1.3e154 c^2
+    # overflows: no kappa > 0 comes out, so none is returned
+    with pytest.raises(DomainError, match="too large"):
+        kappa_of_speed(c)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: c_star(p), lambda p: M_barrier(p, 0.4),
+    lambda p: barrier_constants(p, 0.3, 0.6), lambda p: constants_report(p)],
+    ids=["c_star", "M_barrier", "barrier_constants", "constants_report"])
+def test_an_overflowing_closed_form_is_a_domain_error(call):
+    # Python's float ** raises OverflowError: gamma^2 at gamma = 1e200
+    with pytest.raises(DomainError, match="overflows at chi=-1, .*1e\\+200"):
+        call(Params(-1.0, gamma=1e200))
+
+
+def test_constants_report_overflow_names_the_chain():
+    # M_chi = 2 > 1 at chi = 1/2, and 2^(m + gamma) overflows at gamma = 1e4
+    with pytest.raises(DomainError, match="constants_report overflows at "
+                       "chi=0.5, m=1, alpha=1, gamma=10000"):
+        constants_report(Params(0.5, gamma=1e4))
+
+
 def test_kappa_root_relation():
     for c in np.linspace(2.0, 100.0, 491):
         k = kappa_of_speed(float(c))

@@ -52,22 +52,30 @@ def test_tracer_counts_a_small_wave_and_simulate(tmp_path):
 
 
 def test_tracer_counts_every_v_solve_of_march(tmp_path):
-    # at chi != 0 march solves v at the start and after every step, each
-    # through cauchy.solve_v and so elliptic.solve_pair
+    # march takes one auto_dt and one advance_imex per automatic-dt step;
+    # at chi != 0 it solves v at the start and after every step, at
+    # chi = 0 at its samples only (t = 0 and t = 1 here), each through
+    # cauchy.solve_v and so elliptic.solve_pair
     import chemowave.cli
-    tracer = _load_tracer().Tracer()
-    tracer.install()
-    try:
-        code = chemowave.cli.main(
-            ["simulate", "--chi", "-1", "--grid-left", "-10", "--grid-right",
-             "10", "--grid-h", "0.1", "--t-end", "1",
-             "--out-dir", str(tmp_path)])
-    finally:
-        restored = tracer.restore()
-    assert code == 0
-    assert restored
-    steps = json.loads((tmp_path / "manifest.json").read_text())["steps"]
-    layers = tracer.summarize(1.0)
-    assert steps > 0
-    assert layers["cauchy.solve_v_calls"] == steps + 1
-    assert layers["elliptic.solve_pair_calls"] == steps + 1
+    for chi, every_step in (("-1", True), ("0", False)):
+        out = tmp_path / chi
+        tracer = _load_tracer().Tracer()
+        tracer.install()
+        try:
+            code = chemowave.cli.main(
+                ["simulate", "--chi", chi, "--grid-left", "-10",
+                 "--grid-right", "10", "--grid-h", "0.1", "--t-end", "1",
+                 "--out-dir", str(out)])
+        finally:
+            restored = tracer.restore()
+        assert code == 0
+        assert restored
+        steps = json.loads((out / "manifest.json").read_text())["steps"]
+        layers = tracer.summarize(1.0)
+        auto_dt_calls = sum(tracer.kinds[k] == "cauchy.auto_dt"
+                            for k in tracer.kind)
+        assert steps > 2
+        assert layers["cauchy.steps"] == auto_dt_calls == steps
+        solves = steps + 1 if every_step else 2
+        assert layers["cauchy.solve_v_calls"] == solves
+        assert layers["elliptic.solve_pair_calls"] == solves
