@@ -30,7 +30,9 @@ spreading-speed run at a lost front.
 checks all call it.
 
 Three rules keep a step's work to what it reads, and change no bit of
-the result.  A step evaluates each of its terms once: march builds one
+the result (at chi = 0 a zero of the right-hand side may change sign at
+a -0.0 node of u, which the solve reads only where all of u is zero).
+A step evaluates each of its terms once: march builds one
 StepTerms per step (u^alpha, u^(m-1), v - u^gamma and the drift w - c)
 that auto_dt and advance_imex both read, and `power` skips the call at
 the exponents 0 and 1, whose np.power is 1.0 and u to the bit.  At
@@ -406,16 +408,8 @@ def steady_residual(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
     ue = _ghosted(u, h, robin_kappa)
     ux = (ue[2:] - ue[:-2]) / (2.0 * h)
     uxx = (ue[2:] - 2.0 * u + ue[:-2]) / h**2
-    return (uxx + _velocity(p, terms, vx, c) * ux
-            + reaction_source(p, u, terms)), ux
-
-
-def _velocity(p: Params, terms: StepTerms, vx: np.ndarray,
-              c: float) -> np.ndarray | float:
-    """w at the frame speed c: c at every node when terms carry no drift."""
-    if terms.um1 is None:
-        return np.full(vx.shape, c)
-    return advective_velocity(p, terms.um1, vx, c)
+    w = advective_velocity(p, power(u, p.m - 1.0), vx, c)
+    return uxx + w * ux + reaction_source(p, u, terms), ux
 
 
 def steady_jacobian(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
@@ -427,14 +421,14 @@ def steady_jacobian(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
     super[i]; the ghost nodes fold into the edge rows.
     """
     h = grid.h
-    terms = step_terms(p, u, v, vx)
-    w = _velocity(p, terms, vx, c)
+    w = advective_velocity(p, power(u, p.m - 1.0), vx, c)
     right = 1.0 / h**2 + w / (2.0 * h)       # weight of ue[i+2]
     left = 1.0 / h**2 - w / (2.0 * h)        # weight of ue[i]
     # dw/du is 0 at m = 1, where u^(m-2) would be inf at a zero node
     dw = (0.0 if p.m == 1.0 else
           -p.chi * p.m * (p.m - 1.0) * power(u, p.m - 2.0) * vx)
-    diag = -2.0 / h**2 + dw * ux + reaction_derivative(p, u, terms)
+    diag = (-2.0 / h**2 + dw * ux
+            + reaction_derivative(p, u, step_terms(p, u, v, vx)))
     diag[-1] -= 2.0 * h * robin_kappa * right[-1]
     sup = right[:-1].copy()
     sup[0] += left[0]
