@@ -40,18 +40,19 @@ chi = 0 the step reads v only through terms multiplied by chi, so its
 StepTerms carry none of them: the step takes no u_x and no chemotactic
 source, and march solves v only at samples (output times and the end)
 and reuses the last v in between.  The implicit matrix depends only on
-(n, h, dt, robin_kappa, c).  A key that is not among the last four keys
-stepped is solved by one LAPACK gtsv and not factored; a key stepped
-again is factored once by gttrf, its factor cached for the last four
-such keys, and solved by gttrs, which is gtsv's elimination bit for
-bit.  So a fixed-dt run factors its dt once, and so does an
-automatic-dt run while its step sits at its cap, DT_MAX or
-RELAX_DT_MAX; a step below the cap, whose dt is new on nearly every
-step, costs one gtsv.
+(n, h, dt, robin_kappa, c), and one dict caches it: the last four keys
+stepped, each with its gttrf factor, or with None while it has been
+stepped once.  A key not among them is solved by one LAPACK gtsv and
+not factored; a key among them is factored on its second step and
+solved by gttrs, which is gtsv's elimination bit for bit, and its
+factor leaves the cache with it.  So a fixed-dt run factors its dt
+once, and so does an automatic-dt run while its step sits at its cap,
+DT_MAX or RELAX_DT_MAX; a step below the cap, whose dt is new on nearly
+every step, costs one gtsv.
 
-`steady_residual` and `steady_jacobian` are the steady form of the
-centered step and its frozen-v Jacobian, which the wave lane's Newton
-solve drives to zero; the barrier residual reads its interior rows.
+`steady_residual` is the steady form of the centered step, which the
+wave lane's Newton solve drives to zero (its Jacobian is assembled
+there); the barrier residual reads its interior rows.
 Moving c u_x between the implicit and the explicit part does not move
 that steady form, so a profile is a fixed point of the step at any dt.
 One right-edge decay rate kappa (SimConfig.tail_kappa) closes u and v;
@@ -79,7 +80,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -317,15 +317,13 @@ def _diffusion_bands(n: int, h: float, dt: float, robin_kappa: float,
     return sub, diag, sup
 
 
-@lru_cache(maxsize=4)
 def _diffusion_factor(n: int, h: float, dt: float, robin_kappa: float,
                       c: float) -> tuple[np.ndarray, ...]:
     """LAPACK gttrf factor of the implicit matrix of _diffusion_bands.
 
     gttrs on this factor does gtsv's elimination, pivots included, bit
-    for bit.  Keyed on all the matrix depends on; advance_imex asks for
-    it only on a key's second recent step, so a key stepped once is
-    never factored.
+    for bit.  Its arrays are read-only: advance_imex keeps them in
+    _factors.
     """
     *factor, info = lapack.dgttrf(*_diffusion_bands(n, h, dt, robin_kappa, c))
     if info != 0:
@@ -335,9 +333,10 @@ def _diffusion_factor(n: int, h: float, dt: float, robin_kappa: float,
     return tuple(factor)
 
 
-# keys of the last _RECENT_KEYS implicit solves, least recent first
+# the last _RECENT_KEYS keys of implicit solves, least recent first, each
+# with its _diffusion_factor, or None while it has been stepped once
 _RECENT_KEYS = 4
-_recent_keys: dict[tuple, bool] = {}
+_factors: dict[tuple, tuple[np.ndarray, ...] | None] = {}
 
 
 def advance_imex(p: Params, u: np.ndarray, terms: StepTerms, c: float,
@@ -352,7 +351,8 @@ def advance_imex(p: Params, u: np.ndarray, terms: StepTerms, c: float,
     drift, and no u_x is taken.  The implicit matrix is keyed on
     (n, h, dt, robin_kappa, c): a key that is not among the last
     _RECENT_KEYS keys stepped is solved by one gtsv and not factored; a
-    recent key is solved by gttrs on its cached _diffusion_factor.
+    recent key is factored once and solved by gttrs on the factor that
+    _factors keeps with it.
     """
     h = grid.h
     n = grid.n
@@ -377,17 +377,17 @@ def advance_imex(p: Params, u: np.ndarray, terms: StepTerms, c: float,
             x=grid.x0 + i * h)
 
     key = (n, h, dt, robin_kappa, c)
-    seen = _recent_keys.pop(key, False)
-    _recent_keys[key] = True
-    if len(_recent_keys) > _RECENT_KEYS:
-        del _recent_keys[next(iter(_recent_keys))]
-    if seen:
-        u_new, info = lapack.dgttrs(*_diffusion_factor(*key), rhs,
-                                    overwrite_b=True)
+    if key in _factors:
+        factor = _factors.pop(key) or _diffusion_factor(*key)
+        u_new, info = lapack.dgttrs(*factor, rhs, overwrite_b=True)
     else:
+        factor = None
+        if len(_factors) == _RECENT_KEYS:
+            del _factors[next(iter(_factors))]
         *_, u_new, info = lapack.dgtsv(*_diffusion_bands(*key), rhs,
                                        overwrite_dl=True, overwrite_d=True,
                                        overwrite_du=True, overwrite_b=True)
+    _factors[key] = factor
     if info != 0:
         raise InternalError(f"diffusion solve failed (info={info})")
     return u_new
@@ -410,31 +410,6 @@ def steady_residual(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
     uxx = (ue[2:] - 2.0 * u + ue[:-2]) / h**2
     w = advective_velocity(p, power(u, p.m - 1.0), vx, c)
     return uxx + w * ux + reaction_source(p, u, terms), ux
-
-
-def steady_jacobian(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
-                    ux: np.ndarray, c: float, grid: Grid, robin_kappa: float
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sub, diag, super) bands of d steady_residual / du with (v, v_x) frozen.
-
-    Row i couples to u[i-1] through sub[i-1] and to u[i+1] through
-    super[i]; the ghost nodes fold into the edge rows.
-    """
-    h = grid.h
-    w = advective_velocity(p, power(u, p.m - 1.0), vx, c)
-    right = 1.0 / h**2 + w / (2.0 * h)       # weight of ue[i+2]
-    left = 1.0 / h**2 - w / (2.0 * h)        # weight of ue[i]
-    # dw/du is 0 at m = 1, where u^(m-2) would be inf at a zero node
-    dw = (0.0 if p.m == 1.0 else
-          -p.chi * p.m * (p.m - 1.0) * power(u, p.m - 2.0) * vx)
-    diag = (-2.0 / h**2 + dw * ux
-            + reaction_derivative(p, u, step_terms(p, u, v, vx)))
-    diag[-1] -= 2.0 * h * robin_kappa * right[-1]
-    sup = right[:-1].copy()
-    sup[0] += left[0]
-    sub = left[1:].copy()
-    sub[-1] += right[-1]
-    return sub, diag, sup
 
 
 def _check_finite(u: np.ndarray, t: float, grid: Grid) -> None:

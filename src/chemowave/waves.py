@@ -12,6 +12,8 @@ WaveProfile carries its problem and records its route.
 
 * FixedPoint: damped Newton on residual = 0, one banded solve of the
   exact Jacobian per step, from the super-solution min{M, e^{-kx}}.
+  `_newton_step` assembles the whole Jacobian: the frozen-v rows with
+  their ghost-node folds, the pinned column and the v coupling.
   The frame speed c_eff is an unknown (the freezing method of Beyn &
   Thuemmler) and the tail node is pinned to e^{-kappa x_R}, the
   amplitude the barriers fix (and the translation, where that value is
@@ -47,8 +49,8 @@ import numpy as np
 
 from .barriers import BarrierSpec, default_barrier_spec, eval_sub, eval_super
 from .cauchy import (MAX_INNER_STEPS, RELAX_DT_MAX, SimConfig, StepStats,
-                     march, power, robin_rate, solve_v, steady_jacobian,
-                     steady_residual)
+                     advective_velocity, march, power, reaction_derivative,
+                     robin_rate, solve_v, steady_residual, step_terms)
 from .elliptic import lapack, sweep_weights, tail_integrals
 from .errors import (DomainError, NoConvergence, NormalizationError,
                      RegimeError, WindowTooShort)
@@ -155,8 +157,6 @@ class WaveDiagnostics:
     kappa: float
     kappa_fit: float
     kappa1: float
-    window: tuple[float, float]
-    refined_x: np.ndarray
     refined_score: np.ndarray
     refined_trend_slope: float
     monotonicity_violation: float
@@ -199,7 +199,10 @@ def _newton_step(problem: WaveProblem, u: np.ndarray, v: np.ndarray,
                  c_eff: float) -> np.ndarray:
     """(dU[0..n-2], dc_eff) solving J step = -F with U[n-1] held fixed.
 
-    J is exact: v = (a + b) / 2 and v_x = (b - a) / 2 for solve_pair's
+    This is the one place the Newton Jacobian is assembled: the
+    frozen-v rows of the centered steady_residual with its ghost nodes
+    folded in, the pinned column and the v coupling.  J is exact:
+    v = (a + b) / 2 and v_x = (b - a) / 2 for solve_pair's
     sweeps a, b (lam = mu = 1), recurrences from their tail integrals, so
     with (a_k, dU_k, b_k) interleaved as unknowns J is banded (BAND
     diagonals each side) and one LAPACK gbsv solves it.  The rows of the
@@ -208,13 +211,9 @@ def _newton_step(problem: WaveProblem, u: np.ndarray, v: np.ndarray,
     """
     p, grid, kappa = problem.params, problem.grid, problem.kappa
     n, h = grid.n, grid.h
-    sub, diag, sup = steady_jacobian(p, u, v, vx, ux, c_eff, grid,
-                                     robin_rate(kappa, h))
     E, (I0, I1), (J0, J1) = sweep_weights(h, 1.0)
     ds = p.gamma * np.power(u, p.gamma - 1.0)            # d(u^gamma)/du
     ds[-1] = 0.0                                         # U[n-1] is pinned
-    dF_dv = -p.chi * power(u, p.m)
-    dF_dvx = -p.chi * p.m * power(u, p.m - 1.0) * ux
     # J[i, j] sits at ab[o + i - j, j]; band[:, k, 0 | 1 | 2] holds the
     # columns of a_k, dU_k and b_k, and its rows are a's, F's and b's at k
     o = 2 * BAND
@@ -229,10 +228,30 @@ def _newton_step(problem: WaveProblem, u: np.ndarray, v: np.ndarray,
     band[o - 1, 0, 1] = -tail_integrals(ds, 1.0, 0.0, p.gamma * kappa)[0]
     band[o + 1, :-1, 1] = -(J0 - J1 / h) * ds[:-1]
     band[o - 2, 1:, 1] = -(J1 / h) * ds[1:]
-    # F_k; in the pinned column U_x, in band for the last two rows
-    band[o + 1, :, 0] = 0.5 * (dF_dv - dF_dvx)
-    band[o - 1, :, 2] = 0.5 * (dF_dv + dF_dvx)
-    band[o + 3, :-1, 1], band[o, :, 1], band[o - 3, 1:, 1] = sub, diag, sup
+    # F_k with v frozen: u_xx + w u_x + source; at chi = 0 it reads no v
+    terms = step_terms(p, u, v, vx)
+    w, dw_ux = np.full(n, c_eff), 0.0
+    if terms.um1 is not None:
+        w = advective_velocity(p, terms.um1, vx, c_eff)
+        # dw/du is 0 at m = 1, where u^(m-2) would be inf at a zero node
+        if p.m != 1.0:
+            dw_ux = (-p.chi * p.m * (p.m - 1.0) * power(u, p.m - 2.0) * vx
+                     * ux)
+        dF_dv = -p.chi * power(u, p.m)
+        dF_dvx = -p.chi * p.m * terms.um1 * ux
+        band[o + 1, :, 0] = 0.5 * (dF_dv - dF_dvx)
+        band[o - 1, :, 2] = 0.5 * (dF_dv + dF_dvx)
+    left = 1.0 / h**2 - w / (2.0 * h)        # weight of u[k-1] in F_k
+    right = 1.0 / h**2 + w / (2.0 * h)       # weight of u[k+1] in F_k
+    band[o + 3, :-1, 1] = left[1:]
+    band[o - 3, 1:, 1] = right[:-1]
+    band[o, :, 1] = -2.0 / h**2 + dw_ux + reaction_derivative(p, u, terms)
+    # ghost nodes fold into the edge rows: zero flux puts u[1] left of
+    # u[0]; the Robin ghost right of u[n-1] is u[n-2] less a multiple of
+    # u[n-1], whose column is pinned
+    band[o - 3, 1, 1] += left[0]
+    band[o + 3, -2, 1] += right[-1]
+    # the pinned column is dF/dc_eff = U_x, in band for the last two rows
     band[o - 3, -1, 1], band[o, -1, 1] = ux[-2], ux[-1]
     rhs = np.zeros((n, 3, 2))
     rhs[:, 1, 0] = -F
@@ -429,8 +448,7 @@ def diagnose(profile: WaveProfile, kappa1: float | None = None) -> WaveDiagnosti
     k = max(3, u.size // 20)
     du = (u[2:] - u[:-2]) / (2.0 * profile.U.grid.h)
     return WaveDiagnostics(kappa=kappa, kappa_fit=slope, kappa1=kappa1,
-                           window=(float(xw.min()), float(xw.max())),
-                           refined_x=xr, refined_score=score,
+                           refined_score=score,
                            refined_trend_slope=trend,
                            monotonicity_violation=float(max(0.0, du.max())),
                            left_limit=float(u[:k].mean()),

@@ -438,25 +438,35 @@ def test_cached_factor_step_matches_banded_solve(n, h, dts, peclet, pattern,
             v[i] = np.power(u[i], gamma)
         else:
             u[i] = special
-    cauchy._diffusion_factor.cache_clear()
-    cauchy._recent_keys.clear()
-    for i in pattern:
-        dt, c = dts[i % len(dts)], cs[i % 2]
-        terms = step_terms(p, u, v, vx)
-        for pseudo_time in (False, True):
-            assert (auto_dt(p, u, terms, h, pseudo_time)
-                    == formula_dt(p, u, v, vx, h, pseudo_time))
-        got = advance_imex(p, u, terms, c, dt, g, robin_kappa, scheme)
-        want = banded_reference_step(p, u, v, vx, c, dt, g, robin_kappa,
-                                     scheme)
-        assert got.tobytes() == want.tobytes()
-        u = np.maximum(got, 0.0)
-    # at most three keys, so none leaves the record or the cache: a key's
-    # first step makes no factor, its second factors it, later ones hit
+    calls, real = Counter(), cauchy.lapack
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return getattr(real, name)(*args, **kwargs)
+        return call
+
+    cauchy._factors.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cauchy, "lapack", types.SimpleNamespace(
+            **{name: counted(name) for name in ("dgtsv", "dgttrf", "dgttrs")}))
+        for i in pattern:
+            dt, c = dts[i % len(dts)], cs[i % 2]
+            terms = step_terms(p, u, v, vx)
+            for pseudo_time in (False, True):
+                assert (auto_dt(p, u, terms, h, pseudo_time)
+                        == formula_dt(p, u, v, vx, h, pseudo_time))
+            got = advance_imex(p, u, terms, c, dt, g, robin_kappa, scheme)
+            want = banded_reference_step(p, u, v, vx, c, dt, g, robin_kappa,
+                                         scheme)
+            assert got.tobytes() == want.tobytes()
+            u = np.maximum(got, 0.0)
+    # at most three keys, so none leaves the cache: a key's first step is
+    # one gtsv, its second factors it, and every later one reuses the factor
     uses = Counter((dts[i % len(dts)], cs[i % 2]) for i in pattern).values()
-    info = cauchy._diffusion_factor.cache_info()
-    assert info.misses == sum(k >= 2 for k in uses)
-    assert info.hits == sum(max(k - 2, 0) for k in uses)
+    assert calls["dgtsv"] == len(uses)
+    assert calls["dgttrf"] == sum(k >= 2 for k in uses)
+    assert calls["dgttrs"] == sum(k - 1 for k in uses)
 
 
 @pytest.mark.parametrize("dt", [0.03, None])
@@ -477,8 +487,7 @@ def test_only_a_repeated_dt_is_factored(monkeypatch, dt):
     monkeypatch.setattr(cauchy, "advance_imex", stepped)
     monkeypatch.setattr(cauchy, "lapack", types.SimpleNamespace(
         dgttrf=dgttrf, dgttrs=real.dgttrs, dgtsv=real.dgtsv))
-    cauchy._diffusion_factor.cache_clear()
-    cauchy._recent_keys.clear()
+    cauchy._factors.clear()
     g = Grid.from_bounds(-20, 20, 0.1)
     run(SimConfig(Params(-1.0), g, t_end=2.0, dt=dt, output_every=0.5),
         Field(g, 2.0 * np.exp(-g.x ** 2)))

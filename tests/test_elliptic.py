@@ -395,8 +395,7 @@ def test_fallback_lapack_gives_the_same_bits(monkeypatch, load):
 
     def outputs():
         # a key's first step is one gtsv, its second a gttrs on the factor
-        cauchy._diffusion_factor.cache_clear()
-        cauchy._recent_keys.clear()
+        cauchy._factors.clear()
         return (*cauchy._diffusion_factor(g.n, g.h, 0.03, 0.4, 1.5),
                 cauchy.advance_imex(p, u, terms, 1.5, 0.03, g, 0.4),
                 cauchy.advance_imex(p, u, terms, 1.5, 0.03, g, 0.4),
@@ -412,7 +411,7 @@ def test_fallback_lapack_gives_the_same_bits(monkeypatch, load):
     try:
         got = outputs()
     finally:
-        cauchy._diffusion_factor.cache_clear()
+        cauchy._factors.clear()
     assert len(got) == len(direct)
     for a, b in zip(got, direct):
         assert a.tobytes() == b.tobytes()
