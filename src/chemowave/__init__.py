@@ -12,8 +12,7 @@ from .elliptic import solve_fd
 from .waves import (WaveProblem, WaveProfile, construct, construct_fixed_point,
                     construct_relax, diagnose, normalize_translation, settle)
 from .stability import (apriori_checks, predicted_lambda, run_stability,
-                        uniqueness_check, weighted_norm,
-                        weighted_elliptic_check)
+                        uniqueness_check, weighted_elliptic_check)
 from .speed import FrontTrack, spreading_speed, sweep_speeds
 
 __all__ = [
@@ -26,7 +25,7 @@ __all__ = [
     "WaveProblem", "WaveProfile", "construct", "construct_fixed_point",
     "construct_relax", "diagnose", "normalize_translation", "settle",
     "apriori_checks", "predicted_lambda", "run_stability",
-    "uniqueness_check", "weighted_norm", "weighted_elliptic_check",
+    "uniqueness_check", "weighted_elliptic_check",
     "FrontTrack", "spreading_speed", "sweep_speeds",
     "__version__",
 ]

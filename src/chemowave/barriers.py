@@ -44,7 +44,6 @@ peak resident memory by about 1 MB.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -206,19 +205,17 @@ def _gaussian_smooth(raw: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def random_envelope(spec: BarrierSpec, grid: Grid,
-                    seed: int | Sequence[int]) -> np.ndarray:
-    """Random admissible density 0 <= u <= min{M, e^{-kx}}.
+                    seeds: Sequence[int]) -> np.ndarray:
+    """Random admissible densities 0 <= u <= min{M, e^{-kx}}, one row per seed.
 
     Uniform noise, smoothed by a Gaussian of width max(2 / h, 4) nodes
     and scaled into [0.2, 1.0], multiplies the super-solution, covering
     the admissible class without adversarial roughness.  The smoothing is
     one FFT convolution of the noise padded with its nearest edge value,
-    which is gaussian_filter1d(mode="nearest") to round-off.  A sequence
-    of seeds gives one row per seed, each drawn from its own generator:
-    row k is bit for bit the density of seed[k] alone.
+    which is gaussian_filter1d(mode="nearest") to round-off.  Each row is
+    drawn from its own generator: row k is bit for bit the density of
+    seeds[k] alone.
     """
-    single = isinstance(seed, numbers.Integral)
-    seeds = (seed,) if single else seed
     raw = np.empty((len(seeds), grid.n))
     for row, s in zip(raw, seeds):
         row[:] = np.random.default_rng(s).uniform(size=grid.n)
@@ -233,7 +230,7 @@ def random_envelope(spec: BarrierSpec, grid: Grid,
     u *= 0.8
     u += 0.2
     u *= eval_super(spec, grid)
-    return u[0] if single else u
+    return u
 
 
 def default_barrier_spec(params: Params, c: float, M: float | None = None) -> BarrierSpec:

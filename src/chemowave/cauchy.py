@@ -211,7 +211,7 @@ def solve_v(p: Params, u: np.ndarray, grid: Grid,
     """
     src = power(u, p.gamma)
     _require_finite(src, "u^gamma")
-    v, vx = solve_pair(src, grid, 1.0, 1.0, 0.0, p.gamma * tail_kappa)
+    v, vx = solve_pair(src, grid, p.gamma * tail_kappa)
     _require_finite(v, "v")
     _require_finite(vx, "v_x")
     return v, vx
@@ -408,7 +408,7 @@ def steady_residual(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
     ue = _ghosted(u, h, robin_kappa)
     ux = (ue[2:] - ue[:-2]) / (2.0 * h)
     uxx = (ue[2:] - 2.0 * u + ue[:-2]) / h**2
-    w = advective_velocity(p, power(u, p.m - 1.0), vx, c)
+    w = c if terms.drift is None else c + terms.drift
     return uxx + w * ux + reaction_source(p, u, terms), ux
 
 
@@ -515,8 +515,7 @@ def run(config: SimConfig, u0: Field) -> tuple[State, Monitors, list[State]]:
     return snapshots[-1], monitors, snapshots
 
 
-def monitor_bounds(state: State, params: Params,
-                   u0_sup: float | None = None) -> list[str]:
+def monitor_bounds(state: State, params: Params, u0_sup: float) -> list[str]:
     """Named violations of the sup bounds; empty when all tracked bounds hold.
 
     chi <= 0: sup u <= max{1, sup u0}.  In the positive regime with
@@ -526,7 +525,6 @@ def monitor_bounds(state: State, params: Params,
     disabled.
     """
     sup_u = state.u.max()
-    u0_sup = sup_u if u0_sup is None else u0_sup
     if params.chi <= 0:
         bound = max(1.0, u0_sup)
         if sup_u > bound + MONITOR_SLACK:

@@ -1,8 +1,8 @@
-"""Screened-Poisson solves v'' - lambda v + mu s = 0 on a truncated grid.
+"""The model's elliptic solve v'' - v + s = 0 on a truncated grid.
 
 On the whole line the solution is the exponential-kernel convolution
 
-    Psi(x) = (mu / (2 sqrt(lambda))) * int exp(-sqrt(lambda)|x-y|) s(y) dy,
+    Psi(x) = (1/2) * int exp(-|x-y|) s(y) dy,
 
 and its derivative splits into a left and a right one-sided integral.
 Here the grid part of the integral is evaluated exactly for a
@@ -10,9 +10,9 @@ piecewise-linear reconstruction of s via two O(n) exponential prefix
 sweeps, run in one call of scipy's compiled IIR filter
 (`scipy.signal._sigtools._linear_filter`; `scipy.signal.lfilter` if it
 cannot be loaded).  The two half-line tails are closed analytically
-from one decay rate per side; their edge-decay profiles are computed
-once per (grid, lambda).  `solve_pair`, on plain arrays, is the one
-entry point; the model's v-solve is `cauchy.solve_v` on top of it.
+from the boundary values; their edge-decay profiles are computed once
+per grid.  `solve_pair`, on plain arrays, is the one entry point; the
+model's v-solve is `cauchy.solve_v` on top of it.
 Both run along the last axis, so a (k, n) stack of sources is k solves
 in one filter call, each row bit for bit its own 1-D solve.
 `solve_psi` and `psi_derivative`, its two halves, are read by no package
@@ -29,11 +29,11 @@ gtsv with `scipy.linalg.solve_banded`'s checks, is the package's one
 checked tridiagonal solve; `cauchy.advance_imex` calls gtsv and gttrs
 directly on the bands it builds itself.
 
-Tail convention: beyond a grid end x_e, s continues as
-s(x_e) * exp(-rate * (x - x_e)), so a rate > 0 decays to the right (and
-grows to the left) and a rate of 0 is the plateau at the boundary value.
-The left tail integral converges for left_rate < sqrt(lambda), the
-right one for right_rate > -sqrt(lambda).
+Tail convention: beyond the left end x0, s is the plateau s(x0), as
+the model's fronts are flat behind them; beyond the right end x_R, s
+continues as s(x_R) * exp(-right_rate * (x - x_R)), which decays for a
+rate > 0 and is a plateau for a rate of 0; its integral converges for
+right_rate > -1.
 
 `solve_fd`, a second-order finite-difference solve with Dirichlet data,
 is provided purely as an independent cross-check; it is the module's one
@@ -126,23 +126,23 @@ def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
     return x
 
 
-def sweep_weights(h: float, r: float) -> tuple:
+def sweep_weights(h: float) -> tuple:
     """(E, (I0, I1), (J0, J1)) of the sweeps A[i] = E A[i-1] + s_{i-1} I0
     + slope I1 and B[i] = E B[i+1] + s_i J0 + slope J1, per cell slope."""
-    E = np.exp(-r * h)
-    one_minus_E = -np.expm1(-r * h)
-    I0 = one_minus_E / r                 # int_0^h e^{r(t-h)} dt
-    I1 = (h - I0) / r                    # int_0^h e^{r(t-h)} t dt
-    J0 = I0                              # int_0^h e^{-r t} dt
-    J1 = (one_minus_E - E * r * h) / r**2   # int_0^h e^{-r t} t dt
+    E = np.exp(-h)
+    one_minus_E = -np.expm1(-h)
+    I0 = one_minus_E                     # int_0^h e^{t-h} dt
+    I1 = h - I0                          # int_0^h e^{t-h} t dt
+    J0 = I0                              # int_0^h e^{-t} dt
+    J1 = one_minus_E - E * h             # int_0^h e^{-t} t dt
     return E, (I0, I1), (J0, J1)
 
 
-def _sweeps(s: np.ndarray, h: float, r: float) -> tuple[np.ndarray, np.ndarray]:
+def _sweeps(s: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Left and right one-sided kernel integrals over the grid, along s's last axis.
 
-    A[i] = int_{x0}^{x_i} exp(-r (x_i - y)) s(y) dy
-    B[i] = int_{x_i}^{x_end} exp(-r (y - x_i)) s(y) dy
+    A[i] = int_{x0}^{x_i} exp(-(x_i - y)) s(y) dy
+    B[i] = int_{x_i}^{x_end} exp(-(y - x_i)) s(y) dy
 
     with s piecewise linear between nodes; each cell integrated exactly.
     Both recurrences of every row run in one filter call, B's on the
@@ -150,7 +150,7 @@ def _sweeps(s: np.ndarray, h: float, r: float) -> tuple[np.ndarray, np.ndarray]:
     the filter's zero start state as it is and gives A[0] = B[-1] = 0,
     so A and B are views of the filter's output.
     """
-    E, (I0, I1), (J0, J1) = sweep_weights(h, r)
+    E, (I0, I1), (J0, J1) = sweep_weights(h)
     s0, s1 = s[..., :-1], s[..., 1:]
     slope = (s1 - s0) / h
     cells = np.zeros((2,) + s.shape)
@@ -167,78 +167,68 @@ def _sweeps(s: np.ndarray, h: float, r: float) -> tuple[np.ndarray, np.ndarray]:
     return sums[0], sums[1, ..., ::-1]
 
 
-def tail_integrals(s: np.ndarray, r: float, left_rate: float,
-                   right_rate: float) -> tuple[float, float]:
+def tail_integrals(s: np.ndarray, right_rate: float) -> tuple[float, float]:
     """(T_L, T_R): half-line integrals anchored at the grid endpoints.
 
-    T_L = int_{-inf}^{x0} exp(-r (x0 - y)) s(y) dy and symmetrically T_R,
-    one per row of s along its last axis.  The negated comparisons refuse
-    a NaN rate as well.
+    T_L = int_{-inf}^{x0} exp(-(x0 - y)) s(y) dy = s[0] for the plateau
+    and T_R = int_{x_R}^{inf} exp(-(y - x_R)) s(y) dy = s[-1] / (1 +
+    right_rate), one per row of s along its last axis.  The negated
+    comparison refuses a NaN rate as well.
     """
-    if not left_rate < r:
-        raise DomainError("left tail rate must be < sqrt(lambda): divergent tail")
-    if not right_rate > -r:
-        raise DomainError("right tail rate must be > -sqrt(lambda): divergent tail")
+    if not right_rate > -1.0:
+        raise DomainError("right tail rate must be > -1: divergent tail")
     first, last = s.T[0], s.T[-1]       # per row; scalars for one row
-    return first / (r - left_rate), last / (r + right_rate)
+    return first, last / (1.0 + right_rate)
 
 
 @lru_cache(maxsize=8)
-def _edge_decay(grid: Grid, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """(e^{-r (x - x0)}, e^{-r (x_end - x)}), computed once per grid and r."""
+def _edge_decay(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{-(x - x0)}, e^{-(x_end - x)}), computed once per grid."""
     x = grid.x
-    left, right = np.exp(-r * (x - x[0])), np.exp(-r * (x[-1] - x))
+    left, right = np.exp(x[0] - x), np.exp(x - x[-1])
     left.flags.writeable = right.flags.writeable = False
     return left, right
 
 
-def solve_pair(s: np.ndarray, grid: Grid, lam: float, mu: float,
-               left_rate: float, right_rate: float
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """(Psi, Psi') of v'' - lam v + mu s = 0 for source values s on grid.
+def solve_pair(s: np.ndarray, grid: Grid,
+               right_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Psi, Psi') of v'' - v + s = 0 for source values s on grid.
 
     s runs along its last axis: a (k, n) stack of sources is k solves in
     one filter call, each row bit for bit its own 1-D solve.
     """
-    if not (lam > 0 and mu > 0):
-        raise DomainError("lambda and mu must be positive")
-    r = np.sqrt(lam)
     # left and right are the sweeps' own arrays, completed in place
-    left, right = _sweeps(s, grid.h, r)
-    TL, TR = tail_integrals(s, r, left_rate, right_rate)
-    decay_left, decay_right = _edge_decay(grid, r)
+    left, right = _sweeps(s, grid.h)
+    TL, TR = tail_integrals(s, right_rate)
+    decay_left, decay_right = _edge_decay(grid)
     left += np.multiply.outer(TL, decay_left)
     right += np.multiply.outer(TR, decay_right)
     psi = left + right
-    psi *= mu / (2.0 * r)
+    psi *= 0.5
     dpsi = right - left
-    dpsi *= mu / 2.0
+    dpsi *= 0.5
     return psi, dpsi
 
 
-def solve_psi(s: np.ndarray, grid: Grid, lam: float, mu: float,
-              left_rate: float, right_rate: float) -> np.ndarray:
+def solve_psi(s: np.ndarray, grid: Grid, right_rate: float) -> np.ndarray:
     """Psi alone: solve_pair's first value."""
-    return solve_pair(s, grid, lam, mu, left_rate, right_rate)[0]
+    return solve_pair(s, grid, right_rate)[0]
 
 
-def psi_derivative(s: np.ndarray, grid: Grid, lam: float, mu: float,
-                   left_rate: float, right_rate: float) -> np.ndarray:
+def psi_derivative(s: np.ndarray, grid: Grid,
+                   right_rate: float) -> np.ndarray:
     """Psi' alone: solve_pair's second value."""
-    return solve_pair(s, grid, lam, mu, left_rate, right_rate)[1]
+    return solve_pair(s, grid, right_rate)[1]
 
 
-def solve_fd(s: Field, lam: float, mu: float,
-             bc_left: float, bc_right: float) -> Field:
+def solve_fd(s: Field, bc_left: float, bc_right: float) -> Field:
     """Second-order tridiagonal solve with Dirichlet data; cross-check only."""
-    if not (lam > 0 and mu > 0):
-        raise DomainError("lambda and mu must be positive")
     n = s.grid.n
     h = s.grid.h
     sub = np.full(n - 1, 1.0 / h**2)
-    diag = np.full(n, -2.0 / h**2 - lam)
+    diag = np.full(n, -2.0 / h**2 - 1.0)
     sup = np.full(n - 1, 1.0 / h**2)
-    rhs = -mu * s.values.copy()
+    rhs = -s.values
     sup[0] = 0.0
     diag[0] = 1.0
     rhs[0] = bc_left

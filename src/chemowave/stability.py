@@ -304,7 +304,7 @@ def weighted_elliptic_check(u1: Field, u2: Field, eta: float, gamma: float,
     src = np.power(u2.values, gamma) - np.power(u1.values, gamma)
     if max(abs(src[0]), abs(src[-1])) > 1e-8 * max(1.0, abs(src).max()):
         raise DomainError("u2^gamma - u1^gamma must vanish at both grid ends")
-    v, vx = solve_pair(src, u1.grid, 1.0, 1.0, 0.0, 0.0)
+    v, vx = solve_pair(src, u1.grid, 0.0)
 
     x = u1.grid.x
     h = u1.grid.h

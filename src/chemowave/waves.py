@@ -202,16 +202,16 @@ def _newton_step(problem: WaveProblem, u: np.ndarray, v: np.ndarray,
     This is the one place the Newton Jacobian is assembled: the
     frozen-v rows of the centered steady_residual with its ghost nodes
     folded in, the pinned column and the v coupling.  J is exact:
-    v = (a + b) / 2 and v_x = (b - a) / 2 for solve_pair's
-    sweeps a, b (lam = mu = 1), recurrences from their tail integrals, so
-    with (a_k, dU_k, b_k) interleaved as unknowns J is banded (BAND
-    diagonals each side) and one LAPACK gbsv solves it.  The rows of the
+    v = (a + b) / 2 and v_x = (b - a) / 2 for solve_pair's sweeps a, b,
+    recurrences from their tail integrals, so with (a_k, dU_k, b_k)
+    interleaved as unknowns J is banded (BAND diagonals each side) and one
+    LAPACK gbsv solves it.  The rows of the
     pinned column, dF/dc_eff = U_x, outside the band are a rank-1 border:
     Sherman-Morrison, as a second right-hand side on the same factor.
     """
     p, grid, kappa = problem.params, problem.grid, problem.kappa
     n, h = grid.n, grid.h
-    E, (I0, I1), (J0, J1) = sweep_weights(h, 1.0)
+    E, (I0, I1), (J0, J1) = sweep_weights(h)
     ds = p.gamma * np.power(u, p.gamma - 1.0)            # d(u^gamma)/du
     ds[-1] = 0.0                                         # U[n-1] is pinned
     # J[i, j] sits at ab[o + i - j, j]; band[:, k, 0 | 1 | 2] holds the
@@ -225,7 +225,7 @@ def _newton_step(problem: WaveProblem, u: np.ndarray, v: np.ndarray,
     band[o + 3, :-1, 0] = band[o - 3, 1:, 2] = -E
     band[o + 2, :-1, 1] = -(I0 - I1 / h) * ds[:-1]
     band[o - 1, 1:, 1] = -(I1 / h) * ds[1:]
-    band[o - 1, 0, 1] = -tail_integrals(ds, 1.0, 0.0, p.gamma * kappa)[0]
+    band[o - 1, 0, 1] = -tail_integrals(ds, p.gamma * kappa)[0]
     band[o + 1, :-1, 1] = -(J0 - J1 / h) * ds[:-1]
     band[o - 2, 1:, 1] = -(J1 / h) * ds[1:]
     # F_k with v frozen: u_xx + w u_x + source; at chi = 0 it reads no v

@@ -83,8 +83,12 @@ def test_criterion_1_constants_regression():
 def test_criterion_2_elliptic_exactness():
     t0 = time.perf_counter()
     g = Grid.from_bounds(-40.0, 40.0, 0.00025)
-    psi, _ = solve_pair(np.exp(-0.5 * g.x), g, 1.0, 1.0, 0.5, 0.5)
-    exact = (4.0 / 3.0) * np.exp(-0.5 * g.x)
+    psi, _ = solve_pair(np.exp(-0.5 * g.x), g, 0.5)
+    # s = e^{-x/2}, the plateau on the left, right rate 1/2: with z = x - x0
+    # and E = expm1(z / 2) / (1/2), Psi = e^{-x0/2} e^{-z} (2E + 5/2) / 3
+    z = g.x - g.x[0]
+    E = np.expm1(0.5 * z) / 0.5
+    exact = np.exp(-0.5 * g.x[0]) / 3.0 * np.exp(-z) * (2.0 * E + 2.5)
     win = (g.x >= -20.0) & (g.x <= 20.0)
     rel = np.abs(psi[win] / exact[win] - 1.0).max()
     assert rel < 1e-8
@@ -95,9 +99,8 @@ def test_criterion_2_elliptic_exactness():
         rng = np.random.default_rng(seed)
         vals = np.convolve(rng.uniform(size=g2.n), rng_k, mode="same")
         src = (1.0 + seed % 4) * vals
-        lam = 1.0 + 0.25 * (seed % 5)
-        p2, d2 = solve_pair(src, g2, lam, 1.0, 0.0, 0.0)
-        assert np.all(np.abs(d2) <= math.sqrt(lam) * p2 + 1e-10)
+        p2, d2 = solve_pair(src, g2, 0.0)
+        assert np.all(np.abs(d2) <= p2 + 1e-10)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     report(2, elapsed, 10.0,

@@ -177,7 +177,7 @@ def test_zero_tail_rate_is_the_plateau_closure(h, right, gamma):
     g = Grid(-5.0, h, 256)
     p = Params(0.0, gamma=gamma)
     u = 1.0 - (1.0 - right) * 0.5 * (1.0 + np.tanh(g.x))
-    expected = solve_pair(np.power(u, gamma), g, 1.0, 1.0, 0.0, 0.0)
+    expected = solve_pair(np.power(u, gamma), g, 0.0)
     for got, want in zip(solve_v(p, u, g, tail_kappa=0.0), expected):
         assert np.array_equal(got, want)
 

@@ -1,5 +1,6 @@
 """CLI: config parsing, dispatch, exit codes, deterministic outputs."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -9,6 +10,7 @@ import sys
 import textwrap
 import time
 import warnings
+from importlib.metadata import version
 from pathlib import Path
 
 import pytest
@@ -335,6 +337,60 @@ def test_certify_refuses_a_negative_seed(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "--seed" in err and "Traceback" not in err
     assert not (out / "certify.json").exists()
+
+
+# Tiny runs of five subcommands and the sha256 of every CSV they write
+# (certify writes only its certify.json record), pinned so that a change
+# meant to keep the numbers keeps every byte.  Recorded with numpy 2.4.6
+# and scipy 1.17.1: other builds of libm or LAPACK may round differently.
+GOLDEN_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+GOLDEN_RUNS = {
+    "wave": ("wave", "--chi", "-1", "--m", "2", "--gamma", "1.5", "--c", "5",
+             "--grid-left", "-30", "--grid-right", "30", "--grid-h", "0.1"),
+    "simulate": ("simulate", "--chi", "-1", "--grid-left", "-20",
+                 "--grid-right", "20", "--grid-h", "0.1", "--t-end", "2"),
+    "stability": ("stability", "--chi", "0", "--c", "3", "--grid-left",
+                  "-40", "--grid-right", "30", "--grid-h", "0.1",
+                  "--t-end", "10"),
+    "certify": ("certify", "--chi", "-1", "--c", "3", "--seed", "0"),
+    "sweep": ("sweep", "--chi-values", "0,0.5", "--gamma-values", "1,2",
+              "--grid-h", "0.2", "--t-end", "40", "--jobs", "1"),
+}
+GOLDEN_SHA256 = {
+    "wave/profile.csv":
+        "09af4962c6d2456c60bbeebd5d8b92915a2045009b3aafd51b7291f4c099cf1f",
+    "simulate/monitors.csv":
+        "d432697cb28bc04cdbd3cd5e5614495932d69fa67560e6e74aff54829d645238",
+    "simulate/snap_t0.csv":
+        "59c8e3af2880b6b29a08b5e2ff182c9ac17ad82e6ebd6fb1dce9614bd327ed55",
+    "simulate/snap_t1.csv":
+        "c1725cc90f2218ded1bbd25b6ae80c79f7cac263f9a8d3577087aa19e818d953",
+    "simulate/snap_t2.csv":
+        "6de6ec5493c6b58435522c79e9fecea065d6bb0e6cb66f82ed41645dc3a4f469",
+    "stability/decay.csv":
+        "0361f984f2a5fc82a984b0c5c8953b9c27f483bac18a7adcec1365837b606d88",
+    "certify/certify.json":
+        "1cc5fe1cd085649a037ee23bf0c901fc7dd1618c9398e6ce7e5427172d5ed477",
+    "sweep/speeds.csv":
+        "056be2f0f140e005894ca6d8cdb2cd81ddc0f789577d34acb84f5eed42fa8afa",
+}
+
+
+@pytest.mark.filterwarnings("ignore::chemowave.errors.TruncationWarning")
+def test_outputs_keep_their_bytes(tmp_path):
+    installed = {name: version(name) for name in GOLDEN_VERSIONS}
+    if installed != GOLDEN_VERSIONS:
+        pytest.skip(f"digests recorded with {GOLDEN_VERSIONS}, not "
+                    f"{installed}: the last digit may round differently")
+    got = {}
+    for name, argv in GOLDEN_RUNS.items():
+        out = tmp_path / name
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        for path in sorted(out.iterdir()):
+            if path.suffix == ".csv" or path.name == "certify.json":
+                got[f"{name}/{path.name}"] = hashlib.sha256(
+                    path.read_bytes()).hexdigest()
+    assert got == GOLDEN_SHA256
 
 
 def test_simulate_deterministic_bytes(tmp_path):
