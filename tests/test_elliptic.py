@@ -66,9 +66,8 @@ def test_matching_tail_rates_are_exact_for_exponential_sources(a, C, x0):
     s = C * np.exp(-a * g.x)
     psi, dpsi = solve_pair(s, g, a)
     exact, exact_x = exponential_source_exact(g.x, C, a)
-    scale = np.abs(exact).max()
-    assert np.abs(psi - exact).max() < 1e-8 * scale
-    assert np.abs(dpsi - exact_x).max() < 1e-8 * scale
+    assert np.abs(psi / exact - 1.0).max() < 1e-8
+    assert np.abs(dpsi / psi - exact_x / exact).max() < 1e-8
 
 
 def test_triangular_bump_green_function():
