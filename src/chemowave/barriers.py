@@ -12,11 +12,10 @@ plateau kink), the sub-solution is e^{-kx} - D e^{-kt x} for D large
 enough (nonnegative residual right of its zero x_minus), and small
 constants d <= d_sub are sub-solutions everywhere.
 
-A(W; u) is the moving-frame operator of the centered stepper: the
-interior rows of `cauchy.steady_residual` at W with V frozen, to the bit.
-Its factors that depend on W alone (W', W'', chi m W^(m-1), -chi W^m,
-W^gamma and W (1 - W^alpha)) are computed once per barrier, and each
-stack of (V, V') rows is evaluated against them.
+A(W; u) is `cauchy`'s one frozen-v formula, which the Newton residual
+`cauchy.steady_residual` evaluates too: a barrier's factors that depend
+on W alone (`frozen_terms`) are taken once, and each stack of (V, V')
+rows is combined with them (`frozen_residual`).
 Residuals use centered second-order differences, so a continuum sign
 statement is certified only up to the discrete slack
 
@@ -50,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cauchy import power, solve_v
+from .cauchy import frozen_residual, frozen_terms, solve_v
 from .errors import DomainError
 from .fields import Field, Grid
 from .params import (Params, RegimeTag, barrier_constants,
@@ -131,33 +130,6 @@ def solve_V(u: np.ndarray, grid: Grid, params: Params,
     return solve_v(params, u, grid, kappa_of_speed(c))
 
 
-def _w_terms(W: np.ndarray, p: Params, h: float) -> tuple[np.ndarray, ...]:
-    """The factors of A(W; u) that depend on W alone, at the interior nodes.
-
-    (W', W'', chi m W^(m-1), -chi W^m, W^gamma, W (1 - W^alpha)), each
-    with the operations of `cauchy.steady_residual`: the interior rows of
-    its centered differences need no ghost node.
-    """
-    _pow_guard(W, p)
-    Wi = W[1:-1]
-    return ((W[2:] - W[:-2]) / (2.0 * h),
-            (W[2:] - 2.0 * Wi + W[:-2]) / h**2,
-            p.chi * p.m * power(Wi, p.m - 1.0),
-            -p.chi * power(Wi, p.m),
-            power(Wi, p.gamma),
-            Wi * (1.0 - power(Wi, p.alpha)))
-
-
-def _residual_rows(terms: tuple[np.ndarray, ...], V: np.ndarray,
-                   Vx: np.ndarray, c: float) -> np.ndarray:
-    """A(W; u) on the nodes of terms, one row per row of u's (V, V') there.
-
-    The sums and products are `cauchy.steady_residual`'s, in its order.
-    """
-    Wx, Wxx, drift, source, Wg, logistic = terms
-    return Wxx + (c - drift * Vx) * Wx + (source * (V - Wg) + logistic)
-
-
 def residual_A(W: Field, u: Field, params: Params, c: float) -> Field:
     """A(W; u) with centered differences; first/last node excluded."""
     if W.grid != u.grid:
@@ -165,9 +137,10 @@ def residual_A(W: Field, u: Field, params: Params, c: float) -> Field:
     if u.min() < 0:
         raise DomainError("u must be nonnegative")
     V, Vx = solve_V(u.values, u.grid, params, c)
-    terms = _w_terms(W.values, params, W.grid.h)
+    _pow_guard(W.values, params)
+    terms = frozen_terms(params, W.values, W.grid.h)
     return Field(W.grid.interior(),
-                 _residual_rows(terms, V[1:-1], Vx[1:-1], c))
+                 frozen_residual(terms, V[1:-1], Vx[1:-1], c))
 
 
 @lru_cache(maxsize=8)
@@ -233,14 +206,17 @@ def random_envelope(spec: BarrierSpec, grid: Grid,
     return u
 
 
-def default_barrier_spec(params: Params, c: float, M: float | None = None) -> BarrierSpec:
-    """Barrier parameters for (params, c): regime-appropriate M, D_sub, d_sub."""
+def default_barrier_spec(params: Params, c: float) -> BarrierSpec:
+    """Barrier parameters for (params, c): M = M_chi, D_sub and d_sub; for
+    chi <= 0 and alpha <= m + gamma - 1, M_barrier(kappa) must reach M = 1."""
     kappa = kappa_of_speed(c)
-    if M is None:
-        if classify_regime(params) is RegimeTag.NEG_CHI_ALPHA_LE:
-            M = min(1.0, M_barrier(params, kappa))
-        else:
-            M = max(1.0, M_chi(params))
+    if classify_regime(params) is RegimeTag.NEG_CHI_ALPHA_LE:
+        largest = M_barrier(params, kappa)
+        if largest < 1.0:
+            raise DomainError(
+                f"c = {c:g} is too slow for the super-solution: its largest "
+                f"plateau M_barrier = {largest:.6g} is below 1")
+    M = M_chi(params)
     kt = default_kappa_tilde(params, kappa)
     bc = barrier_constants(params, kappa, kt, M=M)
     return BarrierSpec(kappa=kappa, kappa_tilde=kt, M=M, D=bc.D_sub, d=bc.d_sub)
@@ -301,16 +277,15 @@ def certify(params: Params, c: float, n_draws: int = 200,
     sup_from = np.count_nonzero(xi - spec.kink <= 3.0 * grid.h)
     sub_from = np.count_nonzero(xi <= spec.x_minus + 3.0 * grid.h)
 
-    plans = [
-        (name, _w_terms(W[lo:], p, grid.h), lo, eps, sign)
-        for name, W, lo, eps, sign in (
+    plans = []
+    for name, W, lo, eps, sign in (
             ("super_exp", Wsup, sup_from, eps_disc(grid.h, Wsup.max()), +1),
             ("super_const", Wm, 0, eps_disc(grid.h, spec.M), +1),
             ("sub_profile", Wsub, sub_from,
              eps_disc(grid.h, max(Wsub.max(), 1e-3)), -1),
-            ("sub_const", Wd, 0, eps_disc(grid.h, max(spec.d, 1e-3)), -1),
-        )
-    ]
+            ("sub_const", Wd, 0, eps_disc(grid.h, max(spec.d, 1e-3)), -1)):
+        _pow_guard(W[lo:], p)
+        plans.append((name, frozen_terms(p, W[lo:], grid.h), lo, eps, sign))
 
     passed = True
     worst = -math.inf
@@ -322,7 +297,7 @@ def certify(params: Params, c: float, n_draws: int = 200,
         V, Vx = solve_V(random_envelope(spec, grid, seeds), grid, p, c)
         checks = []
         for name, terms, lo, eps, sign in plans:
-            res = _residual_rows(terms, V[:, 1 + lo:-1], Vx[:, 1 + lo:-1], c)
+            res = frozen_residual(terms, V[:, 1 + lo:-1], Vx[:, 1 + lo:-1], c)
             checks.append((name, *_sign_excess(res, xi[lo:], eps, sign)))
         for k in range(len(seeds)):
             for name, excesses, locs in checks:

@@ -50,9 +50,12 @@ once, and so does an automatic-dt run while its step sits at its cap,
 DT_MAX or RELAX_DT_MAX; a step below the cap, whose dt is new on nearly
 every step, costs one gtsv.
 
-`steady_residual` is the steady form of the centered step, which the
-wave lane's Newton solve drives to zero (its Jacobian is assembled
-there); the barrier residual reads its interior rows.
+`frozen_terms` (the factors that depend on u alone) and `frozen_residual`
+(their combination with each row of (v, v_x)) are the one formula of the
+expanded right-hand side with v frozen.  The wave lane's Newton solve
+drives `steady_residual`, that formula at u with the step's ghost nodes,
+to zero; the barrier certificate combines each barrier's factors with
+every block of draws.
 Moving c u_x between the implicit and the explicit part does not move
 that steady form, so a profile is a fixed point of the step at any dt.
 One right-edge decay rate kappa (SimConfig.tail_kappa) closes u and v;
@@ -393,23 +396,43 @@ def advance_imex(p: Params, u: np.ndarray, terms: StepTerms, c: float,
     return u_new
 
 
+def frozen_terms(p: Params, ue: np.ndarray, h: float) -> tuple:
+    """The factors of the frozen-v operator that depend on u alone.
+
+    At the interior nodes u of ue: u_x, u_xx (centered) and u (1 - u^alpha),
+    and at chi != 0 also chi m u^(m-1), -chi u^m and u^gamma.
+    """
+    u = ue[1:-1]
+    terms = ((ue[2:] - ue[:-2]) / (2.0 * h),
+             (ue[2:] - 2.0 * u + ue[:-2]) / h**2,
+             u * (1.0 - power(u, p.alpha)))
+    if p.chi == 0.0:
+        return terms
+    return terms + (p.chi * p.m * power(u, p.m - 1.0), -p.chi * power(u, p.m),
+                    power(u, p.gamma))
+
+
+def frozen_residual(terms: tuple, v: np.ndarray, vx: np.ndarray,
+                    c: float) -> np.ndarray:
+    """The frozen-v operator at the nodes of terms, one row per row of v
+    (at chi = 0, where it reads no v, one row repeated and read-only)."""
+    ux, uxx, logistic, *chemotactic = terms
+    if not chemotactic:
+        return np.broadcast_to(uxx + c * ux + logistic, np.shape(v))
+    drift, source, ug = chemotactic
+    return uxx + (c - drift * vx) * ux + (source * (v - ug) + logistic)
+
+
 def steady_residual(p: Params, u: np.ndarray, v: np.ndarray, vx: np.ndarray,
                     c: float, grid: Grid,
                     robin_kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    """(u_t, u_x) of the centered advance_imex operator at u, (v, v_x) frozen.
+    """(u_t, u_x): the frozen-v operator at u with the step's ghost nodes.
 
-    A zero u_t is a fixed point of the centered step with the same (v, v_x),
-    c and robin_kappa, at any dt: u_xx + c u_x from the implicit part,
-    (w - c) u_x and the source from the explicit part, the same ghost
-    nodes and the same StepTerms for both.
+    A zero u_t is a fixed point of the centered advance_imex step with the
+    same (v, v_x), c and robin_kappa, at any dt.
     """
-    h = grid.h
-    terms = step_terms(p, u, v, vx)
-    ue = _ghosted(u, h, robin_kappa)
-    ux = (ue[2:] - ue[:-2]) / (2.0 * h)
-    uxx = (ue[2:] - 2.0 * u + ue[:-2]) / h**2
-    w = c if terms.drift is None else c + terms.drift
-    return uxx + w * ux + reaction_source(p, u, terms), ux
+    terms = frozen_terms(p, _ghosted(u, grid.h, robin_kappa), grid.h)
+    return frozen_residual(terms, v, vx, c), terms[0]
 
 
 def _check_finite(u: np.ndarray, t: float, grid: Grid) -> None:

@@ -56,7 +56,7 @@ from .errors import (DomainError, NoConvergence, NormalizationError,
                      RegimeError, WindowTooShort)
 from .fields import Field, Grid, level_crossings
 from .params import (Params, RegimeTag, classify_regime, kappa_of_speed,
-                     kappa1_default, M_chi, require_speed_above)
+                     kappa1_default, require_speed_above)
 
 FIT_WINDOW = (1e-6, 1e-2)
 MIN_WINDOW_LENGTH = 5.0
@@ -177,7 +177,7 @@ def _prepare(problem: WaveProblem):
         raise RegimeError(f"wave construction unsupported in regime {tag.value}")
     require_speed_above(p, problem.c)
     grid = problem.grid
-    spec = default_barrier_spec(p, problem.c, M=1.0 if p.chi <= 0 else M_chi(p))
+    spec = default_barrier_spec(p, problem.c)
     # keep the sub-barrier's zero comfortably inside the grid
     d_min = math.exp((spec.kappa_tilde - spec.kappa) * (grid.x0 + 5.0))
     if spec.D < d_min:

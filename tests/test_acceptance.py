@@ -115,7 +115,7 @@ def test_criterion_3_barrier_certificates():
     assert pos.passed, f"worst excess {pos.worst_excess} at {pos.worst_location}"
 
     p = Params(-1.0)
-    spec = default_barrier_spec(p, 3.0, M=1.0)
+    spec = default_barrier_spec(p, 3.0)
 
     def residual_on(h):
         gr = Grid.from_bounds(-20.0, 40.0, h)

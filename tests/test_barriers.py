@@ -14,7 +14,10 @@ from chemowave.barriers import (CERTIFY_GRID, BarrierSpec, certify,
 from chemowave.cauchy import steady_residual
 from chemowave.errors import DomainError
 from chemowave.fields import Field, Grid
-from chemowave.params import Params
+from chemowave.params import (Params, RegimeTag, barrier_constants,
+                              c_star, chi_star, classify_regime,
+                              default_kappa_tilde, kappa_of_speed, M_chi,
+                              require_speed_above)
 
 
 def test_eval_super_values():
@@ -59,7 +62,7 @@ def test_residual_super_negative_regime():
     p = Params(-1.0)
     c = 3.0
     g = Grid.from_bounds(-20, 30, 0.02)
-    spec = default_barrier_spec(p, c, M=1.0)
+    spec = default_barrier_spec(p, c)
     W = Field(g, eval_super(spec, g))
     eps = eps_disc(g.h, W.max())
     for seed in (0, 1, 2):
@@ -97,7 +100,7 @@ def test_residual_constant_super_and_sub():
     p = Params(-1.0)
     c = 3.0
     g = Grid.from_bounds(-20, 30, 0.02)
-    spec = default_barrier_spec(p, c, M=1.0)
+    spec = default_barrier_spec(p, c)
     u = Field(g, random_envelope(spec, g, [5])[0])
     Wm = Field(g, np.full(g.n, spec.M))
     res_m = residual_A(Wm, u, p, c)
@@ -111,7 +114,7 @@ def test_residual_sub_profile():
     p = Params(-1.0)
     c = 3.0
     g = Grid.from_bounds(-20, 40, 0.02)
-    spec = default_barrier_spec(p, c, M=1.0)
+    spec = default_barrier_spec(p, c)
     W = Field(g, np.maximum(eval_sub(spec, g), 0.0))
     u = Field(g, random_envelope(spec, g, [9])[0])
     res = residual_A(W, u, p, c)
@@ -168,7 +171,7 @@ def test_residual_discretization_contracts_quadratically():
     # to the continuum residual at second order
     p = Params(-1.0)
     c = 3.0
-    spec = default_barrier_spec(p, c, M=1.0)
+    spec = default_barrier_spec(p, c)
 
     def residual_on(h):
         g = Grid.from_bounds(-20.0, 40.0, h)
@@ -265,7 +268,8 @@ def _certify_draw_by_draw(p, c, n_draws, seed):
 
 @pytest.mark.parametrize("params, c", [
     (Params(-1.0), 3.0), (Params(0.25), 2.5),
-    (Params(0.3, 2.0, 2.0, 1.0), 2.5), (Params(-2.0, 2.0, 2.0, 1.5), 4.0)])
+    (Params(0.3, 2.0, 2.0, 1.0), 2.5), (Params(-2.0, 2.0, 2.0, 1.5), 4.0),
+    (Params(0.0), 3.0), (Params(0.0, 2.0, 2.0, 1.5), 3.0)])
 @pytest.mark.parametrize("n_draws", [1, 13])
 def test_blocked_certify_is_the_draw_by_draw_report(monkeypatch, params, c,
                                                      n_draws):
@@ -291,6 +295,53 @@ def test_blocked_certify_is_the_draw_by_draw_report(monkeypatch, params, c,
         assert checks == want
         assert (rep.passed, rep.worst_excess.hex(), rep.worst_location.hex(),
                 rep.worst_check, rep.n_draws) == report
+
+
+@st.composite
+def wave_regime_speeds(draw):
+    """(params, c) in a wave-construction regime, c above its threshold:
+    chi <= 0 with alpha <= m + gamma - 1 and c > c_star, or
+    0 < chi < min{1/2, chi*} with alpha = m + gamma - 1 and c > 2."""
+    m, gamma = draw(st.floats(1.0, 4.0)), draw(st.floats(1.0, 4.0))
+    if draw(st.booleans()):
+        p = Params(draw(st.floats(-20.0, 0.0)), m,
+                   draw(st.floats(1.0, m + gamma - 1.0)), gamma)
+        threshold = c_star(p)
+    else:
+        chi = draw(st.floats(0.0, min(0.5, chi_star(m, gamma)),
+                             exclude_min=True, exclude_max=True))
+        p, threshold = Params(chi, m, m + gamma - 1.0, gamma), 2.0
+    return p, threshold + draw(st.floats(1e-6, 5.0))
+
+
+def _spec_or_error(build):
+    try:
+        return build()
+    except DomainError as err:
+        return str(err)
+
+
+@settings(max_examples=200)
+@given(wave_regime_speeds())
+@example((Params(-1.0), 4.0))
+@example((Params(0.25), 2.5))
+def test_default_barrier_spec_takes_M_chi_in_the_wave_regimes(params_c):
+    # the wave lane's sandwich takes the default spec, whose M must be
+    # the a-priori sup bound M_chi of the waves it brackets, bit for bit
+    p, c = params_c
+    assert classify_regime(p) in (RegimeTag.NEG_CHI_ALPHA_LE,
+                                  RegimeTag.POS_CHI_ALPHA_EQ)
+    require_speed_above(p, c)
+
+    def with_M_chi():
+        kappa = kappa_of_speed(c)
+        kt = default_kappa_tilde(p, kappa)
+        bc = barrier_constants(p, kappa, kt, M=M_chi(p))
+        return BarrierSpec(kappa=kappa, kappa_tilde=kt, M=M_chi(p),
+                           D=bc.D_sub, d=bc.d_sub)
+
+    assert (_spec_or_error(lambda: default_barrier_spec(p, c))
+            == _spec_or_error(with_M_chi))
 
 
 def test_random_envelope_rows_are_their_one_seed_draws():

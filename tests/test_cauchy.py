@@ -16,7 +16,8 @@ from chemowave.cauchy import (SimConfig, State, StepStats, StepTerms,
                               _ghosted, advance_imex, advective_velocity,
                               auto_dt, march, monitor_bounds,
                               reaction_derivative, reaction_source,
-                              robin_rate, run, solve_v, step_terms)
+                              robin_rate, run, solve_v, steady_residual,
+                              step_terms)
 from chemowave.elliptic import solve_pair
 from chemowave.errors import BlowupDetected, DomainError, StiffnessError
 from chemowave.fields import Field, Grid
@@ -401,6 +402,22 @@ def banded_reference_step(p, u, v, vx, c, dt, grid, robin_kappa, scheme):
 
 
 EXPONENTS = st.sampled_from([1.0, 2.0, 2.7])
+SPECIALS = st.lists(st.sampled_from([0.0, -0.0, 1.0, "u^gamma"]), max_size=4)
+
+
+def random_state(n, gamma, specials, seed):
+    """(u, v, v_x) drawn from seed, with exact 0.0, -0.0 and 1.0 nodes of u
+    and v = u^gamma nodes among at least as many random ones."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 1.5, n)
+    v, vx = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    nodes = rng.choice(n, size=len(specials), replace=False)
+    for i, special in zip(nodes, specials):
+        if special == "u^gamma":
+            v[i] = np.power(u[i], gamma)
+        else:
+            u[i] = special
+    return u, v, vx
 
 
 @settings(max_examples=60)
@@ -409,9 +426,7 @@ EXPONENTS = st.sampled_from([1.0, 2.0, 2.7])
        peclet=st.floats(-0.99, 0.99),
        pattern=st.lists(st.integers(0, 2), min_size=2, max_size=8),
        robin_kappa=st.floats(0.0, 3.0), chi=st.sampled_from([-1.0, 0.0, 0.5]),
-       m=EXPONENTS, alpha=EXPONENTS, gamma=EXPONENTS,
-       specials=st.lists(st.sampled_from([0.0, -0.0, 1.0, "u^gamma"]),
-                         max_size=4),
+       m=EXPONENTS, alpha=EXPONENTS, gamma=EXPONENTS, specials=SPECIALS,
        scheme=st.sampled_from(["upwind", "centered"]), seed=st.integers(0, 99))
 def test_cached_factor_step_matches_banded_solve(n, h, dts, peclet, pattern,
                                                  robin_kappa, chi, m, alpha,
@@ -429,15 +444,7 @@ def test_cached_factor_step_matches_banded_solve(n, h, dts, peclet, pattern,
     cs = (0.0, 2.0 * peclet / h)
     g = Grid(-1.0, h, n)
     p = Params(chi, m, alpha, gamma)
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(0.0, 1.5, n)
-    v, vx = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
-    nodes = rng.choice(n, size=len(specials), replace=False)
-    for i, special in zip(nodes, specials):
-        if special == "u^gamma":
-            v[i] = np.power(u[i], gamma)
-        else:
-            u[i] = special
+    u, v, vx = random_state(n, gamma, specials, seed)
     calls, real = Counter(), cauchy.lapack
 
     def counted(name):
@@ -467,6 +474,30 @@ def test_cached_factor_step_matches_banded_solve(n, h, dts, peclet, pattern,
     assert calls["dgtsv"] == len(uses)
     assert calls["dgttrf"] == sum(k >= 2 for k in uses)
     assert calls["dgttrs"] == sum(k - 1 for k in uses)
+
+
+@settings(max_examples=100)
+@given(n=st.integers(8, 300), h=st.floats(0.01, 0.5), c=st.floats(-10.0, 10.0),
+       robin_kappa=st.floats(0.0, 3.0), chi=st.sampled_from([-1.0, 0.0, 0.5]),
+       m=EXPONENTS, alpha=EXPONENTS, gamma=EXPONENTS, specials=SPECIALS,
+       seed=st.integers(0, 99))
+def test_steady_residual_is_the_term_by_term_formula(n, h, c, robin_kappa,
+                                                     chi, m, alpha, gamma,
+                                                     specials, seed):
+    # an oracle that shares no code with the frozen-v operator: the
+    # centered step's parts, u_xx + w u_x + source, from formula_terms
+    # (chi's terms kept at chi = 0, where they are zero; a zero's sign
+    # may differ, which array_equal does not see)
+    g = Grid(-1.0, h, n)
+    p = Params(chi, m, alpha, gamma)
+    u, v, vx = random_state(n, gamma, specials, seed)
+    ue = _ghosted(u, h, robin_kappa)
+    ux = (ue[2:] - ue[:-2]) / (2.0 * h)
+    uxx = (ue[2:] - 2.0 * u + ue[:-2]) / h**2
+    terms = formula_terms(p, u, v, vx)
+    want = uxx + (c + terms.drift) * ux + reaction_source(p, u, terms)
+    got, got_ux = steady_residual(p, u, v, vx, c, g, robin_kappa)
+    assert np.array_equal(got, want) and np.array_equal(got_ux, ux)
 
 
 @pytest.mark.parametrize("dt", [0.03, None])

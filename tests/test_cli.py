@@ -135,12 +135,16 @@ def test_oversized_grid_exits_1(tmp_path, capsys):
     (["constants", "--gamma", "1e308"], "bD_chain overflows"),
     (["wave", "--gamma", "1e308"], "c_star overflows"),
     (["stability", "--gamma", "1e200"], "c_star overflows"),
+    (["certify", "--chi", "-1", "--c", "2.2"],
+     "c = 2.2 is too slow for the super-solution: its largest plateau "
+     "M_barrier = 0.89966 is below 1"),
 ], ids=["certify-c", "constants-c", "constants-gamma", "wave-gamma",
-        "stability-gamma"])
+        "stability-gamma", "certify-slow"])
 def test_a_constant_out_of_float_range_exits_1(tmp_path, capsys, argv,
                                                message):
     # kappa(c) cancels to 0 from c ~ 1.34e8; Python's float ** raises
-    # OverflowError once gamma^2 passes 1.8e308
+    # OverflowError once gamma^2 passes 1.8e308; and below c_star the
+    # super-solution's largest plateau M_barrier(kappa) falls under 1
     assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -340,7 +344,8 @@ def test_certify_refuses_a_negative_seed(tmp_path, capsys, monkeypatch):
 
 
 # Tiny runs of five subcommands and the sha256 of every CSV they write
-# (certify writes only its certify.json record), pinned so that a change
+# (certify, at chi = -1 and at chi = 0, writes only its certify.json
+# record), pinned so that a change
 # meant to keep the numbers keeps every byte.  Recorded with numpy 2.4.6
 # and scipy 1.17.1: other builds of libm or LAPACK may round differently.
 GOLDEN_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
@@ -353,6 +358,7 @@ GOLDEN_RUNS = {
                   "-40", "--grid-right", "30", "--grid-h", "0.1",
                   "--t-end", "10"),
     "certify": ("certify", "--chi", "-1", "--c", "3", "--seed", "0"),
+    "certify_chi0": ("certify", "--chi", "0", "--c", "3", "--seed", "0"),
     "sweep": ("sweep", "--chi-values", "0,0.5", "--gamma-values", "1,2",
               "--grid-h", "0.2", "--t-end", "40", "--jobs", "1"),
 }
@@ -371,6 +377,8 @@ GOLDEN_SHA256 = {
         "0361f984f2a5fc82a984b0c5c8953b9c27f483bac18a7adcec1365837b606d88",
     "certify/certify.json":
         "1cc5fe1cd085649a037ee23bf0c901fc7dd1618c9398e6ce7e5427172d5ed477",
+    "certify_chi0/certify.json":
+        "5d7fe13bb90a8604a5195e0a94dee023f07d1717114c4af2ccad44dd645c237a",
     "sweep/speeds.csv":
         "056be2f0f140e005894ca6d8cdb2cd81ddc0f789577d34acb84f5eed42fa8afa",
 }

@@ -114,7 +114,7 @@ def test_inner_relaxation_monotone_neg_chi(pseudo_time):
     p = Params(-1.0)
     c = 4.0
     g = Grid.from_bounds(-40, 40, 0.05)
-    spec = default_barrier_spec(p, c, M=1.0)
+    spec = default_barrier_spec(p, c)
     u = eval_super(spec, g)
     V, Vx = solve_v(p, u, g, tail_kappa=spec.kappa)
     c_eff = fitted_frame_speed(c, g.h)
