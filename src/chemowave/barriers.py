@@ -13,9 +13,8 @@ enough (nonnegative residual right of its zero x_minus), and small
 constants d <= d_sub are sub-solutions everywhere.
 
 A(W; u) is `cauchy`'s one frozen-v formula, which the Newton residual
-`cauchy.steady_residual` evaluates too: a barrier's factors that depend
-on W alone (`frozen_terms`) are taken once, and each stack of (V, V')
-rows is combined with them (`frozen_residual`).
+`cauchy.steady_residual` evaluates too: the factors that depend on W
+alone (`frozen_terms`) combined with (V, V') (`frozen_residual`).
 Residuals use centered second-order differences, so a continuum sign
 statement is certified only up to the discrete slack
 
@@ -23,21 +22,10 @@ statement is certified only up to the discrete slack
 
 and the 3 nodes nearest a kink or a sign change of W are skipped.
 
-The barriers, the random densities and (V, V') are plain arrays on a
-Grid, so `certify` builds no Field; `residual_A`, the paper's operator,
-takes and returns Fields.
-
-`certify` takes its random densities DRAWS_PER_BLOCK at a time: each
-draw keeps its own generator, seed + k, and a block is smoothed by one
-padded FFT pair, solved for (V, V') by one row-stacked elliptic call
-and checked against each barrier as one array, on the nodes the check
-reads.  Every row is bit for bit the draw taken alone, so the report
-does not depend on the block.  Memory sets the block's size: 4 draws
-remove most of the per-draw call overhead of one 3,001-node row and
-peak at 1.3 MB of allocation (0.4 MB one draw at a time), which stays
-under the resident peak of the stability lab run in the same process;
-8 draws (2.0 MB) took about 7% less time but raised that process's
-peak resident memory by about 1 MB.
+The barriers and (V, V') are plain arrays on a Grid, so `certify`, which
+takes the worst case over the admissible class in closed form
+(`worst_residuals`), builds no Field; `residual_A`, the paper's operator,
+takes and returns Fields.  `random_envelope` draws members of the class.
 """
 
 from __future__ import annotations
@@ -49,16 +37,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cauchy import frozen_residual, frozen_terms, solve_v
+from .cauchy import frozen_residual, frozen_terms, power, solve_v
+from .elliptic import sweep_weights
 from .errors import DomainError
 from .fields import Field, Grid
-from .params import (Params, RegimeTag, barrier_constants,
+from .params import (Params, RegimeTag, barrier_constants, c_star,
                      classify_regime, default_kappa_tilde, kappa_of_speed,
                      M_barrier, M_chi)
 
 
 CERTIFY_GRID = (-30.0, 30.0, 0.02)      # (left, right, h)
-DRAWS_PER_BLOCK = 4                     # random densities solved together
 
 
 def eps_disc(h: float, w_scale: float) -> float:
@@ -208,9 +196,11 @@ def random_envelope(spec: BarrierSpec, grid: Grid,
 
 def default_barrier_spec(params: Params, c: float) -> BarrierSpec:
     """Barrier parameters for (params, c): M = M_chi, D_sub and d_sub; for
-    chi <= 0 and alpha <= m + gamma - 1, M_barrier(kappa) must reach M = 1."""
+    chi <= 0 and alpha <= m + gamma - 1, M_barrier(kappa) must reach M = 1,
+    and next to the speed threshold d_sub must not underflow to 0."""
     kappa = kappa_of_speed(c)
-    if classify_regime(params) is RegimeTag.NEG_CHI_ALPHA_LE:
+    neg_chi = classify_regime(params) is RegimeTag.NEG_CHI_ALPHA_LE
+    if neg_chi:
         largest = M_barrier(params, kappa)
         if largest < 1.0:
             raise DomainError(
@@ -219,6 +209,11 @@ def default_barrier_spec(params: Params, c: float) -> BarrierSpec:
     M = M_chi(params)
     kt = default_kappa_tilde(params, kappa)
     bc = barrier_constants(params, kappa, kt, M=M)
+    if not bc.d_sub > 0.0:
+        raise DomainError(
+            f"c = {c:.9g} is too close to its speed threshold "
+            f"{c_star(params) if neg_chi else 2.0:g}: the sub-solution's "
+            f"d_sub underflows to 0 (D_sub = {bc.D_sub:.6g})")
     return BarrierSpec(kappa=kappa, kappa_tilde=kt, M=M, D=bc.D_sub, d=bc.d_sub)
 
 
@@ -228,83 +223,91 @@ class CertifyReport:
     worst_excess: float
     worst_location: float
     worst_check: str
-    n_draws: int
+    checks: dict[str, dict[str, float]]   # each check's worst_excess, _location
 
 
-def _sign_excess(res: np.ndarray, xs: np.ndarray, eps: float,
-                 sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """Worst violation of sign*res <= eps in each row of res, and its node.
+def worst_residuals(params: Params, c: float, grid: Grid, u_max: np.ndarray,
+                    barriers: Sequence[tuple[np.ndarray, int]]
+                    ) -> list[np.ndarray]:
+    """For each (W, sign): the largest sign * A(W; u) over the densities
+    0 <= u <= u_max, at the interior nodes.
 
-    The columns of res are the nodes xs; with none, every row reports
-    (-inf, nan).
+    A(W; u) = base + a V + b V' (a = source, b = -drift u_x), and
+    `solve_pair` gives V = (L + R) / 2 and V' = (R - L) / 2 from sweeps L
+    and R that weigh S = u^gamma left and right of each node i, and at i
+    by lam and rho, with nonnegative weights.  So the sup takes S =
+    u_max^gamma left of i if alpha = sign (a - b) / 2 > 0, right of i if
+    beta = sign (a + b) / 2 > 0, at i if alpha lam + beta rho > 0, else 0:
+    one solve of u_max, and none at chi = 0 (A reads no V).
     """
-    vals = sign * res
-    if vals.shape[-1] == 0:
-        return (np.full(len(vals), -math.inf), np.full(len(vals), math.nan))
-    i = np.argmax(vals, axis=-1)
-    return vals[np.arange(len(vals)), i] - eps, xs[i]
+    p, h = params, grid.h
+    if p.chi != 0.0:
+        V, Vx = solve_V(u_max, grid, p, c)
+        S = power(u_max[1:-1], p.gamma)
+        _, (_, I1), (J0, J1) = sweep_weights(h)
+        lam, rho = I1 / h, J0 - J1 / h
+        # the sweeps of u_max^gamma without node i's own share
+        left = (V - Vx)[1:-1] - lam * S
+        right = (V + Vx)[1:-1] - rho * S
+    worst = []
+    for W, sign in barriers:
+        _pow_guard(W, p)
+        terms = frozen_terms(p, W, h)
+        res = sign * frozen_residual(terms, 0.0, 0.0, c)
+        if p.chi != 0.0:
+            ux, _, _, drift, source, _ = terms
+            alpha = 0.5 * sign * (source + drift * ux)
+            beta = 0.5 * sign * (source - drift * ux)
+            res += (np.maximum(alpha, 0.0) * left
+                    + np.maximum(beta, 0.0) * right
+                    + np.maximum(alpha * lam + beta * rho, 0.0) * S)
+        worst.append(res)
+    return worst
 
 
-def certify(params: Params, c: float, n_draws: int = 200,
-            seed: int = 0) -> CertifyReport:
-    """Randomized residual-sign certificates for the explicit barriers.
+def _sign_excess(vals: np.ndarray, xs: np.ndarray,
+                 eps: float) -> tuple[float, float]:
+    """The largest vals - eps (a NaN if vals has one) and its node in xs."""
+    if vals.size == 0:
+        return -math.inf, math.nan
+    i = int(np.argmax(vals))
+    return float(vals[i] - eps), float(xs[i])
 
-    For each of n_draws admissible densities u: the super-solution
-    residual must be <= eps_disc right of the plateau kink, the constant
-    M residual <= eps_disc everywhere, the sub-solution residual
-    >= -eps_disc right of x_minus, and the constant d residual
-    >= -eps_disc everywhere, all on CERTIFY_GRID.  Draw k uses seed + k,
-    so the seed must be nonnegative, and at least one draw is needed.
-    The draws are taken DRAWS_PER_BLOCK at a time; the report is the one
-    of the draws taken one by one, in order.
-    """
-    if seed < 0:
-        raise DomainError(f"--seed must be nonnegative, got {seed}")
-    if n_draws < 1:
-        raise DomainError(f"need at least one draw, got {n_draws}")
-    p = params
+
+def certify(params: Params, c: float) -> CertifyReport:
+    """Residual-sign certificates of the barriers on CERTIFY_GRID, exact
+    over the admissible densities 0 <= u <= min{M, e^{-kx}}: the super-
+    solution residual <= eps_disc right of the plateau kink, the constant
+    M residual <= eps_disc, the sub-solution residual >= -eps_disc right
+    of x_minus and the constant d residual >= -eps_disc."""
     grid = Grid.from_bounds(*CERTIFY_GRID)
-    spec = default_barrier_spec(p, c)
-
+    spec = default_barrier_spec(params, c)
     Wsup = eval_super(spec, grid)
     Wsub = np.maximum(eval_sub(spec, grid), 0.0)
-    Wm = np.full(grid.n, float(spec.M))
-    Wd = np.full(grid.n, spec.d)
 
     # each check holds on the interior nodes from its first one on: right
     # of the kink, right of x_minus, or everywhere (xi increases)
     xi = grid.interior().x
     sup_from = np.count_nonzero(xi - spec.kink <= 3.0 * grid.h)
     sub_from = np.count_nonzero(xi <= spec.x_minus + 3.0 * grid.h)
-
-    plans = []
-    for name, W, lo, eps, sign in (
-            ("super_exp", Wsup, sup_from, eps_disc(grid.h, Wsup.max()), +1),
-            ("super_const", Wm, 0, eps_disc(grid.h, spec.M), +1),
-            ("sub_profile", Wsub, sub_from,
-             eps_disc(grid.h, max(Wsub.max(), 1e-3)), -1),
-            ("sub_const", Wd, 0, eps_disc(grid.h, max(spec.d, 1e-3)), -1)):
-        _pow_guard(W[lo:], p)
-        plans.append((name, frozen_terms(p, W[lo:], grid.h), lo, eps, sign))
-
-    passed = True
-    worst = -math.inf
-    worst_loc = math.nan
-    worst_name = ""
-    for start in range(0, n_draws, DRAWS_PER_BLOCK):
-        seeds = range(seed + start,
-                      seed + min(start + DRAWS_PER_BLOCK, n_draws))
-        V, Vx = solve_V(random_envelope(spec, grid, seeds), grid, p, c)
-        checks = []
-        for name, terms, lo, eps, sign in plans:
-            res = frozen_residual(terms, V[:, 1 + lo:-1], Vx[:, 1 + lo:-1], c)
-            checks.append((name, *_sign_excess(res, xi[lo:], eps, sign)))
-        for k in range(len(seeds)):
-            for name, excesses, locs in checks:
-                excess = float(excesses[k])
-                passed = passed and excess <= 0     # a NaN excess fails
-                if excess > worst:
-                    worst, worst_loc, worst_name = excess, float(locs[k]), name
+    plans = (
+        ("super_exp", Wsup, sup_from, eps_disc(grid.h, Wsup.max()), +1),
+        ("super_const", np.full(grid.n, float(spec.M)), 0,
+         eps_disc(grid.h, spec.M), +1),
+        ("sub_profile", Wsub, sub_from,
+         eps_disc(grid.h, max(Wsub.max(), 1e-3)), -1),
+        ("sub_const", np.full(grid.n, spec.d), 0,
+         eps_disc(grid.h, max(spec.d, 1e-3)), -1))
+    rows = worst_residuals(params, c, grid, Wsup,
+                           [(W, sign) for _, W, _, _, sign in plans])
+    passed, worst, worst_loc, worst_name = True, -math.inf, math.nan, ""
+    checks = {}
+    for (name, _, lo, eps, _), res in zip(plans, rows):
+        excess, loc = _sign_excess(res[lo:], xi[lo:], eps)
+        checks[name] = {"worst_excess": excess, "worst_location": loc}
+        passed = passed and excess <= 0     # a NaN excess fails
+        if excess > worst:
+            worst, worst_loc, worst_name = excess, loc, name
     return CertifyReport(passed=passed, worst_excess=worst,
                          worst_location=worst_loc, worst_check=worst_name,
-                         n_draws=n_draws)
+                         checks=checks)

@@ -55,7 +55,7 @@ every step, costs one gtsv.
 expanded right-hand side with v frozen.  The wave lane's Newton solve
 drives `steady_residual`, that formula at u with the step's ghost nodes,
 to zero; the barrier certificate combines each barrier's factors with
-every block of draws.
+the (v, v_x) of its worst case.
 Moving c u_x between the implicit and the explicit part does not move
 that steady form, so a profile is a fixed point of the step at any dt.
 One right-edge decay rate kappa (SimConfig.tail_kappa) closes u and v;
@@ -415,10 +415,10 @@ def frozen_terms(p: Params, ue: np.ndarray, h: float) -> tuple:
 def frozen_residual(terms: tuple, v: np.ndarray, vx: np.ndarray,
                     c: float) -> np.ndarray:
     """The frozen-v operator at the nodes of terms, one row per row of v
-    (at chi = 0, where it reads no v, one row repeated and read-only)."""
+    (at chi = 0, where it reads no v, one row)."""
     ux, uxx, logistic, *chemotactic = terms
     if not chemotactic:
-        return np.broadcast_to(uxx + c * ux + logistic, np.shape(v))
+        return uxx + c * ux + logistic
     drift, source, ug = chemotactic
     return uxx + (c - drift * vx) * ux + (source * (v - ug) + logistic)
 

@@ -230,16 +230,13 @@ def cmd_sweep(cfg: dict, values: dict[str, list[float]], jobs: int) -> int:
 
 def cmd_certify(cfg: dict) -> int:
     p = _params(cfg)
-    report = certify(p, cfg["c"], seed=cfg["seed"])
-    out = cfg["out_dir"]
-    os.makedirs(out, exist_ok=True)
-    cw_io.write_json(os.path.join(out, "certify.json"),
-                     {"passed": report.passed,
-                      "worst_excess": report.worst_excess,
-                      "worst_location": report.worst_location,
-                      "worst_check": report.worst_check,
-                      "n_draws": report.n_draws})
+    # --seed is accepted for old command lines; the certificate is exact
+    if cfg["seed"] < 0:
+        raise DomainError(f"--seed must be nonnegative, got {cfg['seed']}")
+    report = certify(p, cfg["c"])
     _manifest(cfg)
+    cw_io.write_json(os.path.join(cfg["out_dir"], "certify.json"),
+                     asdict(report))
     print(f"certify {'PASS' if report.passed else 'FAIL'}: worst excess "
           f"{report.worst_excess:.3e} at x = {report.worst_location:.3f} "
           f"({report.worst_check})")

@@ -138,13 +138,21 @@ def test_oversized_grid_exits_1(tmp_path, capsys):
     (["certify", "--chi", "-1", "--c", "2.2"],
      "c = 2.2 is too slow for the super-solution: its largest plateau "
      "M_barrier = 0.89966 is below 1"),
+    (["certify", "--chi", "0", "--c", "2.000001"],
+     "c = 2.000001 is too close to its speed threshold 2: the "
+     "sub-solution's d_sub underflows to 0"),
+    (["wave", "--chi", "0", "--c", "2.00005"],
+     "c = 2.00005 is too close to its speed threshold 2: the "
+     "sub-solution's d_sub underflows to 0"),
 ], ids=["certify-c", "constants-c", "constants-gamma", "wave-gamma",
-        "stability-gamma", "certify-slow"])
+        "stability-gamma", "certify-slow", "certify-threshold",
+        "wave-threshold"])
 def test_a_constant_out_of_float_range_exits_1(tmp_path, capsys, argv,
                                                message):
     # kappa(c) cancels to 0 from c ~ 1.34e8; Python's float ** raises
-    # OverflowError once gamma^2 passes 1.8e308; and below c_star the
-    # super-solution's largest plateau M_barrier(kappa) falls under 1
+    # OverflowError once gamma^2 passes 1.8e308; below c_star the
+    # super-solution's largest plateau M_barrier(kappa) falls under 1; and
+    # next to the speed threshold the sub-solution's d_sub underflows to 0
     assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -326,7 +334,14 @@ def test_certify_subcommand(tmp_path, capsys):
     assert code == 0
     payload = json.loads((out / "certify.json").read_text())
     assert payload["passed"] is True
-    assert payload["n_draws"] == 200
+    checks = payload["checks"]
+    assert sorted(checks) == ["sub_const", "sub_profile", "super_const",
+                              "super_exp"]
+    assert all(set(check) == {"worst_excess", "worst_location"}
+               and check["worst_excess"] <= 0 for check in checks.values())
+    worst = checks[payload["worst_check"]]
+    assert (worst["worst_excess"], worst["worst_location"]) == (
+        payload["worst_excess"], payload["worst_location"])
 
 
 def test_certify_refuses_a_negative_seed(tmp_path, capsys, monkeypatch):
@@ -376,9 +391,9 @@ GOLDEN_SHA256 = {
     "stability/decay.csv":
         "0361f984f2a5fc82a984b0c5c8953b9c27f483bac18a7adcec1365837b606d88",
     "certify/certify.json":
-        "1cc5fe1cd085649a037ee23bf0c901fc7dd1618c9398e6ce7e5427172d5ed477",
+        "a1b5c8f9925d2535f0088b9fa93b37405ac6a628a2d49bbfab9b4e146a687abf",
     "certify_chi0/certify.json":
-        "5d7fe13bb90a8604a5195e0a94dee023f07d1717114c4af2ccad44dd645c237a",
+        "c97e04ee5030d26c95dd5785834d54e9bf7a6e8570e996016459b09fe86ce9a8",
     "sweep/speeds.csv":
         "056be2f0f140e005894ca6d8cdb2cd81ddc0f789577d34acb84f5eed42fa8afa",
 }
@@ -710,14 +725,16 @@ def test_wave_subcommand_coupled_relax(tmp_path):
 def test_import_leaves_heavy_scipy_packages_unloaded(tmp_path):
     # a fresh interpreter: the test session may have imported these already.
     # LAPACK and the IIR filter load as bare compiled extensions, which
-    # also serve the Newton solve; certify smooths by numpy's FFT, so
-    # ndimage never loads; a serial sweep starts no process pool
+    # also serve the Newton solve; certify draws no random density, so
+    # neither ndimage nor numpy's FFT loads; a serial sweep starts no
+    # process pool
     script = textwrap.dedent("""
         import json, os, sys
         import chemowave.cli
         heavy = ("scipy.signal", "scipy.stats", "scipy.linalg",
                  "scipy.sparse.linalg", "scipy.ndimage", "scipy._lib._util",
-                 "numpy.f2py", "numpy.testing", "concurrent.futures.process")
+                 "numpy.f2py", "numpy.testing", "numpy.fft",
+                 "concurrent.futures.process")
         loaded = {"import": [m for m in heavy if m in sys.modules]}
         codes = []
         for name, argv in (
@@ -792,7 +809,7 @@ JSON_KEYS = {
                "--grid-h", "0.1", "--t-end", "40"], {
         "manifest.json": {*MANIFEST, "rows", "runs"}}, None),
     "certify": (["certify", "--chi", "-1", "--c", "3"], {
-        "certify.json": {"n_draws", "passed", "worst_check", "worst_excess",
+        "certify.json": {"checks", "passed", "worst_check", "worst_excess",
                          "worst_location"},
         "manifest.json": MANIFEST}, None),
 }
