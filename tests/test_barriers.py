@@ -11,7 +11,7 @@ from chemowave import barriers
 from chemowave.barriers import (CERTIFY_GRID, BarrierSpec, certify,
                                 default_barrier_spec, eps_disc, eval_sub,
                                 eval_super, random_envelope, residual_A)
-from chemowave.cauchy import frozen_residual, frozen_terms
+from chemowave.cauchy import frozen_residual, frozen_terms, steady_residual
 from chemowave.elliptic import solve_pair
 from chemowave.errors import DomainError
 from chemowave.fields import Field, Grid
@@ -268,6 +268,68 @@ def test_exact_certify_dominates_every_random_draw(params, c, seed):
                                      V[:, 1:-1], Vx[:, 1:-1], c)
         assert (res[..., mask].max() - eps
                 <= exact[name]["worst_excess"] + 1e-12), name
+
+
+def _certify_draw_by_draw(p, c, n_draws, seed):
+    """The random-draw certificate, and each check's (excess, x) per draw,
+    from one draw, one solve and one residual at a time."""
+    grid = Grid.from_bounds(*CERTIFY_GRID)
+    spec = default_barrier_spec(p, c)
+    xi = grid.interior().x
+    checks = []
+    passed, worst, worst_loc, worst_name = True, -math.inf, math.nan, ""
+    for k in range(n_draws):
+        u = _one_envelope(spec, grid, seed + k)
+        V, Vx = barriers.solve_V(u, grid, p, c)
+        for name, W, mask, eps, sign in _certify_plan(spec, grid):
+            barriers._pow_guard(W, p)
+            res = steady_residual(p, W, V, Vx, c, grid, 0.0)[0][1:-1]
+            vals = sign * res[mask]
+            i = int(np.argmax(vals))
+            excess, loc = float(vals[i] - eps), float(xi[mask][i])
+            checks.append((name, excess, loc))
+            passed = passed and excess <= 0
+            if excess > worst:
+                worst, worst_loc, worst_name = excess, loc, name
+    return (passed, worst, worst_loc, worst_name), checks
+
+
+@pytest.mark.parametrize("params, c", [
+    (Params(-1.0), 3.0), (Params(0.25), 2.5),
+    (Params(0.3, 2.0, 2.0, 1.0), 2.5), (Params(-2.0, 2.0, 2.0, 1.5), 4.0),
+    (Params(0.0), 3.0), (Params(0.0, 2.0, 2.0, 1.5), 3.0)])
+@pytest.mark.parametrize("n_draws", [1, 13])
+def test_blocked_certify_is_the_draw_by_draw_report(params, c, n_draws):
+    # a block of draws (random_envelope rows, one row-stacked solve, one
+    # frozen residual) gives every bit of each check of each draw computed
+    # one at a time; the exact certificate bounds every draw, and at
+    # chi = 0, where the residual reads no V, it is the draw report itself
+    grid = Grid.from_bounds(*CERTIFY_GRID)
+    spec = default_barrier_spec(params, c)
+    xi = grid.interior().x
+    rep = certify(params, c)
+    for seed in (0, 7):
+        u = random_envelope(spec, grid, range(seed, seed + n_draws))
+        V, Vx = barriers.solve_V(u, grid, params, c)
+        per_check = []
+        for name, W, mask, eps, sign in _certify_plan(spec, grid):
+            res = sign * frozen_residual(frozen_terms(params, W, grid.h),
+                                         V[:, 1:-1], Vx[:, 1:-1], c)
+            vals = np.broadcast_to(res, (n_draws, xi.size))[:, mask]
+            i = np.argmax(vals, axis=1)
+            per_check.append([(name, float(v[k] - eps), float(xi[mask][k]))
+                              for v, k in zip(vals, i)])
+        blocked = [check for draw in zip(*per_check) for check in draw]
+        report, want = _certify_draw_by_draw(params, c, n_draws, seed)
+        assert ([(n, e.hex(), x.hex()) for n, e, x in blocked]
+                == [(n, e.hex(), x.hex()) for n, e, x in want])
+        for name, excess, _ in want:
+            assert excess <= rep.checks[name]["worst_excess"] + 1e-12, name
+        assert report[0] or not rep.passed
+        if params.chi == 0:
+            assert (rep.passed, rep.worst_excess.hex(),
+                    rep.worst_location.hex(), rep.worst_check) == (
+                report[0], report[1].hex(), report[2].hex(), report[3])
 
 
 def _one_envelope(spec, grid, seed):
