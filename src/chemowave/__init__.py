@@ -7,12 +7,10 @@ from .params import (ConstantsReport, Params, RegimeTag, SIGMA, c_star,
                      chi_star, classify_regime, constants_report,
                      kappa_of_speed, M_chi)
 from .cauchy import SimConfig, State, monitor_bounds, run
-from .barriers import BarrierSpec, certify, eval_sub, eval_super, residual_A
-from .elliptic import solve_fd
+from .barriers import BarrierSpec, certify, eval_sub, eval_super
 from .waves import (WaveProblem, WaveProfile, construct, construct_fixed_point,
                     construct_relax, diagnose, normalize_translation, settle)
-from .stability import (apriori_checks, predicted_lambda, run_stability,
-                        uniqueness_check, weighted_elliptic_check)
+from .stability import apriori_checks, predicted_lambda, run_stability
 from .speed import FrontTrack, spreading_speed, sweep_speeds
 
 __all__ = [
@@ -20,12 +18,10 @@ __all__ = [
     "SIGMA", "c_star", "chi_star", "classify_regime",
     "constants_report", "kappa_of_speed", "M_chi",
     "SimConfig", "State", "monitor_bounds", "run",
-    "BarrierSpec", "certify", "eval_sub", "eval_super", "residual_A",
-    "solve_fd",
+    "BarrierSpec", "certify", "eval_sub", "eval_super",
     "WaveProblem", "WaveProfile", "construct", "construct_fixed_point",
     "construct_relax", "diagnose", "normalize_translation", "settle",
     "apriori_checks", "predicted_lambda", "run_stability",
-    "uniqueness_check", "weighted_elliptic_check",
     "FrontTrack", "spreading_speed", "sweep_speeds",
     "__version__",
 ]

@@ -24,8 +24,9 @@ and the 3 nodes nearest a kink or a sign change of W are skipped.
 
 The barriers and (V, V') are plain arrays on a Grid, so `certify`, which
 takes the worst case over the admissible class in closed form
-(`worst_residuals`), builds no Field; `residual_A`, the paper's operator,
-takes and returns Fields.  `random_envelope` draws members of the class.
+(`worst_residuals`), builds no Field.  `random_envelope` draws members of
+the class, smoothed by scipy.ndimage's Gaussian filter; no subcommand
+calls it.
 """
 
 from __future__ import annotations
@@ -33,14 +34,13 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .cauchy import frozen_residual, frozen_terms, power, solve_v
 from .elliptic import sweep_weights
 from .errors import DomainError
-from .fields import Field, Grid
+from .fields import Grid
 from .params import (Params, RegimeTag, barrier_constants, c_star,
                      classify_regime, default_kappa_tilde, kappa_of_speed,
                      M_barrier, M_chi)
@@ -118,53 +118,6 @@ def solve_V(u: np.ndarray, grid: Grid, params: Params,
     return solve_v(params, u, grid, kappa_of_speed(c))
 
 
-def residual_A(W: Field, u: Field, params: Params, c: float) -> Field:
-    """A(W; u) with centered differences; first/last node excluded."""
-    if W.grid != u.grid:
-        raise DomainError("W and u must share a grid")
-    if u.min() < 0:
-        raise DomainError("u must be nonnegative")
-    V, Vx = solve_V(u.values, u.grid, params, c)
-    _pow_guard(W.values, params)
-    terms = frozen_terms(params, W.values, W.grid.h)
-    return Field(W.grid.interior(),
-                 frozen_residual(terms, V[1:-1], Vx[1:-1], c))
-
-
-@lru_cache(maxsize=8)
-def _gaussian_spectrum(n: int, sigma: float) -> tuple[int, int, np.ndarray]:
-    """(radius, FFT length, rfft of the kernel) for smoothing n nodes.
-
-    The kernel is scipy.ndimage.gaussian_filter1d's: radius
-    int(4 sigma + 0.5), weights exp(-x^2 / (2 sigma^2)) normalised by
-    their sum.  The FFT length is the first power of two >= n + 2 radius,
-    so the circular convolution of the padded data (n + 2 radius values)
-    wraps nothing into the n nodes kept.
-    """
-    radius = int(4.0 * sigma + 0.5)
-    x = np.arange(-radius, radius + 1)
-    weights = np.exp(-0.5 / (sigma * sigma) * x ** 2)
-    weights /= weights.sum()
-    size = 1 << (n + 2 * radius - 1).bit_length()
-    spectrum = np.fft.rfft(weights, size)
-    spectrum.flags.writeable = False
-    return radius, size, spectrum
-
-
-def _gaussian_smooth(raw: np.ndarray, sigma: float) -> np.ndarray:
-    """gaussian_filter1d(raw, sigma, mode="nearest") along raw's last axis.
-
-    One FFT convolution of every row, padded with its nearest edge value.
-    """
-    n = raw.shape[-1]
-    radius, size, kernel = _gaussian_spectrum(n, sigma)
-    spectrum = np.fft.rfft(
-        np.pad(raw, [(0, 0)] * (raw.ndim - 1) + [(radius, radius)],
-               mode="edge"), size)
-    spectrum *= kernel
-    return np.fft.irfft(spectrum, size)[..., 2 * radius:2 * radius + n]
-
-
 def random_envelope(spec: BarrierSpec, grid: Grid,
                     seeds: Sequence[int]) -> np.ndarray:
     """Random admissible densities 0 <= u <= min{M, e^{-kx}}, one row per seed.
@@ -172,15 +125,17 @@ def random_envelope(spec: BarrierSpec, grid: Grid,
     Uniform noise, smoothed by a Gaussian of width max(2 / h, 4) nodes
     and scaled into [0.2, 1.0], multiplies the super-solution, covering
     the admissible class without adversarial roughness.  The smoothing is
-    one FFT convolution of the noise padded with its nearest edge value,
-    which is gaussian_filter1d(mode="nearest") to round-off.  Each row is
-    drawn from its own generator: row k is bit for bit the density of
-    seeds[k] alone.
+    scipy.ndimage.gaussian_filter1d(mode="nearest") along each row, loaded
+    here: no subcommand draws a density.  Each row is drawn from its own
+    generator: row k is bit for bit the density of seeds[k] alone.
     """
+    from scipy.ndimage import gaussian_filter1d
+
     raw = np.empty((len(seeds), grid.n))
     for row, s in zip(raw, seeds):
         row[:] = np.random.default_rng(s).uniform(size=grid.n)
-    smooth = _gaussian_smooth(raw, max(2.0 / grid.h, 4.0))
+    smooth = gaussian_filter1d(raw, max(2.0 / grid.h, 4.0), axis=-1,
+                               mode="nearest")
     lo = smooth.min(axis=-1, keepdims=True)
     span = smooth.max(axis=-1, keepdims=True) - lo
     # (smooth - lo) / span, 0.5 on a flat row, scaled into [0.2, 1] in place

@@ -40,15 +40,16 @@ chi = 0 the step reads v only through terms multiplied by chi, so its
 StepTerms carry none of them: the step takes no u_x and no chemotactic
 source, and march solves v only at samples (output times and the end)
 and reuses the last v in between.  The implicit matrix depends only on
-(n, h, dt, robin_kappa, c), and one dict caches it: the last four keys
-stepped, each with its gttrf factor, or with None while it has been
-stepped once.  A key not among them is solved by one LAPACK gtsv and
-not factored; a key among them is factored on its second step and
-solved by gttrs, which is gtsv's elimination bit for bit, and its
-factor leaves the cache with it.  So a fixed-dt run factors its dt
-once, and so does an automatic-dt run while its step sits at its cap,
-DT_MAX or RELAX_DT_MAX; a step below the cap, whose dt is new on nearly
-every step, costs one gtsv.
+(n, h, dt, robin_kappa, c), and `solve_banded`, the step's implicit
+solve, caches it in one dict: the last four keys stepped, each with its
+gttrf factor, or with None while it has been stepped once.  A key not
+among them is solved by one LAPACK gtsv and not factored; a key among
+them is factored on its second step and solved by gttrs, which is
+gtsv's elimination bit for bit, and its factor leaves the cache with
+it.  So a fixed-dt run factors its dt once, and so does an
+automatic-dt run while its step sits at its cap, DT_MAX or
+RELAX_DT_MAX; a step below the cap, whose dt is new on nearly every
+step, costs one gtsv.
 
 `frozen_terms` (the factors that depend on u alone) and `frozen_residual`
 (their combination with each row of (v, v_x)) are the one formula of the
@@ -88,9 +89,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .elliptic import lapack, solve_pair
-# not called here (a step solves with gtsv or gttrs); the package's tridiagonal
-# solve stays bound under this name for perfbench's cauchy.tridiag probe
-from .elliptic import solve_tridiagonal as solve_banded  # noqa: F401
 from .errors import (BlowupDetected, DomainError, InternalError,
                      StepBudgetError, StiffnessError)
 from .fields import Field, Grid, level_crossings
@@ -342,6 +340,31 @@ _RECENT_KEYS = 4
 _factors: dict[tuple, tuple[np.ndarray, ...] | None] = {}
 
 
+def solve_banded(key: tuple, rhs: np.ndarray) -> np.ndarray:
+    """The step's implicit solve: x with A x = rhs for the matrix A of
+    _diffusion_bands(*key); rhs is overwritten.
+
+    key is (n, h, dt, robin_kappa, c).  A key that is not among the last
+    _RECENT_KEYS keys solved takes one gtsv and is not factored; a recent
+    key is factored once and solved by gttrs on the factor that _factors
+    keeps with it.
+    """
+    if key in _factors:
+        factor = _factors.pop(key) or _diffusion_factor(*key)
+        x, info = lapack.dgttrs(*factor, rhs, overwrite_b=True)
+    else:
+        factor = None
+        if len(_factors) == _RECENT_KEYS:
+            del _factors[next(iter(_factors))]
+        *_, x, info = lapack.dgtsv(*_diffusion_bands(*key), rhs,
+                                   overwrite_dl=True, overwrite_d=True,
+                                   overwrite_du=True, overwrite_b=True)
+    _factors[key] = factor
+    if info != 0:
+        raise InternalError(f"diffusion solve failed (info={info})")
+    return x
+
+
 def advance_imex(p: Params, u: np.ndarray, terms: StepTerms, c: float,
                  dt: float, grid: Grid, robin_kappa: float,
                  scheme: str = "upwind") -> np.ndarray:
@@ -351,14 +374,9 @@ def advance_imex(p: Params, u: np.ndarray, terms: StepTerms, c: float,
     the frame advection is implicit and centered, the chemotactic drift
     w - c explicit.  Ghost nodes close the left edge with zero flux and
     the right edge with u_x = -robin_kappa u; at chi = 0 there is no
-    drift, and no u_x is taken.  The implicit matrix is keyed on
-    (n, h, dt, robin_kappa, c): a key that is not among the last
-    _RECENT_KEYS keys stepped is solved by one gtsv and not factored; a
-    recent key is factored once and solved by gttrs on the factor that
-    _factors keeps with it.
+    drift, and no u_x is taken.  solve_banded solves the implicit matrix.
     """
     h = grid.h
-    n = grid.n
     # non-finite intermediates are caught below and reported as blow-up
     with np.errstate(invalid="ignore", over="ignore"):
         source = reaction_source(p, u, terms)
@@ -378,22 +396,7 @@ def advance_imex(p: Params, u: np.ndarray, terms: StepTerms, c: float,
         raise BlowupDetected(
             f"non-finite update at x={grid.x0 + i * h:.6g}",
             x=grid.x0 + i * h)
-
-    key = (n, h, dt, robin_kappa, c)
-    if key in _factors:
-        factor = _factors.pop(key) or _diffusion_factor(*key)
-        u_new, info = lapack.dgttrs(*factor, rhs, overwrite_b=True)
-    else:
-        factor = None
-        if len(_factors) == _RECENT_KEYS:
-            del _factors[next(iter(_factors))]
-        *_, u_new, info = lapack.dgtsv(*_diffusion_bands(*key), rhs,
-                                       overwrite_dl=True, overwrite_d=True,
-                                       overwrite_du=True, overwrite_b=True)
-    _factors[key] = factor
-    if info != 0:
-        raise InternalError(f"diffusion solve failed (info={info})")
-    return u_new
+    return solve_banded((grid.n, h, dt, robin_kappa, c), rhs)
 
 
 def frozen_terms(p: Params, ue: np.ndarray, h: float) -> tuple:

@@ -64,7 +64,8 @@ def parse_config(path: str | None, overrides: dict[str, str],
                  subcommand: str | None = None) -> dict:
     """DEFAULTS <- subcommand defaults <- file <- flags <- CHEMOWAVE_OUT.
 
-    Unknown keys and bad numbers are rejected.
+    Unknown keys and bad numbers are rejected.  The subcommand is kept
+    under "subcommand" for the manifest.
     """
     raw = dict(DEFAULTS)
     if subcommand is not None:
@@ -93,6 +94,7 @@ def parse_config(path: str | None, overrides: dict[str, str],
         raise DomainError(f"unknown method {raw['method']!r}")
     cfg["method"] = raw["method"]
     cfg["out_dir"] = raw["out_dir"]
+    cfg["subcommand"] = subcommand
     return cfg
 
 
@@ -112,8 +114,10 @@ def _sim_config(cfg: dict, output_every: float) -> SimConfig:
 def _manifest(cfg: dict, extra: dict | None = None) -> None:
     # out_dir is where the manifest lives; echoing it would tie the bytes
     # to the checkout
-    payload = {k: cfg[k] for k in sorted(cfg) if k != "out_dir"}
-    cw_io.write_manifest(cfg["out_dir"], payload, extra)
+    payload = {k: cfg[k] for k in sorted(cfg)
+               if k not in ("out_dir", "subcommand")}
+    cw_io.write_manifest(cfg["out_dir"], payload,
+                         {"subcommand": cfg["subcommand"], **(extra or {})})
 
 
 def cmd_constants(cfg: dict) -> int:
@@ -230,7 +234,8 @@ def cmd_sweep(cfg: dict, values: dict[str, list[float]], jobs: int) -> int:
 
 def cmd_certify(cfg: dict) -> int:
     p = _params(cfg)
-    # --seed is accepted for old command lines; the certificate is exact
+    # the certificate is exact and reads no seed; --seed stays because
+    # perfbench passes it
     if cfg["seed"] < 0:
         raise DomainError(f"--seed must be nonnegative, got {cfg['seed']}")
     report = certify(p, cfg["c"])

@@ -24,20 +24,15 @@ The package's compiled scipy code is loaded here, each extension file
 directly, so that neither `scipy.signal`'s nor `scipy.linalg`'s
 `__init__` runs at import: the filter above, and `lapack`, scipy's
 compiled LAPACK (`scipy.linalg._flapack`; `scipy.linalg.lapack` if it
-cannot be loaded or lacks gttrf, gttrs, gtsv or gbsv).  `solve_tridiagonal`,
-gtsv with `scipy.linalg.solve_banded`'s checks, is the package's one
-checked tridiagonal solve; `cauchy.advance_imex` calls gtsv and gttrs
-directly on the bands it builds itself.
+cannot be loaded or lacks gttrf, gttrs, gtsv or gbsv).  `cauchy.solve_banded`
+solves each time step's tridiagonal matrix with it, and the wave lane's
+Newton step its banded Jacobian.
 
 Tail convention: beyond the left end x0, s is the plateau s(x0), as
 the model's fronts are flat behind them; beyond the right end x_R, s
 continues as s(x_R) * exp(-right_rate * (x - x_R)), which decays for a
 rate > 0 and is a plateau for a rate of 0; its integral converges for
 right_rate > -1.
-
-`solve_fd`, a second-order finite-difference solve with Dirichlet data,
-is provided purely as an independent cross-check; it is the module's one
-function on Fields.
 """
 
 from __future__ import annotations
@@ -49,8 +44,8 @@ from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
 
 import numpy as np
 
-from .errors import DomainError, InternalError
-from .fields import Field, Grid
+from .errors import DomainError
+from .fields import Grid
 
 
 def _load_extension(package: str, name: str):
@@ -103,27 +98,6 @@ def _resolve_lapack():
 
 _linear_filter = _resolve_linear_filter()
 lapack = _resolve_lapack()
-
-
-def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-                      rhs: np.ndarray) -> np.ndarray:
-    """x solving A x = rhs; A has bands sub (n-1), diag (n) and sup (n-1).
-
-    LAPACK gtsv, Gaussian elimination with partial pivoting, with the
-    checks of scipy.linalg.solve_banded((1, 1), ab, rhs), which makes
-    this same call on ab's rows: the same bits, a ValueError on a
-    non-finite entry and a LinAlgError on a singular matrix.  No
-    argument is overwritten.
-    """
-    for values in (sub, diag, sup, rhs):
-        if not np.all(np.isfinite(values)):
-            raise ValueError("array must not contain infs or NaNs")
-    *_, x, info = lapack.dgtsv(sub, diag, sup, rhs)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gtsv")
-    return x
 
 
 def sweep_weights(h: float) -> tuple:
@@ -219,23 +193,3 @@ def psi_derivative(s: np.ndarray, grid: Grid,
                    right_rate: float) -> np.ndarray:
     """Psi' alone: solve_pair's second value."""
     return solve_pair(s, grid, right_rate)[1]
-
-
-def solve_fd(s: Field, bc_left: float, bc_right: float) -> Field:
-    """Second-order tridiagonal solve with Dirichlet data; cross-check only."""
-    n = s.grid.n
-    h = s.grid.h
-    sub = np.full(n - 1, 1.0 / h**2)
-    diag = np.full(n, -2.0 / h**2 - 1.0)
-    sup = np.full(n - 1, 1.0 / h**2)
-    rhs = -s.values
-    sup[0] = 0.0
-    diag[0] = 1.0
-    rhs[0] = bc_left
-    sub[-1] = 0.0
-    diag[-1] = 1.0
-    rhs[-1] = bc_right
-    v = solve_tridiagonal(sub, diag, sup, rhs)
-    if not np.all(np.isfinite(v)):
-        raise InternalError("tridiagonal solve produced non-finite values")
-    return Field(s.grid, v)

@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import platform
 from functools import lru_cache
 
 import numpy as np
+import scipy
 
 from .errors import DomainError
 
@@ -92,9 +94,14 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def write_manifest(out_dir: str, config: dict, extra: dict | None = None) -> None:
+    """manifest.json: the package, Python, numpy and scipy versions (so a
+    byte difference between two machines can be traced to a build), the
+    run's config and the subcommand's extra keys."""
     from . import __version__
     os.makedirs(out_dir, exist_ok=True)
     payload = {"artifact": "chemowave", "version": __version__,
+               "python": platform.python_version(),
+               "numpy": np.__version__, "scipy": scipy.__version__,
                "config": config}
     if extra:
         payload.update(extra)

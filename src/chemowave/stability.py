@@ -1,4 +1,4 @@
-"""Weighted-norm stability experiments, a-priori profile estimates, uniqueness.
+"""Weighted-norm stability experiments and a-priori profile estimates.
 
 The stability experiment perturbs a converged profile U* by a compact
 Gaussian bump, evolves the coupled system in the moving frame, and
@@ -16,6 +16,7 @@ relative factor and stays under the predicted envelope (slack factor 10
 absorbing transients).  It steps the profile's own problem
 (WaveProblem.stepper at the profile's c_eff) through `cauchy.march` and
 reads W, supdiff and the truncation flag from each sample's arrays.
+`weighted_norm` is the one formula of W and of that flag.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import StepStats, march, solve_v
-from .elliptic import solve_pair
 from .errors import DomainError, TruncationWarning
 from .fields import Field
 from .params import (Params, SIGMA, TILDE_FACTOR, _bD_chain, M_chi,
@@ -63,25 +63,15 @@ class DecayRecord:
     truncated_from_t: float | None = None    # first sample weighted_norm flags
 
 
-def _truncated(integrand: np.ndarray) -> bool:
-    """The integrand at the right edge is not negligible against its peak."""
+def weighted_norm(u: np.ndarray, ustar: np.ndarray, weight: np.ndarray,
+                  h: float) -> tuple[float, bool]:
+    """(W, truncated): the trapezoid integral W of weight (u - ustar)^2 at
+    spacing h, the weight e^{2 eta x} sampled on the grid; truncated when
+    the integrand at the right edge is not negligible against its peak."""
+    integrand = weight * (u - ustar) ** 2
     peak = integrand.max()
-    return bool(peak > 0 and integrand[-1] >= 1e-12 * peak)
-
-
-def _warn_truncated() -> None:
-    warnings.warn("weighted integrand not negligible at the right boundary",
-                  TruncationWarning, stacklevel=3)
-
-
-def weighted_norm(u: Field, Ustar: Field, eta: float) -> float:
-    """Trapezoid integral of exp(2 eta x) (u - Ustar)^2."""
-    if u.grid != Ustar.grid:
-        raise DomainError("u and Ustar must share a grid")
-    integrand = np.exp(2.0 * eta * u.grid.x) * (u.values - Ustar.values) ** 2
-    if _truncated(integrand):
-        _warn_truncated()
-    return float(np.trapezoid(integrand, dx=u.grid.h))
+    truncated = bool(peak > 0 and integrand[-1] >= 1e-12 * peak)
+    return float(np.trapezoid(integrand, dx=h)), truncated
 
 
 def eta_window(params: Params, c: float) -> tuple[float, float]:
@@ -151,9 +141,9 @@ def run_stability(profile: WaveProfile, eta: float,
 
     PASS requires W(t_end) <= REL_DROP * W(0) and
     W(t) <= ENVELOPE_SLACK * W(0) * exp(2 lambda t) for all t >= 1.
-    truncated_from_t records the first sample whose weighted integrand is
-    not negligible at the right edge (weighted_norm's TruncationWarning);
-    it does not enter the verdict.
+    truncated_from_t records the first sample that weighted_norm flags as
+    truncated, and one TruncationWarning says so; it does not enter the
+    verdict.
     """
     problem = profile.problem
     kappa = problem.kappa
@@ -170,18 +160,19 @@ def run_stability(profile: WaveProfile, eta: float,
     ustar, h = profile.U.values, problem.grid.h
     weight = np.exp(2.0 * eta * problem.grid.x)
     stats, times, W, supdiff = StepStats(), [], [], []
-    truncated = []                 # sample times weighted_norm would flag
+    truncated = []                 # sample times weighted_norm flags
     for t, u, _, _, dt, clamped, sample in march(config, u0):
         stats.add(dt, clamped)
         if sample:
-            integrand = weight * (u - ustar) ** 2
+            w, cut = weighted_norm(u, ustar, weight, h)
             times.append(t)
-            W.append(np.trapezoid(integrand, dx=h))
+            W.append(w)
             supdiff.append(float(np.abs(u - ustar).max()))
-            if _truncated(integrand):
+            if cut:
                 truncated.append(t)
     if truncated:
-        _warn_truncated()
+        warnings.warn("weighted integrand not negligible at the right "
+                      "boundary", TruncationWarning, stacklevel=2)
     times, W, supdiff = np.array(times), np.array(W), np.array(supdiff)
 
     env_ok = all(W[i] <= ENVELOPE_SLACK * W[0] * math.exp(2.0 * lam * times[i])
@@ -267,60 +258,3 @@ def apriori_checks(profile: WaveProfile) -> list[Check]:
     worst("abs(U'/U) <= M_tilde", np.abs(Ux[pos]) / Ui[pos] - rep.M_tilde,
           xi[pos])
     return checks
-
-
-def uniqueness_check(p1: WaveProfile, p2: WaveProfile) -> float:
-    """Sup-norm distance of two translation-normalized profiles."""
-    if p1.problem != p2.problem:
-        raise DomainError("profiles must share a problem (params, c, grid)")
-    return float(np.abs(p1.U.values - p2.U.values).max())
-
-
-@dataclass
-class WeightedEllipticReport:
-    lhs_v: float
-    rhs_v: float
-    lhs_vx: float
-    rhs_vx: float
-    passed: bool
-
-
-def weighted_elliptic_check(u1: Field, u2: Field, eta: float, gamma: float,
-                            M: float) -> WeightedEllipticReport:
-    """Weighted L2 bounds for v = Psi(u2^g - u1^g) against the difference.
-
-    Verifies int V^2 <= g^2 M^(2(g-1))/(1-eta)^2 int U^2 and
-    int V_x^2 <= g^2 M^(2(g-1))/(1-eta^2) int U^2, with V = e^(eta x) v,
-    U = e^(eta x)(u2 - u1), up to 1e-6 relative slack.  v's source is
-    continued beyond the grid as a plateau, so it must vanish at both ends.
-    """
-    if eta >= 1.0:
-        raise DomainError("eta must be < 1")
-    if u1.grid != u2.grid:
-        raise DomainError("u1 and u2 must share a grid")
-    for name, u in (("u1", u1), ("u2", u2)):
-        if u.min() < 0 or u.max() > M:
-            raise DomainError(f"{name} must satisfy 0 <= {name} <= M")
-    src = np.power(u2.values, gamma) - np.power(u1.values, gamma)
-    if max(abs(src[0]), abs(src[-1])) > 1e-8 * max(1.0, abs(src).max()):
-        raise DomainError("u2^gamma - u1^gamma must vanish at both grid ends")
-    v, vx = solve_pair(src, u1.grid, 0.0)
-
-    x = u1.grid.x
-    h = u1.grid.h
-    wgt = np.exp(eta * x)
-    U = wgt * (u2.values - u1.values)
-    V = wgt * v
-    Vx = wgt * (eta * v + vx)
-
-    iU = float(np.trapezoid(U * U, dx=h))
-    iV = float(np.trapezoid(V * V, dx=h))
-    iVx = float(np.trapezoid(Vx * Vx, dx=h))
-    cst = gamma ** 2 * M ** (2.0 * (gamma - 1.0))
-    rhs_v = cst / (1.0 - eta) ** 2 * iU
-    rhs_vx = cst / (1.0 - eta ** 2) * iU
-    tol = 1e-6
-    passed = (iV <= rhs_v * (1.0 + tol) + 1e-300
-              and iVx <= rhs_vx * (1.0 + tol) + 1e-300)
-    return WeightedEllipticReport(lhs_v=iV, rhs_v=rhs_v, lhs_vx=iVx,
-                                  rhs_vx=rhs_vx, passed=passed)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from chemowave import barriers
 from chemowave.barriers import (CERTIFY_GRID, BarrierSpec, certify,
                                 default_barrier_spec, eps_disc, eval_sub,
-                                eval_super, random_envelope, residual_A)
+                                eval_super, random_envelope)
 from chemowave.cauchy import frozen_residual, frozen_terms, steady_residual
 from chemowave.elliptic import solve_pair
 from chemowave.errors import DomainError
@@ -19,6 +19,8 @@ from chemowave.params import (Params, RegimeTag, barrier_constants,
                               c_star, chi_star, classify_regime,
                               default_kappa_tilde, kappa_of_speed, M_chi,
                               require_speed_above)
+
+from oracles import residual_A
 
 
 def test_eval_super_values():
@@ -82,14 +84,7 @@ def test_residual_super_negative_regime():
 @example(n=8, h=0.005, seed=2)          # radius 1600, 200 times n
 @example(n=300, h=0.75, seed=3)         # the sigma = 4 floor
 def test_random_envelope_smoothing_matches_ndimage(n, h, seed):
-    # ndimage is the oracle only; the package smooths by FFT
-    from scipy.ndimage import gaussian_filter1d
-
-    sigma = max(2.0 / h, 4.0)
-    raw = np.random.default_rng(seed).uniform(size=n)
-    ref = gaussian_filter1d(raw, sigma, mode="nearest")
-    assert np.abs(barriers._gaussian_smooth(raw, sigma) - ref).max() <= 1e-14
-
+    # the smoothed noise, scaled into [0.2, 1], times the super-solution
     spec = BarrierSpec(kappa=0.5, kappa_tilde=1.0, M=2.0, D=1.0, d=0.1)
     g = Grid(-0.5 * (n - 1) * h, h, n)
     sup = eval_super(spec, g)
@@ -334,12 +329,10 @@ def test_blocked_certify_is_the_draw_by_draw_report(params, c, n_draws):
 
 def _one_envelope(spec, grid, seed):
     """One draw's density, computed on its own as one 1-D row."""
+    from scipy.ndimage import gaussian_filter1d
+
     raw = np.random.default_rng(seed).uniform(size=grid.n)
-    radius, size, kernel = barriers._gaussian_spectrum(
-        grid.n, max(2.0 / grid.h, 4.0))
-    padded = np.pad(raw, radius, mode="edge")
-    smooth = np.fft.irfft(np.fft.rfft(padded, size) * kernel,
-                          size)[2 * radius:2 * radius + grid.n]
+    smooth = gaussian_filter1d(raw, max(2.0 / grid.h, 4.0), mode="nearest")
     lo, hi = smooth.min(), smooth.max()
     r = (smooth - lo) / (hi - lo) if hi > lo else np.full(grid.n, 0.5)
     return eval_super(spec, grid) * (0.2 + 0.8 * r)
@@ -410,12 +403,14 @@ def test_random_envelope_rows_are_their_one_seed_draws():
 
 def test_random_envelope_flat_row_sits_mid_range(monkeypatch):
     # a row with nothing to scale is 0.5 of its range, its neighbours not
-    def one_flat_row(raw, sigma):
+    import scipy.ndimage
+
+    def one_flat_row(raw, sigma, axis, mode):
         raw = raw.copy()
         raw[0] = 0.3
         return raw
 
-    monkeypatch.setattr(barriers, "_gaussian_smooth", one_flat_row)
+    monkeypatch.setattr(scipy.ndimage, "gaussian_filter1d", one_flat_row)
     spec = BarrierSpec(kappa=0.5, kappa_tilde=1.0, M=2.0, D=1.0, d=0.1)
     g = Grid.from_bounds(-5.0, 5.0, 0.1)
     sup = eval_super(spec, g)

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -176,6 +177,19 @@ def test_constants_subcommand(tmp_path, capsys):
     assert (out / "manifest.json").exists()
     printed = json.loads(capsys.readouterr().out)
     assert printed["c_star"] == 2.0
+
+
+def test_manifest_records_the_subcommand_and_the_versions(tmp_path):
+    # the versions as the installed distributions record them
+    for argv in (["constants"], ["certify", "--chi", "-1", "--c", "3"]):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {key: manifest[key] for key in (
+            "subcommand", "python", "numpy", "scipy")} == {
+            "subcommand": argv[0], "python": platform.python_version(),
+            "numpy": version("numpy"), "scipy": version("scipy")}
+        assert "subcommand" not in manifest["config"]
 
 
 def test_manifest_does_not_depend_on_out_dir(tmp_path):
@@ -766,7 +780,8 @@ def test_import_leaves_heavy_scipy_packages_unloaded(tmp_path):
 
 
 LEDGER = {"steps", "clamp_count", "dt_min", "dt_max"}
-MANIFEST = {"artifact", "version", "config"}
+MANIFEST = {"artifact", "version", "python", "numpy", "scipy", "subcommand",
+            "config"}
 _SMALL = ["--grid-left", "-30", "--grid-right", "50", "--grid-h", "0.1"]
 _WAVE_KEYS = {"c", "c_eff", "c_eff_shift", "kappa", "kappa1", "kappa_fit",
               "left_limit", "method", "monotonicity_violation",

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chemowave import cauchy, elliptic, waves
-from chemowave.elliptic import psi_derivative, solve_fd, solve_pair, solve_psi
+from chemowave.elliptic import psi_derivative, solve_pair, solve_psi
 from chemowave.errors import DomainError
 from chemowave.fields import Field, Grid
 from chemowave.params import Params
+
+from oracles import solve_fd
 
 
 def smooth_nonneg(grid, seed, scale=1.0):
@@ -294,82 +296,6 @@ def test_fallback_filter_gives_the_same_bits(monkeypatch, load):
         assert got.tobytes() == want.tobytes()
 
 
-def _bands(n, seed, dominance):
-    """Random tridiagonal bands; dominance below 2 lets pivoting run."""
-    rng = np.random.default_rng(seed)
-    sub, sup = rng.uniform(-1.0, 1.0, (2, n - 1))
-    diag = dominance * rng.uniform(-1.0, 1.0, n)
-    return sub, diag, sup, rng.standard_normal(n)
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(2, 4001), seed=st.integers(0, 2**32 - 1),
-       dominance=st.floats(0.0, 4.0))
-@example(n=2, seed=0, dominance=0.0)
-@example(n=4001, seed=1, dominance=0.1)
-def test_tridiagonal_solve_is_solve_banded_bit_for_bit(n, seed, dominance):
-    # imported here only: the package never imports scipy.linalg itself
-    from scipy.linalg import solve_banded
-    sub, diag, sup, rhs = _bands(n, seed, dominance)
-    ab = np.zeros((3, n))
-    ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
-    try:
-        want = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError:
-        with pytest.raises(np.linalg.LinAlgError):
-            elliptic.solve_tridiagonal(sub, diag, sup, rhs)
-        return
-    before = [a.copy() for a in (sub, diag, sup, rhs)]
-    got = elliptic.solve_tridiagonal(sub, diag, sup, rhs)
-    assert got.tobytes() == want.tobytes()
-    for a, b in zip((sub, diag, sup, rhs), before):
-        assert a.tobytes() == b.tobytes()      # nothing overwritten
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
-       which=st.integers(0, 3), at=st.floats(0.0, 1.0),
-       bad=st.sampled_from([math.nan, math.inf, -math.inf]))
-def test_tridiagonal_solve_refuses_non_finite_entries(n, seed, which, at, bad):
-    args = list(_bands(n, seed, 4.0))
-    args[which][min(int(at * args[which].size), args[which].size - 1)] = bad
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        elliptic.solve_tridiagonal(*args)
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
-       at=st.floats(0.0, 1.0), dominance=st.floats(0.0, 4.0))
-def test_tridiagonal_solve_refuses_a_singular_matrix(n, seed, at, dominance):
-    # a zero column j: diag[j], sup[j-1] (row j-1) and sub[j] (row j+1)
-    sub, diag, sup, rhs = _bands(n, seed, dominance)
-    j = min(int(at * n), n - 1)
-    diag[j] = 0.0
-    if j > 0:
-        sup[j - 1] = 0.0
-    if j < n - 1:
-        sub[j] = 0.0
-    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        elliptic.solve_tridiagonal(sub, diag, sup, rhs)
-
-
-def test_solve_fd_is_the_banded_solve_bit_for_bit():
-    from scipy.linalg import solve_banded
-    g = Grid.from_bounds(-10.0, 10.0, 0.05)
-    s = smooth_nonneg(g, 4)
-    h = g.h
-    ab = np.zeros((3, g.n))
-    ab[0, 2:] = 1.0 / h**2
-    ab[1, 1:-1] = -2.0 / h**2 - 1.0
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[2, :-2] = 1.0 / h**2
-    rhs = -s
-    rhs[0], rhs[-1] = 0.3, 0.1
-    want = solve_banded((1, 1), ab, rhs)
-    got = solve_fd(Field(g, s), 0.3, 0.1).values
-    assert got.tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("load", [
     pytest.param(_no_extension, id="extension-missing"),
     pytest.param(lambda package, name: types.SimpleNamespace(
@@ -386,7 +312,6 @@ def test_fallback_lapack_gives_the_same_bits(monkeypatch, load):
     u, v, vx, ux, F = rng.uniform(size=(5, g.n))
     p = Params(-0.5, m=2.0)
     problem = waves.WaveProblem(p, 4.0, g)
-    sub, diag, sup, rhs = _bands(g.n, 6, 0.5)
     terms = cauchy.step_terms(p, u, v, vx)
 
     def outputs():
@@ -395,7 +320,6 @@ def test_fallback_lapack_gives_the_same_bits(monkeypatch, load):
         return (*cauchy._diffusion_factor(g.n, g.h, 0.03, 0.4, 1.5),
                 cauchy.advance_imex(p, u, terms, 1.5, 0.03, g, 0.4),
                 cauchy.advance_imex(p, u, terms, 1.5, 0.03, g, 0.4),
-                elliptic.solve_tridiagonal(sub, diag, sup, rhs),
                 waves._newton_step(problem, u, v, vx, ux, F, 4.0))
 
     direct = outputs()

@@ -14,9 +14,10 @@ from chemowave.fields import Field, Grid
 from chemowave.params import Params, kappa_of_speed, SIGMA, constants_report
 from chemowave.stability import (apriori_checks, bump, default_eta,
                                  eta_window, predicted_lambda,
-                                 run_stability, uniqueness_check,
-                                 weighted_elliptic_check, weighted_norm)
+                                 run_stability, weighted_norm)
 from chemowave.waves import WaveProblem, WaveProfile, normalize_translation
+
+from oracles import uniqueness_check, weighted_elliptic_check
 
 # frozen from an independent high-precision evaluation of the constant chain
 LAMBDA_CHI_M0001 = -0.8501688607606180
@@ -24,27 +25,34 @@ LAMBDA_CHI_M0001 = -0.8501688607606180
 GAUSS_WEIGHTED = 1.4201909759058431
 
 
+def _weight(g, eta):
+    return np.exp(2.0 * eta * g.x)
+
+
 def test_weighted_norm_zero_and_plain_l2():
     g = Grid.from_bounds(-20, 20, 0.01)
-    u = Field(g, np.exp(-g.x ** 2))
-    assert weighted_norm(u, u, 0.7) == 0.0
-    bump = Field(g, u.values + ((g.x >= 0) & (g.x <= 1)).astype(float))
-    assert weighted_norm(bump, u, 0.0) == pytest.approx(1.0, abs=2 * g.h)
+    u = np.exp(-g.x ** 2)
+    assert weighted_norm(u, u, _weight(g, 0.7), g.h) == (0.0, False)
+    bump = u + ((g.x >= 0) & (g.x <= 1)).astype(float)
+    W, truncated = weighted_norm(bump, u, _weight(g, 0.0), g.h)
+    assert W == pytest.approx(1.0, abs=2 * g.h)
+    assert not truncated
 
 
 def test_weighted_norm_gaussian_analytic():
     g = Grid.from_bounds(-30, 30, 0.005)
-    u0 = Field(g, np.zeros(g.n))
-    pert = Field(g, np.exp(-g.x ** 2))
-    assert weighted_norm(pert, u0, 0.5) == pytest.approx(GAUSS_WEIGHTED, rel=1e-8)
+    W, truncated = weighted_norm(np.exp(-g.x ** 2), np.zeros(g.n),
+                                 _weight(g, 0.5), g.h)
+    assert W == pytest.approx(GAUSS_WEIGHTED, rel=1e-8)
+    assert not truncated
 
 
 def test_weighted_norm_truncation_warning():
+    # the flag that run_stability turns into its TruncationWarning
     g = Grid.from_bounds(-5, 5, 0.01)
-    u0 = Field(g, np.zeros(g.n))
-    pert = Field(g, np.exp(-0.1 * g.x ** 2))
-    with pytest.warns(TruncationWarning):
-        weighted_norm(pert, u0, 0.9)
+    _, truncated = weighted_norm(np.exp(-0.1 * g.x ** 2), np.zeros(g.n),
+                                 _weight(g, 0.9), g.h)
+    assert truncated
 
 
 def test_predicted_lambda_quadratic_chi_zero():

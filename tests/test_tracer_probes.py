@@ -72,10 +72,35 @@ def test_tracer_counts_every_v_solve_of_march(tmp_path):
         assert restored
         steps = json.loads((out / "manifest.json").read_text())["steps"]
         layers = tracer.summarize(1.0)
-        auto_dt_calls = sum(tracer.kinds[k] == "cauchy.auto_dt"
-                            for k in tracer.kind)
+        auto_dt_calls, tridiag_calls = (
+            sum(tracer.kinds[k] == kind for k in tracer.kind)
+            for kind in ("cauchy.auto_dt", "cauchy.tridiag"))
         assert steps > 2
         assert layers["cauchy.steps"] == auto_dt_calls == steps
+        # each step's implicit solve is cauchy.solve_banded
+        assert tridiag_calls == steps
+        assert layers["cauchy.tridiag_s"] > 0
         solves = steps + 1 if every_step else 2
         assert layers["cauchy.solve_v_calls"] == solves
         assert layers["elliptic.solve_pair_calls"] == solves
+
+
+def test_tracer_counts_one_weighted_norm_per_stability_sample(tmp_path):
+    # run_stability takes W at each sample through stability.weighted_norm
+    import chemowave.cli
+    out = tmp_path / "stab"
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = chemowave.cli.main(
+            ["stability", "--grid-left", "-30", "--grid-right", "30",
+             "--grid-h", "0.1", "--t-end", "2", "--out-dir", str(out)])
+    finally:
+        restored = tracer.restore()
+    assert code == 2               # t_end = 2 is too short for the drop
+    assert restored
+    rows = len((out / "decay.csv").read_text().splitlines()) - 1
+    norms = sum(tracer.kinds[k] == "stability.weighted_norm"
+                for k in tracer.kind)
+    assert rows > 2
+    assert norms == rows

@@ -8,10 +8,6 @@ import chemowave
 PACKAGE = Path(chemowave.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 
-# (module, name) imported for another reader: perfbench's tracer patches
-# the cauchy.tridiag probe through this binding
-EXEMPT = {("cauchy", "solve_banded")}
-
 
 def _exported(tree) -> set[str]:
     """The names a module's __all__ lists."""
@@ -40,7 +36,7 @@ def _unused(path: Path) -> list[str]:
                 bound[alias.asname or alias.name] = node.lineno
     return [f"{path.parent.name}/{path.name}:{line} {name}"
             for name, line in bound.items()
-            if name not in read and (path.stem, name) not in EXEMPT]
+            if name not in read]
 
 
 def test_no_unused_imports():

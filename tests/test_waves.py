@@ -448,7 +448,8 @@ def test_general_exponent_wave_and_uniqueness():
     assert abs(d.left_limit - 1.0) < 0.02 and d.right_limit < 1e-6
     fp = construct_fixed_point(WaveProblem(params=p, c=3.5, grid=grid))
     assert fp.sandwich_violation < 1e-8
-    from chemowave.stability import apriori_checks, uniqueness_check
+    from chemowave.stability import apriori_checks
+    from oracles import uniqueness_check
     d = uniqueness_check(normalize_translation(relax), normalize_translation(fp))
     assert d < 1e-4
     checks = apriori_checks(relax)
