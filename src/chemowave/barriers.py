@@ -41,9 +41,8 @@ from .cauchy import frozen_residual, frozen_terms, power, solve_v
 from .elliptic import sweep_weights
 from .errors import DomainError
 from .fields import Grid
-from .params import (Params, RegimeTag, barrier_constants, c_star,
-                     classify_regime, default_kappa_tilde, kappa_of_speed,
-                     M_barrier, M_chi)
+from .params import (Params, barrier_constants, default_kappa_tilde,
+                     kappa_of_speed, M_chi, require_speed_above)
 
 
 CERTIFY_GRID = (-30.0, 30.0, 0.02)      # (left, right, h)
@@ -150,25 +149,23 @@ def random_envelope(spec: BarrierSpec, grid: Grid,
 
 
 def default_barrier_spec(params: Params, c: float) -> BarrierSpec:
-    """Barrier parameters for (params, c): M = M_chi, D_sub and d_sub; for
-    chi <= 0 and alpha <= m + gamma - 1, M_barrier(kappa) must reach M = 1,
-    and next to the speed threshold d_sub must not underflow to 0."""
+    """Barrier parameters for (params, c): M = M_chi, D_sub and d_sub.
+
+    (params, c) passes params.require_speed_above first, so the spec
+    refuses exactly what the wave lane refuses, with the same error: a
+    SpeedError at or below the regime's threshold, a RegimeError outside
+    the regimes.  Next to the threshold d_sub must not underflow to 0.
+    """
+    threshold = require_speed_above(params, c)
     kappa = kappa_of_speed(c)
-    neg_chi = classify_regime(params) is RegimeTag.NEG_CHI_ALPHA_LE
-    if neg_chi:
-        largest = M_barrier(params, kappa)
-        if largest < 1.0:
-            raise DomainError(
-                f"c = {c:g} is too slow for the super-solution: its largest "
-                f"plateau M_barrier = {largest:.6g} is below 1")
     M = M_chi(params)
     kt = default_kappa_tilde(params, kappa)
     bc = barrier_constants(params, kappa, kt, M=M)
     if not bc.d_sub > 0.0:
         raise DomainError(
             f"c = {c:.9g} is too close to its speed threshold "
-            f"{c_star(params) if neg_chi else 2.0:g}: the sub-solution's "
-            f"d_sub underflows to 0 (D_sub = {bc.D_sub:.6g})")
+            f"{threshold:g}: the sub-solution's d_sub underflows to 0 "
+            f"(D_sub = {bc.D_sub:.6g})")
     return BarrierSpec(kappa=kappa, kappa_tilde=kt, M=M, D=bc.D_sub, d=bc.d_sub)
 
 

@@ -121,8 +121,7 @@ def _manifest(cfg: dict, extra: dict | None = None) -> None:
 
 
 def cmd_constants(cfg: dict) -> int:
-    rep = constants_report(_params(cfg), c=cfg.get("c"))
-    payload = rep.as_dict()
+    payload = asdict(constants_report(_params(cfg), c=cfg.get("c")))
     os.makedirs(cfg["out_dir"], exist_ok=True)
     cw_io.write_json(os.path.join(cfg["out_dir"], "constants.json"), payload)
     _manifest(cfg)
@@ -296,26 +295,18 @@ def _flag(key: str) -> str:
     return "--" + key.replace(".", "-").replace("_", "-")
 
 
-def emit_plot(out_dir: str, kind: str) -> str:
-    """Write a deterministic matplotlib script referencing the CSV outputs."""
-    sources = {
+def emit_plot(out_dir: str, kind: str) -> None:
+    """Write a deterministic matplotlib script reading the CSV that the
+    subcommand has just written: kind is "profile", "log-decay" or
+    "stability"."""
+    csv_name, template = {
         "profile": ("profile.csv", PLOT_PROFILE),
         "log-decay": ("profile.csv", PLOT_LOGDECAY),
         "stability": ("decay.csv", PLOT_STABILITY),
-    }
-    if kind not in sources:
-        raise DomainError(f"unknown plot kind {kind!r}")
-    csv_name, template = sources[kind]
-    csv_path = os.path.join(out_dir, csv_name)
-    if not os.path.exists(csv_path):
-        raise DomainError(f"missing CSV for plot: {csv_path}")
-    with open(csv_path) as fh:
-        if len(fh.readlines()) <= 1:
-            raise DomainError(f"no data in {csv_path}")
-    path = os.path.join(out_dir, f"plot_{kind.replace('-', '_')}.py")
-    with open(path, "w", newline="\n") as fh:
+    }[kind]
+    with open(os.path.join(out_dir, f"plot_{kind.replace('-', '_')}.py"),
+              "w", newline="\n") as fh:
         fh.write(template.format(csv=csv_name))
-    return path
 
 
 PLOT_PROFILE = '''"""Plot the wave profile (U, V against x)."""

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, SpeedError
+from .errors import DomainError, RegimeError, SpeedError
 
 #: Exponent used throughout the stability constant chain; fixed, read-only.
 SIGMA = 1.0 / 6.0
@@ -306,9 +306,6 @@ class ConstantsReport:
     M1: float = math.nan
     M2: float = math.nan
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dc_fields(self)}
-
 
 @_closed_form
 def constants_report(p: Params, c: float | None = None) -> ConstantsReport:
@@ -331,11 +328,11 @@ def constants_report(p: Params, c: float | None = None) -> ConstantsReport:
     kappa = kappa_of_speed(c)
     try:
         kappa_tilde = default_kappa_tilde(p, kappa)
-        bc = barrier_constants(p, kappa, kappa_tilde, M=max(M, 1.0))
+        bc = barrier_constants(p, kappa, kappa_tilde, M=M)
     except DomainError:
         # c at (or too near) the minimal speed: no admissible kappa_tilde,
         # so the sub-solution constants are undefined
-        nanbc = BarrierConstants(kappa=kappa, kappa_tilde=math.nan, M=max(M, 1.0),
+        nanbc = BarrierConstants(kappa=kappa, kappa_tilde=math.nan, M=M,
                                  M_barrier=M_barrier(p, kappa), K=math.nan,
                                  D_sub=math.nan, d_sub=math.nan,
                                  x_minus=math.nan, x_plus=math.nan)
@@ -372,19 +369,22 @@ def default_kappa_tilde(p: Params, kappa: float) -> float:
     return kt
 
 
-def require_speed_above(p: Params, c: float) -> None:
-    """Raise SpeedError unless c clears the regime's lower speed bound."""
-    from .errors import RegimeError
-
+def require_speed_above(p: Params, c: float) -> float:
+    """The speed threshold of p's wave regime, which c must exceed: c*
+    for chi <= 0 with alpha <= m + gamma - 1, 2 for 0 < chi < min{1/2,
+    chi*} with alpha = m + gamma - 1.  SpeedError if c does not exceed
+    it, RegimeError outside both regimes.  The one admissibility gate of
+    the wave lane and of certify: barriers.default_barrier_spec calls it."""
     tag = classify_regime(p)
     if tag is RegimeTag.NEG_CHI_ALPHA_LE:
         thr = c_star(p)
         if c <= thr:
             raise SpeedError(f"c below c_star: need c > {thr:.6g}, got {c:.6g}")
-    elif tag is RegimeTag.POS_CHI_ALPHA_EQ:
+        return thr
+    if tag is RegimeTag.POS_CHI_ALPHA_EQ:
         if c <= 2.0:
             raise SpeedError(f"c below minimal speed 2, got {c:.6g}")
-    else:
-        raise RegimeError(
-            "parameters outside the wave-construction regimes "
-            f"(chi={p.chi}, m={p.m}, alpha={p.alpha}, gamma={p.gamma})")
+        return 2.0
+    raise RegimeError(
+        "parameters outside the wave-construction regimes "
+        f"(chi={p.chi}, m={p.m}, alpha={p.alpha}, gamma={p.gamma})")

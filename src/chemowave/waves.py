@@ -53,10 +53,9 @@ from .cauchy import (MAX_INNER_STEPS, RELAX_DT_MAX, SimConfig, StepStats,
                      robin_rate, solve_v, steady_residual, step_terms)
 from .elliptic import lapack, sweep_weights, tail_integrals
 from .errors import (DomainError, NoConvergence, NormalizationError,
-                     RegimeError, WindowTooShort)
+                     WindowTooShort)
 from .fields import Field, Grid, level_crossings
-from .params import (Params, RegimeTag, classify_regime, kappa_of_speed,
-                     kappa1_default, require_speed_above)
+from .params import Params, kappa_of_speed, kappa1_default
 
 FIT_WINDOW = (1e-6, 1e-2)
 MIN_WINDOW_LENGTH = 5.0
@@ -167,17 +166,13 @@ class WaveDiagnostics:
 def _prepare(problem: WaveProblem):
     """Shared setup of both constructions.
 
-    Checks regime, speed and the super-solution's decay window, and
-    returns the barrier sandwich spec, its upper and lower barriers on
+    Takes the barrier sandwich spec, whose default_barrier_spec is the
+    admissibility gate (regime and speed), checks the super-solution's
+    decay window, and returns the spec, its upper and lower barriers on
     the grid and the fitted frame speed.
     """
-    p = problem.params
-    tag = classify_regime(p)
-    if tag not in (RegimeTag.NEG_CHI_ALPHA_LE, RegimeTag.POS_CHI_ALPHA_EQ):
-        raise RegimeError(f"wave construction unsupported in regime {tag.value}")
-    require_speed_above(p, problem.c)
     grid = problem.grid
-    spec = default_barrier_spec(p, problem.c)
+    spec = default_barrier_spec(problem.params, problem.c)
     # keep the sub-barrier's zero comfortably inside the grid
     d_min = math.exp((spec.kappa_tilde - spec.kappa) * (grid.x0 + 5.0))
     if spec.D < d_min:

@@ -76,3 +76,22 @@ def test_every_public_name_is_read_by_the_package_or_allowed():
     # the benchmark's tracer patches its probes by name
     probes = {attr for _, _, attr, _, _ in _load_tracer().PROBES}
     assert sorted(set(PROBE_ONLY) - probes) == []
+
+
+def _called(n) -> str | None:
+    """The name a Call node calls, plain or as an attribute."""
+    if isinstance(n, ast.Call):
+        f = n.func
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+    return None
+
+
+def test_require_speed_above_is_the_one_admissibility_gate():
+    # default_barrier_spec alone decides whether (params, c) has the
+    # paper's wave, for wave, stability and certify alike: a second call
+    # of the gate would be a second place to decide it
+    sites = [(path.stem, getattr(node, "name", None))
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.parse(path.read_text()).body
+             for n in ast.walk(node) if _called(n) == "require_speed_above"]
+    assert sites == [("barriers", "default_barrier_spec")]

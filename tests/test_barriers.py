@@ -372,7 +372,7 @@ def test_default_barrier_spec_takes_M_chi_in_the_wave_regimes(params_c):
     p, c = params_c
     assert classify_regime(p) in (RegimeTag.NEG_CHI_ALPHA_LE,
                                   RegimeTag.POS_CHI_ALPHA_EQ)
-    require_speed_above(p, c)
+    threshold = require_speed_above(p, c)
 
     def with_M_chi():
         kappa = kappa_of_speed(c)
@@ -385,11 +385,44 @@ def test_default_barrier_spec_takes_M_chi_in_the_wave_regimes(params_c):
     want = _spec_or_error(with_M_chi)
     if want == "D and d must be positive":
         # d_sub underflows next to the threshold: the error names the speed
-        threshold = c_star(p) if p.chi <= 0 else 2.0
         assert got.startswith(f"c = {c:.9g} is too close to its speed "
                               f"threshold {threshold:g}"), got
     else:
         assert got == want
+
+
+@st.composite
+def speeds_just_above_c_star(draw):
+    """chi <= 0 with alpha <= m + gamma - 1, c 1 to 10^6 ulps above c*,
+    log-uniformly: M_barrier(kappa(c)) rounds below 1 only within about
+    150 ulps of c*."""
+    m, gamma = draw(st.floats(1.0, 4.0)), draw(st.floats(1.0, 4.0))
+    p = Params(draw(st.floats(-20.0, 0.0)), m,
+               draw(st.floats(1.0, m + gamma - 1.0)), gamma)
+    threshold = c_star(p)
+    ulps = round(10.0 ** draw(st.floats(0.0, 6.0)))
+    return p, threshold + ulps * math.ulp(threshold)
+
+
+@settings(max_examples=300)
+@given(st.one_of(wave_regime_speeds(), speeds_just_above_c_star()))
+@example((Params(-1.29, 1.5, 1.0, 2.8), 5.041268389227329))
+def test_default_barrier_spec_refuses_nothing_past_its_gate(params_c):
+    # past require_speed_above the spec takes M = M_chi, and its one
+    # refusal is d_sub underflowing next to the threshold the gate
+    # returned.  M_barrier(kappa) >= 1 is no condition of its own: above
+    # c* it fails only by rounding, as at the example, 1 ulp above c*,
+    # where M_barrier = 1 - 9e-16 and the barriers exist
+    p, c = params_c
+    threshold = require_speed_above(p, c)
+    try:
+        spec = default_barrier_spec(p, c)
+    except DomainError as err:
+        assert str(err).startswith(
+            f"c = {c:.9g} is too close to its speed threshold {threshold:g}"
+            ": the sub-solution's d_sub underflows to 0"), err
+    else:
+        assert spec.M == M_chi(p)
 
 
 def test_random_envelope_rows_are_their_one_seed_draws():

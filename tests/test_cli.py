@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 import chemowave
 from chemowave import barriers, waves
 from chemowave.cauchy import DT_MAX, RELAX_DT_MAX, SimConfig
-from chemowave.cli import (DEFAULTS, _NUMERIC, SUBCOMMANDS, _flag, emit_plot,
-                           main, parse_config)
+from chemowave.cli import (DEFAULTS, _NUMERIC, SUBCOMMANDS, _flag, main,
+                           parse_config)
 from chemowave.errors import DomainError
 from chemowave.fields import Grid
 from chemowave.params import Params
@@ -136,9 +136,6 @@ def test_oversized_grid_exits_1(tmp_path, capsys):
     (["constants", "--gamma", "1e308"], "bD_chain overflows"),
     (["wave", "--gamma", "1e308"], "c_star overflows"),
     (["stability", "--gamma", "1e200"], "c_star overflows"),
-    (["certify", "--chi", "-1", "--c", "2.2"],
-     "c = 2.2 is too slow for the super-solution: its largest plateau "
-     "M_barrier = 0.89966 is below 1"),
     (["certify", "--chi", "0", "--c", "2.000001"],
      "c = 2.000001 is too close to its speed threshold 2: the "
      "sub-solution's d_sub underflows to 0"),
@@ -146,18 +143,44 @@ def test_oversized_grid_exits_1(tmp_path, capsys):
      "c = 2.00005 is too close to its speed threshold 2: the "
      "sub-solution's d_sub underflows to 0"),
 ], ids=["certify-c", "constants-c", "constants-gamma", "wave-gamma",
-        "stability-gamma", "certify-slow", "certify-threshold",
+        "stability-gamma", "certify-threshold",
         "wave-threshold"])
 def test_a_constant_out_of_float_range_exits_1(tmp_path, capsys, argv,
                                                message):
     # kappa(c) cancels to 0 from c ~ 1.34e8; Python's float ** raises
-    # OverflowError once gamma^2 passes 1.8e308; below c_star the
-    # super-solution's largest plateau M_barrier(kappa) falls under 1; and
-    # next to the speed threshold the sub-solution's d_sub underflows to 0
+    # OverflowError once gamma^2 passes 1.8e308; and next to the speed
+    # threshold the sub-solution's d_sub underflows to 0
     assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["--chi", "-1", "--c", "2.2"], 2,
+     "FAIL: c below c_star: need c > 2.3094, got 2.2"),
+    (["--chi", "0", "--c", "1.5"], 2,
+     "FAIL: c below c_star: need c > 2, got 1.5"),
+    (["--chi", "0", "--m", "2", "--c", "2.3"], 2,
+     "FAIL: c below c_star: need c > 2.5, got 2.3"),
+    (["--chi", "0.9", "--c", "3"], 1,
+     "error: parameters outside the wave-construction regimes "
+     "(chi=0.9, m=1.0, alpha=1.0, gamma=1.0)"),
+    (["--chi", "0.3", "--alpha", "2", "--c", "3"], 1,
+     "error: parameters outside the wave-construction regimes "
+     "(chi=0.3, m=1.0, alpha=2.0, gamma=1.0)"),
+], ids=["below-c_star", "chi0-below-2", "chi0-m2-below-c_star",
+        "no-regime", "pos-chi-alpha-gt"])
+def test_wave_stability_and_certify_refuse_alike(tmp_path, capsys, argv,
+                                                 code, line):
+    # one admissibility gate, default_barrier_spec's: the wave lane and
+    # certify refuse the same inputs with the same exit code and line,
+    # before any output directory exists
+    for subcommand in ("wave", "stability", "certify"):
+        out = tmp_path / subcommand
+        assert main([subcommand, *argv, "--out-dir", str(out)]) == code
+        assert capsys.readouterr().err == line + "\n", subcommand
+        assert not out.exists()
 
 
 def test_env_overrides_out_dir(tmp_path, monkeypatch):
@@ -662,20 +685,6 @@ def test_every_benchmark_argv_passes_the_flag_rule(tmp_path, monkeypatch):
                                 "wave"]
 
 
-def test_emit_plot_errors(tmp_path):
-    with pytest.raises(DomainError, match="missing CSV"):
-        emit_plot(str(tmp_path), "profile")
-    (tmp_path / "decay.csv").write_text("t,W,supdiff\n")
-    with pytest.raises(DomainError, match="no data"):
-        emit_plot(str(tmp_path), "stability")
-    with pytest.raises(DomainError, match="unknown plot kind"):
-        emit_plot(str(tmp_path), "hologram")
-    (tmp_path / "decay.csv").write_text("t,W,supdiff\n0,1,0.1\n1,0.5,0.05\n")
-    path = emit_plot(str(tmp_path), "stability")
-    assert os.path.exists(path)
-    assert "semilog" in open(path).read()
-
-
 def test_wave_subcommand_end_to_end(tmp_path):
     cfg = tmp_path / "wave.cfg"
     cfg.write_text("chi=0\nc=3\ngrid.left=-60\ngrid.right=60\ngrid.h=0.05\n")
@@ -709,7 +718,7 @@ def test_stability_subcommand_end_to_end(tmp_path):
     assert payload["lambda_pred"] == pytest.approx(-0.89, abs=1e-12)
     assert payload["steps"] > 0
     assert (out / "decay.csv").exists()
-    assert (out / "plot_stability.py").exists()
+    assert "semilog" in (out / "plot_stability.py").read_text()
 
 
 @pytest.mark.filterwarnings("ignore::chemowave.errors.TruncationWarning")

@@ -1,5 +1,6 @@
 """Closed-form constants: worked examples and monotonicity/limit properties."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -210,7 +211,9 @@ def test_kappa1_default_midpoint():
 
 
 def test_require_speed_above():
-    require_speed_above(Params(-1.0), 4.0)
+    # it returns the threshold it checked: c* for chi <= 0, else 2
+    assert require_speed_above(Params(-1.0), 4.0) == c_star(Params(-1.0))
+    assert require_speed_above(Params(0.25), 2.5) == 2.0
     with pytest.raises(SpeedError, match="c below c_star"):
         require_speed_above(Params(-1.0), 1.5)
     with pytest.raises(SpeedError):
@@ -226,7 +229,7 @@ def test_constants_report_speed_fields():
     assert rep.M_tilde > (4.0 + math.sqrt(12.0)) / 2.0
     assert rep.M1 == pytest.approx(1 + 2 * 1 + 1)
     assert np.isfinite(rep.M2)
-    d = rep.as_dict()
+    d = dataclasses.asdict(rep)
     assert d["c_star_star"] == rep.c_star_star
     assert d["sigma"] == pytest.approx(1.0 / 6.0)
 
