@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 import chemowave
 from chemowave import barriers, waves
 from chemowave.cauchy import DT_MAX, RELAX_DT_MAX, SimConfig
-from chemowave.cli import (DEFAULTS, _NUMERIC, SUBCOMMANDS, _flag, main,
-                           parse_config)
+from chemowave.cli import (DEFAULTS, _NUMERIC, SUBCOMMANDS, _flag, emit_plot,
+                           main, parse_config)
 from chemowave.errors import DomainError
 from chemowave.fields import Grid
 from chemowave.params import Params
@@ -683,6 +683,23 @@ def test_every_benchmark_argv_passes_the_flag_rule(tmp_path, monkeypatch):
         assert main([*argv, "--out-dir", str(tmp_path / "o")]) == 0, argv
     assert sorted(set(ran)) == ["certify", "simulate", "stability", "sweep",
                                 "wave"]
+
+
+def test_emit_plot_errors(tmp_path):
+    # emit_plot is a lookup and a write: an unknown kind is refused before
+    # anything is written, and a known kind does not read its CSV
+    with pytest.raises(KeyError, match="hologram"):
+        emit_plot(str(tmp_path), "hologram")
+    assert list(tmp_path.iterdir()) == []
+    for kind, csv_name in [("profile", "profile.csv"),
+                           ("log-decay", "profile.csv"),
+                           ("stability", "decay.csv")]:
+        assert emit_plot(str(tmp_path), kind) is None
+        script = (tmp_path / f"plot_{kind.replace('-', '_')}.py").read_text()
+        assert f'np.loadtxt("{csv_name}"' in script
+    assert "semilog" in (tmp_path / "plot_stability.py").read_text()
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "plot_log_decay.py", "plot_profile.py", "plot_stability.py"]
 
 
 def test_wave_subcommand_end_to_end(tmp_path):
